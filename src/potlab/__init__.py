@@ -5,12 +5,11 @@ experiments, dyadic Poisson extensions, and boundary-convergence runs."""
 from .space import (TreeSpace, ModelSpace, build_tree, model_space, lambda_map,
                     leaf_coordinates, ahlfors_constants, christ_cubes,
                     verify_christ, dump_space, load_space)
-from .kernel import (RadialKernel, kernel_value, kernel_norm_1, convolve_naive,
-                     convolve_fast, convolve_measure, young_check, lp_norm,
-                     kernel_operator, dyadic_riesz_potential, dyadic_riesz_bounds)
+from .kernel import (RadialKernel, kernel_value, convolve_naive, young_check,
+                     lp_norm, kernel_operator, dyadic_riesz_potential,
+                     dyadic_riesz_bounds)
 from .capacity import (CapacityProblem, CapacitySolution, solve_capacity,
-                       capacity_primal, capacity_dual, capacity_p2_exact,
-                       singleton_capacity, uniform_ball_capacity,
+                       capacity_p2_exact, singleton_capacity, uniform_ball_capacity,
                        tree_matching_radius, metric_matching_radius,
                        ball_capacity_profile, theoretical_profile_slope,
                        EnlargementRadius)
@@ -21,11 +20,11 @@ from .quasiadd import (SeparatedFamily, ExperimentReport, tree_quasi_additivity_
 from .poisson import (PoissonExtension, UpperHalfField, dyadic_heights,
                       maximal_function, exceedance_sets, harnack_constant,
                       harnack_check, exchange_ratio, exchange_band,
-                      lipschitz_profile, uniform_continuity_probe)
+                      lipschitz_profile)
 from .convergence import (ApproachRegion, region_membership, region_radius,
                           thinness_decay, enlarged_set, shadow_covering_check,
                           exceptional_capacity_bound, approximation_split,
-                          nontangential_experiment, tangential_experiment,
+                          closeness_modulus, nontangential_experiment, tangential_experiment,
                           ThinSetReport, SplitResult, ConvergenceTable)
 
 __version__ = "0.1.0"

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .kernel import (KernelOperator, RadialKernel, convolve_measure,
-                     kernel_operator, lp_norm)
+from .kernel import KernelOperator, RadialKernel, kernel_operator, lp_norm
 from .space import ModelSpace
 
 
@@ -125,35 +124,20 @@ def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
                    polish: bool = True) -> CapacitySolution:
     """Solve the capacity problem for a leaf subset.
 
-    ``tol`` is the relative-objective stall tolerance of the ascent phase,
-    ``gap_accept`` the certified duality gap below which the solution is
-    flagged converged.  The Newton polish usually lands far below it.
+    The result carries both sides: the least p-th moment density with
+    potential >= 1 on the target, and the largest-mass measure on the
+    target with unit-norm potential.  ``tol`` is the relative-objective
+    stall tolerance of the ascent phase, ``gap_accept`` the certified
+    duality gap below which the solution is flagged converged.  The Newton
+    polish usually lands far below it.
     """
     prob = CapacityProblem(space, kernel, np.asarray(target), p)
-    return _solve(prob, tol=tol, max_iters=max_iters, gap_accept=gap_accept,
-                  polish=polish)
-
-
-def capacity_primal(prob: CapacityProblem, tol: float = 1e-8,
-                    max_iters: int = 4000) -> CapacitySolution:
-    """Least p-th moment density with potential >= 1 on the target."""
-    return _solve(prob, tol=tol, max_iters=max_iters)
-
-
-def capacity_dual(prob: CapacityProblem, tol: float = 1e-8,
-                  max_iters: int = 4000) -> CapacitySolution:
-    """Largest mass measure on the target with unit-norm potential."""
-    return _solve(prob, tol=tol, max_iters=max_iters)
-
-
-def _solve(prob: CapacityProblem, tol: float = 1e-8, max_iters: int = 4000,
-           gap_accept: float = 1e-3, polish: bool = True) -> CapacitySolution:
-    n = prob.space.n_leaves
+    n = space.n_leaves
     E = prob.target
     if E.size == 0:
         return _empty_solution(n)
-    op = kernel_operator(prob.kernel, prob.space)
-    w = prob.space.weights
+    op = kernel_operator(kernel, space)
+    w = space.weights
     p = float(prob.p)
     ds = _DualState(op, w, E, p)
 
@@ -368,7 +352,7 @@ def uniform_ball_capacity(space: ModelSpace, kernel: RadialKernel, p: float,
     every automorphism fixing the subtree, and averaging an optimal measure
     over that group keeps it optimal, so the uniform probability on the
     subtree is an equilibrium measure.  Only its potential norm is needed,
-    one fast convolution at any depth.
+    one tree-operator apply at any depth.
     """
     if space.kind != "tree-boundary":
         raise ValueError("symmetric reduction needs the ultrametric")
@@ -378,7 +362,7 @@ def uniform_ball_capacity(space: ModelSpace, kernel: RadialKernel, p: float,
     lo, hi = space.tree.subtree_range(x, level)
     nu = np.zeros(space.n_leaves)
     nu[lo:hi] = 1.0 / (hi - lo)
-    u = convolve_measure(kernel, space, nu)
+    u = kernel_operator(kernel, space).apply_measure(nu)
     pp = p / (p - 1.0)
     return lp_norm(u, w, pp) ** (-p)
 

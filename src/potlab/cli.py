@@ -92,39 +92,15 @@ def load_config(path, overrides=()) -> configparser.ConfigParser:
 
 
 def validate_config(cfg) -> None:
+    """Reject a config by building what it describes: the space, the kernel
+    and, for a radial kernel, its level table (no dense operator)."""
     if not cfg.has_section("space"):
         raise ConfigError("missing [space] section")
-    kind = _get(cfg, "space", "kind", str, required=True)
-    if kind not in ("tree-boundary", "unit-interval", "cantor-set"):
-        raise ConfigError(f"unknown space kind {kind!r}")
-    b = _get(cfg, "space", "branching", int, required=True)
-    depth = _get(cfg, "space", "depth", int, required=True)
-    if b < 2:
-        raise ConfigError("branching must be >= 2")
-    if depth < 1:
-        raise ConfigError("depth must be >= 1")
-    delta = _get(cfg, "space", "delta", float)
-    if delta is not None and not 0.0 < delta < 1.0:
-        raise ConfigError("delta must lie in (0, 1)")
-    profile = _get(cfg, "space", "mass_profile", str, default="uniform")
-    if profile not in ("uniform", "custom"):
-        raise ConfigError(f"unknown mass_profile {profile!r}")
-    if profile == "custom" and not cfg.has_option("space", "weights"):
-        raise ConfigError("custom mass_profile needs [space] weights")
-    p = _get(cfg, "kernel", "p", float, default=2.0)
-    if not p > 1.0 or math.isinf(p):
-        raise ConfigError("kernel p must be finite and > 1")
-    kkind = _get(cfg, "kernel", "kind", str, default="riesz")
-    if kkind == "riesz":
-        s = _get(cfg, "kernel", "s", float, default=0.75)
-        pp = p / (p - 1.0)
-        if not 1.0 / pp <= s < 1.0:
-            raise ConfigError(f"riesz exponent must satisfy 1/p' <= s < 1, got {s}")
-    elif kkind == "radial":
-        if not cfg.has_option("kernel", "levels"):
-            raise ConfigError("radial kernel needs [kernel] levels")
-    else:
-        raise ConfigError(f"unknown kernel kind {kkind!r}")
+    try:
+        space = build_space(cfg)
+        build_kernel(cfg).level_table(space)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     inflation = _get(cfg, "quasiadd", "inflation", float, default=1.0)
     margin = _get(cfg, "quasiadd", "radius_margin", float, default=1.0)
     if inflation < 1.0 or margin < 1.0:
@@ -132,13 +108,15 @@ def validate_config(cfg) -> None:
 
 
 def build_space(cfg):
-    kind = cfg.get("space", "kind")
+    profile = _get(cfg, "space", "mass_profile", str, default="uniform")
+    if profile not in ("uniform", "custom"):
+        raise ConfigError(f"unknown mass_profile {profile!r}")
     weights = None
-    if _get(cfg, "space", "mass_profile", str, default="uniform") == "custom":
-        weights = np.asarray(_float_list(cfg.get("space", "weights")))
-    return model_space(kind,
-                       cfg.getint("space", "branching"),
-                       cfg.getint("space", "depth"),
+    if profile == "custom":
+        weights = _get(cfg, "space", "weights", _float_list, required=True)
+    return model_space(_get(cfg, "space", "kind", str, required=True),
+                       _get(cfg, "space", "branching", int, required=True),
+                       _get(cfg, "space", "depth", int, required=True),
                        _get(cfg, "space", "delta", float),
                        _get(cfg, "space", "dimension", float),
                        weights)
@@ -149,8 +127,9 @@ def build_kernel(cfg):
     p = _get(cfg, "kernel", "p", float, default=2.0)
     if kind == "radial":
         return RadialKernel("radial", p=p,
-                            level_values=tuple(_float_list(cfg.get("kernel", "levels"))))
-    return RadialKernel("riesz", s=_get(cfg, "kernel", "s", float, default=0.75), p=p)
+                            level_values=_get(cfg, "kernel", "levels", _float_list,
+                                              required=True))
+    return RadialKernel(kind, s=_get(cfg, "kernel", "s", float, default=0.75), p=p)
 
 
 def parse_targets(raw: str, space):
@@ -264,10 +243,9 @@ def write_line_chart(path: Path, series, x_label: str, y_label: str,
 
 
 class Runner:
-    def __init__(self, cfg, outdir: Path, seed: int, threads: int, charts: bool = True):
+    def __init__(self, cfg, outdir: Path, seed: int, charts: bool = True):
         self.cfg = cfg
         self.seed = seed
-        self.threads = max(threads, 1)
         self.charts = charts
         self.emit = Emitter(outdir)
         self.space = build_space(cfg)
@@ -507,7 +485,6 @@ class Runner:
             "command": subcommand,
             "config_sha256": digest.hexdigest(),
             "seed": self.seed,
-            "threads": self.threads,
             "versions": {"potlab": __version__, "python": sys.version.split()[0],
                          "numpy": np.__version__, "scipy": scipy.__version__},
             "wall_time_s": round(wall, 3),
@@ -527,8 +504,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="potlab-out", help="output directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="overrides [run] seed (default 0)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="overrides [run] threads (runner is serial; validated only)")
     parser.add_argument("--tol-override", action="append", default=[],
                         metavar="SECTION.KEY=VAL", help="config override, repeatable")
     parser.add_argument("--no-charts", action="store_true", help="skip SVG artifacts")
@@ -536,14 +511,12 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.tol_override)
         seed = args.seed if args.seed is not None else _get(cfg, "run", "seed", int, default=0)
-        threads = args.threads if args.threads is not None else _get(
-            cfg, "run", "threads", int, default=1)
-        if seed < 0 or threads < 1:
-            raise ConfigError("seed must be >= 0 and threads >= 1")
+        if seed < 0:
+            raise ConfigError("seed must be >= 0")
     except ConfigError as exc:
         print(f'error kind=config message="{exc}"', file=sys.stderr)
         return 2
-    runner = Runner(cfg, Path(args.out), seed, threads, charts=not args.no_charts)
+    runner = Runner(cfg, Path(args.out), seed, charts=not args.no_charts)
     try:
         summary = runner.run(args.subcommand)
     except Exception as exc:  # remove partial outputs, report one line

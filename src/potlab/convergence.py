@@ -322,32 +322,35 @@ def approximation_split(ext: PoissonExtension, kernel: RadialKernel, p: float,
                                      p=p, **solver_opts).value if shadow.any() else 0.0)
         cap_bad = (solve_capacity(space, kernel, np.flatnonzero(bad),
                                   p=p, **solver_opts).value if bad.any() else 0.0)
-        if cap_shadow < delta_target and cap_bad < delta_target:
-            modulus = closeness_modulus(ext, kernel, f, grid, bad, eps_grid)
-            return SplitResult(grid, bad, ext.heights, cap_shadow, cap_bad,
-                               modulus, delta_target, True, closeness, levels_used)
+        ok = cap_shadow < delta_target and cap_bad < delta_target
+        if ok:
+            break
         closeness *= 0.25
-    modulus = closeness_modulus(ext, kernel, f, grid, bad, eps_grid)
+    modulus = closeness_modulus(ext, op.apply_function(f), grid, bad, eps_grid)
     return SplitResult(grid, bad, ext.heights, cap_shadow, cap_bad,
-                       modulus, delta_target, False, closeness, levels_used)
+                       modulus, delta_target, ok, closeness, levels_used)
 
 
-def closeness_modulus(ext: PoissonExtension, kernel: RadialKernel, f: np.ndarray,
-                      excluded: np.ndarray, bad_leaves: np.ndarray,
-                      eps_grid) -> list:
-    """Largest grid radius within which the extended potential stays
-    eps-close to the boundary potential, avoiding the exceptional sets;
-    None marks resolution exhaustion at that eps."""
+def closeness_modulus(ext: PoissonExtension, g: np.ndarray, excluded: np.ndarray,
+                      bad_leaves: np.ndarray, eps_grid) -> list:
+    """Largest grid radius within which the extension of the boundary values
+    g stays eps-close to g, avoiding the exceptional sets; None marks
+    resolution exhaustion at that eps.
+
+    A point (x, y) is within radius r of (x0, 0) when both d(x, x0) and y
+    are below r, so the search scans submatrices of the field.  Empty
+    exclusion masks give the plain uniform-continuity modulus.
+    """
     space = ext.space
-    pot = kernel_operator(kernel, space).apply_function(np.asarray(f, dtype=float))
-    vals = ext.field(pot).values
+    g = np.asarray(g, dtype=float)
+    vals = ext.field(g).values
     hi_vals = np.where(excluded, -np.inf, vals)
     lo_vals = np.where(excluded, np.inf, vals)
     keep = np.flatnonzero(~bad_leaves)
     rows = []
     for eps in sorted(eps_grid, reverse=True):
         found = None
-        for radius in ext.heights:
+        for radius in ext.heights:     # descending: first success is maximal
             cols = np.flatnonzero(ext.heights < radius)
             if cols.size == 0:
                 continue
@@ -360,9 +363,9 @@ def closeness_modulus(ext: PoissonExtension, kernel: RadialKernel, f: np.ndarray
                 top = block_hi.max() if block_hi.size else -np.inf
                 bot = block_lo.min() if block_lo.size else np.inf
                 if top > -np.inf:
-                    worst = max(worst, top - pot[x0])
+                    worst = max(worst, top - g[x0])
                 if bot < np.inf:
-                    worst = max(worst, pot[x0] - bot)
+                    worst = max(worst, g[x0] - bot)
                 if worst > eps:
                     break
             if worst <= eps:

@@ -5,14 +5,16 @@ distance, hence only on the shared-prefix level of a leaf pair: it is a
 table of one value per level plus a diagonal convention.  The power-law
 (Riesz) kernel ``d(x,y)**(-Q*s)`` is supported both in the ultrametric and
 in the embedded metrics; in the latter case it is no longer radial in the
-tree and potentials fall back to a dense matrix.
+tree and potentials go through a dense matrix.  Either way every potential
+K*f, K*mu and the norm ||K||_1 comes from ``kernel_operator(kernel, space)``
+on a ``ModelSpace``, whose dimension Q the Riesz kernel uses.
 
 Atoms carry no self-interaction for the Riesz kind: the diagonal is the
 discretization artifact of a measure with no point masses, so it is
 excluded from every integral.  General radial kernels instead declare
 their own diagonal value (the level-N entry of the table).
 
-The fast potential path exploits that the distance from a leaf outside a
+The tree operator exploits that the distance from a leaf outside a
 subtree to every leaf inside it is a single number: summing per-level
 subtree aggregates reproduces the exact quadratic-cost sum in O(n * N).
 """
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import ModelSpace, TreeSpace
+from .space import ModelSpace
 
 
 @dataclass(frozen=True)
@@ -47,14 +49,16 @@ class RadialKernel:
             raise ValueError("exponent p must be finite and > 1")
         if self.kind == "riesz":
             if not (1.0 / self.conjugate() <= self.s < 1.0):
-                raise ValueError(
-                    f"riesz kernel needs 1/p' <= s < 1; got s={self.s}, p={self.p}")
+                raise ValueError(f"riesz exponent must satisfy 1/p' <= s < 1; "
+                                 f"got s={self.s}, p={self.p}")
         else:
             if self.level_values is None:
                 raise ValueError("radial kernel needs a level-value table")
             vals = np.asarray(self.level_values, dtype=float)
             if vals.ndim != 1 or not np.all(np.isfinite(vals)) or np.any(vals < 0):
                 raise ValueError("level values must be finite and nonnegative")
+            # a hashable table, so the kernel itself can key caches
+            object.__setattr__(self, "level_values", tuple(vals.tolist()))
 
     def conjugate(self) -> float:
         return self.p / (self.p - 1.0)
@@ -66,98 +70,62 @@ class RadialKernel:
         return RadialKernel("radial", p=self.p,
                             level_values=tuple(c * v for v in self.level_values))
 
-    def level_table(self, space: TreeSpace, dimension: float | None = None) -> np.ndarray:
-        """Per-level kernel values, diagonal convention in slot ``depth``."""
+    def level_table(self, space: ModelSpace) -> np.ndarray:
+        """Per-level kernel values, diagonal convention in slot ``depth``.
+
+        A radial table lives on the ultrametric only; embedded metrics
+        support the Riesz kernel alone.
+        """
         if self.kind == "radial":
+            if space.kind != "tree-boundary":
+                raise ValueError("embedded metrics support only the riesz kernel")
             vals = np.asarray(self.level_values, dtype=float)
             if vals.shape != (space.depth + 1,):
                 raise ValueError(
                     f"level table needs {space.depth + 1} entries, got {vals.shape}")
             return vals
-        q = dimension if dimension is not None else 1.0
         table = np.empty(space.depth + 1)
-        table[: space.depth] = space._radii[: space.depth] ** (-q * self.s)
+        table[: space.depth] = space.tree._radii[: space.depth] ** (-space.dimension * self.s)
         table[space.depth] = 0.0   # atoms have no self-interaction
         return table
 
 
-def _dimension_of(space) -> float | None:
-    return space.dimension if isinstance(space, ModelSpace) else None
-
-
-def _tree_of(space) -> TreeSpace:
-    return space.tree if isinstance(space, ModelSpace) else space
-
-
-def kernel_value(kernel: RadialKernel, space, x: int, y: int) -> float:
-    """K(rho(x, y)); raises on the Riesz diagonal."""
-    tree = _tree_of(space)
+def kernel_value(kernel: RadialKernel, space: ModelSpace, x: int, y: int) -> float:
+    """K(x, y) in the space's own metric; raises on the Riesz diagonal."""
     if x == y and kernel.kind == "riesz":
         raise ValueError("riesz kernel is undefined on the diagonal")
-    table = kernel.level_table(tree, _dimension_of(space))
-    return float(table[tree.lca_level(x, y)])
+    return float(kernel_operator(kernel, space).row(x)[y])
 
 
-def convolve_naive(kernel: RadialKernel, space, f: np.ndarray) -> np.ndarray:
-    """Exact quadratic-cost potential of the function f (oracle path)."""
-    tree = _tree_of(space)
-    table = kernel.level_table(tree, _dimension_of(space))
-    kmat = table[tree.lca_matrix()]
-    return kmat @ (np.asarray(f, dtype=float) * tree.weights)
+def convolve_naive(kernel: RadialKernel, space: ModelSpace, f: np.ndarray) -> np.ndarray:
+    """Exact quadratic-cost potential of the function f (oracle of the tree
+    operator, so ultrametric only)."""
+    if space.kind != "tree-boundary":
+        raise ValueError("the naive oracle sums over the ultrametric")
+    table = kernel.level_table(space)
+    kmat = table[space.tree.lca_matrix()]
+    return kmat @ (np.asarray(f, dtype=float) * space.weights)
 
 
-def convolve_fast(kernel: RadialKernel, space, f: np.ndarray) -> np.ndarray:
-    """Potential of f via per-level subtree sums; agrees with the naive path."""
-    tree = _tree_of(space)
-    table = kernel.level_table(tree, _dimension_of(space))
-    return _fast_apply(tree, table, np.asarray(f, dtype=float) * tree.weights)
-
-
-def convolve_measure(kernel: RadialKernel, space, masses: np.ndarray) -> np.ndarray:
-    """Potential of a measure given by per-leaf masses."""
-    tree = _tree_of(space)
-    table = kernel.level_table(tree, _dimension_of(space))
-    return _fast_apply(tree, table, np.asarray(masses, dtype=float))
-
-
-def _fast_apply(tree: TreeSpace, table: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    # sum over levels of K(delta**l) * (level-l subtree mass - level-(l+1) mass),
-    # telescoped so each level is touched once
-    out = table[0] * tree.block_sum_per_leaf(masses, 0)
-    for level in range(1, tree.depth + 1):
-        coef = table[level] - table[level - 1]
-        if coef != 0.0:
-            out = out + coef * tree.block_sum_per_leaf(masses, level)
-    return out
-
-
-def kernel_norm_1(kernel: RadialKernel, space) -> float:
-    """max over leaves of the kernel's mass integral (radial kernels are
-    symmetric, so the two sup-integrals coincide)."""
-    tree = _tree_of(space)
-    table = kernel.level_table(tree, _dimension_of(space))
-    integrals = _fast_apply(tree, table, tree.weights)
-    return float(integrals.max())
-
-
-def kernel_norm_tail_bound(kernel: RadialKernel, space) -> float:
+def kernel_norm_tail_bound(kernel: RadialKernel, space: ModelSpace) -> float:
     """Upper bound for the kernel norm at every refinement of this space.
 
     Refining a uniform tree adds per-level terms that decay geometrically
     whenever the level values grow slower than the branching; the bound is
     the current norm plus that geometric tail.
     """
-    tree = _tree_of(space)
     if kernel.kind != "riesz":
         raise ValueError("tail bound is specific to the riesz kernel")
-    q = _dimension_of(space) or 1.0
+    if space.kind != "tree-boundary":
+        raise ValueError("tail bound is specific to the ultrametric")
+    tree = space.tree
     b, delta, n = tree.branching, tree.delta, tree.depth
     # per-level contribution of a uniform profile: (1-1/b) * (delta**(-q s) / b)**l
-    ratio = delta ** (-q * kernel.s) / b
+    ratio = delta ** (-space.dimension * kernel.s) / b
     if ratio >= 1.0:
         raise ValueError("kernel norm diverges with depth for these parameters")
     tail = (1.0 - 1.0 / b) * ratio**n / (1.0 - ratio) * tree.total_mass
-    return kernel_norm_1(kernel, space) + tail
+    return kernel_operator(kernel, space).norm_1() + tail
 
 
 def lp_norm(values: np.ndarray, weights: np.ndarray, p: float) -> float:
@@ -168,15 +136,15 @@ def lp_norm(values: np.ndarray, weights: np.ndarray, p: float) -> float:
     return float((weights @ np.abs(values) ** p) ** (1.0 / p))
 
 
-def young_check(kernel: RadialKernel, space, f: np.ndarray, p: float):
+def young_check(kernel: RadialKernel, space: ModelSpace, f: np.ndarray, p: float):
     """Both sides of ||K*f||_p <= ||K||_1 ||f||_p; pass within 1e-12 slack."""
-    tree = _tree_of(space)
-    lhs = lp_norm(convolve_fast(kernel, space, f), tree.weights, p)
-    rhs = kernel_norm_1(kernel, space) * lp_norm(f, tree.weights, p)
+    op = kernel_operator(kernel, space)
+    lhs = lp_norm(op.apply_function(f), space.weights, p)
+    rhs = op.norm_1() * lp_norm(f, space.weights, p)
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-12)
 
 
-# -- dense operators for embedded metrics -------------------------------------
+# -- kernel operators ------------------------------------------------------------
 
 
 class KernelOperator:
@@ -184,15 +152,19 @@ class KernelOperator:
     metric is the ultrametric, dense matrix otherwise."""
 
     def apply_function(self, f: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """K*f = potential of the measure f dmu."""
+        return self._apply(np.asarray(f, dtype=float) * self.space.weights)
 
     def apply_measure(self, masses: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """K*mu for a measure given by per-leaf masses."""
+        return self._apply(np.asarray(masses, dtype=float))
 
     def row(self, x: int) -> np.ndarray:
         raise NotImplementedError
 
     def norm_1(self) -> float:
+        """max over leaves of the kernel's mass integral (the kernels are
+        symmetric, so the two sup-integrals coincide)."""
         return float(self.apply_function(np.ones(self.space.n_leaves)).max())
 
 
@@ -200,18 +172,22 @@ class TreeKernelOperator(KernelOperator):
     def __init__(self, kernel: RadialKernel, space: ModelSpace):
         self.kernel = kernel
         self.space = space
-        self.table = kernel.level_table(space.tree, space.dimension)
+        self.table = kernel.level_table(space)
 
-    def apply_function(self, f):
-        return _fast_apply(self.space.tree, self.table, np.asarray(f, dtype=float) * self.space.weights)
-
-    def apply_measure(self, masses):
-        return _fast_apply(self.space.tree, self.table, np.asarray(masses, dtype=float))
+    def _apply(self, masses):
+        # sum over levels of K(delta**l) * (level-l subtree mass - level-(l+1) mass),
+        # telescoped so each level is touched once
+        tree = self.space.tree
+        out = self.table[0] * tree.block_sum_per_leaf(masses, 0)
+        for level in range(1, tree.depth + 1):
+            coef = self.table[level] - self.table[level - 1]
+            if coef != 0.0:
+                out = out + coef * tree.block_sum_per_leaf(masses, level)
+        return out
 
     def row(self, x):
         tree = self.space.tree
-        vals = self.table[tree.lca_levels(x, np.arange(tree.n_leaves))]
-        return vals
+        return self.table[tree.lca_levels(x, np.arange(tree.n_leaves))]
 
 
 class DenseKernelOperator(KernelOperator):
@@ -225,11 +201,8 @@ class DenseKernelOperator(KernelOperator):
         self.matrix = d ** (-space.dimension * kernel.s)
         np.fill_diagonal(self.matrix, 0.0)
 
-    def apply_function(self, f):
-        return self.matrix @ (np.asarray(f, dtype=float) * self.space.weights)
-
-    def apply_measure(self, masses):
-        return self.matrix @ np.asarray(masses, dtype=float)
+    def _apply(self, masses):
+        return self.matrix @ masses
 
     def row(self, x):
         return self.matrix[x]
@@ -262,10 +235,9 @@ def dyadic_riesz_kernel_value(d: float, q: float, s: float, diameter: float = 1.
     return float(np.sum(base ** np.arange(j_lo, j_max + 1))) + tail
 
 
-def dyadic_riesz_potential(space: ModelSpace, g: np.ndarray, s: float,
-                           dimension: float | None = None) -> np.ndarray:
+def dyadic_riesz_potential(space: ModelSpace, g: np.ndarray, s: float) -> np.ndarray:
     """Potential of g under the dyadic staircase kernel (balls at radii 2**j)."""
-    q = dimension if dimension is not None else space.dimension
+    q = space.dimension
     g = np.asarray(g, dtype=float)
     masses = g * space.weights
     prefix = np.concatenate(([0.0], np.cumsum(masses)))
@@ -287,11 +259,10 @@ def dyadic_riesz_potential(space: ModelSpace, g: np.ndarray, s: float,
     return out
 
 
-def dyadic_riesz_bounds(space: ModelSpace, s: float,
-                        dimension: float | None = None) -> tuple[float, float]:
+def dyadic_riesz_bounds(space: ModelSpace, s: float) -> tuple[float, float]:
     """Brute-force min/max of dyadic-kernel / exact-kernel over realized
     distances; potentials of nonnegative inputs have their ratio inside."""
-    q = dimension if dimension is not None else space.dimension
+    q = space.dimension
     dmat = space.distance_matrix()
     dists = np.unique(dmat[dmat > 0])
     ratios = [dyadic_riesz_kernel_value(d, q, s, space.diameter) / d ** (-q * s)

@@ -59,27 +59,33 @@ class PoissonExtension:
         self._mass = np.column_stack(
             [self._collect(wprefix, float(y)) for y in self.heights])
 
-    def _collect(self, prefix: np.ndarray, y: float) -> np.ndarray:
-        """sum_k 2**(-(Q+1)k) * integral over B(x, 2**k y), all leaves at once.
+    def _rings(self, centers: np.ndarray, y: float):
+        """(coef, lo, hi) for the balls B(x, 2**k y) around ``centers``, k = 0, 1, ...
 
-        The loop stops at the first k whose ball is the whole space; the
-        geometric tail from there on is exact.
+        coef is 2**(-(Q+1)k) and [lo, hi) the leaf ranges.  The rings stop at
+        the first k whose balls are all the whole space; that last coef
+        carries the closed-form geometric tail from k on.  A ball of radius
+        above the diameter is the whole space, so k never exceeds
+        ceil(log2(diam / y)) + 1.
         """
-        space = self.space
-        n = space.n_leaves
-        total = prefix[-1]
-        out = np.zeros(n)
+        n = self.space.n_leaves
         coef = 1.0
         r = y
-        for _ in range(10000):
-            lo, hi = space.ball_bounds(self._centers, r, closed=False)
-            if lo[0] == 0 and hi[0] == n and np.all(lo == 0) and np.all(hi == n):
-                out += coef / (1.0 - self._decay) * total
-                return out
-            out += coef * (prefix[hi] - prefix[lo])
+        for _ in range(math.ceil(math.log2(self.space.diameter / y)) + 2):
+            lo, hi = self.space.ball_bounds(centers, r, closed=False)
+            if np.all(lo == 0) and np.all(hi == n):
+                yield coef / (1.0 - self._decay), lo, hi
+                return
+            yield coef, lo, hi
             coef *= self._decay
             r *= 2.0
-        raise RuntimeError("ball never saturated the space")
+
+    def _collect(self, prefix: np.ndarray, y: float) -> np.ndarray:
+        """sum_k 2**(-(Q+1)k) * integral over B(x, 2**k y), all leaves at once."""
+        out = np.zeros(self.space.n_leaves)
+        for coef, lo, hi in self._rings(self._centers, y):
+            out += coef * (prefix[hi] - prefix[lo])
+        return out
 
     def _height_index(self, y: float) -> int:
         match = np.flatnonzero(np.isclose(self.heights, y, rtol=1e-12, atol=0.0))
@@ -117,20 +123,9 @@ class PoissonExtension:
 
     def kernel_profile(self, x: int, h: int) -> np.ndarray:
         """Per-leaf weights k(z) with extension(f)(x, y_h) = sum k(z) f(z) w(z)."""
-        space = self.space
-        n = space.n_leaves
-        out = np.zeros(n)
-        coef = 1.0
-        r = float(self.heights[h])
-        for _ in range(10000):
-            lo, hi = space.ball_bounds(np.array([x]), r, closed=False)
-            lo, hi = int(lo[0]), int(hi[0])
-            if lo == 0 and hi == n:
-                out += coef / (1.0 - self._decay)
-                break
-            out[lo:hi] += coef
-            coef *= self._decay
-            r *= 2.0
+        out = np.zeros(self.space.n_leaves)
+        for coef, lo, hi in self._rings(np.array([x]), float(self.heights[h])):
+            out[lo[0]:hi[0]] += coef
         return out / self._mass[x, h]
 
     def kernel_matrix(self, h: int) -> np.ndarray:
@@ -271,7 +266,7 @@ def exchange_band(space: ModelSpace, kernel: RadialKernel, n_heights: int = 20,
     the entrywise ratio range of the two composed kernels.
     """
     key = ("exchange", space.kind, space.tree.branching, space.tree.delta,
-           space.dimension, kernel.kind, kernel.s, kernel.p, n_heights, depth)
+           space.dimension, kernel, n_heights, depth)
     if key in _EXCHANGE_CACHE:
         return _EXCHANGE_CACHE[key]
     cal = _calibration_space(space, depth)
@@ -316,39 +311,3 @@ def lipschitz_profile(space: ModelSpace, name: str, scale: float = 1.0) -> np.nd
     else:
         raise ValueError(f"unknown profile {name!r}; choose from {PROFILE_NAMES}")
     return scale * np.asarray(vals, dtype=float)
-
-
-def uniform_continuity_probe(ext: PoissonExtension, g: np.ndarray, eps_grid):
-    """Largest grid radius within which the extension stays eps-close to
-    the boundary values, for each eps; None marks resolution exhaustion.
-
-    A point (x, y) is within radius delta of (x0, 0) when both d(x, x0) and
-    y are below delta, so the search scans submatrices of the field.
-    """
-    g = np.asarray(g, dtype=float)
-    field = ext.field(g)
-    vals = field.values
-    heights = ext.heights
-    space = ext.space
-    rows = []
-    for eps in sorted(eps_grid, reverse=True):
-        found = None
-        for delta in heights:          # descending: first success is maximal
-            cols = np.flatnonzero(heights < delta)
-            if cols.size == 0:
-                continue
-            sub = vals[:, cols]
-            lo, hi = space.ball_bounds(np.arange(space.n_leaves), float(delta),
-                                       closed=False)
-            worst = 0.0
-            for x0 in range(space.n_leaves):
-                window = sub[lo[x0]:hi[x0]]
-                dev = max(window.max() - g[x0], g[x0] - window.min())
-                worst = max(worst, dev)
-                if worst > eps:
-                    break
-            if worst <= eps:
-                found = float(delta)
-                break
-        rows.append((float(eps), found))
-    return rows

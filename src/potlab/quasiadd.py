@@ -22,7 +22,7 @@ import numpy as np
 
 from .capacity import (metric_matching_radius, solve_capacity,
                        tree_matching_radius)
-from .kernel import RadialKernel, kernel_norm_1
+from .kernel import RadialKernel, kernel_operator
 from .space import ModelSpace
 
 
@@ -193,7 +193,7 @@ def quasi_additivity_tree(space: ModelSpace, kernel: RadialKernel, p: float,
         raise ValueError(f"family enlargements overlap: {cert.violations}")
     caps, union_cap = _solve_family(space, kernel, p, family, sets, **solver_opts)
     ratio = sum(caps) / union_cap if union_cap > 0 else 1.0
-    bound = tree_quasi_additivity_bound(kernel_norm_1(kernel, space), p)
+    bound = tree_quasi_additivity_bound(kernel_operator(kernel, space).norm_1(), p)
     passed = (ratio >= 1.0 - ExperimentReport.LOWER_SLACK
               and ratio <= bound * (1.0 + ExperimentReport.UPPER_SLACK))
     return ExperimentReport("tree", len(family), p, sum(caps), union_cap,

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from potlab.capacity import (CapacityProblem, ball_capacity_profile,
-                             capacity_dual, capacity_p2_exact, capacity_primal,
+from potlab.capacity import (ball_capacity_profile, capacity_p2_exact,
                              grid_ball_capacity, metric_matching_radius,
                              singleton_capacity, solve_capacity,
                              theoretical_profile_slope, tree_matching_radius,
@@ -73,8 +72,7 @@ def test_solution_certificates(tree6, rng):
     E = np.unique(rng.integers(0, 64, 25))
     for p in (1.5, 2.0, 3.0):
         k = RadialKernel("riesz", s=0.75, p=p)
-        prob = CapacityProblem(tree6, k, E)
-        sol = capacity_primal(prob)
+        sol = solve_capacity(tree6, k, E)
         op = kernel_operator(k, tree6)
         # primal feasibility
         assert np.all(op.apply_function(sol.density)[E] >= 1.0 - 1e-9)
@@ -96,7 +94,7 @@ def test_duality_gap_random_sets(tree6, rng):
         for _ in range(6):
             size = int(rng.integers(1, 40))
             E = np.unique(rng.integers(0, 64, size))
-            sol = capacity_dual(CapacityProblem(tree6, k, E, p))
+            sol = solve_capacity(tree6, k, E, p=p)
             assert sol.relative_gap <= 1e-3
             assert sol.converged
 
@@ -167,8 +165,7 @@ def test_monotone_and_subadditive(tree6, rng):
 
 
 def test_kernel_scaling_exact(tree6, rng):
-    base = tuple(float(v) for v in
-                 RIESZ.level_table(tree6.tree, tree6.dimension))
+    base = tuple(float(v) for v in RIESZ.level_table(tree6))
     k1 = RadialKernel("radial", p=2.0, level_values=base)
     c = 3.0
     k2 = k1.scaled(c)

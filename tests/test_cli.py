@@ -1,3 +1,5 @@
+import configparser
+import io
 import json
 import time
 from pathlib import Path
@@ -112,23 +114,44 @@ def test_seed_changes_outputs(config, tmp_path):
     assert (out1 / "quasiadd.csv").read_bytes() != (out2 / "quasiadd.csv").read_bytes()
 
 
+def mutate(mutation: str) -> str:
+    """BASE_CONFIG with each ``[section] key = value`` item of the
+    ';'-separated mutation set; a bare key keeps its BASE_CONFIG section."""
+    cfg = configparser.ConfigParser()
+    cfg.read_string(BASE_CONFIG)
+    for item in mutation.split(";"):
+        section, _, assignment = item.strip().rpartition("] ")
+        key, value = (part.strip() for part in assignment.split("="))
+        section = section.lstrip("[") or next(
+            name for name in cfg.sections() if cfg.has_option(name, key))
+        cfg.set(section, key, value)
+    out = io.StringIO()
+    cfg.write(out)
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("mutation,phrase", [
     ("branching = 1", "branching"),
     ("delta = 1.5", "delta"),
     ("p = 1.0", "p must"),
     ("s = 0.2", "riesz exponent"),
+    # these used to pass validation and then fail inside the run
+    ("[space] kind = unit-interval; delta = 0.3", "unit-interval"),
+    ("[space] kind = cantor-set; delta = 0.6", "cantor-set"),
+    ("depth = 3; [space] mass_profile = custom; [space] weights = 1,2,3", "leaf weights"),
+    ("[space] kind = cantor-set; delta = 0.3; [kernel] kind = radial; "
+     "[kernel] levels = 1,1,1,1,1,1,1", "riesz kernel"),
+    ("depth = 4; [kernel] kind = radial; [kernel] levels = 1,1,1", "level table"),
 ])
 def test_invalid_config_rejected(tmp_path, capsys, mutation, phrase):
-    key = mutation.split(" =")[0]
-    lines = [mutation if line.startswith(f"{key} =") else line
-             for line in BASE_CONFIG.splitlines()]
     bad = tmp_path / "bad.ini"
-    bad.write_text("\n".join(lines))
+    bad.write_text(mutate(mutation))
     code = main(["space-info", "--config", str(bad), "--out", str(tmp_path / "x")])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error kind=config")
     assert err.count("\n") == 1
+    assert phrase in err
 
 
 def test_missing_config_rejected(tmp_path, capsys):

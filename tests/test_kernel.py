@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
 
-from potlab.kernel import (RadialKernel, convolve_fast, convolve_measure,
-                           convolve_naive, dyadic_riesz_bounds,
-                           dyadic_riesz_potential, kernel_norm_1,
-                           kernel_norm_tail_bound, kernel_value, lp_norm,
-                           young_check)
-from potlab.space import build_tree, model_space
+from potlab.kernel import (RadialKernel, convolve_naive, dyadic_riesz_bounds,
+                           dyadic_riesz_potential, kernel_norm_tail_bound,
+                           kernel_operator, kernel_value, lp_norm, young_check)
+from potlab.space import ModelSpace, build_tree, model_space
+
+
+def fast(kernel, space, f):
+    return kernel_operator(kernel, space).apply_function(f)
+
+
+def norm_1(kernel, space):
+    return kernel_operator(kernel, space).norm_1()
 
 
 def constant_kernel(space, value=1.0, p=2.0):
@@ -26,18 +32,25 @@ def test_kernel_validation():
         RadialKernel("nosuch")
 
 
-def test_kernel_value_examples(tree6):
+def test_kernel_value_examples(tree6, interval6):
     k = RadialKernel("riesz", s=0.5, p=2.0)
     x, y = 0, 16    # lca level 2 on depth 6: distance 0.25
     assert tree6.tree.lca_level(x, y) == 1
     y = 8           # lca level 2 -> distance 0.25
     assert tree6.tree.lca_level(x, y) == 2
     assert kernel_value(k, tree6, x, y) == pytest.approx(0.25**-0.5)
-    const = constant_kernel(tree6.tree)
+    const = constant_kernel(tree6)
     assert kernel_value(const, tree6, 3, 3) == 1.0
     assert kernel_value(const, tree6, 3, 60) == 1.0
     with pytest.raises(ValueError):
         kernel_value(k, tree6, 5, 5)
+    # embedded metric: the Euclidean distance 1/64, not the ultrametric 1/2
+    k75 = RadialKernel("riesz", s=0.75, p=2.0)
+    value = kernel_value(k75, interval6, 0, 1)
+    assert value == kernel_operator(k75, interval6).row(0)[1]
+    assert value == pytest.approx(64**0.75)
+    with pytest.raises(ValueError):
+        kernel_value(const, interval6, 0, 1)   # radial tables are ultrametric only
 
 
 def test_kernel_value_symmetric_exhaustive():
@@ -50,7 +63,7 @@ def test_kernel_value_symmetric_exhaustive():
 
 
 def test_norm_constant_kernel(tree6):
-    assert kernel_norm_1(constant_kernel(tree6.tree), tree6) == pytest.approx(1.0)
+    assert norm_1(constant_kernel(tree6), tree6) == pytest.approx(1.0)
 
 
 def test_norm_closed_form_level_histogram():
@@ -58,26 +71,26 @@ def test_norm_closed_form_level_histogram():
     k = RadialKernel("riesz", s=0.5, p=2.0)
     expected = sum((2 - 1) * 2 ** (3 - 1 - lvl) * 2.0**-3 * (0.5**lvl) ** -0.5
                    for lvl in range(3))
-    assert kernel_norm_1(k, ms) == pytest.approx(expected)
+    assert norm_1(k, ms) == pytest.approx(expected)
 
 
 def test_norm_linear_in_mass(rng):
     w = rng.random(16) + 0.2
-    t1 = build_tree(2, 4, 0.5, w)
-    t2 = build_tree(2, 4, 0.5, 2 * w)
+    t1 = ModelSpace("tree-boundary", build_tree(2, 4, 0.5, w))
+    t2 = ModelSpace("tree-boundary", build_tree(2, 4, 0.5, 2 * w))
     k = RadialKernel("riesz", s=0.75, p=2.0)
-    assert kernel_norm_1(k, t2) == pytest.approx(2 * kernel_norm_1(k, t1))
+    assert norm_1(k, t2) == pytest.approx(2 * norm_1(k, t1))
 
 
 def test_norm_monotone_in_kernel(tree6):
     lo = RadialKernel("radial", level_values=tuple(range(1, 8)))
     hi = RadialKernel("radial", level_values=tuple(2 * v for v in range(1, 8)))
-    assert kernel_norm_1(lo, tree6) <= kernel_norm_1(hi, tree6)
+    assert norm_1(lo, tree6) <= norm_1(hi, tree6)
 
 
 def test_norm_stabilizes_with_depth():
     k = RadialKernel("riesz", s=0.75, p=2.0)
-    norms = [kernel_norm_1(k, model_space("tree-boundary", 2, n, 0.5))
+    norms = [norm_1(k, model_space("tree-boundary", 2, n, 0.5))
              for n in range(4, 11)]
     assert np.all(np.diff(norms) > 0)
     bound = kernel_norm_tail_bound(k, model_space("tree-boundary", 2, 4, 0.5))
@@ -88,10 +101,16 @@ def test_convolve_trivia(tree6):
     n = tree6.n_leaves
     k = RadialKernel("riesz", s=0.75, p=2.0)
     assert np.allclose(convolve_naive(k, tree6, np.zeros(n)), 0.0)
-    assert np.allclose(convolve_fast(k, tree6, np.zeros(n)), 0.0)
-    const = constant_kernel(tree6.tree)
-    out = convolve_fast(const, tree6, np.full(n, 3.7))
+    assert np.allclose(fast(k, tree6, np.zeros(n)), 0.0)
+    const = constant_kernel(tree6)
+    out = fast(const, tree6, np.full(n, 3.7))
     assert np.allclose(out, 3.7)
+    # the Riesz exponent scales with the space's dimension, here log 3 / log 2
+    ms = model_space("tree-boundary", 3, 4, 0.5)
+    ones = np.ones(ms.n_leaves)
+    pot = fast(k, ms, ones)[0]
+    assert pot == pytest.approx(convolve_naive(k, ms, ones)[0], rel=1e-12)
+    assert pot == pytest.approx(1.8506, abs=1e-4)
 
 
 def test_convolve_single_spike():
@@ -116,47 +135,46 @@ def test_fast_equals_naive(b, depth, rng):
     for _ in range(5):
         f = rng.random(ms.n_leaves)
         a = convolve_naive(k, ms, f)
-        c = convolve_fast(k, ms, f)
+        c = fast(k, ms, f)
         assert np.max(np.abs(a - c) / np.maximum(np.abs(a), 1e-300)) < 1e-10
 
 
 def test_fast_equals_naive_custom_weights_and_tables(rng):
     w = rng.random(81) + 0.1
-    t = build_tree(3, 4, 0.4, w)
+    t = ModelSpace("tree-boundary", build_tree(3, 4, 0.4, w))
     table = RadialKernel("radial", level_values=tuple(rng.random(5) * 3.0))
     riesz = RadialKernel("riesz", s=0.7, p=2.0)
     for k in (table, riesz):
         for _ in range(5):
             f = rng.standard_normal(81)
             a = convolve_naive(k, t, f)
-            c = convolve_fast(k, t, f)
+            c = fast(k, t, f)
             assert np.max(np.abs(a - c)) <= 1e-12 * max(np.abs(a).max(), 1.0)
 
 
 def test_fast_linearity(tree6, rng):
     k = RadialKernel("riesz", s=0.6, p=2.0)
     f, g = rng.random(64), rng.random(64)
-    lhs = convolve_fast(k, tree6, 2.0 * f + 0.3 * g)
-    rhs = 2.0 * convolve_fast(k, tree6, f) + 0.3 * convolve_fast(k, tree6, g)
+    lhs = fast(k, tree6, 2.0 * f + 0.3 * g)
+    rhs = 2.0 * fast(k, tree6, f) + 0.3 * fast(k, tree6, g)
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(rhs))
 
 
-def test_convolve_measure_identities(tree6, rng):
+def test_apply_measure_identities(tree6, rng):
     k = RadialKernel("riesz", s=0.75, p=2.0)
+    op = kernel_operator(k, tree6)
     point = np.zeros(64)
     point[11] = 1.0
-    out = convolve_measure(k, tree6, point)
+    out = op.apply_measure(point)
     for x in (0, 10, 12, 63):
         assert out[x] == pytest.approx(kernel_value(k, tree6, x, 11))
     f = rng.random(64)
-    assert np.allclose(convolve_measure(k, tree6, f * tree6.weights),
-                       convolve_fast(k, tree6, f))
-    assert np.allclose(convolve_measure(k, tree6, 3.0 * point),
-                       3.0 * convolve_measure(k, tree6, point))
+    assert np.allclose(op.apply_measure(f * tree6.weights), op.apply_function(f))
+    assert np.allclose(op.apply_measure(3.0 * point), 3.0 * op.apply_measure(point))
 
 
 def test_young_equality_case(tree6):
-    const = constant_kernel(tree6.tree)
+    const = constant_kernel(tree6)
     lhs, rhs, ok = young_check(const, tree6, np.ones(64), 2.0)
     assert ok and lhs == pytest.approx(rhs) == pytest.approx(1.0)
 

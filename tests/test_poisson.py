@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from potlab import poisson
+from potlab.convergence import closeness_modulus
 from potlab.kernel import RadialKernel, kernel_operator, lp_norm
 from potlab.poisson import (PoissonExtension, dyadic_heights, exceedance_sets,
                             exchange_band, exchange_ratio, harnack_check,
                             harnack_constant, lipschitz_profile,
-                            maximal_function, uniform_continuity_probe)
+                            maximal_function)
 from potlab.space import model_space
 
 RIESZ = RadialKernel("riesz", s=0.75, p=2.0)
@@ -241,9 +243,29 @@ def test_exchange_band_contains_random_inputs(cantor6, rng):
         assert band[0] - 1e-9 <= lo and hi <= band[1] + 1e-9
 
 
-def test_uniform_continuity_probe_constant(tree6):
+def test_exchange_band_keyed_on_kernel(tree6, monkeypatch):
+    # two radial tables at the calibration depth must not share one band
+    k1 = RadialKernel("radial", level_values=tuple(float(v) for v in range(1, 8)))
+    k2 = RadialKernel("radial", level_values=tuple(float(v) for v in range(7, 0, -1)))
+    monkeypatch.setattr(poisson, "_EXCHANGE_CACHE", {})
+    fresh = exchange_band(tree6, k2, n_heights=6)
+    cache: dict = {}
+    monkeypatch.setattr(poisson, "_EXCHANGE_CACHE", cache)
+    exchange_band(tree6, k1, n_heights=6)
+    assert exchange_band(tree6, k2, n_heights=6) == fresh
+    assert len(cache) == 2
+
+
+def continuity_modulus(ext, g, eps_grid):
+    # the closeness scan with nothing excluded
+    n, nh = ext.space.n_leaves, ext.heights.size
+    return closeness_modulus(ext, g, np.zeros((n, nh), dtype=bool),
+                             np.zeros(n, dtype=bool), eps_grid)
+
+
+def test_uniform_continuity_constant(tree6):
     ext = PoissonExtension(tree6, n_heights=6)
-    rows = uniform_continuity_probe(ext, np.full(64, 0.3), [0.1, 0.01])
+    rows = continuity_modulus(ext, np.full(64, 0.3), [0.1, 0.01])
     for _, delta in rows:
         assert delta == pytest.approx(float(ext.heights[0]))
 
@@ -251,7 +273,7 @@ def test_uniform_continuity_probe_constant(tree6):
 def test_uniform_continuity_identity_profile(interval6):
     ext = PoissonExtension(interval6, n_heights=6)
     g = lipschitz_profile(interval6, "coordinate")
-    rows = uniform_continuity_probe(ext, g, [0.1])
+    rows = continuity_modulus(ext, g, [0.1])
     eps, delta = rows[0]
     assert delta is not None and delta > interval6.delta**interval6.depth
 
@@ -259,11 +281,11 @@ def test_uniform_continuity_identity_profile(interval6):
 def test_uniform_continuity_monotone_in_eps_and_lipschitz(tree6):
     ext = PoissonExtension(tree6, n_heights=6)
     g = lipschitz_profile(tree6, "hat")
-    rows = uniform_continuity_probe(ext, g, [0.4, 0.2, 0.1])
+    rows = continuity_modulus(ext, g, [0.4, 0.2, 0.1])
     deltas = [d for _, d in rows]
     assert all(d is not None for d in deltas)
     assert deltas == sorted(deltas, reverse=True)
-    gentler = uniform_continuity_probe(ext, 0.5 * g, [0.4, 0.2, 0.1])
+    gentler = continuity_modulus(ext, 0.5 * g, [0.4, 0.2, 0.1])
     for (_, d1), (_, d2) in zip(rows, gentler):
         assert d2 >= d1
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from potlab.capacity import singleton_capacity, solve_capacity
-from potlab.kernel import RadialKernel, kernel_norm_1
+from potlab.kernel import RadialKernel, kernel_operator
 from potlab.quasiadd import (ahlfors_ratio_batch, estimate_inflation,
                              family_target_sets, generate_separated_family,
                              quasi_additivity_ahlfors, quasi_additivity_tree,
@@ -60,7 +60,7 @@ def test_exhaustion_warns(tree6):
 
 def test_tree_experiment_shapes(tree8):
     cache = {}
-    bound = tree_quasi_additivity_bound(kernel_norm_1(RIESZ, tree8), 2.0)
+    bound = tree_quasi_additivity_bound(kernel_operator(RIESZ, tree8).norm_1(), 2.0)
     for seed in range(6):
         fam = generate_separated_family(tree8, RIESZ, 2.0, 4, seed, cache=cache)
         for shape in ("ball", "singleton", "half"):
@@ -78,7 +78,7 @@ def test_tree_experiment_shapes(tree8):
 @pytest.mark.parametrize("p,s", [(1.5, 0.5), (1.5, 0.9), (3.0, 0.7)])
 def test_tree_bound_across_exponents(tree8, p, s):
     kernel = RadialKernel("riesz", s=s, p=p)
-    bound = tree_quasi_additivity_bound(kernel_norm_1(kernel, tree8), p)
+    bound = tree_quasi_additivity_bound(kernel_operator(kernel, tree8).norm_1(), p)
     cache = {}
     for seed in range(4):
         with warnings.catch_warnings():
@@ -109,7 +109,7 @@ def test_subadditivity_lower_bound_any_family(tree6, rng):
 
 
 def test_scaling_leaves_verdict_unchanged(tree8):
-    base = tuple(float(v) for v in RIESZ.level_table(tree8.tree, tree8.dimension))
+    base = tuple(float(v) for v in RIESZ.level_table(tree8))
     k1 = RadialKernel("radial", p=2.0, level_values=base)
     k3 = k1.scaled(3.0)
     fam = generate_separated_family(tree8, k1, 2.0, 4, seed=11)
@@ -118,7 +118,7 @@ def test_scaling_leaves_verdict_unchanged(tree8):
     r3 = quasi_additivity_tree(tree8, k3, 2.0, fam, sets)
     assert r1.ratio == pytest.approx(r3.ratio, rel=1e-8)
     assert r3.bound == pytest.approx(
-        tree_quasi_additivity_bound(3.0 * kernel_norm_1(k1, tree8), 2.0))
+        tree_quasi_additivity_bound(3.0 * kernel_operator(k1, tree8).norm_1(), 2.0))
     assert r1.passed == r3.passed
 
 
