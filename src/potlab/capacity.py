@@ -370,34 +370,34 @@ def uniform_ball_capacity(space: ModelSpace, kernel: RadialKernel, p: float,
 _SYMMETRIC_CUTOVER = 2048   # solver handles targets up to this size comfortably
 
 
+def _range_capacity(space: ModelSpace, kernel: RadialKernel, p: float,
+                    lo: int, hi: int, **solver_opts) -> float:
+    """Solver capacity of the leaf run [lo, hi), memoized on the space."""
+    key = ("range", kernel, p, lo, hi, tuple(sorted(solver_opts.items())))
+    return space._cached(key, lambda: solve_capacity(
+        space, kernel, np.arange(lo, hi), p=p, **solver_opts).value)
+
+
 def grid_ball_capacity(space: ModelSpace, kernel: RadialKernel, p: float,
-                       x: int, level: int, cache: dict | None = None,
-                       method: str = "auto", **solver_opts) -> float:
+                       x: int, level: int, method: str = "auto",
+                       **solver_opts) -> float:
     """Capacity of the closed grid ball of radius delta**level around x.
 
     ``method`` picks the computation: "solver" runs the general program,
     "symmetric" the exact reduction for uniform trees, "auto" switches to
     the reduction once the target outgrows the solver.  The two paths agree
-    to solver accuracy wherever both apply (asserted in the test suite).
+    to solver accuracy wherever both apply (asserted in the test suite), but
+    not to the last bit, so each is memoized under its own key.
     """
     lo, hi = space.grid_ball_range(x, level)
-    key = (lo, hi)
-    if cache is not None and key in cache:
-        return cache[key]
-    if method == "symmetric":
-        val = uniform_ball_capacity(space, kernel, p, x, level)
-    elif method == "auto" and hi - lo > _SYMMETRIC_CUTOVER:
-        val = uniform_ball_capacity(space, kernel, p, x, level)
-    else:
-        val = solve_capacity(space, kernel, np.arange(lo, hi), p=p, **solver_opts).value
-    if cache is not None:
-        cache[key] = val
-    return val
+    if method == "symmetric" or (method == "auto" and hi - lo > _SYMMETRIC_CUTOVER):
+        return space._cached(("symmetric", kernel, p, lo, hi),
+                             lambda: uniform_ball_capacity(space, kernel, p, x, level))
+    return _range_capacity(space, kernel, p, lo, hi, **solver_opts)
 
 
 def tree_matching_radius(space: ModelSpace, kernel: RadialKernel, p: float,
-                         x: int, level: int, cache: dict | None = None,
-                         **solver_opts) -> EnlargementRadius:
+                         x: int, level: int, **solver_opts) -> EnlargementRadius:
     """Half-step grid radius whose subtree mass meets the ball capacity.
 
     The scan runs from the finest subtree outward and returns the first
@@ -406,7 +406,7 @@ def tree_matching_radius(space: ModelSpace, kernel: RadialKernel, p: float,
     """
     tree = space.tree
     r = tree.grid_radius(level)
-    cap = grid_ball_capacity(space, kernel, p, x, level, cache, **solver_opts)
+    cap = grid_ball_capacity(space, kernel, p, x, level, **solver_opts)
     if cap > space.total_mass:
         return EnlargementRadius(x, r, math.inf, space.diameter, False)
     for m in range(tree.depth, -1, -1):
@@ -417,8 +417,8 @@ def tree_matching_radius(space: ModelSpace, kernel: RadialKernel, p: float,
 
 
 def metric_matching_radius(space: ModelSpace, kernel: RadialKernel, p: float,
-                           x: int, r: float, cache: dict | None = None,
-                           closed: bool = False, **solver_opts) -> EnlargementRadius:
+                           x: int, r: float, closed: bool = False,
+                           **solver_opts) -> EnlargementRadius:
     """Infimal radius R with mass(B(x, R)) >= capacity(B(x, r)).
 
     The mass of B(x, R) is a step function jumping at realized distances,
@@ -427,14 +427,7 @@ def metric_matching_radius(space: ModelSpace, kernel: RadialKernel, p: float,
     closed convention used on the radius grid.
     """
     lo, hi = space.ball_bounds(np.array([x]), r, closed=closed)
-    target = np.arange(int(lo[0]), int(hi[0]))
-    key = (int(lo[0]), int(hi[0]))
-    if cache is not None and key in cache:
-        cap = cache[key]
-    else:
-        cap = solve_capacity(space, kernel, target, p=p, **solver_opts).value
-        if cache is not None:
-            cache[key] = cap
+    cap = _range_capacity(space, kernel, p, int(lo[0]), int(hi[0]), **solver_opts)
     if cap > space.total_mass:
         return EnlargementRadius(x, r, math.inf, space.diameter, False)
     dists = space.distances_from(x)
@@ -471,11 +464,11 @@ def theoretical_profile_slope(dimension: float, p: float, s: float) -> float:
 
 
 def ball_capacity_profile(space: ModelSpace, kernel: RadialKernel, p: float,
-                          x: int, levels, cache: dict | None = None,
-                          method: str = "auto", **solver_opts) -> BallCapacityProfile:
+                          x: int, levels, method: str = "auto",
+                          **solver_opts) -> BallCapacityProfile:
     levels = np.asarray(sorted(levels), dtype=int)
     radii = np.array([space.tree.grid_radius(int(n)) for n in levels])
-    caps = np.array([grid_ball_capacity(space, kernel, p, x, int(n), cache,
+    caps = np.array([grid_ball_capacity(space, kernel, p, x, int(n),
                                         method=method, **solver_opts)
                      for n in levels])
     slope = None

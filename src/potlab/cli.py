@@ -32,8 +32,9 @@ from .capacity import ball_capacity_profile, solve_capacity, theoretical_profile
 from .convergence import (approximation_split, nontangential_experiment,
                           tangential_experiment, thinness_decay)
 from .kernel import RadialKernel, kernel_operator
-from .poisson import (PoissonExtension, exchange_band, exchange_ratio,
-                      harnack_check, harnack_constant, lipschitz_profile)
+from .poisson import (CALIBRATION_DEPTH, PoissonExtension, exchange_band,
+                      exchange_ratio, harnack_check, harnack_constant,
+                      lipschitz_profile)
 from .quasiadd import (family_target_sets, generate_separated_family,
                        quasi_additivity_ahlfors, quasi_additivity_tree,
                        verify_separation)
@@ -76,7 +77,10 @@ def _int_range(raw: str):
 
 def load_config(path, overrides=()) -> configparser.ConfigParser:
     cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = cfg.read(path)
+    try:
+        read = cfg.read(path)
+    except configparser.Error as exc:   # repeated key or section, no header, ...
+        raise ConfigError(" ".join(str(exc).split())) from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
     for item in overrides:
@@ -317,7 +321,6 @@ class Runner:
         inflation = _get(self.cfg, "quasiadd", "inflation", float, default=1.0)
         margin = _get(self.cfg, "quasiadd", "radius_margin", float, default=1.0)
         s = self.kernel.s if self.kernel.kind == "riesz" else float("nan")
-        cache: dict = {}
         rows = []
         ratios = []
         for i in range(n_seeds):
@@ -326,7 +329,7 @@ class Runner:
                 warnings.simplefilter("ignore")
                 fam = generate_separated_family(
                     self.space, self.kernel, self.p, count, seed, mode=mode,
-                    inflation=inflation, radius_margin=margin, cache=cache)
+                    inflation=inflation, radius_margin=margin)
             if len(fam) == 0:
                 continue
             if not verify_separation(self.space, fam).ok:
@@ -397,7 +400,7 @@ class Runner:
         n_random = _get(self.cfg, "exchange", "n_random", int, default=5)
         band = exchange_band(self.space, self.kernel,
                              n_heights=ext.heights.size - 1)
-        rows = [("band_calibration", band[0], band[1], 6)]
+        rows = [("band_calibration", band[0], band[1], CALIBRATION_DEPTH)]
         rng = np.random.default_rng(self.seed)
         for i in range(n_random):
             g = rng.random(self.space.n_leaves)
@@ -513,6 +516,11 @@ def main(argv=None) -> int:
         seed = args.seed if args.seed is not None else _get(cfg, "run", "seed", int, default=0)
         if seed < 0:
             raise ConfigError("seed must be >= 0")
+        if (args.subcommand in ("exchange", "full-suite")
+                and _get(cfg, "kernel", "kind", str) == "radial"
+                and _get(cfg, "space", "depth", int) != CALIBRATION_DEPTH):
+            raise ConfigError("exchange with a radial kernel needs [space] depth = "
+                              f"{CALIBRATION_DEPTH}, the calibration depth")
     except ConfigError as exc:
         print(f'error kind=config message="{exc}"', file=sys.stderr)
         return 2

@@ -50,8 +50,7 @@ class ApproachRegion:
 
 
 def region_radius(space: ModelSpace, kernel: RadialKernel, p: float,
-                  region: ApproachRegion, y: float,
-                  cache: dict | None = None) -> float:
+                  region: ApproachRegion, y: float) -> float:
     """Width of the region at height y."""
     if region.kind == "nontangential":
         return region.scale * y
@@ -62,17 +61,16 @@ def region_radius(space: ModelSpace, kernel: RadialKernel, p: float,
             return 0.0
         q = region.dimension if region.dimension is not None else space.dimension
         return region.scale * math.log(1.0 / y) ** (-q)
-    er = metric_matching_radius(space, kernel, p, region.center, y, cache=cache)
+    er = metric_matching_radius(space, kernel, p, region.center, y)
     return region.scale * er.star
 
 
 def region_membership(space: ModelSpace, kernel: RadialKernel, p: float,
-                      region: ApproachRegion, x: int, y: float,
-                      cache: dict | None = None) -> bool:
+                      region: ApproachRegion, x: int, y: float) -> bool:
     if not 0.0 < y < region.y_cutoff:
         raise ValueError("height must lie in (0, y_cutoff)")
     return space.distance(x, region.center) < region_radius(
-        space, kernel, p, region, y, cache)
+        space, kernel, p, region, y)
 
 
 # -- thin sets ------------------------------------------------------------------
@@ -142,8 +140,7 @@ def _distance_to_outside(space: ModelSpace, inside: np.ndarray) -> np.ndarray:
 
 
 def enlarged_set(space: ModelSpace, kernel: RadialKernel, p: float,
-                 members, factor: float = 1.0, cache: dict | None = None,
-                 **solver_opts) -> EnlargedSet:
+                 members, factor: float = 1.0, **solver_opts) -> EnlargedSet:
     """Union of capacity-matched balls around a leaf set.
 
     Each point is inflated to ``factor`` times the matching radius of its
@@ -158,13 +155,12 @@ def enlarged_set(space: ModelSpace, kernel: RadialKernel, p: float,
         raise ValueError("enlargement is undefined when the set is everything")
     if factor < 1.0:
         raise ValueError("factor must be at least 1")
-    cache = {} if cache is None else cache
     gaps = _distance_to_outside(space, mask)
     out = mask.copy()
     sentinels = 0
     for x in np.flatnonzero(mask):
         er = metric_matching_radius(space, kernel, p, int(x), float(gaps[x]),
-                                    cache=cache, **solver_opts)
+                                    **solver_opts)
         if not er.exists:
             sentinels += 1
         lo, hi = space.ball_bounds(np.array([x]), factor * er.star, closed=False)
@@ -412,7 +408,6 @@ def _experiment(ext: PoissonExtension, kernel: RadialKernel, p: float,
     if t_grid is None:
         t_grid = heights[::4].tolist() + [float(heights[-1])]
     t_grid = np.unique(np.asarray(t_grid, dtype=float))[::-1]
-    cache: dict = {}
     rows = []
     degenerate = []
     converged = 0
@@ -420,7 +415,7 @@ def _experiment(ext: PoissonExtension, kernel: RadialKernel, p: float,
     for x0 in x0_sample:
         region = make_region(int(x0))
         kind = region.kind
-        radii = np.array([region_radius(space, kernel, p, region, float(y), cache)
+        radii = np.array([region_radius(space, kernel, p, region, float(y))
                           for y in heights])
         lo, hi = np.zeros(heights.size, np.int64), np.zeros(heights.size, np.int64)
         for h in range(heights.size):
@@ -451,14 +446,14 @@ def _experiment(ext: PoissonExtension, kernel: RadialKernel, p: float,
             converged += 1
     bad_mass = []
     if track_bad_mass and kind is not None:
-        bad_mass = _bad_set_masses(ext, kernel, p, make_region, excluded, t_grid, cache)
+        bad_mass = _bad_set_masses(ext, kernel, p, make_region, excluded, t_grid)
     return ConvergenceTable(kind or "", tol, rows,
                             converged / max(len(list(x0_sample)), 1),
                             split.shadow_capacity, split.bad_capacity,
                             bad_mass, degenerate)
 
 
-def _bad_set_masses(ext, kernel, p, make_region, excluded, t_grid, cache):
+def _bad_set_masses(ext, kernel, p, make_region, excluded, t_grid):
     """Mass of the leaves whose region still meets the excluded set below t."""
     space = ext.space
     heights = ext.heights
@@ -474,7 +469,7 @@ def _bad_set_masses(ext, kernel, p, make_region, excluded, t_grid, cache):
             if centers.size == 0:
                 continue
             if uniform_width:
-                rad = region_radius(space, kernel, p, probe, float(y), cache)
+                rad = region_radius(space, kernel, p, probe, float(y))
                 if rad > 0:
                     mask |= _union_of_balls(space, centers, rad)
             else:
@@ -482,7 +477,7 @@ def _bad_set_masses(ext, kernel, p, make_region, excluded, t_grid, cache):
                     if mask[x0]:
                         continue
                     region = make_region(x0)
-                    rad = region_radius(space, kernel, p, region, float(y), cache)
+                    rad = region_radius(space, kernel, p, region, float(y))
                     d = space.distances_from(x0)[centers]
                     if np.any(d < rad):
                         mask[x0] = True

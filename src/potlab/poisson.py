@@ -187,8 +187,6 @@ def exceedance_sets(ext: PoissonExtension, kernel: RadialKernel, f: np.ndarray,
 
 # -- calibrated comparisons ----------------------------------------------------
 
-_HARNACK_CACHE: dict = {}
-_EXCHANGE_CACHE: dict = {}
 CALIBRATION_DEPTH = 6
 
 
@@ -206,11 +204,11 @@ def harnack_constant(space: ModelSpace, n_heights: int = 20,
     masses, i.e. to entrywise ratios of kernel profiles; those are
     enumerated exhaustively at the calibration depth.
     """
-    key = ("harnack", space.kind, space.tree.branching, space.tree.delta,
-           space.dimension, n_heights, depth)
-    if key in _HARNACK_CACHE:
-        return _HARNACK_CACHE[key]
-    cal = _calibration_space(space, depth)
+    return space._cached(("harnack", n_heights, depth),
+                         lambda: _harnack_worst(_calibration_space(space, depth), n_heights))
+
+
+def _harnack_worst(cal: ModelSpace, n_heights: int) -> float:
     ext = PoissonExtension(cal, n_heights=n_heights)
     worst = math.inf
     for h in range(ext.heights.size):
@@ -223,7 +221,6 @@ def harnack_constant(space: ModelSpace, n_heights: int = 20,
                 continue
             ratios = profiles[inside] / profiles[xt][None, :]
             worst = min(worst, float(ratios.min()))
-    _HARNACK_CACHE[key] = worst
     return worst
 
 
@@ -265,11 +262,12 @@ def exchange_band(space: ModelSpace, kernel: RadialKernel, n_heights: int = 20,
     over all nonnegative inputs are attained at point masses: the band is
     the entrywise ratio range of the two composed kernels.
     """
-    key = ("exchange", space.kind, space.tree.branching, space.tree.delta,
-           space.dimension, kernel, n_heights, depth)
-    if key in _EXCHANGE_CACHE:
-        return _EXCHANGE_CACHE[key]
-    cal = _calibration_space(space, depth)
+    return space._cached(("exchange", kernel, n_heights, depth),
+                         lambda: _exchange_extremes(_calibration_space(space, depth),
+                                                    kernel, n_heights))
+
+
+def _exchange_extremes(cal: ModelSpace, kernel: RadialKernel, n_heights: int):
     ext = PoissonExtension(cal, n_heights=n_heights)
     op = kernel_operator(kernel, cal)
     kmat = np.vstack([op.row(x) for x in range(cal.n_leaves)])
@@ -282,7 +280,6 @@ def exchange_band(space: ModelSpace, kernel: RadialKernel, n_heights: int = 20,
         ratios = swapped / direct
         lo = min(lo, float(ratios.min()))
         hi = max(hi, float(ratios.max()))
-    _EXCHANGE_CACHE[key] = (lo, hi)
     return lo, hi
 
 

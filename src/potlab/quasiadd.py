@@ -77,7 +77,6 @@ def generate_separated_family(space: ModelSpace, kernel: RadialKernel, p: float,
                               count: int, seed: int, mode: str = "tree",
                               inflation: float = 1.0, radius_margin: float = 1.0,
                               level_range: tuple | None = None,
-                              cache: dict | None = None,
                               max_attempts: int | None = None,
                               **solver_opts) -> SeparatedFamily:
     """Greedy seeded sampler of balls with disjoint enlargements."""
@@ -92,7 +91,6 @@ def generate_separated_family(space: ModelSpace, kernel: RadialKernel, p: float,
         level_range = (min(2, tree.depth), max(tree.depth - 2, 1))
     lo_lvl, hi_lvl = level_range
     rng = np.random.default_rng(seed)
-    cache = {} if cache is None else cache
     fam = SeparatedFamily(mode, [], [], [], [], [],
                           inflation=inflation, radius_margin=radius_margin)
     attempts = max_attempts if max_attempts is not None else 80 * count
@@ -103,7 +101,7 @@ def generate_separated_family(space: ModelSpace, kernel: RadialKernel, p: float,
         level = int(rng.integers(lo_lvl, hi_lvl + 1))
         r = tree.grid_radius(level)
         if mode == "tree":
-            er = tree_matching_radius(space, kernel, p, x, level, cache, **solver_opts)
+            er = tree_matching_radius(space, kernel, p, x, level, **solver_opts)
             if not er.exists:
                 fam.skipped += 1
                 continue
@@ -112,7 +110,7 @@ def generate_separated_family(space: ModelSpace, kernel: RadialKernel, p: float,
             lo, hi = tree.subtree_range(x, enlarged_level)
         else:
             er = metric_matching_radius(space, kernel, p, x, radius_margin * r,
-                                        cache, closed=True, **solver_opts)
+                                        closed=True, **solver_opts)
             if not er.exists:
                 fam.skipped += 1
                 continue
@@ -220,15 +218,13 @@ def ahlfors_ratio_batch(space: ModelSpace, s: float, p: float, seeds,
                         **solver_opts) -> list:
     """Empirical quasi-additivity ratios over a seeded batch of families."""
     kernel = RadialKernel("riesz", s=s, p=p)
-    cache: dict = {}
     ratios = []
     for seed in seeds:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fam = generate_separated_family(
                 space, kernel, p, count, seed, mode="ahlfors",
-                inflation=inflation, radius_margin=radius_margin,
-                cache=cache, **solver_opts)
+                inflation=inflation, radius_margin=radius_margin, **solver_opts)
         if len(fam) == 0:
             continue
         sets = family_target_sets(space, fam, shape, seed)

@@ -224,6 +224,7 @@ class ModelSpace:
         else:
             self.coords = _embedding_coords(tree)
             self.coords.setflags(write=False)
+        self._memo: dict = {}
 
     # passthroughs used everywhere
     @property
@@ -250,10 +251,13 @@ class ModelSpace:
     def diameter(self) -> float:
         return 1.0
 
-    def signature(self) -> tuple:
-        """Hashable identity of the geometry (used to key calibration caches)."""
-        return (self.kind, self.tree.branching, self.tree.depth, self.tree.delta,
-                self.dimension, round(self.total_mass, 12))
+    def _cached(self, key: tuple, compute):
+        """Memoized ``compute()`` for this space.  Weights and coordinates are
+        read-only, so the instance fixes geometry and mass; ``key`` names
+        everything else the result depends on."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     # -- metric -------------------------------------------------------------
 

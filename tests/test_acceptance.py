@@ -112,14 +112,13 @@ def test_criterion_4_tree_quasi_additivity():
     ms = model_space("tree-boundary", 2, 8, 0.5)
     kernel = RadialKernel("riesz", s=0.75, p=2.0)
     bound = tree_quasi_additivity_bound(kernel_operator(kernel, ms).norm_1(), 2.0)
-    cache: dict = {}
     shapes = ("ball", "singleton", "half")
     worst_ratio, failures = 0.0, 0
     for seed in range(100):
         count = 3 + seed % 4
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")   # short families are fine here
-            fam = generate_separated_family(ms, kernel, 2.0, count, seed, cache=cache)
+            fam = generate_separated_family(ms, kernel, 2.0, count, seed)
         sets = family_target_sets(ms, fam, shapes[seed % 3], seed)
         rep = quasi_additivity_tree(ms, kernel, 2.0, fam, sets)
         worst_ratio = max(worst_ratio, rep.ratio)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from potlab import capacity
 from potlab.capacity import (ball_capacity_profile, capacity_p2_exact,
                              grid_ball_capacity, metric_matching_radius,
                              singleton_capacity, solve_capacity,
@@ -196,10 +197,9 @@ def test_tree_matching_radius_floor(tree6):
 
 
 def test_matching_radius_star_dominates_r(tree6, rng):
-    cache = {}
     for level in (1, 2, 3, 4):
         x = int(rng.integers(64))
-        er = tree_matching_radius(tree6, RIESZ, 2.0, x, level, cache)
+        er = tree_matching_radius(tree6, RIESZ, 2.0, x, level)
         assert er.star >= tree6.tree.grid_radius(level) - 1e-15
 
 
@@ -223,6 +223,50 @@ def test_tree_matching_radius_table_oracle(tree6):
     er = tree_matching_radius(tree6, RIESZ, p, x, level)
     assert er.matching_level == expected_level
     assert er.matching == pytest.approx(0.5 ** (expected_level - 0.5))
+
+
+# -- memo on the space --------------------------------------------------------
+# fresh spaces throughout: the session fixtures carry their memo across tests
+
+
+def fresh_tree6():
+    return model_space("tree-boundary", 2, 6, 0.5)
+
+
+def test_ball_capacity_memo_keyed_on_kernel_and_p():
+    shared = fresh_tree6()
+    other = RadialKernel("riesz", s=0.9, p=3.0)
+    grid_ball_capacity(shared, RIESZ, 2.0, 5, 3)
+    for kernel, p in ((RIESZ, 3.0), (other, 3.0), (RIESZ, 2.0)):
+        assert grid_ball_capacity(shared, kernel, p, 5, 3) == \
+            grid_ball_capacity(fresh_tree6(), kernel, p, 5, 3)
+    assert grid_ball_capacity(shared, other, 3.0, 5, 3) == pytest.approx(0.03447, rel=1e-3)
+
+
+def test_ball_capacity_memo_keeps_paths_apart():
+    shared = fresh_tree6()
+    for method in ("solver", "symmetric", "solver"):
+        assert grid_ball_capacity(shared, RIESZ, 2.0, 13, 2, method=method) == \
+            grid_ball_capacity(fresh_tree6(), RIESZ, 2.0, 13, 2, method=method)
+
+
+def test_ball_capacity_memo_solves_once(monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return solve_capacity(*args, **kwargs)
+
+    monkeypatch.setattr(capacity, "solve_capacity", spy)
+    shared = fresh_tree6()
+    first = grid_ball_capacity(shared, RIESZ, 2.0, 21, 3)
+    assert grid_ball_capacity(shared, RIESZ, 2.0, 21, 3) == first
+    # the closed ball of radius delta**3 is the same leaf run as the grid ball
+    metric_matching_radius(shared, RIESZ, 2.0, 21, 0.5**3, closed=True)
+    metric_matching_radius(shared, RIESZ, 2.0, 21, 0.5**3, closed=True)
+    assert len(calls) == 1
+    grid_ball_capacity(shared, RIESZ, 2.0, 21, 3, tol=1e-9)
+    assert len(calls) == 2
 
 
 def test_metric_matching_radius_scan_oracle(tree6):

@@ -154,6 +154,35 @@ def test_invalid_config_rejected(tmp_path, capsys, mutation, phrase):
     assert phrase in err
 
 
+@pytest.mark.parametrize("text", [
+    BASE_CONFIG.replace("depth = 6\n", "depth = 6\ndepth = 7\n"),
+    BASE_CONFIG.split("\n", 1)[1],
+], ids=["repeated-key", "no-section-header"])
+def test_unparsable_config_rejected(tmp_path, capsys, text):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    code = main(["space-info", "--config", str(bad), "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error kind=config")
+    assert err.count("\n") == 1
+
+
+RADIAL_DEPTH8 = "depth = 8; [kernel] kind = radial; [kernel] levels = " + ",".join(["1"] * 9)
+
+
+@pytest.mark.parametrize("subcommand,code", [
+    ("exchange", 2), ("full-suite", 2), ("capacity", 0)])
+def test_radial_exchange_needs_calibration_depth(tmp_path, capsys, subcommand, code):
+    cfg = tmp_path / "radial.ini"
+    cfg.write_text(mutate(RADIAL_DEPTH8))
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "x")]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error kind=config") and err.count("\n") == 1
+        assert "calibration depth" in err
+
+
 def test_missing_config_rejected(tmp_path, capsys):
     code = main(["space-info", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path / "x")])

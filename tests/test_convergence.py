@@ -65,22 +65,20 @@ def test_region_monotone_in_height(tree6):
     for kind, kw in (("nontangential", {}), ("polynomial", dict(exponent=0.6)),
                      ("exponential", {}), ("capacity", {})):
         region = ApproachRegion(5, kind, **kw)
-        cache = {}
         heights = [2.0**-m for m in range(1, 7)]
-        radii = [region_radius(tree6, K8, 2.0, region, y, cache) for y in heights]
+        radii = [region_radius(tree6, K8, 2.0, region, y) for y in heights]
         assert radii == sorted(radii, reverse=True)
 
 
 def test_nontangential_nested_in_capacity_region(tree6):
     # the matched radius dominates the input radius, so cones sit inside
-    cache = {}
     for x0 in (0, 21, 63):
         cone = ApproachRegion(x0, "nontangential")
         wide = ApproachRegion(x0, "capacity", scale=1.0)
         for y in (0.5, 0.125, 2.0**-5):
             for x in range(64):
                 if region_membership(tree6, K8, 2.0, cone, x, y):
-                    assert region_membership(tree6, K8, 2.0, wide, x, y, cache)
+                    assert region_membership(tree6, K8, 2.0, wide, x, y)
 
 
 def test_polynomial_region_strictly_wider_at_fine_heights(tree6):
@@ -96,10 +94,9 @@ def test_polynomial_region_strictly_wider_at_fine_heights(tree6):
 def test_capacity_vs_polynomial_width_band(tree6):
     # matched widths track the power-law width within a bounded band
     region = ApproachRegion(7, "capacity")
-    cache = {}
     heights = [2.0**-m for m in range(2, 7)]
     exponent = 2.0 * (0.8 - 0.5)
-    ratios = [region_radius(tree6, K8, 2.0, region, y, cache) / y**exponent
+    ratios = [region_radius(tree6, K8, 2.0, region, y) / y**exponent
               for y in heights]
     assert max(ratios) / min(ratios) < 4.0
 
@@ -168,15 +165,13 @@ def test_enlarged_set_ratio_stable_across_depth(rng):
     stats = {}
     for depth in (6, 8):
         ms = model_space("tree-boundary", 2, depth, 0.5)
-        cache = {}
         worst = 0.0
         for seed in range(5):
             picks = np.random.default_rng(seed).random(2**4) < 0.3
             if not picks.any() or picks.all():
                 picks[0], picks[-1] = True, False
             mask = np.repeat(picks, 2 ** (depth - 4))
-            es = enlarged_set(ms, K8, 2.0, np.flatnonzero(mask), factor=2.0,
-                              cache=cache)
+            es = enlarged_set(ms, K8, 2.0, np.flatnonzero(mask), factor=2.0)
             worst = max(worst, es.ratio)
         stats[depth] = worst
     assert 0 < stats[6] < math.inf and 0 < stats[8] < math.inf
@@ -196,11 +191,10 @@ def test_shadow_covering_slab_with_matched_widths(tree6):
     heights = 2.0 ** -np.arange(7, dtype=float)
     over = np.zeros((64, 7), dtype=bool)
     over[24:28, 3] = True        # one slab at height 1/8
-    cache = {}
 
     def width(x, y):
         region = ApproachRegion(x, "capacity", scale=1.5)
-        return region_radius(tree6, K8, 2.0, region, y, cache)
+        return region_radius(tree6, K8, 2.0, region, y)
 
     cols = np.array([[width(x, y) for y in heights] for x in range(64)])
     alpha_needed = (cols.max(axis=0) / cols.min(axis=0)).max()

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from potlab import poisson
 from potlab.convergence import closeness_modulus
 from potlab.kernel import RadialKernel, kernel_operator, lp_norm
 from potlab.poisson import (PoissonExtension, dyadic_heights, exceedance_sets,
@@ -243,17 +242,15 @@ def test_exchange_band_contains_random_inputs(cantor6, rng):
         assert band[0] - 1e-9 <= lo and hi <= band[1] + 1e-9
 
 
-def test_exchange_band_keyed_on_kernel(tree6, monkeypatch):
+def test_exchange_band_keyed_on_kernel():
     # two radial tables at the calibration depth must not share one band
     k1 = RadialKernel("radial", level_values=tuple(float(v) for v in range(1, 8)))
     k2 = RadialKernel("radial", level_values=tuple(float(v) for v in range(7, 0, -1)))
-    monkeypatch.setattr(poisson, "_EXCHANGE_CACHE", {})
-    fresh = exchange_band(tree6, k2, n_heights=6)
-    cache: dict = {}
-    monkeypatch.setattr(poisson, "_EXCHANGE_CACHE", cache)
-    exchange_band(tree6, k1, n_heights=6)
-    assert exchange_band(tree6, k2, n_heights=6) == fresh
-    assert len(cache) == 2
+    shared = model_space("tree-boundary", 2, 6, 0.5)
+    band1 = exchange_band(shared, k1, n_heights=6)
+    band2 = exchange_band(shared, k2, n_heights=6)
+    assert band1 != band2
+    assert band2 == exchange_band(model_space("tree-boundary", 2, 6, 0.5), k2, n_heights=6)
 
 
 def continuity_modulus(ext, g, eps_grid):

@@ -33,9 +33,8 @@ def test_single_ball_ratio_is_one(tree8):
 
 
 def test_generated_families_verify(tree8):
-    cache = {}
     for seed in range(30):
-        fam = generate_separated_family(tree8, RIESZ, 2.0, 6, seed, cache=cache)
+        fam = generate_separated_family(tree8, RIESZ, 2.0, 6, seed)
         cert = verify_separation(tree8, fam)
         assert cert.ok, cert.violations
 
@@ -59,10 +58,9 @@ def test_exhaustion_warns(tree6):
 
 
 def test_tree_experiment_shapes(tree8):
-    cache = {}
     bound = tree_quasi_additivity_bound(kernel_operator(RIESZ, tree8).norm_1(), 2.0)
     for seed in range(6):
-        fam = generate_separated_family(tree8, RIESZ, 2.0, 4, seed, cache=cache)
+        fam = generate_separated_family(tree8, RIESZ, 2.0, 4, seed)
         for shape in ("ball", "singleton", "half"):
             sets = family_target_sets(tree8, fam, shape, seed)
             rep = quasi_additivity_tree(tree8, RIESZ, 2.0, fam, sets)
@@ -79,11 +77,10 @@ def test_tree_experiment_shapes(tree8):
 def test_tree_bound_across_exponents(tree8, p, s):
     kernel = RadialKernel("riesz", s=s, p=p)
     bound = tree_quasi_additivity_bound(kernel_operator(kernel, tree8).norm_1(), p)
-    cache = {}
     for seed in range(4):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")   # short families are still valid
-            fam = generate_separated_family(tree8, kernel, p, 4, seed, cache=cache)
+            fam = generate_separated_family(tree8, kernel, p, 4, seed)
         rep = quasi_additivity_tree(tree8, kernel, p, fam,
                                     family_target_sets(tree8, fam, "half", seed))
         assert rep.passed
