@@ -196,10 +196,13 @@ class DenseKernelOperator(KernelOperator):
             raise ValueError("embedded metrics support only the riesz kernel")
         self.kernel = kernel
         self.space = space
+        # one n x n buffer; read-only because every caller shares its rows
         d = space.distance_matrix()
         np.fill_diagonal(d, 1.0)
-        self.matrix = d ** (-space.dimension * kernel.s)
-        np.fill_diagonal(self.matrix, 0.0)
+        np.power(d, -space.dimension * kernel.s, out=d)
+        np.fill_diagonal(d, 0.0)
+        d.setflags(write=False)
+        self.matrix = d
 
     def _apply(self, masses):
         return self.matrix @ masses
@@ -209,9 +212,9 @@ class DenseKernelOperator(KernelOperator):
 
 
 def kernel_operator(kernel: RadialKernel, space: ModelSpace) -> KernelOperator:
-    if space.kind == "tree-boundary":
-        return TreeKernelOperator(kernel, space)
-    return DenseKernelOperator(kernel, space)
+    """The operator of ``kernel`` on ``space``, built once per (space, kernel)."""
+    cls = TreeKernelOperator if space.kind == "tree-boundary" else DenseKernelOperator
+    return space._cached(("operator", kernel), lambda: cls(kernel, space))
 
 
 # -- dyadic form of the power-law kernel --------------------------------------

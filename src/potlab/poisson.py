@@ -52,15 +52,15 @@ class PoissonExtension:
         if np.any(heights <= 0) or np.any(heights > space.diameter + 1e-15):
             raise ValueError("heights must lie in (0, diam]")
         self.heights = heights
-        self._centers = np.arange(space.n_leaves, dtype=np.int64)
         self._decay = 2.0 ** (-(self.q + 1.0))
-        # per-height unnormalized kernel masses, cached once
+        # per height, the all-leaf rings and the unnormalized kernel masses
+        self._rings = [list(self._ring_bounds(float(y))) for y in self.heights]
         wprefix = np.concatenate(([0.0], np.cumsum(space.weights)))
         self._mass = np.column_stack(
-            [self._collect(wprefix, float(y)) for y in self.heights])
+            [self._collect(wprefix, h) for h in range(self.heights.size)])
 
-    def _rings(self, centers: np.ndarray, y: float):
-        """(coef, lo, hi) for the balls B(x, 2**k y) around ``centers``, k = 0, 1, ...
+    def _ring_bounds(self, y: float):
+        """(coef, lo, hi) for the balls B(x, 2**k y) around every leaf x, k = 0, 1, ...
 
         coef is 2**(-(Q+1)k) and [lo, hi) the leaf ranges.  The rings stop at
         the first k whose balls are all the whole space; that last coef
@@ -69,6 +69,7 @@ class PoissonExtension:
         ceil(log2(diam / y)) + 1.
         """
         n = self.space.n_leaves
+        centers = np.arange(n, dtype=np.int64)
         coef = 1.0
         r = y
         for _ in range(math.ceil(math.log2(self.space.diameter / y)) + 2):
@@ -80,10 +81,10 @@ class PoissonExtension:
             coef *= self._decay
             r *= 2.0
 
-    def _collect(self, prefix: np.ndarray, y: float) -> np.ndarray:
-        """sum_k 2**(-(Q+1)k) * integral over B(x, 2**k y), all leaves at once."""
+    def _collect(self, prefix: np.ndarray, h: int) -> np.ndarray:
+        """sum_k 2**(-(Q+1)k) * integral over B(x, 2**k y_h), all leaves at once."""
         out = np.zeros(self.space.n_leaves)
-        for coef, lo, hi in self._rings(self._centers, y):
+        for coef, lo, hi in self._rings[h]:
             out += coef * (prefix[hi] - prefix[lo])
         return out
 
@@ -111,26 +112,38 @@ class PoissonExtension:
     def integral(self, f: np.ndarray, x: int, y: float) -> float:
         h = self._height_index(y)
         prefix = np.concatenate(([0.0], np.cumsum(np.asarray(f) * self.space.weights)))
-        return float(self._collect(prefix, y)[x] / self._mass[x, h])
+        return float(self._collect(prefix, h)[x] / self._mass[x, h])
 
     def field(self, f: np.ndarray) -> UpperHalfField:
         """Extension of f at every grid point; exact normalization by
         construction (the same collector feeds numerator and denominator)."""
         prefix = np.concatenate(([0.0], np.cumsum(np.asarray(f, dtype=float)
                                                   * self.space.weights)))
-        cols = [self._collect(prefix, float(y)) for y in self.heights]
+        cols = [self._collect(prefix, h) for h in range(self.heights.size)]
         return UpperHalfField(self.heights, np.column_stack(cols) / self._mass)
 
     def kernel_profile(self, x: int, h: int) -> np.ndarray:
         """Per-leaf weights k(z) with extension(f)(x, y_h) = sum k(z) f(z) w(z)."""
-        out = np.zeros(self.space.n_leaves)
-        for coef, lo, hi in self._rings(np.array([x]), float(self.heights[h])):
-            out[lo[0]:hi[0]] += coef
-        return out / self._mass[x, h]
+        return self.kernel_matrix(h)[x]
 
     def kernel_matrix(self, h: int) -> np.ndarray:
-        """All kernel profiles at one height, stacked by center leaf."""
-        return np.vstack([self.kernel_profile(x, h) for x in range(self.space.n_leaves)])
+        """All kernel profiles at one height, stacked by center leaf.
+
+        Each center stops at its own first whole-space ring, which takes the
+        geometric tail coef / (1 - decay); the shared last ring has it already.
+        """
+        n = self.space.n_leaves
+        leaves = np.arange(n)
+        out = np.zeros((n, n))
+        live = np.ones(n, dtype=bool)
+        *head, last = self._rings[h]
+        for coef, lo, hi in head:
+            whole = (lo == 0) & (hi == n)
+            c = np.where(live, np.where(whole, coef / (1.0 - self._decay), coef), 0.0)
+            out += c[:, None] * ((leaves >= lo[:, None]) & (leaves < hi[:, None]))
+            live &= ~whole
+        out += np.where(live, last[0], 0.0)[:, None]
+        return out / self._mass[:, h][:, None]
 
 
 def maximal_function(ext: PoissonExtension, f: np.ndarray) -> np.ndarray:
@@ -211,15 +224,13 @@ def harnack_constant(space: ModelSpace, n_heights: int = 20,
 def _harnack_worst(cal: ModelSpace, n_heights: int) -> float:
     ext = PoissonExtension(cal, n_heights=n_heights)
     worst = math.inf
+    centers = np.arange(cal.n_leaves, dtype=np.int64)
     for h in range(ext.heights.size):
         profiles = ext.kernel_matrix(h)
-        y = float(ext.heights[h])
+        # open balls of positive radius contain their center, so none is empty
+        lo, hi = cal.ball_bounds(centers, float(ext.heights[h]), closed=False)
         for xt in range(cal.n_leaves):
-            lo, hi = cal.ball_bounds(np.array([xt]), y, closed=False)
-            inside = np.arange(int(lo[0]), int(hi[0]))
-            if inside.size == 0:
-                continue
-            ratios = profiles[inside] / profiles[xt][None, :]
+            ratios = profiles[lo[xt]:hi[xt]] / profiles[xt][None, :]
             worst = min(worst, float(ratios.min()))
     return worst
 

@@ -277,7 +277,8 @@ class ModelSpace:
             d = self.tree.delta ** lca.astype(float)
             np.fill_diagonal(d, 0.0)
             return d
-        return np.abs(self.coords[:, None] - self.coords[None, :])
+        d = np.subtract.outer(self.coords, self.coords)
+        return np.abs(d, out=d)
 
     def ball_bounds(self, centers, r: float, closed: bool = False):
         """Half-open leaf index ranges of the metric balls around ``centers``.

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from potlab.kernel import (RadialKernel, convolve_naive, dyadic_riesz_bounds,
-                           dyadic_riesz_potential, kernel_norm_tail_bound,
-                           kernel_operator, kernel_value, lp_norm, young_check)
+from potlab.kernel import (DenseKernelOperator, RadialKernel, convolve_naive,
+                           dyadic_riesz_bounds, dyadic_riesz_potential,
+                           kernel_norm_tail_bound, kernel_operator, kernel_value,
+                           lp_norm, young_check)
 from potlab.space import ModelSpace, build_tree, model_space
 
 
@@ -171,6 +174,57 @@ def test_apply_measure_identities(tree6, rng):
     f = rng.random(64)
     assert np.allclose(op.apply_measure(f * tree6.weights), op.apply_function(f))
     assert np.allclose(op.apply_measure(3.0 * point), 3.0 * op.apply_measure(point))
+
+
+# fresh spaces below: the session fixtures carry their operator memo
+
+
+def full_matrix(op):
+    return np.vstack([op.row(x) for x in range(op.space.n_leaves)])
+
+
+@pytest.mark.parametrize("kind", ["tree-boundary", "unit-interval", "cantor-set"])
+def test_operator_built_once_per_space_and_kernel(kind):
+    ms = model_space(kind, 2, 6)
+    k75 = RadialKernel("riesz", s=0.75, p=2.0)
+    k90 = RadialKernel("riesz", s=0.9, p=2.0)
+    op75 = kernel_operator(k75, ms)
+    assert kernel_operator(k75, ms) is op75
+    op90 = kernel_operator(k90, ms)
+    assert op90 is not op75
+    assert not np.array_equal(full_matrix(op90), full_matrix(op75))
+    for k, op in ((k75, op75), (k90, op90)):
+        fresh = kernel_operator(k, model_space(kind, 2, 6))
+        assert np.array_equal(full_matrix(op), full_matrix(fresh))
+
+
+@pytest.mark.parametrize("kind", ["unit-interval", "cantor-set"])
+def test_dense_operator_exact_and_read_only(kind):
+    ms = model_space(kind, 2, 6)
+    k = RadialKernel("riesz", s=0.75, p=2.0)
+    op = kernel_operator(k, ms)
+    off = ~np.eye(ms.n_leaves, dtype=bool)
+    expected = np.zeros((ms.n_leaves, ms.n_leaves))
+    expected[off] = np.abs(ms.coords[:, None] - ms.coords[None, :])[off] \
+        ** (-ms.dimension * k.s)
+    assert np.array_equal(op.matrix, expected)
+    with pytest.raises(ValueError):
+        op.matrix[0, 1] = 1.0
+    with pytest.raises(ValueError):
+        op.row(3)[0] = 1.0
+
+
+@pytest.mark.parametrize("kind", ["unit-interval", "cantor-set"])
+def test_dense_operator_build_holds_one_matrix(kind):
+    ms = model_space(kind, 2, 9)
+    k = RadialKernel("riesz", s=0.75, p=2.0)
+    tracemalloc.start()
+    try:
+        DenseKernelOperator(k, ms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * ms.n_leaves**2
 
 
 def test_young_equality_case(tree6):

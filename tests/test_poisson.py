@@ -59,6 +59,52 @@ def test_matches_naive_double_loop(tree6, cantor6, rng):
                 assert ext.integral(f, x, y) == pytest.approx(direct, rel=1e-12)
 
 
+def per_center_profile(ext, x, h):
+    """The per-center ring loop that ``kernel_matrix`` vectorizes (reference):
+    rings stop at the center's own first whole-space ball."""
+    space = ext.space
+    decay = 2.0 ** (-(space.dimension + 1.0))
+    out = np.zeros(space.n_leaves)
+    coef, r = 1.0, float(ext.heights[h])
+    while True:
+        lo, hi = space.ball_bounds(np.array([x]), r)
+        if lo[0] == 0 and hi[0] == space.n_leaves:
+            out += coef / (1.0 - decay)
+            return out / ext._mass[x, h]
+        out[lo[0]:hi[0]] += coef
+        coef *= decay
+        r *= 2.0
+
+
+@pytest.mark.parametrize("kind", ["tree-boundary", "unit-interval", "cantor-set"])
+def test_kernel_matrix_matches_field_and_per_center_loop(kind, rng):
+    ms = model_space(kind, 2, 6)
+    ext = PoissonExtension(ms)
+    f = rng.random(ms.n_leaves)
+    values = ext.field(f).values
+    for h in range(ext.heights.size):
+        kmat = ext.kernel_matrix(h)
+        assert np.allclose(kmat @ (f * ms.weights), values[:, h], rtol=1e-12, atol=0.0)
+        for x in (0, 21, 63):
+            assert np.array_equal(kmat[x], per_center_profile(ext, x, h))
+
+
+@pytest.mark.parametrize("kind", ["tree-boundary", "unit-interval", "cantor-set"])
+def test_built_extension_searches_no_balls(kind, monkeypatch, rng):
+    ms = model_space(kind, 2, 6)
+    ext = PoissonExtension(ms)
+    calls = []
+    search = ms.ball_bounds
+    monkeypatch.setattr(ms, "ball_bounds",
+                        lambda *args, **kwargs: calls.append(1) or search(*args, **kwargs))
+    f = rng.random(ms.n_leaves)
+    ext.field(f)
+    for h, y in enumerate(ext.heights):
+        ext.integral(f, 5, float(y))
+        ext.kernel_matrix(h)
+    assert calls == []
+
+
 def test_ball_indicator_deep_inside(tree6, cantor6):
     # far below the ball scale the average barely sees the complement
     for ms in (tree6, cantor6):
