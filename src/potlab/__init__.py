@@ -2,9 +2,8 @@
 Ahlfors-regular spaces: capacities, equilibrium measures, quasi-additivity
 experiments, dyadic Poisson extensions, and boundary-convergence runs."""
 
-from .space import (TreeSpace, ModelSpace, build_tree, model_space, lambda_map,
-                    leaf_coordinates, ahlfors_constants, christ_cubes,
-                    verify_christ, dump_space, load_space)
+from .space import (ModelSpace, model_space, leaf_coordinates, ahlfors_constants,
+                    christ_cubes, verify_christ, dump_space, load_space)
 from .kernel import (RadialKernel, kernel_value, convolve_naive, young_check,
                      lp_norm, kernel_operator, dyadic_riesz_potential,
                      dyadic_riesz_bounds)

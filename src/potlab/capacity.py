@@ -359,7 +359,7 @@ def uniform_ball_capacity(space: ModelSpace, kernel: RadialKernel, p: float,
     w = space.weights
     if not np.all(w == w[0]):
         raise ValueError("symmetric reduction needs uniform leaf weights")
-    lo, hi = space.tree.subtree_range(x, level)
+    lo, hi = space.subtree_range(x, level)
     nu = np.zeros(space.n_leaves)
     nu[lo:hi] = 1.0 / (hi - lo)
     u = kernel_operator(kernel, space).apply_measure(nu)
@@ -404,14 +404,13 @@ def tree_matching_radius(space: ModelSpace, kernel: RadialKernel, p: float,
     level whose mass qualifies, which realizes the infimum over the
     half-step radius grid.
     """
-    tree = space.tree
-    r = tree.grid_radius(level)
+    r = space.grid_radius(level)
     cap = grid_ball_capacity(space, kernel, p, x, level, **solver_opts)
     if cap > space.total_mass:
         return EnlargementRadius(x, r, math.inf, space.diameter, False)
-    for m in range(tree.depth, -1, -1):
-        if tree.subtree_mass(x, m) >= cap:
-            match = tree.delta ** (m - 0.5)
+    for m in range(space.depth, -1, -1):
+        if space.range_mass(*space.subtree_range(x, m)) >= cap:
+            match = space.delta ** (m - 0.5)
             return EnlargementRadius(x, r, match, max(r, match), True, m)
     return EnlargementRadius(x, r, math.inf, space.diameter, False)
 
@@ -467,7 +466,7 @@ def ball_capacity_profile(space: ModelSpace, kernel: RadialKernel, p: float,
                           x: int, levels, method: str = "auto",
                           **solver_opts) -> BallCapacityProfile:
     levels = np.asarray(sorted(levels), dtype=int)
-    radii = np.array([space.tree.grid_radius(int(n)) for n in levels])
+    radii = np.array([space.grid_radius(int(n)) for n in levels])
     caps = np.array([grid_ball_capacity(space, kernel, p, x, int(n),
                                         method=method, **solver_opts)
                      for n in levels])

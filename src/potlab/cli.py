@@ -29,19 +29,37 @@ import scipy
 
 from . import __version__
 from .capacity import ball_capacity_profile, solve_capacity, theoretical_profile_slope
-from .convergence import (approximation_split, nontangential_experiment,
+from .convergence import (TANGENTIAL_KINDS, approximation_split, nontangential_experiment,
                           tangential_experiment, thinness_decay)
 from .kernel import RadialKernel, kernel_operator
-from .poisson import (CALIBRATION_DEPTH, PoissonExtension, exchange_band,
+from .poisson import (CALIBRATION_DEPTH, PROFILE_NAMES, PoissonExtension, exchange_band,
                       exchange_ratio, harnack_check, harnack_constant,
                       lipschitz_profile)
-from .quasiadd import (family_target_sets, generate_separated_family,
-                       quasi_additivity_ahlfors, quasi_additivity_tree,
-                       verify_separation)
+from .quasiadd import (FAMILY_MODES, TARGET_SHAPES, family_target_sets,
+                       generate_separated_family, quasi_additivity_ahlfors,
+                       quasi_additivity_tree, verify_separation)
 from .space import ahlfors_constants, dump_space, model_space
 
-SUBCOMMANDS = ("space-info", "capacity", "ball-profile", "quasiadd", "poisson",
-               "exchange", "converge", "full-suite")
+SUITE = ("space-info", "capacity", "ball-profile", "quasiadd", "poisson", "exchange",
+         "converge")
+SUBCOMMANDS = SUITE + ("full-suite",)
+
+# keys with a fixed set of values: (section, key) -> (allowed values, default)
+_CHOICES = {
+    ("quasiadd", "mode"): (FAMILY_MODES, "tree"),
+    ("poisson", "profile"): (PROFILE_NAMES, "bump"),
+    ("converge", "profile"): (PROFILE_NAMES, "bump"),
+    ("converge", "region"): (TANGENTIAL_KINDS, "polynomial"),
+}
+
+# numeric keys, checked when given (every default lies inside):
+# (section, key, type, lowest, highest)
+_BOUNDS = (("quasiadd", "count", int, 1, math.inf),
+           ("quasiadd", "inflation", float, 1.0, math.inf),
+           ("quasiadd", "radius_margin", float, 1.0, math.inf),
+           ("poisson", "n_heights", int, 0, math.inf),
+           ("poisson", "eps_quantile", float, 0.0, 1.0),
+           ("converge", "sample", int, 1, math.inf))
 
 
 class ConfigError(ValueError):
@@ -61,6 +79,15 @@ def _get(cfg, section, key, cast, default=None, required=False):
         return cast(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+
+
+def _choice(cfg, section, key):
+    allowed, default = _CHOICES[section, key]
+    value = _get(cfg, section, key, str, default=default)
+    if value not in allowed:
+        raise ConfigError(f"[{section}] {key} must be one of {', '.join(allowed)}, "
+                          f"got {value!r}")
+    return value
 
 
 def _float_list(raw: str):
@@ -97,7 +124,9 @@ def load_config(path, overrides=()) -> configparser.ConfigParser:
 
 def validate_config(cfg) -> None:
     """Reject a config by building what it describes: the space, the kernel
-    and, for a radial kernel, its level table (no dense operator)."""
+    and, for a radial kernel, its level table (no dense operator), the
+    capacity targets and the ball-profile grid balls; then check every other
+    key a run reads against the values the run accepts."""
     if not cfg.has_section("space"):
         raise ConfigError("missing [space] section")
     try:
@@ -105,10 +134,37 @@ def validate_config(cfg) -> None:
         build_kernel(cfg).level_table(space)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    inflation = _get(cfg, "quasiadd", "inflation", float, default=1.0)
-    margin = _get(cfg, "quasiadd", "radius_margin", float, default=1.0)
-    if inflation < 1.0 or margin < 1.0:
-        raise ConfigError("inflation and radius_margin must be >= 1")
+    _capacity_targets(cfg, space)
+    center, levels = _ball_profile_levels(cfg, space)
+    if not levels:
+        raise ConfigError("[ball-profile] levels names no level")
+    try:
+        for level in levels:
+            space.grid_ball_range(center, level)
+    except ValueError as exc:
+        raise ConfigError(f"[ball-profile] {exc}") from exc
+    for section, key in _CHOICES:
+        _choice(cfg, section, key)
+    if not set(_shapes(cfg)) <= set(TARGET_SHAPES):
+        raise ConfigError(f"[quasiadd] shapes must come from {', '.join(TARGET_SHAPES)}")
+    for section, key, cast, lowest, highest in _BOUNDS:
+        value = _get(cfg, section, key, cast)
+        if value is not None and not lowest <= value <= highest:
+            raise ConfigError(f"[{section}] {key} must lie in [{lowest}, {highest}], "
+                              f"got {value}")
+
+
+def _check_subcommand(cfg, subcommand: str) -> None:
+    """Reject what only the named subcommand cannot run."""
+    runs = SUITE if subcommand == "full-suite" else (subcommand,)
+    if ("exchange" in runs and _get(cfg, "kernel", "kind", str) == "radial"
+            and _get(cfg, "space", "depth", int) != CALIBRATION_DEPTH):
+        raise ConfigError("exchange with a radial kernel needs [space] depth = "
+                          f"{CALIBRATION_DEPTH}, the calibration depth")
+    if ("quasiadd" in runs and _choice(cfg, "quasiadd", "mode") == "tree"
+            and _get(cfg, "space", "kind", str) != "tree-boundary"):
+        raise ConfigError("[quasiadd] mode = tree needs a tree-boundary space; "
+                          "use mode = ahlfors")
 
 
 def build_space(cfg):
@@ -144,19 +200,41 @@ def parse_targets(raw: str, space):
         if not item:
             continue
         head, _, rest = item.partition(":")
-        if head == "ball":
-            center, level = (int(tok) for tok in rest.split(":"))
-            lo, hi = space.grid_ball_range(center, level)
-            out.append((item, np.arange(lo, hi)))
-        elif head == "set":
-            out.append((item, np.asarray([int(t) for t in rest.split(",")], dtype=np.int64)))
-        elif head == "singleton":
-            out.append((item, np.asarray([int(rest)], dtype=np.int64)))
-        else:
+        if head not in ("ball", "set", "singleton"):
             raise ConfigError(f"unknown capacity target {item!r}")
+        try:
+            if head == "ball":
+                center, level = (int(tok) for tok in rest.split(":"))
+                leaves = np.arange(*space.grid_ball_range(center, level))
+            else:
+                toks = rest.split(",") if head == "set" else [rest]
+                leaves = np.asarray([int(t) for t in toks], dtype=np.int64)
+                if leaves.min() < 0 or leaves.max() >= space.n_leaves:
+                    raise ValueError(f"leaves lie in 0..{space.n_leaves - 1}")
+        except ValueError as exc:
+            raise ConfigError(f"bad capacity target {item!r}: {exc}") from exc
+        out.append((item, leaves))
     if not out:
         raise ConfigError("no capacity targets given")
     return out
+
+
+def _capacity_targets(cfg, space):
+    return parse_targets(_get(cfg, "capacity", "targets", str,
+                              default=f"ball:0:{max(space.depth - 2, 1)}"), space)
+
+
+def _ball_profile_levels(cfg, space):
+    """(center, levels) of the ball-profile run."""
+    center = _get(cfg, "ball-profile", "center", int, default=0)
+    levels = _get(cfg, "ball-profile", "levels", _int_range,
+                  default=list(range(1, max(space.depth - 1, 2))))
+    return center, levels
+
+
+def _shapes(cfg):
+    return [shape.strip() for shape in
+            _get(cfg, "quasiadd", "shapes", str, default=",".join(TARGET_SHAPES)).split(",")]
 
 
 # -- output helpers ---------------------------------------------------------------
@@ -263,7 +341,7 @@ class Runner:
         k1, k2 = ahlfors_constants(space)
         dump_space(space, self.emit.outdir / "space.txt")
         self.emit.written.append(self.emit.outdir / "space.txt")
-        rows = [(space.kind, space.tree.branching, space.depth, space.delta,
+        rows = [(space.kind, space.branching, space.depth, space.delta,
                  space.dimension, space.n_leaves, space.total_mass, k1, k2)]
         self.emit.csv("space_info.csv",
                       ("kind", "branching", "depth", "delta", "dimension",
@@ -273,13 +351,11 @@ class Runner:
                 ("ahlfors_lower", k1), ("ahlfors_upper", k2)]
 
     def run_capacity(self):
-        raw = _get(self.cfg, "capacity", "targets", str,
-                   default=f"ball:0:{max(self.space.depth - 2, 1)}")
         tol = _get(self.cfg, "capacity", "tol", float, default=1e-8)
         max_iters = _get(self.cfg, "capacity", "max_iters", int, default=4000)
         s = self.kernel.s if self.kernel.kind == "riesz" else float("nan")
         rows = []
-        for set_id, target in parse_targets(raw, self.space):
+        for set_id, target in _capacity_targets(self.cfg, self.space):
             sol = solve_capacity(self.space, self.kernel, target, p=self.p,
                                  tol=tol, max_iters=max_iters)
             rows.append((set_id, self.p, s, sol.value, sol.relative_gap,
@@ -291,9 +367,7 @@ class Runner:
                 ("first_value", rows[0][3])]
 
     def run_ball_profile(self):
-        center = _get(self.cfg, "ball-profile", "center", int, default=0)
-        levels = _get(self.cfg, "ball-profile", "levels", _int_range,
-                      default=list(range(1, max(self.space.depth - 1, 2))))
+        center, levels = _ball_profile_levels(self.cfg, self.space)
         prof = ball_capacity_profile(self.space, self.kernel, self.p, center, levels)
         rows = [(center, int(n), r, c)
                 for n, r, c in zip(prof.levels, prof.radii, prof.capacities)]
@@ -313,11 +387,10 @@ class Runner:
         return [("slope", prof.slope), ("theory_slope", theory)]
 
     def run_quasiadd(self):
-        mode = _get(self.cfg, "quasiadd", "mode", str, default="tree")
+        mode = _choice(self.cfg, "quasiadd", "mode")
         count = _get(self.cfg, "quasiadd", "count", int, default=4)
         n_seeds = _get(self.cfg, "quasiadd", "seeds", int, default=10)
-        shapes = _get(self.cfg, "quasiadd", "shapes", str,
-                      default="ball,singleton,half").split(",")
+        shapes = _shapes(self.cfg)
         inflation = _get(self.cfg, "quasiadd", "inflation", float, default=1.0)
         margin = _get(self.cfg, "quasiadd", "radius_margin", float, default=1.0)
         s = self.kernel.s if self.kernel.kind == "riesz" else float("nan")
@@ -335,14 +408,14 @@ class Runner:
             if not verify_separation(self.space, fam).ok:
                 raise RuntimeError("sampler produced an overlapping family")
             for shape in shapes:
-                sets = family_target_sets(self.space, fam, shape.strip(), seed)
+                sets = family_target_sets(self.space, fam, shape, seed)
                 if mode == "tree":
                     rep = quasi_additivity_tree(self.space, self.kernel, self.p, fam, sets)
                     bound = rep.bound
                 else:
                     rep = quasi_additivity_ahlfors(self.space, self.kernel, self.p, fam, sets)
                     bound = inflation
-                rows.append((f"{mode}-{seed}-{shape.strip()}", mode, rep.n_balls,
+                rows.append((f"{mode}-{seed}-{shape}", mode, rep.n_balls,
                              self.p, s, rep.sum_capacity, rep.union_capacity,
                              rep.ratio, bound, rep.passed))
                 ratios.append(rep.ratio)
@@ -361,7 +434,7 @@ class Runner:
 
     def run_poisson(self):
         ext = self._extension()
-        profile = _get(self.cfg, "poisson", "profile", str, default="bump")
+        profile = _choice(self.cfg, "poisson", "profile")
         n_random = _get(self.cfg, "poisson", "n_random", int, default=5)
         quantile = _get(self.cfg, "poisson", "eps_quantile", float, default=0.7)
         f = lipschitz_profile(self.space, profile)
@@ -412,11 +485,11 @@ class Runner:
     def run_converge(self):
         ext = self._extension()
         n_sample = _get(self.cfg, "converge", "sample", int, default=16)
-        region = _get(self.cfg, "converge", "region", str, default="polynomial")
+        region = _choice(self.cfg, "converge", "region")
         tol_nt = _get(self.cfg, "converge", "tol_nontangential", float, default=0.02)
         tol_tan = _get(self.cfg, "converge", "tol_tangential", float, default=0.05)
         delta_target = _get(self.cfg, "converge", "delta_target", float, default=0.05)
-        profile = _get(self.cfg, "converge", "profile", str, default="bump")
+        profile = _choice(self.cfg, "converge", "profile")
         f = lipschitz_profile(self.space, profile)
         rng = np.random.default_rng(self.seed)
         sample = np.sort(rng.choice(self.space.n_leaves,
@@ -470,12 +543,8 @@ class Runner:
     def run(self, subcommand: str) -> list:
         started = time.time()
         summary = []
-        if subcommand == "full-suite":
-            for name in ("space-info", "capacity", "ball-profile", "quasiadd",
-                         "poisson", "exchange", "converge"):
-                summary.extend(self.DISPATCH[name](self))
-        else:
-            summary.extend(self.DISPATCH[subcommand](self))
+        for name in SUITE if subcommand == "full-suite" else (subcommand,):
+            summary.extend(self.DISPATCH[name](self))
         self._manifest(subcommand, time.time() - started)
         return summary
 
@@ -516,11 +585,7 @@ def main(argv=None) -> int:
         seed = args.seed if args.seed is not None else _get(cfg, "run", "seed", int, default=0)
         if seed < 0:
             raise ConfigError("seed must be >= 0")
-        if (args.subcommand in ("exchange", "full-suite")
-                and _get(cfg, "kernel", "kind", str) == "radial"
-                and _get(cfg, "space", "depth", int) != CALIBRATION_DEPTH):
-            raise ConfigError("exchange with a radial kernel needs [space] depth = "
-                              f"{CALIBRATION_DEPTH}, the calibration depth")
+        _check_subcommand(cfg, args.subcommand)
     except ConfigError as exc:
         print(f'error kind=config message="{exc}"', file=sys.stderr)
         return 2

@@ -27,6 +27,7 @@ from .poisson import PoissonExtension, _union_of_balls, exceedance_sets
 from .space import ModelSpace
 
 REGION_KINDS = ("nontangential", "capacity", "polynomial", "exponential")
+TANGENTIAL_KINDS = REGION_KINDS[1:]   # the regions wider than a cone
 
 
 @dataclass
@@ -260,9 +261,8 @@ class SplitResult:
 
 def _coarse_mean(space: ModelSpace, values: np.ndarray, level: int) -> np.ndarray:
     """Weighted mean of ``values`` over depth-``level`` subtrees, per leaf."""
-    tree = space.tree
-    num = tree.block_sum_per_leaf(values * tree.weights, level)
-    den = tree.block_sum_per_leaf(tree.weights, level)
+    num = space.block_sum_per_leaf(values * space.weights, level)
+    den = space.block_sum_per_leaf(space.weights, level)
     return num / den
 
 
@@ -512,8 +512,8 @@ def tangential_experiment(ext: PoissonExtension, kernel: RadialKernel, p: float,
     capacity decays like y**(Q p (s - 1/p')), so matching them cancels the
     dimension.
     """
-    if region_kind not in ("capacity", "polynomial", "exponential"):
-        raise ValueError("tangential regions are capacity, polynomial, exponential")
+    if region_kind not in TANGENTIAL_KINDS:
+        raise ValueError(f"tangential regions are {', '.join(TANGENTIAL_KINDS)}")
     if split is None:
         split = approximation_split(ext, kernel, p, f, delta_target, **solver_opts)
     if exponent is None:

@@ -85,7 +85,7 @@ class RadialKernel:
                     f"level table needs {space.depth + 1} entries, got {vals.shape}")
             return vals
         table = np.empty(space.depth + 1)
-        table[: space.depth] = space.tree._radii[: space.depth] ** (-space.dimension * self.s)
+        table[: space.depth] = space._radii[: space.depth] ** (-space.dimension * self.s)
         table[space.depth] = 0.0   # atoms have no self-interaction
         return table
 
@@ -103,7 +103,7 @@ def convolve_naive(kernel: RadialKernel, space: ModelSpace, f: np.ndarray) -> np
     if space.kind != "tree-boundary":
         raise ValueError("the naive oracle sums over the ultrametric")
     table = kernel.level_table(space)
-    kmat = table[space.tree.lca_matrix()]
+    kmat = table[space.lca_matrix()]
     return kmat @ (np.asarray(f, dtype=float) * space.weights)
 
 
@@ -118,13 +118,12 @@ def kernel_norm_tail_bound(kernel: RadialKernel, space: ModelSpace) -> float:
         raise ValueError("tail bound is specific to the riesz kernel")
     if space.kind != "tree-boundary":
         raise ValueError("tail bound is specific to the ultrametric")
-    tree = space.tree
-    b, delta, n = tree.branching, tree.delta, tree.depth
+    b, delta, n = space.branching, space.delta, space.depth
     # per-level contribution of a uniform profile: (1-1/b) * (delta**(-q s) / b)**l
     ratio = delta ** (-space.dimension * kernel.s) / b
     if ratio >= 1.0:
         raise ValueError("kernel norm diverges with depth for these parameters")
-    tail = (1.0 - 1.0 / b) * ratio**n / (1.0 - ratio) * tree.total_mass
+    tail = (1.0 - 1.0 / b) * ratio**n / (1.0 - ratio) * space.total_mass
     return kernel_operator(kernel, space).norm_1() + tail
 
 
@@ -177,17 +176,16 @@ class TreeKernelOperator(KernelOperator):
     def _apply(self, masses):
         # sum over levels of K(delta**l) * (level-l subtree mass - level-(l+1) mass),
         # telescoped so each level is touched once
-        tree = self.space.tree
-        out = self.table[0] * tree.block_sum_per_leaf(masses, 0)
-        for level in range(1, tree.depth + 1):
+        space = self.space
+        out = self.table[0] * space.block_sum_per_leaf(masses, 0)
+        for level in range(1, space.depth + 1):
             coef = self.table[level] - self.table[level - 1]
             if coef != 0.0:
-                out = out + coef * tree.block_sum_per_leaf(masses, level)
+                out = out + coef * space.block_sum_per_leaf(masses, level)
         return out
 
     def row(self, x):
-        tree = self.space.tree
-        return self.table[tree.lca_levels(x, np.arange(tree.n_leaves))]
+        return self.table[self.space.lca_levels(x, np.arange(self.space.n_leaves))]
 
 
 class DenseKernelOperator(KernelOperator):

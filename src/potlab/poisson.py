@@ -205,8 +205,7 @@ CALIBRATION_DEPTH = 6
 
 def _calibration_space(space: ModelSpace, depth: int) -> ModelSpace:
     """Same geometry at the calibration depth, uniform mass profile."""
-    return model_space(space.kind, space.tree.branching, depth,
-                       space.tree.delta, space.dimension)
+    return model_space(space.kind, space.branching, depth, space.delta, space.dimension)
 
 
 def harnack_constant(space: ModelSpace, n_heights: int = 20,

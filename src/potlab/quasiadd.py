@@ -25,6 +25,9 @@ from .capacity import (metric_matching_radius, solve_capacity,
 from .kernel import RadialKernel, kernel_operator
 from .space import ModelSpace
 
+FAMILY_MODES = ("tree", "ahlfors")
+TARGET_SHAPES = ("ball", "singleton", "half")
+
 
 def tree_quasi_additivity_bound(kernel_norm: float, p: float) -> float:
     """Provable ratio bound on tree boundaries:
@@ -82,13 +85,12 @@ def generate_separated_family(space: ModelSpace, kernel: RadialKernel, p: float,
     """Greedy seeded sampler of balls with disjoint enlargements."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if mode not in ("tree", "ahlfors"):
+    if mode not in FAMILY_MODES:
         raise ValueError(f"unknown family mode {mode!r}")
     if mode == "tree" and space.kind != "tree-boundary":
         raise ValueError("tree mode needs a tree-boundary space")
-    tree = space.tree
     if level_range is None:
-        level_range = (min(2, tree.depth), max(tree.depth - 2, 1))
+        level_range = (min(2, space.depth), max(space.depth - 2, 1))
     lo_lvl, hi_lvl = level_range
     rng = np.random.default_rng(seed)
     fam = SeparatedFamily(mode, [], [], [], [], [],
@@ -99,15 +101,15 @@ def generate_separated_family(space: ModelSpace, kernel: RadialKernel, p: float,
             break
         x = int(rng.integers(space.n_leaves))
         level = int(rng.integers(lo_lvl, hi_lvl + 1))
-        r = tree.grid_radius(level)
+        r = space.grid_radius(level)
         if mode == "tree":
             er = tree_matching_radius(space, kernel, p, x, level, **solver_opts)
             if not er.exists:
                 fam.skipped += 1
                 continue
             enlarged_level = min(level, er.matching_level)
-            enlarged_r = tree.delta ** (enlarged_level - 0.5)
-            lo, hi = tree.subtree_range(x, enlarged_level)
+            enlarged_r = space.delta ** (enlarged_level - 0.5)
+            lo, hi = space.subtree_range(x, enlarged_level)
         else:
             er = metric_matching_radius(space, kernel, p, x, radius_margin * r,
                                         closed=True, **solver_opts)
@@ -151,7 +153,7 @@ def family_target_sets(space: ModelSpace, family: SeparatedFamily, shape: str,
             keep[np.searchsorted(leaves, family.centers[j])] = True
             sets.append(leaves[keep])
         else:
-            raise ValueError(f"unknown target shape {shape!r}")
+            raise ValueError(f"unknown target shape {shape!r}; choose from {TARGET_SHAPES}")
     return sets
 
 

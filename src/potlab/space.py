@@ -1,21 +1,26 @@
 """Finite-depth tree boundaries and model Ahlfors-regular spaces.
 
-A space here is the leaf set of a uniform b-ary tree truncated at depth N.
-Each leaf stands for the cylinder of boundary points below it and carries
-the mass of that cylinder.  Two leaves sharing the first ``l`` branching
-choices sit at ultrametric distance ``delta**l``, so distinct leaves are
-never closer than ``delta**(N-1)`` and the diameter is 1.
+A space here is the leaf set of a uniform b-ary tree truncated at depth N,
+measured in one of three metrics.  Each leaf stands for the cylinder of
+boundary points below it and carries the mass of that cylinder.  One class,
+``ModelSpace``, holds the tree, the leaf masses and the metric, and answers
+every query about them.
 
-Model spaces embed the same combinatorial tree into the line through an
-order-preserving map: b-adic subintervals of [0, 1] (``unit-interval``) or
-the pieces of a self-similar Cantor-type construction (``cantor-set``).
-Balls in either metric are contiguous runs of leaves, which is what makes
-every summation in this package a prefix-sum lookup.
+``tree-boundary`` uses the ultrametric: two leaves sharing the first ``l``
+branching choices sit at distance ``delta**l``, so distinct leaves are never
+closer than ``delta**(N-1)`` and the diameter is 1.  ``unit-interval`` and
+``cantor-set`` embed the same combinatorial tree into the line through an
+order-preserving map: b-adic subintervals of [0, 1], or the pieces of a
+self-similar Cantor-type construction.  Balls in every metric are contiguous
+runs of leaves, which is what makes every summation in this package a
+prefix-sum lookup.
 
-Radius conventions: open balls are used for arbitrary real radii.  On the
-grid ``{delta**n}`` the closed ball of radius ``delta**n`` equals the open
-ball of radius ``delta**(n - 1/2)`` and both equal the depth-n subtree;
-grid-indexed quantities (mass profiles, ball capacities) use that subtree.
+Radius conventions, the same on every kind: the open ball {d < r} is empty
+for r <= 0, the closed ball {d <= r} of radius 0 is the center alone, and an
+empty ball is the range ``lo == hi``.  On the grid ``{delta**n}`` the closed
+ball of radius ``delta**n`` equals the open ball of radius
+``delta**(n - 1/2)``, and on the tree both equal the depth-n subtree;
+grid-indexed quantities (mass profiles, ball capacities) use the closed ball.
 """
 
 from __future__ import annotations
@@ -28,146 +33,96 @@ import numpy as np
 VALID_KINDS = ("tree-boundary", "unit-interval", "cantor-set")
 
 
-class TreeSpace:
-    """Weighted leaf set of a depth-N uniform b-ary tree.
+class ModelSpace:
+    """Weighted leaf set of a depth-N uniform b-ary tree in one metric.
 
-    Instances are immutable after construction; all queries are safe to
-    issue concurrently.
+    ``weights=None`` gives the uniform unit mass.  The canonical dimension
+    is ``log b / log(1/delta)``, which makes the uniform weight profile
+    exactly Ahlfors-regular.  Instances are immutable after construction:
+    the weights are a read-only copy, so derived quantities can be memoized
+    on the instance.
     """
 
-    def __init__(self, branching: int, depth: int, delta: float, weights: np.ndarray):
+    def __init__(self, kind: str, branching: int, depth: int, delta: float,
+                 weights=None, dimension: float | None = None):
+        if kind not in VALID_KINDS:
+            raise ValueError(f"unknown space kind {kind!r}")
         if branching < 2:
             raise ValueError(f"branching must be >= 2, got {branching}")
         if depth < 1:
             raise ValueError(f"depth must be >= 1, got {depth}")
         if not (0.0 < delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {delta}")
+        if kind == "unit-interval" and abs(delta * branching - 1.0) > 1e-12:
+            raise ValueError("unit-interval requires delta = 1/branching")
+        if kind == "cantor-set" and delta * branching >= 1.0:
+            raise ValueError("cantor-set requires delta < 1/branching (positive gaps)")
         n = branching**depth
-        weights = np.asarray(weights, dtype=float)
+        weights = np.full(n, 1.0 / n) if weights is None else np.array(weights, dtype=float)
         if weights.shape != (n,):
             raise ValueError(f"expected {n} leaf weights, got shape {weights.shape}")
         if not np.all(weights > 0.0):
             raise ValueError("leaf weights must be strictly positive")
+        if dimension is None:
+            dimension = math.log(branching) / math.log(1.0 / delta)
+        if dimension <= 0:
+            raise ValueError("dimension must be positive")
+        weights.setflags(write=False)
+        self.kind = kind
         self.branching = int(branching)
         self.depth = int(depth)
         self.delta = float(delta)
+        self.dimension = float(dimension)
         self.weights = weights
-        self.weights.setflags(write=False)
         self.n_leaves = n
+        self.diameter = 1.0
         # block sizes per level: a depth-l subtree spans branching**(depth-l) leaves
-        self._block = branching ** np.arange(depth, -1, -1, dtype=np.int64)
+        self._block = tuple(branching ** (depth - level) for level in range(depth + 1))
         self._radii = delta ** np.arange(depth + 1, dtype=float)
         self._weight_prefix = np.concatenate(([0.0], np.cumsum(weights)))
+        self.total_mass = float(self._weight_prefix[-1])
+        self.coords = None if kind == "tree-boundary" else _embedding_coords(self)
+        self._memo: dict = {}
 
-    @classmethod
-    def uniform(cls, branching: int, depth: int, delta: float) -> "TreeSpace":
-        n = branching**depth
-        return cls(branching, depth, delta, np.full(n, 1.0 / n))
+    def _cached(self, key: tuple, compute):
+        """Memoized ``compute()`` for this space.  Weights and coordinates are
+        read-only, so the instance fixes geometry and mass; ``key`` names
+        everything else the result depends on."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
-    # -- basic measure / metric queries ----------------------------------
-
-    @property
-    def total_mass(self) -> float:
-        return float(self._weight_prefix[-1])
-
-    @property
-    def diameter(self) -> float:
-        return 1.0
+    # -- tree structure ------------------------------------------------------
 
     def grid_radius(self, level: int) -> float:
         """delta**level for level in 0..depth."""
         return float(self._radii[level])
 
-    def lca_level(self, x: int, y: int) -> int:
-        """Number of leading branching choices shared by two leaves."""
-        if x == y:
-            return self.depth
-        level = 0
-        for block in self._block[1:]:
-            if x // block != y // block:
-                break
-            level += 1
-        return level
-
-    def lca_levels(self, x: int, ys: np.ndarray) -> np.ndarray:
-        """Vectorized lca_level of one leaf against many."""
-        ys = np.asarray(ys)
-        out = np.zeros(ys.shape, dtype=np.int64)
-        for block in self._block[1:]:
-            out += (x // block) == (ys // block)
-        out[ys == x] = self.depth
-        return out
+    def lca_levels(self, x, ys):
+        """Number of leading branching choices leaf x shares with leaf ys,
+        broadcast over arrays (depth where they coincide).  Plain integers
+        stay plain, so one pair costs O(depth) integer divisions."""
+        return sum((x // block) == (ys // block) for block in self._block[1:])
 
     def lca_matrix(self) -> np.ndarray:
         """All-pairs shared-prefix lengths (depth on the diagonal)."""
         idx = np.arange(self.n_leaves, dtype=np.int64)
-        out = np.zeros((self.n_leaves, self.n_leaves), dtype=np.int64)
-        for block in self._block[1:]:
-            blocks = idx // block
-            out += blocks[:, None] == blocks[None, :]
-        np.fill_diagonal(out, self.depth)
-        return out
-
-    def distance(self, x: int, y: int) -> float:
-        if x == y:
-            return 0.0
-        return float(self._radii[self.lca_level(x, y)])
-
-    def distances_from(self, x: int) -> np.ndarray:
-        d = self._radii[np.minimum(self.lca_levels(x, np.arange(self.n_leaves)), self.depth - 1)]
-        d = d.copy()
-        d[x] = 0.0
-        return d
-
-    # -- subtree / ball structure -----------------------------------------
+        return self.lca_levels(idx[:, None], idx[None, :])
 
     def subtree_range(self, x: int, level: int) -> tuple[int, int]:
         """Half-open leaf range of the depth-``level`` subtree containing x."""
-        block = int(self._block[level])
+        block = self._block[level]
         lo = (x // block) * block
         return lo, lo + block
-
-    def subtree_mass(self, x: int, level: int) -> float:
-        lo, hi = self.subtree_range(x, level)
-        return float(self._weight_prefix[hi] - self._weight_prefix[lo])
 
     def range_mass(self, lo: int, hi: int) -> float:
         return float(self._weight_prefix[hi] - self._weight_prefix[lo])
 
-    def ball_level(self, r: float) -> int | None:
-        """Level l with {rho < r} = depth-l subtree, or None for r <= 0.
-
-        The open ball of radius r contains exactly the leaves whose shared
-        prefix beats every grid distance below r.
-        """
-        if r <= 0.0:
-            return None
-        if r > 1.0:
-            return 0
-        # smallest l >= 0 with delta**l < r, clipped to depth
-        level = int(math.ceil(math.log(r) / math.log(self.delta)))
-        level = min(max(level, 0), self.depth + 1)
-        while level <= self.depth and not self._radii[level] < r:
-            level += 1
-        while 0 < level <= self.depth + 1 and self._radii[level - 1] < r:
-            level -= 1
-        return min(level, self.depth)
-
-    def ball(self, x: int, r: float) -> np.ndarray:
-        """Leaves at distance strictly less than r from x."""
-        level = self.ball_level(r)
-        if level is None:
-            return np.empty(0, dtype=np.int64)
-        lo, hi = self.subtree_range(x, level)
-        return np.arange(lo, hi, dtype=np.int64)
-
     def block_sum_per_leaf(self, values: np.ndarray, level: int) -> np.ndarray:
         """Depth-``level`` subtree sums of ``values``, broadcast back to leaves."""
-        block = int(self._block[level])
+        block = self._block[level]
         sums = np.asarray(values, dtype=float).reshape(-1, block).sum(axis=1)
         return np.repeat(sums, block)
-
-    # -- paths -------------------------------------------------------------
 
     def path_of(self, x: int) -> tuple[int, ...]:
         digits = []
@@ -186,95 +141,23 @@ class TreeSpace:
             x = x * self.branching + d
         return x
 
-
-def build_tree(branching: int, depth: int, delta: float, weights=None) -> TreeSpace:
-    """Build a tree space; ``weights=None`` gives the uniform unit mass."""
-    if weights is None:
-        return TreeSpace.uniform(branching, depth, delta)
-    return TreeSpace(branching, depth, delta, np.asarray(weights, dtype=float))
-
-
-class ModelSpace:
-    """A tree space together with the metric it is measured in.
-
-    ``tree-boundary`` uses the ultrametric itself; ``unit-interval`` and
-    ``cantor-set`` use the Euclidean distance between the images of the
-    order-preserving embedding.  The canonical dimension is
-    ``log b / log(1/delta)``, which makes the uniform weight profile exactly
-    Ahlfors-regular.
-    """
-
-    def __init__(self, kind: str, tree: TreeSpace, dimension: float | None = None):
-        if kind not in VALID_KINDS:
-            raise ValueError(f"unknown space kind {kind!r}")
-        b, delta = tree.branching, tree.delta
-        if kind == "unit-interval" and abs(delta * b - 1.0) > 1e-12:
-            raise ValueError("unit-interval requires delta = 1/branching")
-        if kind == "cantor-set" and delta * b >= 1.0:
-            raise ValueError("cantor-set requires delta < 1/branching (positive gaps)")
-        self.kind = kind
-        self.tree = tree
-        if dimension is None:
-            dimension = math.log(b) / math.log(1.0 / delta)
-        if dimension <= 0:
-            raise ValueError("dimension must be positive")
-        self.dimension = float(dimension)
-        if kind == "tree-boundary":
-            self.coords = None
-        else:
-            self.coords = _embedding_coords(tree)
-            self.coords.setflags(write=False)
-        self._memo: dict = {}
-
-    # passthroughs used everywhere
-    @property
-    def n_leaves(self) -> int:
-        return self.tree.n_leaves
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.tree.weights
-
-    @property
-    def total_mass(self) -> float:
-        return self.tree.total_mass
-
-    @property
-    def delta(self) -> float:
-        return self.tree.delta
-
-    @property
-    def depth(self) -> int:
-        return self.tree.depth
-
-    @property
-    def diameter(self) -> float:
-        return 1.0
-
-    def _cached(self, key: tuple, compute):
-        """Memoized ``compute()`` for this space.  Weights and coordinates are
-        read-only, so the instance fixes geometry and mass; ``key`` names
-        everything else the result depends on."""
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
-
-    # -- metric -------------------------------------------------------------
+    # -- metric ----------------------------------------------------------------
 
     def distance(self, x: int, y: int) -> float:
         if self.kind == "tree-boundary":
-            return self.tree.distance(x, y)
+            return 0.0 if x == y else float(self._radii[self.lca_levels(x, y)])
         return abs(float(self.coords[x]) - float(self.coords[y]))
 
     def distances_from(self, x: int) -> np.ndarray:
         if self.kind == "tree-boundary":
-            return self.tree.distances_from(x)
+            d = self._radii[self.lca_levels(x, np.arange(self.n_leaves))]
+            d[x] = 0.0
+            return d
         return np.abs(self.coords - self.coords[x])
 
     def distance_matrix(self) -> np.ndarray:
         if self.kind == "tree-boundary":
-            lca = np.minimum(self.tree.lca_matrix(), self.tree.depth - 1)
-            d = self.tree.delta ** lca.astype(float)
+            d = self._radii[self.lca_matrix()]
             np.fill_diagonal(d, 0.0)
             return d
         d = np.subtract.outer(self.coords, self.coords)
@@ -283,71 +166,64 @@ class ModelSpace:
     def ball_bounds(self, centers, r: float, closed: bool = False):
         """Half-open leaf index ranges of the metric balls around ``centers``.
 
-        Balls in all three kinds are contiguous runs of leaves.  ``closed``
-        switches {d < r} to {d <= r}; it matters only when r is a realized
-        distance.
+        ``closed`` switches {d < r} to {d <= r}; it matters only when r is a
+        realized distance.  A ball with no leaf is the range (c, c).
         """
         centers = np.asarray(centers, dtype=np.int64)
+        if r < 0.0 or (r == 0.0 and not closed):
+            return centers.copy(), centers.copy()
         if self.kind == "tree-boundary":
-            if closed:
-                # {rho <= r}: subtree at the coarsest level with delta**l <= r
-                level = self._closed_ball_level(r)
-            else:
-                level = self.tree.ball_level(r)
-            if level is None:
-                return centers * 0, centers * 0
-            block = int(self.tree._block[level])
+            block = self._block[self._ball_level(r, closed)]
             lo = (centers // block) * block
             return lo, lo + block
-        c = self.coords[centers]
-        if closed:
-            lo = np.searchsorted(self.coords, c - r, side="left")
-            hi = np.searchsorted(self.coords, c + r, side="right")
-        else:
-            lo = np.searchsorted(self.coords, c - r, side="right")
-            hi = np.searchsorted(self.coords, c + r, side="left")
+        coords, c = self.coords, self.coords[centers]
+
+        def inside(y):
+            d = np.abs(coords.take(y, mode="clip") - c)
+            return d <= r if closed else d < r
+
+        lo = np.searchsorted(coords, c - r, side="left" if closed else "right")
+        hi = np.searchsorted(coords, c + r, side="right" if closed else "left")
+        # c - r and c + r are rounded, so either search can put an end of the
+        # run one leaf off from what distances_from says; settle both ends
+        lo -= (lo > 0) & inside(lo - 1)
+        lo += ~inside(lo)
+        hi += (hi < self.n_leaves) & inside(hi)
+        hi -= ~inside(hi - 1)
         return lo.astype(np.int64), hi.astype(np.int64)
 
-    def _closed_ball_level(self, r: float) -> int | None:
-        if r < 0.0:
-            return None
-        if r >= 1.0:
-            return 0
-        lvl = self.tree.ball_level(r)
-        # open ball at r equals subtree lvl; {rho <= r} widens by one level
-        # exactly when r is on the grid
-        if lvl is not None and lvl > 0 and self.tree._radii[lvl - 1] <= r:
-            lvl -= 1
-        return lvl
-
-    def ball_mass(self, x: int, r: float, closed: bool = False) -> float:
-        lo, hi = self.ball_bounds(np.array([x]), r, closed=closed)
-        return self.tree.range_mass(int(lo[0]), int(hi[0]))
+    def _ball_level(self, r: float, closed: bool) -> int:
+        """Level l whose subtree is the ultrametric ball {rho < r}, or
+        {rho <= r} when closed: the first l with delta**l below r (at most
+        r when closed), or depth when there is none."""
+        inside = self._radii <= r if closed else self._radii < r
+        return int(np.argmax(inside)) if inside[-1] else self.depth
 
     def grid_ball_range(self, x: int, level: int) -> tuple[int, int]:
-        """Closed ball of radius delta**level = depth-``level`` subtree."""
+        """Closed ball of radius delta**level around leaf x; on the tree it
+        is the depth-``level`` subtree."""
+        if not (0 <= x < self.n_leaves and 0 <= level <= self.depth):
+            raise ValueError(f"grid ball needs a leaf in 0..{self.n_leaves - 1} and "
+                             f"a level in 0..{self.depth}, got leaf {x}, level {level}")
         if self.kind == "tree-boundary":
-            return self.tree.subtree_range(x, level)
-        lo, hi = self.ball_bounds(np.array([x]), self.tree.grid_radius(level), closed=True)
+            return self.subtree_range(x, level)
+        lo, hi = self.ball_bounds(np.array([x]), self.grid_radius(level), closed=True)
         return int(lo[0]), int(hi[0])
 
-    def grid_ball_mass(self, x: int, level: int) -> float:
-        lo, hi = self.grid_ball_range(x, level)
-        return self.tree.range_mass(lo, hi)
 
-
-def _embedding_coords(tree: TreeSpace) -> np.ndarray:
+def _embedding_coords(space: ModelSpace) -> np.ndarray:
     """Left endpoints of the nested pieces: digit d contributes
     d * (1-delta)/(b-1) * delta**level.  For delta = 1/b this is the plain
-    b-adic expansion."""
-    b, N, delta = tree.branching, tree.depth, tree.delta
+    b-adic expansion.  Read-only, like the weights."""
+    b, N, delta = space.branching, space.depth, space.delta
     step = (1.0 - delta) / (b - 1)
-    idx = np.arange(tree.n_leaves, dtype=np.int64)
-    coords = np.zeros(tree.n_leaves, dtype=float)
+    idx = np.arange(space.n_leaves, dtype=np.int64)
+    coords = np.zeros(space.n_leaves, dtype=float)
     for level in range(N):
         block = b ** (N - 1 - level)
         digits = (idx // block) % b
         coords += digits * step * delta**level
+    coords.setflags(write=False)
     return coords
 
 
@@ -361,18 +237,11 @@ def model_space(kind: str, branching: int, depth: int, delta: float | None = Non
             delta = 1.0 / 3.0
         else:
             delta = 0.5
-    tree = build_tree(branching, depth, delta, weights)
-    return ModelSpace(kind, tree, dimension)
-
-
-def lambda_map(space: ModelSpace, x: int) -> float:
-    """Embedding coordinate of a leaf (the nested-piece intersection point)."""
-    if space.kind == "tree-boundary":
-        raise ValueError("tree-boundary leaves are their own points; no embedding")
-    return float(space.coords[x])
+    return ModelSpace(kind, branching, depth, delta, weights, dimension)
 
 
 def leaf_coordinates(space: ModelSpace) -> np.ndarray:
+    """Embedding coordinates of the leaves (the nested-piece intersection points)."""
     if space.kind == "tree-boundary":
         raise ValueError("tree-boundary leaves are their own points; no embedding")
     return space.coords
@@ -384,14 +253,13 @@ def ahlfors_constants(space: ModelSpace) -> tuple[float, float]:
     Grid-radius balls are taken in the closed sense, so on the uniform
     tree boundary with the canonical dimension both constants are 1.
     """
-    tree = space.tree
     q = space.dimension
     lo_ratio, hi_ratio = math.inf, -math.inf
-    centers = np.arange(tree.n_leaves, dtype=np.int64)
-    for n in range(1, tree.depth + 1):
-        r = tree.grid_radius(n)
+    centers = np.arange(space.n_leaves, dtype=np.int64)
+    for n in range(1, space.depth + 1):
+        r = space.grid_radius(n)
         lo, hi = space.ball_bounds(centers, r, closed=True)
-        masses = tree._weight_prefix[hi] - tree._weight_prefix[lo]
+        masses = space._weight_prefix[hi] - space._weight_prefix[lo]
         ratios = masses / r**q
         lo_ratio = min(lo_ratio, float(ratios.min()))
         hi_ratio = max(hi_ratio, float(ratios.max()))
@@ -433,8 +301,7 @@ def christ_cubes(space: ModelSpace) -> ChristTree:
     embedded kinds the inner-ball and diameter constants are measured on
     the discretization and recorded, not assumed.
     """
-    tree = space.tree
-    b, N, delta = tree.branching, tree.depth, tree.delta
+    b, N, delta = space.branching, space.depth, space.delta
     levels = []
     c_inner, c_diam = math.inf, 0.0
     for k in range(N + 1):
@@ -460,11 +327,7 @@ def christ_cubes(space: ModelSpace) -> ChristTree:
 
 
 def _range_diameter(space: ModelSpace, lo: int, hi: int) -> float:
-    if hi - lo <= 1:
-        return 0.0
-    if space.kind == "tree-boundary":
-        return float(space.tree.distance(lo, hi - 1))
-    return float(space.coords[hi - 1] - space.coords[lo])
+    return 0.0 if hi - lo <= 1 else space.distance(lo, hi - 1)
 
 
 def _distance_to_complement(space: ModelSpace, x: int, lo: int, hi: int) -> float:
@@ -532,11 +395,10 @@ def verify_christ(ctree: ChristTree) -> dict:
 
 def dump_space(space: ModelSpace, path) -> None:
     """Header line (kind, b, N, delta, Q), then one weight per line."""
-    tree = space.tree
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{space.kind} {tree.branching} {tree.depth} "
-                 f"{tree.delta!r} {space.dimension!r}\n")
-        for w in tree.weights:
+        fh.write(f"{space.kind} {space.branching} {space.depth} "
+                 f"{space.delta!r} {space.dimension!r}\n")
+        for w in space.weights:
             fh.write(f"{float(w)!r}\n")
 
 
@@ -544,5 +406,4 @@ def load_space(path) -> ModelSpace:
     with open(path, "r", encoding="ascii") as fh:
         kind, b, depth, delta, dim = fh.readline().split()
         weights = [float(line) for line in fh if line.strip()]
-    tree = TreeSpace(int(b), int(depth), float(delta), np.asarray(weights))
-    return ModelSpace(kind, tree, float(dim))
+    return ModelSpace(kind, int(b), int(depth), float(delta), weights, float(dim))

@@ -138,7 +138,7 @@ def test_criterion_5_ball_capacity_asymptotics():
     k75 = RadialKernel("riesz", s=0.75, p=2.0)
     drift = max(abs(uniform_ball_capacity(ms7, k75, 2.0, 5, lvl)
                     - solve_capacity(ms7, k75,
-                                     np.arange(*ms7.tree.subtree_range(5, lvl)),
+                                     np.arange(*ms7.subtree_range(5, lvl)),
                                      p=2.0).value)
                 / uniform_ball_capacity(ms7, k75, 2.0, 5, lvl)
                 for lvl in (2, 4))

@@ -10,7 +10,7 @@ from potlab.capacity import (ball_capacity_profile, capacity_p2_exact,
                              theoretical_profile_slope, tree_matching_radius,
                              uniform_ball_capacity)
 from potlab.kernel import RadialKernel, kernel_operator, lp_norm
-from potlab.space import build_tree, ModelSpace, model_space
+from potlab.space import ModelSpace, model_space
 
 RIESZ = RadialKernel("riesz", s=0.75, p=2.0)
 
@@ -116,7 +116,7 @@ def test_symmetric_reduction_matches_solver(rng):
             k = RadialKernel("riesz", s=min(0.9, 1.0 / pp + 0.2), p=p)
             level = int(rng.integers(1, depth - 1))
             x = int(rng.integers(ms.n_leaves))
-            lo, hi = ms.tree.subtree_range(x, level)
+            lo, hi = ms.subtree_range(x, level)
             sym = uniform_ball_capacity(ms, k, p, x, level)
             sol = solve_capacity(ms, k, np.arange(lo, hi), p=p)
             assert sol.value == pytest.approx(sym, rel=1e-8)
@@ -126,7 +126,7 @@ def test_symmetric_reduction_guards(cantor6, rng):
     with pytest.raises(ValueError):
         uniform_ball_capacity(cantor6, RIESZ, 2.0, 0, 2)
     w = rng.random(64) + 0.5
-    ms = ModelSpace("tree-boundary", build_tree(2, 6, 0.5, w))
+    ms = ModelSpace("tree-boundary", 2, 6, 0.5, w)
     with pytest.raises(ValueError):
         uniform_ball_capacity(ms, RIESZ, 2.0, 0, 2)
 
@@ -200,7 +200,7 @@ def test_matching_radius_star_dominates_r(tree6, rng):
     for level in (1, 2, 3, 4):
         x = int(rng.integers(64))
         er = tree_matching_radius(tree6, RIESZ, 2.0, x, level)
-        assert er.star >= tree6.tree.grid_radius(level) - 1e-15
+        assert er.star >= tree6.grid_radius(level) - 1e-15
 
 
 def test_matching_radius_sentinel(tree6):
@@ -217,7 +217,7 @@ def test_tree_matching_radius_table_oracle(tree6):
     # whose mass reaches the solved ball capacity
     x, level, p = 13, 3, 2.0
     cap = grid_ball_capacity(tree6, RIESZ, p, x, level)
-    masses = [tree6.tree.subtree_mass(x, m) for m in range(7)]
+    masses = [tree6.range_mass(*tree6.subtree_range(x, m)) for m in range(7)]
     qualifying = [m for m in range(7) if masses[m] >= cap]
     expected_level = max(qualifying)
     er = tree_matching_radius(tree6, RIESZ, p, x, level)
@@ -296,12 +296,13 @@ def test_matching_radius_weight_monotonicity(rng):
     # doubling the measure weakly shrinks the matching radius
     w = rng.random(64) + 0.5
     k = RadialKernel("riesz", s=0.75, p=2.0)
-    small = ModelSpace("tree-boundary", build_tree(2, 6, 0.5, w))
+    small = ModelSpace("tree-boundary", 2, 6, 0.5, w)
     # capacity scales with mass too, so compare against an inflated-measure
     # space at the same ball capacity by hand
     er_small = metric_matching_radius(small, k, 2.0, 7, 0.25)
-    cap = solve_capacity(small, k, small.tree.ball(7, 0.25), p=2.0).value
-    big = ModelSpace("tree-boundary", build_tree(2, 6, 0.5, 2 * w))
+    lo, hi = small.ball_bounds([7], 0.25)
+    cap = solve_capacity(small, k, np.arange(lo[0], hi[0]), p=2.0).value
+    big = ModelSpace("tree-boundary", 2, 6, 0.5, 2 * w)
     dists = big.distances_from(7)
     realized = np.unique(dists)
     hit = next(float(t) for t in realized if big.weights[dists <= t].sum() >= cap)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from potlab import cli
 from potlab.capacity import singleton_capacity
 from potlab.cli import main
 from potlab.kernel import RadialKernel
@@ -124,6 +125,8 @@ def mutate(mutation: str) -> str:
         key, value = (part.strip() for part in assignment.split("="))
         section = section.lstrip("[") or next(
             name for name in cfg.sections() if cfg.has_option(name, key))
+        if not cfg.has_section(section):
+            cfg.add_section(section)
         cfg.set(section, key, value)
     out = io.StringIO()
     cfg.write(out)
@@ -142,6 +145,24 @@ def mutate(mutation: str) -> str:
     ("[space] kind = cantor-set; delta = 0.3; [kernel] kind = radial; "
      "[kernel] levels = 1,1,1,1,1,1,1", "riesz kernel"),
     ("depth = 4; [kernel] kind = radial; [kernel] levels = 1,1,1", "level table"),
+    # run-time keys, checked at validation against what the run accepts
+    ("targets = ball:999:3", "leaf 999"),
+    ("targets = ball:13:9", "level 9"),
+    ("targets = ball:13:-1", "level -1"),
+    ("targets = set:1,2,500", "set:1,2,500"),
+    ("targets = singleton:-1", "singleton:-1"),
+    ("targets = singleton:x", "singleton:x"),
+    ("[ball-profile] center = 99", "leaf 99"),
+    ("[ball-profile] levels = 1..9", "level 7"),
+    ("[ball-profile] levels = -2..2", "level -2"),
+    ("[quasiadd] mode = nosuch", "mode"),
+    ("[quasiadd] shapes = ball,cube", "shapes"),
+    ("[quasiadd] count = 0", "count"),
+    ("[converge] region = nontangential", "region"),
+    ("[poisson] profile = nosuch", "profile"),
+    ("[converge] profile = nosuch", "profile"),
+    ("[poisson] n_heights = -1", "n_heights"),
+    ("[poisson] eps_quantile = 2", "eps_quantile"),
 ])
 def test_invalid_config_rejected(tmp_path, capsys, mutation, phrase):
     bad = tmp_path / "bad.ini"
@@ -183,6 +204,21 @@ def test_radial_exchange_needs_calibration_depth(tmp_path, capsys, subcommand, c
         assert "calibration depth" in err
 
 
+@pytest.mark.parametrize("subcommand,code", [
+    ("quasiadd", 2), ("full-suite", 2), ("space-info", 0)])
+def test_tree_quasiadd_needs_tree_boundary(tmp_path, capsys, subcommand, code):
+    # no mode line: the default tree mode cannot run on an embedded space
+    cfg = tmp_path / "interval.ini"
+    text = mutate("[space] kind = unit-interval").replace("mode = tree\n", "")
+    assert "mode" not in text
+    cfg.write_text(text)
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "x")]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error kind=config") and err.count("\n") == 1
+        assert "tree-boundary" in err
+
+
 def test_missing_config_rejected(tmp_path, capsys):
     code = main(["space-info", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path / "x")])
@@ -201,10 +237,19 @@ def test_tol_override(config, tmp_path):
     assert code == 2
 
 
-def test_runtime_failure_cleans_outputs(config, tmp_path, capsys):
+def test_runtime_failure_cleans_outputs(config, tmp_path, capsys, monkeypatch):
+    # validation leaves no config key that fails inside a run, so the failure
+    # is raised from inside: ball-profile has written its first CSV by then
     out = tmp_path / "out"
-    code = main(["capacity", "--config", str(config), "--out", str(out),
-                 "--tol-override", "capacity.targets=set:9999"])
+    seen = []
+
+    def fail(*args):
+        seen.append(sorted(p.name for p in out.glob("*.csv")))
+        raise RuntimeError("failure inside the run")
+
+    monkeypatch.setattr(cli, "theoretical_profile_slope", fail)
+    code = main(["ball-profile", "--config", str(config), "--out", str(out)])
+    assert seen == [["ball_profile.csv"]]
     assert code == 1
     assert capsys.readouterr().err.startswith("error kind=runtime")
     assert not list(out.glob("*.csv"))

@@ -7,7 +7,7 @@ from potlab.kernel import (DenseKernelOperator, RadialKernel, convolve_naive,
                            dyadic_riesz_bounds, dyadic_riesz_potential,
                            kernel_norm_tail_bound, kernel_operator, kernel_value,
                            lp_norm, young_check)
-from potlab.space import ModelSpace, build_tree, model_space
+from potlab.space import ModelSpace, model_space
 
 
 def fast(kernel, space, f):
@@ -38,9 +38,9 @@ def test_kernel_validation():
 def test_kernel_value_examples(tree6, interval6):
     k = RadialKernel("riesz", s=0.5, p=2.0)
     x, y = 0, 16    # lca level 2 on depth 6: distance 0.25
-    assert tree6.tree.lca_level(x, y) == 1
+    assert tree6.lca_levels(x, y) == 1
     y = 8           # lca level 2 -> distance 0.25
-    assert tree6.tree.lca_level(x, y) == 2
+    assert tree6.lca_levels(x, y) == 2
     assert kernel_value(k, tree6, x, y) == pytest.approx(0.25**-0.5)
     const = constant_kernel(tree6)
     assert kernel_value(const, tree6, 3, 3) == 1.0
@@ -79,8 +79,8 @@ def test_norm_closed_form_level_histogram():
 
 def test_norm_linear_in_mass(rng):
     w = rng.random(16) + 0.2
-    t1 = ModelSpace("tree-boundary", build_tree(2, 4, 0.5, w))
-    t2 = ModelSpace("tree-boundary", build_tree(2, 4, 0.5, 2 * w))
+    t1 = ModelSpace("tree-boundary", 2, 4, 0.5, w)
+    t2 = ModelSpace("tree-boundary", 2, 4, 0.5, 2 * w)
     k = RadialKernel("riesz", s=0.75, p=2.0)
     assert norm_1(k, t2) == pytest.approx(2 * norm_1(k, t1))
 
@@ -144,7 +144,7 @@ def test_fast_equals_naive(b, depth, rng):
 
 def test_fast_equals_naive_custom_weights_and_tables(rng):
     w = rng.random(81) + 0.1
-    t = ModelSpace("tree-boundary", build_tree(3, 4, 0.4, w))
+    t = ModelSpace("tree-boundary", 3, 4, 0.4, w)
     table = RadialKernel("radial", level_values=tuple(rng.random(5) * 3.0))
     riesz = RadialKernel("riesz", s=0.7, p=2.0)
     for k in (table, riesz):

@@ -3,17 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from potlab.space import (ModelSpace, ahlfors_constants, build_tree, christ_cubes,
-                          dump_space, lambda_map, leaf_coordinates, load_space,
-                          model_space, verify_christ)
+from potlab.space import (ModelSpace, ahlfors_constants, christ_cubes, dump_space,
+                          leaf_coordinates, load_space, model_space, verify_christ)
+
+
+def open_ball(space, x, r):
+    """Leaves at distance strictly less than r from x."""
+    lo, hi = space.ball_bounds([x], r)
+    return np.arange(lo[0], hi[0])
 
 
 def test_uniform_build_mass_normalization():
-    t = build_tree(2, 1, 0.5)
+    t = ModelSpace("tree-boundary", 2, 1, 0.5)
     assert t.n_leaves == 2
     assert np.allclose(t.weights, 0.5)
 
-    t = build_tree(3, 4, 1 / 3)
+    t = ModelSpace("tree-boundary", 3, 4, 1 / 3)
     assert t.n_leaves == 81
     assert np.allclose(t.weights, 3.0**-4)
     assert t.total_mass == pytest.approx(1.0)
@@ -21,10 +26,10 @@ def test_uniform_build_mass_normalization():
 
 def test_custom_weights_ball_mass():
     w = np.array([1, 1, 1, 1, 2, 2, 2, 2]) / 12
-    t = build_tree(2, 3, 0.5, w)
+    t = ModelSpace("tree-boundary", 2, 3, 0.5, w)
     assert t.total_mass == pytest.approx(1.0)
     # ball of radius sqrt(delta) around leaf 0 is the left depth-1 subtree
-    ball = t.ball(0, 0.5**0.5)
+    ball = open_ball(t, 0, 0.5**0.5)
     assert ball.tolist() == [0, 1, 2, 3]
     assert t.weights[ball].sum() == pytest.approx(4 / 12)
 
@@ -37,26 +42,26 @@ def test_custom_weights_ball_mass():
 ])
 def test_build_rejects_bad_parameters(bad):
     with pytest.raises(ValueError):
-        build_tree(bad["branching"], bad["depth"], bad["delta"])
+        ModelSpace("tree-boundary", bad["branching"], bad["depth"], bad["delta"])
 
 
 def test_build_rejects_bad_weights():
     with pytest.raises(ValueError):
-        build_tree(2, 2, 0.5, [1.0, 1.0, 0.0, 1.0])
+        ModelSpace("tree-boundary", 2, 2, 0.5, [1.0, 1.0, 0.0, 1.0])
     with pytest.raises(ValueError):
-        build_tree(2, 2, 0.5, [1.0, 1.0, 1.0])
+        ModelSpace("tree-boundary", 2, 2, 0.5, [1.0, 1.0, 1.0])
 
 
 def test_lca_level_examples():
-    t = build_tree(2, 3, 0.5)
-    assert t.lca_level(5, 5) == 3
-    assert t.lca_level(t.leaf_of((0, 0, 0)), t.leaf_of((1, 0, 0))) == 0
-    t4 = build_tree(2, 4, 0.5)
-    assert t4.lca_level(t4.leaf_of((0, 1, 1, 0)), t4.leaf_of((0, 1, 1, 1))) == 3
+    t = ModelSpace("tree-boundary", 2, 3, 0.5)
+    assert t.lca_levels(5, 5) == 3
+    assert t.lca_levels(t.leaf_of((0, 0, 0)), t.leaf_of((1, 0, 0))) == 0
+    t4 = ModelSpace("tree-boundary", 2, 4, 0.5)
+    assert t4.lca_levels(t4.leaf_of((0, 1, 1, 0)), t4.leaf_of((0, 1, 1, 1))) == 3
 
 
 def test_paths_roundtrip():
-    t = build_tree(3, 3, 0.4)
+    t = ModelSpace("tree-boundary", 3, 3, 0.4)
     for x in range(t.n_leaves):
         assert t.leaf_of(t.path_of(x)) == x
     with pytest.raises(ValueError):
@@ -66,40 +71,40 @@ def test_paths_roundtrip():
 
 
 def test_distance_basics():
-    t = build_tree(2, 5, 0.5)
+    t = ModelSpace("tree-boundary", 2, 5, 0.5)
     assert t.distance(7, 7) == 0.0
     x, y = t.leaf_of((0, 1, 0, 0, 0)), t.leaf_of((0, 1, 0, 1, 1))
-    assert t.lca_level(x, y) == 3
+    assert t.lca_levels(x, y) == 3
     assert t.distance(x, y) == pytest.approx(0.125)
     # distinct leaves never at distance zero
     assert t.distance(0, 1) >= t.delta ** (t.depth - 1)
 
 
 def test_ultrametric_inequality_exhaustive_depth4(rng):
-    t = build_tree(2, 4, 0.37)
+    t = ModelSpace("tree-boundary", 2, 4, 0.37)
     n = t.n_leaves
     d = np.array([[t.distance(i, j) for j in range(n)] for i in range(n)])
     assert np.all(d[:, :, None] <= np.maximum(d[:, None, :], d[None, :, :]) + 1e-15)
     # plus random triples on a bigger tree
-    t8 = build_tree(2, 8, 0.5)
+    t8 = ModelSpace("tree-boundary", 2, 8, 0.5)
     trip = rng.integers(0, t8.n_leaves, size=(1000, 3))
     for a, b, c in trip:
         assert t8.distance(a, c) <= max(t8.distance(a, b), t8.distance(b, c)) + 1e-15
 
 
 def test_ball_conventions():
-    t = build_tree(2, 3, 0.5)
-    assert t.ball(5, 0.0).size == 0
-    assert t.ball(5, 1.5).size == t.n_leaves
-    assert t.ball(5, 0.3).tolist() == [4, 5]          # sibling pair
+    t = ModelSpace("tree-boundary", 2, 3, 0.5)
+    assert open_ball(t, 5, 0.0).size == 0
+    assert open_ball(t, 5, 1.5).size == t.n_leaves
+    assert open_ball(t, 5, 0.3).tolist() == [4, 5]          # sibling pair
     # exact grid radius is open: delta**1 excludes the level-1 annulus
-    assert t.ball(0, 0.5).tolist() == [0, 1]
+    assert open_ball(t, 0, 0.5).tolist() == [0, 1]
 
 
 def test_ball_dichotomy_depth5():
-    t = build_tree(2, 5, 0.5)
+    t = ModelSpace("tree-boundary", 2, 5, 0.5)
     radii = [0.5**k for k in range(6)] + [0.3, 0.7, 1.2]
-    balls = [frozenset(t.ball(x, r).tolist()) for x in range(t.n_leaves) for r in radii]
+    balls = [frozenset(open_ball(t, x, r).tolist()) for x in range(t.n_leaves) for r in radii]
     for a in balls:
         for b in balls:
             assert not a or not b or a <= b or b <= a or not (a & b)
@@ -107,13 +112,58 @@ def test_ball_dichotomy_depth5():
 
 def test_measure_additivity(rng):
     w = rng.random(16) + 0.1
-    t = build_tree(2, 4, 0.5, w)
+    t = ModelSpace("tree-boundary", 2, 4, 0.5, w)
     assert t.total_mass == pytest.approx(w.sum())
     for x in (0, 7, 15):
         for r in (0.1, 0.3, 0.6, 2.0):
-            ball = t.ball(x, r)
+            ball = open_ball(t, x, r)
             assert t.weights[ball].sum() == pytest.approx(
                 t.range_mass(ball[0], ball[-1] + 1) if ball.size else 0.0)
+
+
+@pytest.mark.parametrize("kind", ["tree-boundary", "unit-interval", "cantor-set"])
+def test_grid_ball_range_checks_leaf_and_level(kind):
+    ms = model_space(kind, 2, 4)
+    assert ms.grid_ball_range(0, 0) == (0, 16)
+    lo, hi = ms.grid_ball_range(15, 4)
+    assert lo <= 15 < hi == 16
+    for x, level in ((-1, 2), (16, 2), (3, -1), (3, 5)):
+        with pytest.raises(ValueError):
+            ms.grid_ball_range(x, level)
+
+
+@pytest.mark.parametrize("kind,b", [("tree-boundary", 2), ("tree-boundary", 3),
+                                    ("unit-interval", 2), ("cantor-set", 2)])
+def test_ball_bounds_are_distance_runs(kind, b):
+    # every kind: open and closed balls at every realized distance (0 too)
+    # are the runs {d < r} and {d <= r}; an empty ball is lo == hi
+    ms = model_space(kind, b, 4)
+    centers = np.arange(ms.n_leaves)
+    dm = ms.distance_matrix()
+    for x in centers:
+        assert all(ms.distance(x, y) == ms.distances_from(x)[y] == dm[x, y]
+                   for y in centers)
+    for r in np.unique(dm):
+        for closed in (False, True):
+            lo, hi = ms.ball_bounds(centers, float(r), closed=closed)
+            for x in centers:
+                inside = np.flatnonzero(dm[x] <= r if closed else dm[x] < r)
+                if inside.size:
+                    assert inside.tolist() == list(range(lo[x], hi[x]))
+                else:
+                    assert lo[x] == hi[x]
+    # a negative radius gives the empty ball in both conventions
+    for closed in (False, True):
+        lo, hi = ms.ball_bounds(centers, -0.5, closed=closed)
+        assert np.array_equal(lo, hi)
+
+
+def test_weights_are_a_frozen_copy():
+    base = np.ones(8)
+    ms = ModelSpace("tree-boundary", 2, 3, 0.5, base)
+    base[0] = 5.0
+    assert ms.weights[0] == 1.0 and ms.total_mass == 8.0
+    assert not ms.weights.flags.writeable
 
 
 def test_model_space_kind_validation():
@@ -125,20 +175,20 @@ def test_model_space_kind_validation():
         model_space("cantor-set", 2, 3, delta=0.5)   # needs gaps
 
 
-def test_lambda_map_values():
+def test_leaf_coordinates_values():
     mi = model_space("unit-interval", 2, 4)
-    assert lambda_map(mi, mi.tree.leaf_of((0, 0, 0, 0))) == 0.0
+    assert leaf_coordinates(mi)[mi.leaf_of((0, 0, 0, 0))] == 0.0
     mi2 = model_space("unit-interval", 2, 2)
-    assert lambda_map(mi2, mi2.tree.leaf_of((1, 0))) == pytest.approx(0.5)
+    assert leaf_coordinates(mi2)[mi2.leaf_of((1, 0))] == pytest.approx(0.5)
     mc = model_space("cantor-set", 2, 6)
     # all-ones path accumulates the geometric series of upper thirds
-    top = mc.tree.leaf_of((1,) * 6)
-    assert lambda_map(mc, top) == pytest.approx(sum(2 * 3.0**-k for k in range(1, 7)))
+    top = mc.leaf_of((1,) * 6)
+    assert leaf_coordinates(mc)[top] == pytest.approx(sum(2 * 3.0**-k for k in range(1, 7)))
     with pytest.raises(ValueError):
-        lambda_map(model_space("tree-boundary", 2, 3), 0)
+        leaf_coordinates(model_space("tree-boundary", 2, 3))
 
 
-def test_lambda_map_injective_order_preserving():
+def test_leaf_coordinates_injective_order_preserving():
     for kind in ("unit-interval", "cantor-set"):
         ms = model_space(kind, 3 if kind == "unit-interval" else 2, 4)
         coords = leaf_coordinates(ms)
@@ -158,7 +208,7 @@ def test_ahlfors_constants_canonical():
 
 def test_ahlfors_constants_ordering(rng):
     w = rng.random(64) + 0.5
-    ms = ModelSpace("tree-boundary", build_tree(2, 6, 0.5, w))
+    ms = ModelSpace("tree-boundary", 2, 6, 0.5, w)
     k1, k2 = ahlfors_constants(ms)
     assert 0 < k1 <= k2 < math.inf
 
@@ -200,12 +250,12 @@ def test_christ_recorded_constants(tree6, cantor6):
 
 def test_serialization_roundtrip(tmp_path, rng):
     w = rng.random(27) + 0.2
-    ms = ModelSpace("tree-boundary", build_tree(3, 3, 0.4, w), dimension=1.2)
+    ms = ModelSpace("tree-boundary", 3, 3, 0.4, w, dimension=1.2)
     path = tmp_path / "space.txt"
     dump_space(ms, path)
     back = load_space(path)
     assert back.kind == ms.kind
-    assert back.tree.branching == 3 and back.tree.depth == 3
-    assert back.tree.delta == ms.tree.delta
+    assert back.branching == 3 and back.depth == 3
+    assert back.delta == ms.delta
     assert back.dimension == ms.dimension
     assert np.array_equal(back.weights, ms.weights)
