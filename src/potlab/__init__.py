@@ -7,15 +7,15 @@ from .space import (ModelSpace, model_space, leaf_coordinates, ahlfors_constants
 from .kernel import (RadialKernel, kernel_value, convolve_naive, young_check,
                      lp_norm, kernel_operator, dyadic_riesz_potential,
                      dyadic_riesz_bounds)
-from .capacity import (CapacityProblem, CapacitySolution, solve_capacity,
-                       capacity_p2_exact, singleton_capacity, uniform_ball_capacity,
+from .capacity import (CapacitySolution, solve_capacity, capacity_p2_exact,
+                       singleton_capacity, uniform_ball_capacity,
                        tree_matching_radius, metric_matching_radius,
                        ball_capacity_profile, theoretical_profile_slope,
                        EnlargementRadius)
 from .quasiadd import (SeparatedFamily, ExperimentReport, tree_quasi_additivity_bound,
                        generate_separated_family, verify_separation,
-                       quasi_additivity_tree, quasi_additivity_ahlfors,
-                       family_target_sets, estimate_inflation, ahlfors_ratio_batch)
+                       quasi_additivity_report, family_target_sets,
+                       estimate_inflation, ahlfors_ratio_batch)
 from .poisson import (PoissonExtension, UpperHalfField, dyadic_heights,
                       maximal_function, exceedance_sets, harnack_constant,
                       harnack_check, exchange_ratio, exchange_band,

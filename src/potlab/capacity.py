@@ -49,23 +49,6 @@ def _solve_spd(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class CapacityProblem:
-    space: ModelSpace
-    kernel: RadialKernel
-    target: np.ndarray          # sorted unique leaf indices
-    p: float | None = None
-
-    def __post_init__(self):
-        self.target = np.unique(np.asarray(self.target, dtype=np.int64))
-        if self.target.size and (self.target[0] < 0 or self.target[-1] >= self.space.n_leaves):
-            raise ValueError("target leaves out of range")
-        if self.p is None:
-            self.p = self.kernel.p
-        if not (1.0 < self.p < math.inf):
-            raise ValueError("p must lie strictly between 1 and infinity")
-
-
-@dataclass
 class CapacitySolution:
     value: float
     density: np.ndarray         # feasible primal density f
@@ -75,11 +58,6 @@ class CapacitySolution:
     relative_gap: float
     iterations: int
     converged: bool
-
-
-def _empty_solution(n: int) -> CapacitySolution:
-    z = np.zeros(n)
-    return CapacitySolution(0.0, z, z.copy(), 0.0, 0.0, 0.0, 0, True)
 
 
 class _DualState:
@@ -118,27 +96,34 @@ def _scatter(values, idx, n):
     return out
 
 
+GAP_ACCEPT = 1e-3   # certified relative duality gap below which a solve is converged
+
+
 def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
                    p: float | None = None, tol: float = 1e-8,
-                   max_iters: int = 4000, gap_accept: float = 1e-3,
-                   polish: bool = True) -> CapacitySolution:
+                   max_iters: int = 4000) -> CapacitySolution:
     """Solve the capacity problem for a leaf subset.
 
     The result carries both sides: the least p-th moment density with
     potential >= 1 on the target, and the largest-mass measure on the
     target with unit-norm potential.  ``tol`` is the relative-objective
-    stall tolerance of the ascent phase, ``gap_accept`` the certified
-    duality gap below which the solution is flagged converged.  The Newton
-    polish usually lands far below it.
+    stall tolerance of the ascent phase and ``max_iters`` its iteration
+    cap; the Newton polish that follows usually lands the certified
+    duality gap far below ``GAP_ACCEPT``, the threshold for ``converged``.
+    An empty target has capacity 0.
     """
-    prob = CapacityProblem(space, kernel, np.asarray(target), p)
     n = space.n_leaves
-    E = prob.target
+    E = np.unique(np.asarray(target, dtype=np.int64))
+    if E.size and (E[0] < 0 or E[-1] >= n):
+        raise ValueError("target leaves out of range")
+    p = float(kernel.p if p is None else p)
+    if not (1.0 < p < math.inf):
+        raise ValueError("p must lie strictly between 1 and infinity")
     if E.size == 0:
-        return _empty_solution(n)
+        z = np.zeros(n)
+        return CapacitySolution(0.0, z, z.copy(), 0.0, 0.0, 0.0, 0, True)
     op = kernel_operator(kernel, space)
     w = space.weights
-    p = float(prob.p)
     ds = _DualState(op, w, E, p)
 
     if np.any(op.apply_function(np.ones(n))[E] <= 0.0):
@@ -188,9 +173,8 @@ def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
         else:
             stall = 0
 
-    if polish:
-        lam, state, extra = _newton_polish(ds, lam, state)
-        iterations += extra
+    lam, state, extra = _newton_polish(ds, lam, state)
+    iterations += extra
 
     dual, primal = ds.certificates(lam, state)
     gap = max((primal - dual) / primal, 0.0) if primal > 0 else 0.0
@@ -201,7 +185,7 @@ def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
     return CapacitySolution(
         value=primal, density=density, measure=measure,
         primal_value=primal, dual_value=dual, relative_gap=gap,
-        iterations=iterations, converged=gap <= gap_accept)
+        iterations=iterations, converged=gap <= GAP_ACCEPT)
 
 
 def _newton_polish(ds: _DualState, lam, state, max_rounds: int = 60):
@@ -371,16 +355,14 @@ _SYMMETRIC_CUTOVER = 2048   # solver handles targets up to this size comfortably
 
 
 def _range_capacity(space: ModelSpace, kernel: RadialKernel, p: float,
-                    lo: int, hi: int, **solver_opts) -> float:
+                    lo: int, hi: int) -> float:
     """Solver capacity of the leaf run [lo, hi), memoized on the space."""
-    key = ("range", kernel, p, lo, hi, tuple(sorted(solver_opts.items())))
-    return space._cached(key, lambda: solve_capacity(
-        space, kernel, np.arange(lo, hi), p=p, **solver_opts).value)
+    return space._cached(("range", kernel, p, lo, hi), lambda: solve_capacity(
+        space, kernel, np.arange(lo, hi), p=p).value)
 
 
 def grid_ball_capacity(space: ModelSpace, kernel: RadialKernel, p: float,
-                       x: int, level: int, method: str = "auto",
-                       **solver_opts) -> float:
+                       x: int, level: int, method: str = "auto") -> float:
     """Capacity of the closed grid ball of radius delta**level around x.
 
     ``method`` picks the computation: "solver" runs the general program,
@@ -393,11 +375,11 @@ def grid_ball_capacity(space: ModelSpace, kernel: RadialKernel, p: float,
     if method == "symmetric" or (method == "auto" and hi - lo > _SYMMETRIC_CUTOVER):
         return space._cached(("symmetric", kernel, p, lo, hi),
                              lambda: uniform_ball_capacity(space, kernel, p, x, level))
-    return _range_capacity(space, kernel, p, lo, hi, **solver_opts)
+    return _range_capacity(space, kernel, p, lo, hi)
 
 
 def tree_matching_radius(space: ModelSpace, kernel: RadialKernel, p: float,
-                         x: int, level: int, **solver_opts) -> EnlargementRadius:
+                         x: int, level: int) -> EnlargementRadius:
     """Half-step grid radius whose subtree mass meets the ball capacity.
 
     The scan runs from the finest subtree outward and returns the first
@@ -405,7 +387,7 @@ def tree_matching_radius(space: ModelSpace, kernel: RadialKernel, p: float,
     half-step radius grid.
     """
     r = space.grid_radius(level)
-    cap = grid_ball_capacity(space, kernel, p, x, level, **solver_opts)
+    cap = grid_ball_capacity(space, kernel, p, x, level)
     if cap > space.total_mass:
         return EnlargementRadius(x, r, math.inf, space.diameter, False)
     for m in range(space.depth, -1, -1):
@@ -416,8 +398,7 @@ def tree_matching_radius(space: ModelSpace, kernel: RadialKernel, p: float,
 
 
 def metric_matching_radius(space: ModelSpace, kernel: RadialKernel, p: float,
-                           x: int, r: float, closed: bool = False,
-                           **solver_opts) -> EnlargementRadius:
+                           x: int, r: float, closed: bool = False) -> EnlargementRadius:
     """Infimal radius R with mass(B(x, R)) >= capacity(B(x, r)).
 
     The mass of B(x, R) is a step function jumping at realized distances,
@@ -426,7 +407,7 @@ def metric_matching_radius(space: ModelSpace, kernel: RadialKernel, p: float,
     closed convention used on the radius grid.
     """
     lo, hi = space.ball_bounds(np.array([x]), r, closed=closed)
-    cap = _range_capacity(space, kernel, p, int(lo[0]), int(hi[0]), **solver_opts)
+    cap = _range_capacity(space, kernel, p, int(lo[0]), int(hi[0]))
     if cap > space.total_mass:
         return EnlargementRadius(x, r, math.inf, space.diameter, False)
     dists = space.distances_from(x)
@@ -463,12 +444,10 @@ def theoretical_profile_slope(dimension: float, p: float, s: float) -> float:
 
 
 def ball_capacity_profile(space: ModelSpace, kernel: RadialKernel, p: float,
-                          x: int, levels, method: str = "auto",
-                          **solver_opts) -> BallCapacityProfile:
+                          x: int, levels, method: str = "auto") -> BallCapacityProfile:
     levels = np.asarray(sorted(levels), dtype=int)
     radii = np.array([space.grid_radius(int(n)) for n in levels])
-    caps = np.array([grid_ball_capacity(space, kernel, p, x, int(n),
-                                        method=method, **solver_opts)
+    caps = np.array([grid_ball_capacity(space, kernel, p, x, int(n), method=method)
                      for n in levels])
     slope = None
     if levels.size >= 2 and np.all(caps > 0):

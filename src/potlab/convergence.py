@@ -23,7 +23,7 @@ import numpy as np
 
 from .capacity import metric_matching_radius, solve_capacity
 from .kernel import RadialKernel, kernel_operator, lp_norm
-from .poisson import PoissonExtension, _union_of_balls, exceedance_sets
+from .poisson import PoissonExtension, ball_slab, exceedance_sets
 from .space import ModelSpace
 
 REGION_KINDS = ("nontangential", "capacity", "polynomial", "exponential")
@@ -85,23 +85,21 @@ class ThinSetReport:
     thin_tol: float
 
 
+def _below(slab: np.ndarray, heights, t: float | None) -> np.ndarray:
+    """OR of the slab columns at heights below t (all columns when t is None)."""
+    heights = np.asarray(heights, dtype=float)
+    return slab[:, heights < t].any(axis=1) if t is not None else slab.any(axis=1)
+
+
 def shadow_mask(space: ModelSpace, over: np.ndarray, heights: np.ndarray,
                 t: float | None = None) -> np.ndarray:
     """Union of balls B(x, y) over grid cells of ``over`` (below t if given)."""
-    mask = np.zeros(space.n_leaves, dtype=bool)
-    for h, y in enumerate(heights):
-        if t is not None and not y < t:
-            continue
-        centers = np.flatnonzero(over[:, h])
-        if centers.size:
-            mask |= _union_of_balls(space, centers, float(y))
-    return mask
+    return _below(ball_slab(space, over, heights), heights, t)
 
 
 def thinness_decay(space: ModelSpace, kernel: RadialKernel, p: float,
                    over: np.ndarray, heights: np.ndarray,
-                   t_grid=None, thin_tol: float = 1e-3,
-                   **solver_opts) -> ThinSetReport:
+                   t_grid=None, thin_tol: float = 1e-3) -> ThinSetReport:
     """Capacity of the ball shadow of the sub-t part of a grid set, per t.
 
     The shadows shrink with t, so the capacities are non-increasing as t
@@ -110,12 +108,9 @@ def thinness_decay(space: ModelSpace, kernel: RadialKernel, p: float,
     if t_grid is None:
         t_grid = np.asarray(heights, dtype=float)
     t_grid = np.sort(np.asarray(t_grid, dtype=float))[::-1]
-    caps = []
-    for t in t_grid:
-        leaves = np.flatnonzero(shadow_mask(space, over, heights, t=float(t)))
-        caps.append(solve_capacity(space, kernel, leaves, p=p, **solver_opts).value
-                    if leaves.size else 0.0)
-    caps = np.asarray(caps)
+    slab = ball_slab(space, over, heights)
+    shadows = [np.flatnonzero(_below(slab, heights, t)) for t in t_grid]
+    caps = np.array([solve_capacity(space, kernel, leaves, p=p).value for leaves in shadows])
     return ThinSetReport(t_grid, caps, bool(caps[-1] < thin_tol), thin_tol)
 
 
@@ -141,7 +136,7 @@ def _distance_to_outside(space: ModelSpace, inside: np.ndarray) -> np.ndarray:
 
 
 def enlarged_set(space: ModelSpace, kernel: RadialKernel, p: float,
-                 members, factor: float = 1.0, **solver_opts) -> EnlargedSet:
+                 members, factor: float = 1.0) -> EnlargedSet:
     """Union of capacity-matched balls around a leaf set.
 
     Each point is inflated to ``factor`` times the matching radius of its
@@ -160,13 +155,12 @@ def enlarged_set(space: ModelSpace, kernel: RadialKernel, p: float,
     out = mask.copy()
     sentinels = 0
     for x in np.flatnonzero(mask):
-        er = metric_matching_radius(space, kernel, p, int(x), float(gaps[x]),
-                                    **solver_opts)
+        er = metric_matching_radius(space, kernel, p, int(x), float(gaps[x]))
         if not er.exists:
             sentinels += 1
         lo, hi = space.ball_bounds(np.array([x]), factor * er.star, closed=False)
         out[int(lo[0]):int(hi[0])] = True
-    cap = solve_capacity(space, kernel, np.flatnonzero(mask), p=p, **solver_opts).value
+    cap = solve_capacity(space, kernel, np.flatnonzero(mask), p=p).value
     mass = float(space.weights[out].sum())
     return EnlargedSet(out, mass, cap, mass / cap if cap > 0 else math.inf, sentinels)
 
@@ -231,13 +225,10 @@ def shadow_covering_check(space: ModelSpace, over: np.ndarray,
 
 
 def exceptional_capacity_bound(ext: PoissonExtension, kernel: RadialKernel,
-                               p: float, f: np.ndarray, eps: float,
-                               **solver_opts):
+                               p: float, f: np.ndarray, eps: float):
     """Capacity of the exceedance shadow against (norm(f)/eps)**p."""
-    sets = exceedance_sets(ext, kernel, f, eps)
-    leaves = sets.star_leaves()
-    cap = (solve_capacity(ext.space, kernel, leaves, p=p, **solver_opts).value
-           if leaves.size else 0.0)
+    leaves = exceedance_sets(ext, kernel, f, eps).star_leaves()
+    cap = solve_capacity(ext.space, kernel, leaves, p=p).value
     bound = (lp_norm(f, ext.space.weights, p) / eps) ** p
     return cap, bound, cap / bound if bound > 0 else 0.0
 
@@ -269,7 +260,7 @@ def _coarse_mean(space: ModelSpace, values: np.ndarray, level: int) -> np.ndarra
 def approximation_split(ext: PoissonExtension, kernel: RadialKernel, p: float,
                         f: np.ndarray, delta_target: float,
                         n_levels: int = 6, eps_grid=(0.2, 0.1, 0.05),
-                        max_rounds: int = 40, **solver_opts) -> SplitResult:
+                        max_rounds: int = 40) -> SplitResult:
     """Split off small-capacity exceptional sets outside which the extended
     potential is uniformly close to the boundary potential.
 
@@ -314,10 +305,8 @@ def approximation_split(ext: PoissonExtension, kernel: RadialKernel, p: float,
                 grid |= ext.field(pot).values > thr
                 bad |= pot >= thr
         shadow = shadow_mask(space, grid, ext.heights)
-        cap_shadow = (solve_capacity(space, kernel, np.flatnonzero(shadow),
-                                     p=p, **solver_opts).value if shadow.any() else 0.0)
-        cap_bad = (solve_capacity(space, kernel, np.flatnonzero(bad),
-                                  p=p, **solver_opts).value if bad.any() else 0.0)
+        cap_shadow = solve_capacity(space, kernel, np.flatnonzero(shadow), p=p).value
+        cap_bad = solve_capacity(space, kernel, np.flatnonzero(bad), p=p).value
         ok = cap_shadow < delta_target and cap_bad < delta_target
         if ok:
             break
@@ -398,8 +387,7 @@ class ConvergenceTable:
 
 def _experiment(ext: PoissonExtension, kernel: RadialKernel, p: float,
                 f: np.ndarray, x0_sample, make_region, t_grid, tol,
-                split: SplitResult, track_bad_mass: bool,
-                **solver_opts) -> ConvergenceTable:
+                split: SplitResult, track_bad_mass: bool) -> ConvergenceTable:
     space = ext.space
     heights = ext.heights
     pot = kernel_operator(kernel, space).apply_function(np.asarray(f, dtype=float))
@@ -459,7 +447,12 @@ def _bad_set_masses(ext, kernel, p, make_region, excluded, t_grid):
     heights = ext.heights
     out = []
     probe = make_region(0)
-    uniform_width = probe.kind in ("nontangential", "polynomial", "exponential")
+    if probe.kind != "capacity":
+        # the width is the same at every center: one slab serves every t
+        slab = ball_slab(space, excluded, [region_radius(space, kernel, p, probe, float(y))
+                                           for y in heights])
+        return [(float(t), float(space.weights[_below(slab, heights, t)].sum()))
+                for t in t_grid]
     for t in t_grid:
         mask = np.zeros(space.n_leaves, dtype=bool)
         for h, y in enumerate(heights):
@@ -468,19 +461,14 @@ def _bad_set_masses(ext, kernel, p, make_region, excluded, t_grid):
             centers = np.flatnonzero(excluded[:, h])
             if centers.size == 0:
                 continue
-            if uniform_width:
-                rad = region_radius(space, kernel, p, probe, float(y))
-                if rad > 0:
-                    mask |= _union_of_balls(space, centers, rad)
-            else:
-                for x0 in range(space.n_leaves):
-                    if mask[x0]:
-                        continue
-                    region = make_region(x0)
-                    rad = region_radius(space, kernel, p, region, float(y))
-                    d = space.distances_from(x0)[centers]
-                    if np.any(d < rad):
-                        mask[x0] = True
+            for x0 in range(space.n_leaves):
+                if mask[x0]:
+                    continue
+                region = make_region(x0)
+                rad = region_radius(space, kernel, p, region, float(y))
+                d = space.distances_from(x0)[centers]
+                if np.any(d < rad):
+                    mask[x0] = True
         out.append((float(t), float(space.weights[mask].sum())))
     return out
 
@@ -488,14 +476,13 @@ def _bad_set_masses(ext, kernel, p, make_region, excluded, t_grid):
 def nontangential_experiment(ext: PoissonExtension, kernel: RadialKernel, p: float,
                              f: np.ndarray, x0_sample, t_grid=None,
                              tol: float = 0.02, delta_target: float = 0.05,
-                             split: SplitResult | None = None,
-                             **solver_opts) -> ConvergenceTable:
+                             split: SplitResult | None = None) -> ConvergenceTable:
     """Worst deviation from the boundary potential inside shrinking cones."""
     if split is None:
-        split = approximation_split(ext, kernel, p, f, delta_target, **solver_opts)
+        split = approximation_split(ext, kernel, p, f, delta_target)
     return _experiment(ext, kernel, p, f, x0_sample,
                        lambda x0: ApproachRegion(x0, "nontangential"),
-                       t_grid, tol, split, track_bad_mass=False, **solver_opts)
+                       t_grid, tol, split, track_bad_mass=False)
 
 
 def tangential_experiment(ext: PoissonExtension, kernel: RadialKernel, p: float,
@@ -503,8 +490,7 @@ def tangential_experiment(ext: PoissonExtension, kernel: RadialKernel, p: float,
                           t_grid=None, tol: float = 0.05, delta_target: float = 0.05,
                           scale: float = 1.0, exponent: float | None = None,
                           inflation: float = 1.0,
-                          split: SplitResult | None = None,
-                          **solver_opts) -> ConvergenceTable:
+                          split: SplitResult | None = None) -> ConvergenceTable:
     """Same deviation sup over wider-than-cone contact regions.
 
     The default polynomial exponent p * (s - 1/p') is the width of the
@@ -515,7 +501,7 @@ def tangential_experiment(ext: PoissonExtension, kernel: RadialKernel, p: float,
     if region_kind not in TANGENTIAL_KINDS:
         raise ValueError(f"tangential regions are {', '.join(TANGENTIAL_KINDS)}")
     if split is None:
-        split = approximation_split(ext, kernel, p, f, delta_target, **solver_opts)
+        split = approximation_split(ext, kernel, p, f, delta_target)
     if exponent is None:
         pp = p / (p - 1.0)
         exponent = p * (kernel.s - 1.0 / pp)
@@ -528,4 +514,4 @@ def tangential_experiment(ext: PoissonExtension, kernel: RadialKernel, p: float,
         return ApproachRegion(x0, "exponential", scale=scale)
 
     return _experiment(ext, kernel, p, f, x0_sample, make_region,
-                       t_grid, tol, split, track_bad_mass=True, **solver_opts)
+                       t_grid, tol, split, track_bad_mass=True)

@@ -35,9 +35,6 @@ class UpperHalfField:
     heights: np.ndarray          # decreasing, all in (0, diam]
     values: np.ndarray           # (n_leaves, n_heights)
 
-    def at_height(self, h: int) -> np.ndarray:
-        return self.values[:, h]
-
 
 class PoissonExtension:
     """Grid machinery for one model space; immutable and reusable."""
@@ -162,15 +159,22 @@ class ExceedanceSets:
         return np.flatnonzero(self.star)
 
 
-def _union_of_balls(space: ModelSpace, centers: np.ndarray, r: float) -> np.ndarray:
-    mask = np.zeros(space.n_leaves, dtype=bool)
-    if centers.size == 0:
-        return mask
-    lo, hi = space.ball_bounds(centers, r, closed=False)
-    bump = np.zeros(space.n_leaves + 1)
-    np.add.at(bump, lo, 1.0)
-    np.add.at(bump, hi, -1.0)
-    return np.cumsum(bump[:-1]) > 0
+def ball_slab(space: ModelSpace, cells: np.ndarray, radii) -> np.ndarray:
+    """(n, H) bool: column h is the union of the open balls B(x, radii[h])
+    over the leaves x marked in ``cells[:, h]`` (empty where the radius is
+    not positive).  OR-ing columns gives the shadow of any set of heights."""
+    n = space.n_leaves
+    slab = np.zeros(cells.shape, dtype=bool)
+    for h, r in enumerate(radii):
+        centers = np.flatnonzero(cells[:, h])
+        if centers.size == 0 or not r > 0:
+            continue
+        lo, hi = space.ball_bounds(centers, float(r), closed=False)
+        bump = np.zeros(n + 1)
+        np.add.at(bump, lo, 1.0)
+        np.add.at(bump, hi, -1.0)
+        slab[:, h] = np.cumsum(bump[:-1]) > 0
+    return slab
 
 
 def exceedance_sets(ext: PoissonExtension, kernel: RadialKernel, f: np.ndarray,
@@ -187,15 +191,8 @@ def exceedance_sets(ext: PoissonExtension, kernel: RadialKernel, f: np.ndarray,
         pot = kernel_operator(kernel, ext.space).apply_function(np.asarray(f, dtype=float))
         field = ext.field(pot)
     over = field.values > eps
-    n, nh = over.shape
-    star = np.zeros(n, dtype=bool)
-    slab = np.zeros((n, nh), dtype=bool)
-    for h in range(nh):
-        centers = np.flatnonzero(over[:, h])
-        row = _union_of_balls(ext.space, centers, float(ext.heights[h]))
-        slab[:, h] = row
-        star |= row
-    return ExceedanceSets(ext.heights, over, star, slab)
+    slab = ball_slab(ext.space, over, ext.heights)
+    return ExceedanceSets(ext.heights, over, slab.any(axis=1), slab)
 
 
 # -- calibrated comparisons ----------------------------------------------------

@@ -80,8 +80,7 @@ def generate_separated_family(space: ModelSpace, kernel: RadialKernel, p: float,
                               count: int, seed: int, mode: str = "tree",
                               inflation: float = 1.0, radius_margin: float = 1.0,
                               level_range: tuple | None = None,
-                              max_attempts: int | None = None,
-                              **solver_opts) -> SeparatedFamily:
+                              max_attempts: int | None = None) -> SeparatedFamily:
     """Greedy seeded sampler of balls with disjoint enlargements."""
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -103,7 +102,7 @@ def generate_separated_family(space: ModelSpace, kernel: RadialKernel, p: float,
         level = int(rng.integers(lo_lvl, hi_lvl + 1))
         r = space.grid_radius(level)
         if mode == "tree":
-            er = tree_matching_radius(space, kernel, p, x, level, **solver_opts)
+            er = tree_matching_radius(space, kernel, p, x, level)
             if not er.exists:
                 fam.skipped += 1
                 continue
@@ -112,7 +111,7 @@ def generate_separated_family(space: ModelSpace, kernel: RadialKernel, p: float,
             lo, hi = space.subtree_range(x, enlarged_level)
         else:
             er = metric_matching_radius(space, kernel, p, x, radius_margin * r,
-                                        closed=True, **solver_opts)
+                                        closed=True)
             if not er.exists:
                 fam.skipped += 1
                 continue
@@ -173,51 +172,39 @@ class ExperimentReport:
     UPPER_SLACK = 1e-6
 
 
-def _solve_family(space, kernel, p, family, sets, **solver_opts):
+def quasi_additivity_report(space: ModelSpace, kernel: RadialKernel, p: float,
+                            family: SeparatedFamily, sets) -> ExperimentReport:
+    """Ratio of summed to joint capacity of target sets inside a family's balls.
+
+    Subadditivity gives the lower end everywhere.  A tree family is also
+    checked against the provable tree bound; on an embedded space the
+    converse constant is not computable, so the ratio is only recorded
+    (the batch helpers check its stability).
+    """
+    cert = verify_separation(space, family)
+    if not cert.ok:
+        raise ValueError(f"family enlargements overlap: {cert.violations}")
     for j, target in enumerate(sets):
         lo, hi = family.ball_range(space, j)
         t = np.asarray(target)
         if t.size and (t.min() < lo or t.max() >= hi):
             raise ValueError(f"target set {j} is not contained in its ball")
-    caps = [solve_capacity(space, kernel, t, p=p, **solver_opts).value for t in sets]
+    caps = [solve_capacity(space, kernel, t, p=p).value for t in sets]
     union = np.unique(np.concatenate([np.asarray(t) for t in sets]))
-    union_cap = solve_capacity(space, kernel, union, p=p, **solver_opts).value
-    return caps, union_cap
-
-
-def quasi_additivity_tree(space: ModelSpace, kernel: RadialKernel, p: float,
-                          family: SeparatedFamily, sets, **solver_opts) -> ExperimentReport:
-    """Ratio of summed to joint capacity against the provable tree bound."""
-    cert = verify_separation(space, family)
-    if not cert.ok:
-        raise ValueError(f"family enlargements overlap: {cert.violations}")
-    caps, union_cap = _solve_family(space, kernel, p, family, sets, **solver_opts)
-    ratio = sum(caps) / union_cap if union_cap > 0 else 1.0
-    bound = tree_quasi_additivity_bound(kernel_operator(kernel, space).norm_1(), p)
-    passed = (ratio >= 1.0 - ExperimentReport.LOWER_SLACK
-              and ratio <= bound * (1.0 + ExperimentReport.UPPER_SLACK))
-    return ExperimentReport("tree", len(family), p, sum(caps), union_cap,
-                            ratio, bound, passed, caps)
-
-
-def quasi_additivity_ahlfors(space: ModelSpace, kernel: RadialKernel, p: float,
-                             family: SeparatedFamily, sets, **solver_opts) -> ExperimentReport:
-    """Same ratio on an embedded space; only subadditivity is checkable,
-    the converse constant is recorded empirically by the batch helpers."""
-    cert = verify_separation(space, family)
-    if not cert.ok:
-        raise ValueError(f"family enlargements overlap: {cert.violations}")
-    caps, union_cap = _solve_family(space, kernel, p, family, sets, **solver_opts)
+    union_cap = solve_capacity(space, kernel, union, p=p).value
     ratio = sum(caps) / union_cap if union_cap > 0 else 1.0
     passed = ratio >= 1.0 - ExperimentReport.LOWER_SLACK
-    return ExperimentReport("ahlfors", len(family), p, sum(caps), union_cap,
-                            ratio, None, passed, caps)
+    bound = None
+    if family.mode == "tree":
+        bound = tree_quasi_additivity_bound(kernel_operator(kernel, space).norm_1(), p)
+        passed = passed and ratio <= bound * (1.0 + ExperimentReport.UPPER_SLACK)
+    return ExperimentReport(family.mode, len(family), p, sum(caps), union_cap,
+                            ratio, bound, passed, caps)
 
 
 def ahlfors_ratio_batch(space: ModelSpace, s: float, p: float, seeds,
                         count: int = 4, inflation: float = 1.0,
-                        radius_margin: float = 1.0, shape: str = "ball",
-                        **solver_opts) -> list:
+                        radius_margin: float = 1.0, shape: str = "ball") -> list:
     """Empirical quasi-additivity ratios over a seeded batch of families."""
     kernel = RadialKernel("riesz", s=s, p=p)
     ratios = []
@@ -226,12 +213,11 @@ def ahlfors_ratio_batch(space: ModelSpace, s: float, p: float, seeds,
             warnings.simplefilter("ignore")
             fam = generate_separated_family(
                 space, kernel, p, count, seed, mode="ahlfors",
-                inflation=inflation, radius_margin=radius_margin, **solver_opts)
+                inflation=inflation, radius_margin=radius_margin)
         if len(fam) == 0:
             continue
         sets = family_target_sets(space, fam, shape, seed)
-        report = quasi_additivity_ahlfors(space, kernel, p, fam, sets, **solver_opts)
-        ratios.append(report.ratio)
+        ratios.append(quasi_additivity_report(space, kernel, p, fam, sets).ratio)
     return ratios
 
 
@@ -241,7 +227,7 @@ INFLATION_GRID = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
 def estimate_inflation(space: ModelSpace, s: float, p: float,
                        radius_margin: float = 1.0, seeds=range(10),
                        count: int = 4, grid=INFLATION_GRID,
-                       stability: float = 0.05, **solver_opts) -> float:
+                       stability: float = 0.05) -> float:
     """Smallest grid inflation whose batch max ratio has stabilized.
 
     Stabilized means the max ratio moves by less than ``stability`` when
@@ -254,8 +240,7 @@ def estimate_inflation(space: ModelSpace, s: float, p: float,
     maxima = []
     for psi in grid:
         ratios = ahlfors_ratio_batch(space, s, p, seeds, count=count,
-                                     inflation=psi, radius_margin=radius_margin,
-                                     **solver_opts)
+                                     inflation=psi, radius_margin=radius_margin)
         maxima.append(max(ratios) if ratios else 1.0)
     for i in range(len(grid) - 1):
         if abs(maxima[i + 1] - maxima[i]) < stability * maxima[i]:

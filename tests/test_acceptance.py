@@ -21,7 +21,7 @@ from potlab.poisson import (PoissonExtension, exceedance_sets, exchange_band,
                             exchange_ratio, harnack_check, harnack_constant,
                             lipschitz_profile)
 from potlab.quasiadd import (family_target_sets, generate_separated_family,
-                             quasi_additivity_tree, tree_quasi_additivity_bound)
+                             quasi_additivity_report, tree_quasi_additivity_bound)
 from potlab.space import model_space
 
 
@@ -122,7 +122,7 @@ def test_criterion_4_tree_quasi_additivity():
             warnings.simplefilter("ignore")   # short families are fine here
             fam = generate_separated_family(ms, kernel, 2.0, count, seed)
         sets = family_target_sets(ms, fam, shapes[seed % 3], seed)
-        rep = quasi_additivity_tree(ms, kernel, 2.0, fam, sets)
+        rep = quasi_additivity_report(ms, kernel, 2.0, fam, sets)
         worst_ratio = max(worst_ratio, rep.ratio)
         if not (1.0 - 1e-9 <= rep.ratio <= bound * (1.0 + 1e-6)):
             failures += 1

@@ -177,11 +177,14 @@ def test_kernel_scaling_exact(tree6, rng):
         assert v2 == pytest.approx(c**-p * v1, rel=1e-9)
 
 
-def test_nonconvergence_flag(tree6):
-    sol = solve_capacity(tree6, RIESZ, np.arange(40), max_iters=1, polish=False,
-                         gap_accept=1e-12)
+def test_nonconvergence_flag():
+    # one ascent step leaves the polish far from optimal on a spread-out target
+    space = model_space("unit-interval", 2, 7)
+    target = np.arange(0, 128, 3)
+    sol = solve_capacity(space, RIESZ, target, p=1.5, max_iters=1)
+    assert sol.relative_gap > capacity.GAP_ACCEPT
     assert not sol.converged
-    assert sol.iterations <= 1
+    assert solve_capacity(space, RIESZ, target, p=1.5).converged
 
 
 # -- matching radii -------------------------------------------------------------
@@ -265,8 +268,6 @@ def test_ball_capacity_memo_solves_once(monkeypatch):
     metric_matching_radius(shared, RIESZ, 2.0, 21, 0.5**3, closed=True)
     metric_matching_radius(shared, RIESZ, 2.0, 21, 0.5**3, closed=True)
     assert len(calls) == 1
-    grid_ball_capacity(shared, RIESZ, 2.0, 21, 3, tol=1e-9)
-    assert len(calls) == 2
 
 
 def test_metric_matching_radius_scan_oracle(tree6):

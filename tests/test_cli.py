@@ -1,8 +1,8 @@
 import configparser
+import csv
 import io
 import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -52,9 +52,8 @@ def config(tmp_path):
 
 
 def read_csv(path):
-    lines = Path(path).read_text().splitlines()
-    header = lines[0].split(",")
-    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def test_space_info(config, tmp_path, capsys):
@@ -97,6 +96,19 @@ def test_full_suite_fast_and_passing(config, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 7
     assert manifest["command"] == "full-suite"
+
+
+def test_full_suite_csvs_parse_to_header_width(config, tmp_path):
+    # the set:1,2,5,40 target label holds commas, so its field must be quoted
+    out = tmp_path / "suite"
+    assert main(["full-suite", "--config", str(config), "--out", str(out)]) == 0
+    for path in sorted(out.glob("*.csv")):
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows, path.name
+        assert all(len(row) == len(header) for row in rows), path.name
+    labels = [r["set_id"] for r in read_csv(out / "capacity.csv")]
+    assert labels == ["singleton:7", "ball:13:3", "set:1,2,5,40"]
 
 
 def test_full_suite_deterministic(config, tmp_path):
@@ -158,6 +170,10 @@ def mutate(mutation: str) -> str:
     ("[quasiadd] mode = nosuch", "mode"),
     ("[quasiadd] shapes = ball,cube", "shapes"),
     ("[quasiadd] count = 0", "count"),
+    ("[quasiadd] seeds = 0", "seeds"),
+    ("[capacity] max_iters = 0", "max_iters"),
+    ("[capacity] tol = 0", "tol must be positive"),
+    ("[capacity] tol = -1e-8", "tol must be positive"),
     ("[converge] region = nontangential", "region"),
     ("[poisson] profile = nosuch", "profile"),
     ("[converge] profile = nosuch", "profile"),
@@ -217,6 +233,20 @@ def test_tree_quasiadd_needs_tree_boundary(tmp_path, capsys, subcommand, code):
     if code == 2:
         assert err.startswith("error kind=config") and err.count("\n") == 1
         assert "tree-boundary" in err
+
+
+def test_quasiadd_without_experiments_does_not_pass(tmp_path, capsys):
+    # a tiny kernel gives every ball a capacity above the total mass, so no
+    # ball has an enlargement and every family comes out empty
+    cfg = tmp_path / "tiny.ini"
+    cfg.write_text(mutate("[kernel] kind = radial; [kernel] levels = "
+                          + ",".join(["1e-3"] * 7)))
+    out = tmp_path / "out"
+    assert main(["quasiadd", "--config", str(cfg), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "experiments = 0" in printed
+    assert "all_passed = false" in printed
+    assert read_csv(out / "quasiadd.csv") == []
 
 
 def test_missing_config_rejected(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from potlab.convergence import closeness_modulus
 from potlab.kernel import RadialKernel, kernel_operator, lp_norm
-from potlab.poisson import (PoissonExtension, dyadic_heights, exceedance_sets,
+from potlab.poisson import (PoissonExtension, ball_slab, dyadic_heights, exceedance_sets,
                             exchange_band, exchange_ratio, harnack_check,
                             harnack_constant, lipschitz_profile,
                             maximal_function)
@@ -206,6 +206,20 @@ def test_exceedance_star_two_ways(tree6):
                 if tree6.distance(int(x), z) < y:
                     expected[z] = True
     assert np.array_equal(sets.star, expected)
+
+
+@pytest.mark.parametrize("kind", ["tree-boundary", "cantor-set"])
+def test_ball_slab_matches_naive_scan(kind, rng):
+    # column h is the union of the open balls B(x, radii[h]) over its cells
+    space = model_space(kind, 2, 6)
+    radii = [0.5, 0.3, 0.1, 0.02, 0.0]
+    cells = rng.random((64, len(radii))) < 0.05
+    cells[:, -1] = True
+    expected = np.zeros_like(cells)
+    for h, r in enumerate(radii):
+        for x in np.flatnonzero(cells[:, h]):
+            expected[:, h] |= space.distances_from(int(x)) < r
+    assert np.array_equal(ball_slab(space, cells, radii), expected)
 
 
 def test_exceedance_monotone_in_eps(tree6, rng):

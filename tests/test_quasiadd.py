@@ -7,9 +7,8 @@ from potlab.capacity import singleton_capacity, solve_capacity
 from potlab.kernel import RadialKernel, kernel_operator
 from potlab.quasiadd import (ahlfors_ratio_batch, estimate_inflation,
                              family_target_sets, generate_separated_family,
-                             quasi_additivity_ahlfors, quasi_additivity_tree,
-                             tree_quasi_additivity_bound, verify_separation,
-                             SeparatedFamily)
+                             quasi_additivity_report, tree_quasi_additivity_bound,
+                             verify_separation, SeparatedFamily)
 
 RIESZ = RadialKernel("riesz", s=0.75, p=2.0)
 
@@ -26,8 +25,8 @@ def test_bound_formula_values():
 def test_single_ball_ratio_is_one(tree8):
     fam = generate_separated_family(tree8, RIESZ, 2.0, 1, seed=3)
     assert len(fam) == 1
-    rep = quasi_additivity_tree(tree8, RIESZ, 2.0, fam,
-                                family_target_sets(tree8, fam, "ball"))
+    rep = quasi_additivity_report(tree8, RIESZ, 2.0, fam,
+                                  family_target_sets(tree8, fam, "ball"))
     assert rep.ratio == pytest.approx(1.0)
     assert rep.passed
 
@@ -46,8 +45,8 @@ def test_overlapping_family_detected(tree8):
     assert not cert.ok
     assert (0, 1) in cert.violations
     with pytest.raises(ValueError):
-        quasi_additivity_tree(tree8, RIESZ, 2.0, fam,
-                              family_target_sets(tree8, fam, "ball"))
+        quasi_additivity_report(tree8, RIESZ, 2.0, fam,
+                                family_target_sets(tree8, fam, "ball"))
 
 
 def test_exhaustion_warns(tree6):
@@ -63,7 +62,7 @@ def test_tree_experiment_shapes(tree8):
         fam = generate_separated_family(tree8, RIESZ, 2.0, 4, seed)
         for shape in ("ball", "singleton", "half"):
             sets = family_target_sets(tree8, fam, shape, seed)
-            rep = quasi_additivity_tree(tree8, RIESZ, 2.0, fam, sets)
+            rep = quasi_additivity_report(tree8, RIESZ, 2.0, fam, sets)
             assert rep.passed
             assert 1.0 - 1e-9 <= rep.ratio <= bound * (1 + 1e-6)
             if shape == "singleton":
@@ -81,8 +80,8 @@ def test_tree_bound_across_exponents(tree8, p, s):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")   # short families are still valid
             fam = generate_separated_family(tree8, kernel, p, 4, seed)
-        rep = quasi_additivity_tree(tree8, kernel, p, fam,
-                                    family_target_sets(tree8, fam, "half", seed))
+        rep = quasi_additivity_report(tree8, kernel, p, fam,
+                                      family_target_sets(tree8, fam, "half", seed))
         assert rep.passed
         assert 1.0 - 1e-9 <= rep.ratio <= bound * (1 + 1e-6)
 
@@ -92,7 +91,7 @@ def test_target_outside_ball_rejected(tree8):
     sets = family_target_sets(tree8, fam, "ball")
     sets[0] = np.array([(sets[0][0] + 128) % 256])
     with pytest.raises(ValueError):
-        quasi_additivity_tree(tree8, RIESZ, 2.0, fam, sets)
+        quasi_additivity_report(tree8, RIESZ, 2.0, fam, sets)
 
 
 def test_subadditivity_lower_bound_any_family(tree6, rng):
@@ -111,8 +110,8 @@ def test_scaling_leaves_verdict_unchanged(tree8):
     k3 = k1.scaled(3.0)
     fam = generate_separated_family(tree8, k1, 2.0, 4, seed=11)
     sets = family_target_sets(tree8, fam, "ball")
-    r1 = quasi_additivity_tree(tree8, k1, 2.0, fam, sets)
-    r3 = quasi_additivity_tree(tree8, k3, 2.0, fam, sets)
+    r1 = quasi_additivity_report(tree8, k1, 2.0, fam, sets)
+    r3 = quasi_additivity_report(tree8, k3, 2.0, fam, sets)
     assert r1.ratio == pytest.approx(r3.ratio, rel=1e-8)
     assert r3.bound == pytest.approx(
         tree_quasi_additivity_bound(3.0 * kernel_operator(k1, tree8).norm_1(), 2.0))
@@ -129,8 +128,8 @@ def test_ahlfors_single_ball(cantor6):
     k = RadialKernel("riesz", s=0.8, p=2.0)
     fam = generate_separated_family(cantor6, k, 2.0, 1, seed=5, mode="ahlfors",
                                     inflation=1.5)
-    rep = quasi_additivity_ahlfors(cantor6, k, 2.0, fam,
-                                   family_target_sets(cantor6, fam, "ball"))
+    rep = quasi_additivity_report(cantor6, k, 2.0, fam,
+                                  family_target_sets(cantor6, fam, "ball"))
     assert rep.ratio == pytest.approx(1.0)
     assert rep.bound is None
 
