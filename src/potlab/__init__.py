@@ -7,7 +7,7 @@ from .space import (ModelSpace, model_space, leaf_coordinates, ahlfors_constants
 from .kernel import (RadialKernel, kernel_value, convolve_naive, young_check,
                      lp_norm, kernel_operator, dyadic_riesz_potential,
                      dyadic_riesz_bounds)
-from .capacity import (CapacitySolution, solve_capacity, capacity_p2_exact,
+from .capacity import (CapacitySolution, solve_capacity, capacity_value, capacity_p2_exact,
                        singleton_capacity, uniform_ball_capacity,
                        tree_matching_radius, metric_matching_radius,
                        ball_capacity_profile, theoretical_profile_slope,

@@ -9,9 +9,14 @@ conjugate norm at most 1: the smooth concave surrogate
 
 has gradient 1 - K*g with g = (K*lam / p)**(p' - 1), so its stationary
 points are exactly the equilibrium states where the potential of g is 1 on
-the support.  Projected gradient ascent with spectral steps finds the
-support; a Newton polish on the active coordinates then drives the
-stationarity residual to machine precision.
+the support.  One two-metric projected Newton phase (Bertsekas 1982) solves
+it from the best multiple of the uniform measure: leaves at or near 0 with
+a negative gradient are moved to 0, the others take a Newton step on the
+Hessian K_F diag(w g') K_F^T, and a projected Armijo search along the step
+lets many leaves enter or leave the support in one round.  It stops when
+the projected-gradient residual reaches rounding level; ``iterations``
+counts the rounds.  ``capacity_value`` memoizes the value of a leaf set on
+the space, the one solve memo for callers that read only the value.
 
 Certificates are unconditional: any measure rescaled to the constraint
 boundary gives a lower bound, the recovered density rescaled to
@@ -97,20 +102,20 @@ def _scatter(values, idx, n):
 
 
 GAP_ACCEPT = 1e-3   # certified relative duality gap below which a solve is converged
+MAX_ROUNDS = 200    # default Newton round cap; the hardest measured solves take 45
 
 
 def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
-                   p: float | None = None, tol: float = 1e-8,
-                   max_iters: int = 4000) -> CapacitySolution:
+                   p: float | None = None,
+                   max_iters: int = MAX_ROUNDS) -> CapacitySolution:
     """Solve the capacity problem for a leaf subset.
 
     The result carries both sides: the least p-th moment density with
     potential >= 1 on the target, and the largest-mass measure on the
-    target with unit-norm potential.  ``tol`` is the relative-objective
-    stall tolerance of the ascent phase and ``max_iters`` its iteration
-    cap; the Newton polish that follows usually lands the certified
-    duality gap far below ``GAP_ACCEPT``, the threshold for ``converged``.
-    An empty target has capacity 0.
+    target with unit-norm potential.  ``iterations`` counts projected
+    Newton rounds and ``max_iters`` caps them; the certified duality gap
+    decides ``converged`` against ``GAP_ACCEPT``.  An empty target has
+    capacity 0.
     """
     n = space.n_leaves
     E = np.unique(np.asarray(target, dtype=np.int64))
@@ -128,53 +133,47 @@ def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
 
     if np.any(op.apply_function(np.ones(n))[E] <= 0.0):
         raise ValueError("kernel carries no mass toward part of the target")
-    base = op.apply_measure(_scatter(np.ones(E.size), E, n))
-    scale = float(base.max())
-    lam = np.full(E.size, p / scale)
-
+    # the best multiple c of the uniform measure: c**(p'-1) = sum(lam) / (p * moment)
+    state = ds.evaluate(np.ones(E.size))
+    lam = np.full(E.size, (E.size / (p * state["moment"])) ** (p - 1.0))
     state = ds.evaluate(lam)
-    iterations = 0
-    step = 1.0 / max(scale, 1.0)
-    prev_lam, prev_grad = None, None
-    stall = 0
 
-    for _ in range(max_iters):
-        iterations += 1
+    rows = None   # built on the first round: many targets start at the optimum
+    iterations = 0
+    while True:
         grad = state["grad"]
-        if prev_lam is not None:
-            s = lam - prev_lam
-            y = prev_grad - grad
-            sy = float(s @ y)
-            if sy > 1e-30:
-                step = float(s @ s) / sy
-        step = min(max(step, 1e-12), 1e12)
-        prev_lam, prev_grad = lam, grad
-        t = step
-        accepted = False
+        # projected-gradient residual, lam measured against its largest entry
+        scale = float(lam.max())
+        residual = float(np.abs(np.minimum(lam / scale, -grad)).max())
+        if residual <= 1e-14 or iterations >= max_iters:
+            break
+        iterations += 1
+        if rows is None:
+            rows = np.vstack([op.row(x) for x in E])
+        # binding: at or near 0 with the gradient pushing outward
+        free = (lam > scale * min(residual, 1e-3)) | (grad > 0.0)
+        # Newton step on the free leaves: Hessian K_F diag(w g') K_F^T = A A^T
+        u = state["u"]
+        gprime = np.zeros_like(u)
+        pos = u > 0
+        gprime[pos] = (ds.pp - 1.0) / p * (u[pos] / p) ** (ds.pp - 2.0)
+        a = rows[free] * np.sqrt(w * gprime)
+        direction = -lam                       # binding leaves move to 0
+        direction[free] = _solve_spd(a @ a.T, grad[free])
+        # projected Armijo search; near the optimum the objective moves
+        # less than its own rounding, hence the noise allowance
+        slope = float(grad @ direction)
+        noise = 1e-14 * abs(state["objective"])
+        t = 1.0
         for _ in range(40):
-            cand = np.maximum(lam + t * grad, 0.0)
-            move = cand - lam
-            if not move.any():
-                break
+            cand = np.maximum(lam + t * direction, 0.0)
             cand_state = ds.evaluate(cand)
-            if cand_state["objective"] >= state["objective"] + 1e-4 * float(grad @ move):
-                accepted = True
+            if cand_state["objective"] >= state["objective"] + 1e-4 * t * slope - noise:
                 break
             t *= 0.5
-        if not accepted:
-            break
-        rel_change = abs(cand_state["objective"] - state["objective"]) / max(
-            abs(cand_state["objective"]), 1e-300)
-        lam, state = cand, cand_state
-        if rel_change < tol:
-            stall += 1
-            if stall >= 3:
-                break
         else:
-            stall = 0
-
-    lam, state, extra = _newton_polish(ds, lam, state)
-    iterations += extra
+            break
+        lam, state = cand, cand_state
 
     dual, primal = ds.certificates(lam, state)
     gap = max((primal - dual) / primal, 0.0) if primal > 0 else 0.0
@@ -186,64 +185,6 @@ def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
         value=primal, density=density, measure=measure,
         primal_value=primal, dual_value=dual, relative_gap=gap,
         iterations=iterations, converged=gap <= GAP_ACCEPT)
-
-
-def _newton_polish(ds: _DualState, lam, state, max_rounds: int = 60):
-    """Active-set Newton on the stationarity system: potential of the
-    recovered density equals 1 on the support of the measure."""
-    E, w, p, pp = ds.E, ds.w, ds.p, ds.pp
-    rows = None
-    support = lam > lam.max() * 1e-12
-    iterations = 0
-    best = (lam, state)
-    for _ in range(max_rounds):
-        iterations += 1
-        idx = np.flatnonzero(support)
-        if idx.size == 0:
-            break
-        if rows is None:
-            rows = np.vstack([ds.op.row(x) for x in E])
-        u = state["u"]
-        positive = u > 0
-        gprime = np.zeros_like(u)
-        gprime[positive] = (pp - 1.0) / p * (u[positive] / p) ** (pp - 2.0)
-        r_sub = rows[idx]
-        jac = (r_sub * (w * gprime)[None, :]) @ r_sub.T
-        resid = state["grad"][idx]
-        delta = _solve_spd(jac, resid)
-        # fraction-to-boundary step keeps the measure nonnegative
-        lam_sub = lam[idx]
-        alpha = 1.0
-        shrink = delta < 0
-        if shrink.any():
-            alpha = min(1.0, float(np.min(-lam_sub[shrink] / delta[shrink])) * 0.999)
-        cand = lam.copy()
-        cand[idx] = np.maximum(lam_sub + alpha * delta, 0.0)
-        cand_state = ds.evaluate(cand)
-        improved = cand_state["objective"] >= state["objective"] - 1e-12 * abs(state["objective"])
-        if improved:
-            lam, state = cand, cand_state
-            best = (lam, state)
-        dropped = support & (lam <= lam.max() * 1e-14)
-        if dropped.any():
-            support = support & ~dropped
-            lam = lam * support
-            state = ds.evaluate(lam)
-            continue
-        if not improved:
-            lam, state = best
-            break
-        res_norm = float(np.abs(state["grad"][support]).max()) if support.any() else 0.0
-        if res_norm < 1e-13:
-            outside = ~support
-            if outside.any() and float(state["grad"][outside].max()) > 1e-12:
-                enter = int(np.argmax(np.where(outside, state["grad"], -math.inf)))
-                support[enter] = True
-                lam[enter] = max(lam[enter], lam.max() * 1e-8)
-                state = ds.evaluate(lam)
-                continue
-            break
-    return lam, state, iterations
 
 
 # -- p = 2 exact oracle --------------------------------------------------------
@@ -354,11 +295,13 @@ def uniform_ball_capacity(space: ModelSpace, kernel: RadialKernel, p: float,
 _SYMMETRIC_CUTOVER = 2048   # solver handles targets up to this size comfortably
 
 
-def _range_capacity(space: ModelSpace, kernel: RadialKernel, p: float,
-                    lo: int, hi: int) -> float:
-    """Solver capacity of the leaf run [lo, hi), memoized on the space."""
-    return space._cached(("range", kernel, p, lo, hi), lambda: solve_capacity(
-        space, kernel, np.arange(lo, hi), p=p).value)
+def capacity_value(space: ModelSpace, kernel: RadialKernel, target,
+                   p: float) -> float:
+    """Solver capacity of a leaf set, memoized on the space under its
+    sorted unique leaves, so a permuted or repeated target is one entry."""
+    E = np.unique(np.asarray(target, dtype=np.int64))
+    return space._cached(("set", kernel, p, E.tobytes()), lambda: solve_capacity(
+        space, kernel, E, p=p).value)
 
 
 def grid_ball_capacity(space: ModelSpace, kernel: RadialKernel, p: float,
@@ -375,7 +318,7 @@ def grid_ball_capacity(space: ModelSpace, kernel: RadialKernel, p: float,
     if method == "symmetric" or (method == "auto" and hi - lo > _SYMMETRIC_CUTOVER):
         return space._cached(("symmetric", kernel, p, lo, hi),
                              lambda: uniform_ball_capacity(space, kernel, p, x, level))
-    return _range_capacity(space, kernel, p, lo, hi)
+    return capacity_value(space, kernel, np.arange(lo, hi), p)
 
 
 def tree_matching_radius(space: ModelSpace, kernel: RadialKernel, p: float,
@@ -407,7 +350,7 @@ def metric_matching_radius(space: ModelSpace, kernel: RadialKernel, p: float,
     closed convention used on the radius grid.
     """
     lo, hi = space.ball_bounds(np.array([x]), r, closed=closed)
-    cap = _range_capacity(space, kernel, p, int(lo[0]), int(hi[0]))
+    cap = capacity_value(space, kernel, np.arange(lo[0], hi[0]), p)
     if cap > space.total_mass:
         return EnlargementRadius(x, r, math.inf, space.diameter, False)
     dists = space.distances_from(x)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import metric_matching_radius, solve_capacity
+from .capacity import capacity_value, metric_matching_radius
 from .kernel import RadialKernel, kernel_operator, lp_norm
 from .poisson import PoissonExtension, ball_slab, exceedance_sets
 from .space import ModelSpace
@@ -110,7 +110,7 @@ def thinness_decay(space: ModelSpace, kernel: RadialKernel, p: float,
     t_grid = np.sort(np.asarray(t_grid, dtype=float))[::-1]
     slab = ball_slab(space, over, heights)
     shadows = [np.flatnonzero(_below(slab, heights, t)) for t in t_grid]
-    caps = np.array([solve_capacity(space, kernel, leaves, p=p).value for leaves in shadows])
+    caps = np.array([capacity_value(space, kernel, leaves, p) for leaves in shadows])
     return ThinSetReport(t_grid, caps, bool(caps[-1] < thin_tol), thin_tol)
 
 
@@ -160,7 +160,7 @@ def enlarged_set(space: ModelSpace, kernel: RadialKernel, p: float,
             sentinels += 1
         lo, hi = space.ball_bounds(np.array([x]), factor * er.star, closed=False)
         out[int(lo[0]):int(hi[0])] = True
-    cap = solve_capacity(space, kernel, np.flatnonzero(mask), p=p).value
+    cap = capacity_value(space, kernel, np.flatnonzero(mask), p)
     mass = float(space.weights[out].sum())
     return EnlargedSet(out, mass, cap, mass / cap if cap > 0 else math.inf, sentinels)
 
@@ -228,7 +228,7 @@ def exceptional_capacity_bound(ext: PoissonExtension, kernel: RadialKernel,
                                p: float, f: np.ndarray, eps: float):
     """Capacity of the exceedance shadow against (norm(f)/eps)**p."""
     leaves = exceedance_sets(ext, kernel, f, eps).star_leaves()
-    cap = solve_capacity(ext.space, kernel, leaves, p=p).value
+    cap = capacity_value(ext.space, kernel, leaves, p)
     bound = (lp_norm(f, ext.space.weights, p) / eps) ** p
     return cap, bound, cap / bound if bound > 0 else 0.0
 
@@ -305,8 +305,8 @@ def approximation_split(ext: PoissonExtension, kernel: RadialKernel, p: float,
                 grid |= ext.field(pot).values > thr
                 bad |= pot >= thr
         shadow = shadow_mask(space, grid, ext.heights)
-        cap_shadow = solve_capacity(space, kernel, np.flatnonzero(shadow), p=p).value
-        cap_bad = solve_capacity(space, kernel, np.flatnonzero(bad), p=p).value
+        cap_shadow = capacity_value(space, kernel, np.flatnonzero(shadow), p)
+        cap_bad = capacity_value(space, kernel, np.flatnonzero(bad), p)
         ok = cap_shadow < delta_target and cap_bad < delta_target
         if ok:
             break

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .capacity import (metric_matching_radius, solve_capacity,
-                       tree_matching_radius)
+from .capacity import capacity_value, metric_matching_radius, tree_matching_radius
 from .kernel import RadialKernel, kernel_operator
 from .space import ModelSpace
 
@@ -189,9 +188,9 @@ def quasi_additivity_report(space: ModelSpace, kernel: RadialKernel, p: float,
         t = np.asarray(target)
         if t.size and (t.min() < lo or t.max() >= hi):
             raise ValueError(f"target set {j} is not contained in its ball")
-    caps = [solve_capacity(space, kernel, t, p=p).value for t in sets]
+    caps = [capacity_value(space, kernel, t, p) for t in sets]
     union = np.unique(np.concatenate([np.asarray(t) for t in sets]))
-    union_cap = solve_capacity(space, kernel, union, p=p).value
+    union_cap = capacity_value(space, kernel, union, p)
     ratio = sum(caps) / union_cap if union_cap > 0 else 1.0
     passed = ratio >= 1.0 - ExperimentReport.LOWER_SLACK
     bound = None

@@ -9,7 +9,9 @@ from potlab.capacity import (ball_capacity_profile, capacity_p2_exact,
                              singleton_capacity, solve_capacity,
                              theoretical_profile_slope, tree_matching_radius,
                              uniform_ball_capacity)
+from potlab.convergence import approximation_split, thinness_decay
 from potlab.kernel import RadialKernel, kernel_operator, lp_norm
+from potlab.poisson import PoissonExtension, lipschitz_profile
 from potlab.space import ModelSpace, model_space
 
 RIESZ = RadialKernel("riesz", s=0.75, p=2.0)
@@ -177,8 +179,17 @@ def test_kernel_scaling_exact(tree6, rng):
         assert v2 == pytest.approx(c**-p * v1, rel=1e-9)
 
 
+def test_newton_rounds_converge_on_a_long_run():
+    # a one-leaf-per-round active-set polish stops at a 60-round cap here
+    # with a gap of 7e-5; the projected Newton phase moves many leaves a round
+    space = model_space("unit-interval", 2, 9)
+    sol = solve_capacity(space, RIESZ, np.arange(7, 264), p=1.5)
+    assert sol.relative_gap <= 1e-12
+    assert sol.iterations < capacity.MAX_ROUNDS
+
+
 def test_nonconvergence_flag():
-    # one ascent step leaves the polish far from optimal on a spread-out target
+    # one Newton round leaves a spread-out target far from optimal (gap 0.196)
     space = model_space("unit-interval", 2, 7)
     target = np.arange(0, 128, 3)
     sol = solve_capacity(space, RIESZ, target, p=1.5, max_iters=1)
@@ -253,14 +264,20 @@ def test_ball_capacity_memo_keeps_paths_apart():
             grid_ball_capacity(fresh_tree6(), RIESZ, 2.0, 13, 2, method=method)
 
 
-def test_ball_capacity_memo_solves_once(monkeypatch):
+def spy_on_solves(monkeypatch) -> list:
+    """(kernel, p, leaf bytes) of every solve_capacity call from here on."""
     calls = []
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return solve_capacity(*args, **kwargs)
+    def spy(space, kernel, target, p=None, **kwargs):
+        calls.append((kernel, p, np.unique(np.asarray(target, dtype=np.int64)).tobytes()))
+        return solve_capacity(space, kernel, target, p=p, **kwargs)
 
     monkeypatch.setattr(capacity, "solve_capacity", spy)
+    return calls
+
+
+def test_ball_capacity_memo_solves_once(monkeypatch):
+    calls = spy_on_solves(monkeypatch)
     shared = fresh_tree6()
     first = grid_ball_capacity(shared, RIESZ, 2.0, 21, 3)
     assert grid_ball_capacity(shared, RIESZ, 2.0, 21, 3) == first
@@ -268,6 +285,41 @@ def test_ball_capacity_memo_solves_once(monkeypatch):
     metric_matching_radius(shared, RIESZ, 2.0, 21, 0.5**3, closed=True)
     metric_matching_radius(shared, RIESZ, 2.0, 21, 0.5**3, closed=True)
     assert len(calls) == 1
+
+
+def test_capacity_memo_solves_each_target_once(monkeypatch):
+    # the first split round asks for the whole space twice (shadow and bad
+    # leaves), and every thinness shadow of the final, empty split is empty
+    calls = spy_on_solves(monkeypatch)
+    space = model_space("unit-interval", 2, 7)
+    ext = PoissonExtension(space)
+    split = approximation_split(ext, RIESZ, 2.0, lipschitz_profile(space, "bump"), 0.05)
+    thinness_decay(space, RIESZ, 2.0, split.exceedance, ext.heights)
+    assert calls
+    assert len(set(calls)) == len(calls)
+
+
+def test_capacity_value_keyed_on_the_leaf_set(monkeypatch):
+    calls = spy_on_solves(monkeypatch)
+    shared = fresh_tree6()
+    target = np.array([40, 3, 10, 9])
+    first = capacity.capacity_value(shared, RIESZ, target, 2.0)
+    assert capacity.capacity_value(shared, RIESZ, np.sort(target), 2.0) == first
+    assert capacity.capacity_value(shared, RIESZ, np.repeat(target, 3), 2.0) == first
+    assert len(calls) == 1
+    assert first == solve_capacity(fresh_tree6(), RIESZ, target, p=2.0).value
+
+
+def test_capacity_value_keyed_on_kernel_and_p(monkeypatch):
+    calls = spy_on_solves(monkeypatch)
+    shared = fresh_tree6()
+    other = RadialKernel("riesz", s=0.9, p=3.0)
+    target = np.array([3, 9, 10, 40])
+    values = [capacity.capacity_value(shared, kernel, target, p)
+              for kernel, p in ((RIESZ, 2.0), (RIESZ, 3.0), (other, 3.0), (other, 2.0))]
+    assert len(calls) == 4 and len(set(values)) == 4
+    for value, (kernel, p, _) in zip(values, calls):
+        assert value == solve_capacity(fresh_tree6(), kernel, target, p=p).value
 
 
 def test_metric_matching_radius_scan_oracle(tree6):

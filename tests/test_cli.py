@@ -172,8 +172,6 @@ def mutate(mutation: str) -> str:
     ("[quasiadd] count = 0", "count"),
     ("[quasiadd] seeds = 0", "seeds"),
     ("[capacity] max_iters = 0", "max_iters"),
-    ("[capacity] tol = 0", "tol must be positive"),
-    ("[capacity] tol = -1e-8", "tol must be positive"),
     ("[converge] region = nontangential", "region"),
     ("[poisson] profile = nosuch", "profile"),
     ("[converge] profile = nosuch", "profile"),
@@ -247,6 +245,20 @@ def test_quasiadd_without_experiments_does_not_pass(tmp_path, capsys):
     assert "experiments = 0" in printed
     assert "all_passed = false" in printed
     assert read_csv(out / "quasiadd.csv") == []
+
+
+def test_ahlfors_quasiadd_writes_no_ratio_bound(tmp_path):
+    # ahlfors mode checks the ratio against no upper constant, so the bound
+    # column stays empty (nan) rather than showing the inflation it used
+    cfg = tmp_path / "ahlfors.ini"
+    cfg.write_text(mutate("[space] kind = unit-interval; [quasiadd] mode = ahlfors; "
+                          "[quasiadd] inflation = 1.5; [quasiadd] seeds = 2"))
+    out = tmp_path / "out"
+    assert main(["quasiadd", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = read_csv(out / "quasiadd.csv")
+    assert rows
+    assert all(r["ratio_bound"] == "nan" for r in rows)
+    assert all(r["passed"] == "true" and float(r["ratio"]) >= 1.0 - 1e-9 for r in rows)
 
 
 def test_missing_config_rejected(tmp_path, capsys):
