@@ -23,7 +23,7 @@ from .poisson import (PoissonExtension, UpperHalfField, dyadic_heights,
 from .convergence import (ApproachRegion, region_membership, region_radius,
                           thinness_decay, enlarged_set, shadow_covering_check,
                           exceptional_capacity_bound, approximation_split,
-                          closeness_modulus, nontangential_experiment, tangential_experiment,
+                          closeness_modulus, convergence_experiment,
                           ThinSetReport, SplitResult, ConvergenceTable)
 
 __version__ = "0.1.0"

@@ -31,8 +31,8 @@ import scipy
 from . import __version__
 from .capacity import (MAX_ROUNDS, ball_capacity_profile, solve_capacity,
                        theoretical_profile_slope)
-from .convergence import (TANGENTIAL_KINDS, approximation_split, nontangential_experiment,
-                          tangential_experiment, thinness_decay)
+from .convergence import (TANGENTIAL_KINDS, approximation_split, convergence_experiment,
+                          thinness_decay)
 from .kernel import RadialKernel, kernel_operator
 from .poisson import (CALIBRATION_DEPTH, PROFILE_NAMES, PoissonExtension, exchange_band,
                       exchange_ratio, harnack_check, harnack_constant,
@@ -60,9 +60,15 @@ _BOUNDS = (("capacity", "max_iters", int, 1, math.inf),
            ("quasiadd", "seeds", int, 1, math.inf),
            ("quasiadd", "inflation", float, 1.0, math.inf),
            ("quasiadd", "radius_margin", float, 1.0, math.inf),
-           ("poisson", "n_heights", int, 0, math.inf),
+           # 2**-1075 underflows to 0, which is not a height
+           ("poisson", "n_heights", int, 0, 1074),
            ("poisson", "eps_quantile", float, 0.0, 1.0),
-           ("converge", "sample", int, 1, math.inf))
+           ("poisson", "n_random", int, 0, math.inf),
+           ("exchange", "n_random", int, 0, math.inf),
+           ("converge", "sample", int, 1, math.inf),
+           ("converge", "tol_nontangential", float, 0.0, math.inf),
+           ("converge", "tol_tangential", float, 0.0, math.inf),
+           ("converge", "delta_target", float, 0.0, math.inf))
 
 
 class ConfigError(ValueError):
@@ -493,28 +499,27 @@ class Runner:
         sample = np.sort(rng.choice(self.space.n_leaves,
                                     min(n_sample, self.space.n_leaves), replace=False))
         split = approximation_split(ext, self.kernel, self.p, f, delta_target)
-        nt = nontangential_experiment(ext, self.kernel, self.p, f, sample,
-                                      tol=tol_nt, split=split)
-        tan = tangential_experiment(ext, self.kernel, self.p, f, sample,
-                                    region_kind=region, tol=tol_tan, split=split)
+        nt = convergence_experiment(ext, self.kernel, self.p, f, sample, split,
+                                    "nontangential", tol_nt)
+        tan = convergence_experiment(ext, self.kernel, self.p, f, sample, split,
+                                     region, tol_tan)
         thin = thinness_decay(self.space, self.kernel, self.p,
                               split.exceedance, ext.heights)
+        tables = (("nontangential", nt), (f"tangential-{region}", tan))
         rows = [(r.x0, table.region_kind, r.t, r.sup_error, r.n_points, r.n_excluded)
-                for table in (nt, tan) for r in table.rows]
+                for _, table in tables for r in table.rows]
         self.emit.csv("converge.csv",
                       ("x0_leaf", "region_kind", "t", "sup_error",
                        "in_region_points", "excluded"), rows)
-        bad_final = tan.bad_set_mass[-1][1] if tan.bad_set_mass else 0.0
         self.emit.csv("converge_summary.csv",
                       ("experiment_id", "fraction_converged", "bad_set_mass",
                        "thin_verdict", "shadow_capacity", "bad_capacity"),
-                      [("nontangential", nt.fraction_converged, 0.0,
-                        thin.thin, split.shadow_capacity, split.bad_capacity),
-                       (f"tangential-{region}", tan.fraction_converged, bad_final,
-                        thin.thin, split.shadow_capacity, split.bad_capacity)])
+                      [(label, table.fraction_converged, table.bad_set_mass[-1][1],
+                        thin.thin, split.shadow_capacity, split.bad_capacity)
+                       for label, table in tables])
         if self.charts:
             series = []
-            for table, label in ((nt, "nontangential"), (tan, f"tangential-{region}")):
+            for label, table in tables:
                 by_t: dict = {}
                 for r in table.rows:
                     by_t.setdefault(r.t, []).append(r.sup_error)

@@ -3,10 +3,12 @@
 The extension of a potential converges to its boundary values along
 regions whose width at height y is set by a radius function: cones
 (width y), capacity-matched widths, polynomial contact, or the
-exponential-type contact of the borderline integrability case.  The
-experiments measure the worst deviation inside a region below a height
-cutoff, after removing an exceptional grid set and an exceptional leaf set
-whose capacities are certified small.
+exponential-type contact of the borderline integrability case.  One
+function, ``convergence_experiment``, serves every region kind: it
+measures the worst deviation inside the regions at heights up to each
+cutoff t, after removing the exceptional grid cells of an
+``approximation_split``, and the mass of the leaves whose region still
+meets those cells at heights up to t.
 
 At a fixed truncation depth the limits of the underlying statements are
 read as errors-below-tolerance at the finest height, and the exceptional
@@ -17,7 +19,7 @@ explicit, configurable numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -178,6 +180,12 @@ class CoveringReport:
     rhs: np.ndarray
 
 
+def _prefix_counts(cells: np.ndarray) -> np.ndarray:
+    """(n + 1, H) counts of marked cells per column among the leaves before
+    each index, so a leaf range's count is a difference of two rows."""
+    return np.vstack((np.zeros((1, cells.shape[1]), np.int64), np.cumsum(cells, axis=0)))
+
+
 def shadow_covering_check(space: ModelSpace, over: np.ndarray,
                           heights: np.ndarray, radius_fn, alpha: float) -> CoveringReport:
     """Check that leaves whose region meets a grid set are covered by
@@ -188,7 +196,6 @@ def shadow_covering_check(space: ModelSpace, over: np.ndarray,
     grid before the inclusion is asserted.
     """
     n = space.n_leaves
-    nh = heights.size
     widths = np.array([[float(radius_fn(x, float(y))) for y in heights]
                        for x in range(n)])
     monotone = bool(np.all(np.diff(widths, axis=1) <= 1e-12))  # heights decrease
@@ -199,13 +206,11 @@ def shadow_covering_check(space: ModelSpace, over: np.ndarray,
                                                   np.where(col_max > 0, np.inf, 1.0))))
     hypothesis_ok = monotone and alpha >= alpha_measured - 1e-12
     # lhs: leaves whose region touches the set (membership is d <= width)
+    counts = _prefix_counts(over)
     lhs = np.zeros(n, dtype=bool)
-    for h in range(nh):
-        centers = np.flatnonzero(over[:, h])
-        for x in centers:
-            for x0 in range(n):
-                if space.distance(int(x), x0) <= widths[x0, h]:
-                    lhs[x0] = True
+    for h in np.flatnonzero(over.any(axis=0)):
+        lo, hi = space.ball_bounds(np.arange(n), widths[:, h], closed=True)
+        lhs |= counts[hi, h] > counts[lo, h]
     # rhs: region slices around shadow points at their escape distance
     star = shadow_mask(space, over, heights)
     rhs = np.zeros(n, dtype=bool)
@@ -381,137 +386,90 @@ class ConvergenceTable:
     fraction_converged: float
     shadow_capacity: float
     bad_capacity: float
-    bad_set_mass: list            # (t, mass) rows; tangential runs only
+    bad_set_mass: list            # (t, mass) rows
     degenerate: list              # sampled leaves whose region never leaves the center
 
 
-def _experiment(ext: PoissonExtension, kernel: RadialKernel, p: float,
-                f: np.ndarray, x0_sample, make_region, t_grid, tol,
-                split: SplitResult, track_bad_mass: bool) -> ConvergenceTable:
-    space = ext.space
-    heights = ext.heights
-    pot = kernel_operator(kernel, space).apply_function(np.asarray(f, dtype=float))
-    vals = ext.field(pot).values
-    excluded = split.exceedance
-    if t_grid is None:
-        t_grid = heights[::4].tolist() + [float(heights[-1])]
-    t_grid = np.unique(np.asarray(t_grid, dtype=float))[::-1]
-    rows = []
-    degenerate = []
-    converged = 0
-    kind = None
-    for x0 in x0_sample:
-        region = make_region(int(x0))
-        kind = region.kind
-        radii = np.array([region_radius(space, kernel, p, region, float(y))
-                          for y in heights])
-        lo, hi = np.zeros(heights.size, np.int64), np.zeros(heights.size, np.int64)
-        for h in range(heights.size):
-            b = space.ball_bounds(np.array([int(x0)]), float(radii[h]), closed=False)
-            lo[h], hi[h] = int(b[0][0]), int(b[1][0])
-        offcenter_ever = 0
-        final_err = None
-        for t in t_grid:
-            cols = np.flatnonzero((heights <= t) & (heights < region.y_cutoff))
-            sup_err, n_pts, n_off, n_exc = 0.0, 0, 0, 0
-            for h in cols:
-                for x in range(lo[h], hi[h]):
-                    if excluded[x, h]:
-                        n_exc += 1
-                        continue
-                    n_pts += 1
-                    if x != x0:
-                        n_off += 1
-                    err = abs(vals[x, h] - pot[x0])
-                    sup_err = max(sup_err, err)
-            offcenter_ever = max(offcenter_ever, n_off)
-            rows.append(ConvergenceRow(int(x0), float(t), sup_err, n_pts, n_off, n_exc))
-            if t == t_grid[-1]:
-                final_err = sup_err if n_pts else None
-        if offcenter_ever == 0:
-            degenerate.append(int(x0))
-        if final_err is not None and final_err <= tol:
-            converged += 1
-    bad_mass = []
-    if track_bad_mass and kind is not None:
-        bad_mass = _bad_set_masses(ext, kernel, p, make_region, excluded, t_grid)
-    return ConvergenceTable(kind or "", tol, rows,
-                            converged / max(len(list(x0_sample)), 1),
-                            split.shadow_capacity, split.bad_capacity,
-                            bad_mass, degenerate)
+def convergence_experiment(ext: PoissonExtension, kernel: RadialKernel, p: float,
+                           f: np.ndarray, x0_sample, split: SplitResult, kind: str,
+                           tol: float, scale: float = 1.0,
+                           exponent: float | None = None) -> ConvergenceTable:
+    """Worst deviation from the boundary potential inside the approach
+    regions of one kind around each sampled leaf, at the heights up to each
+    cutoff t and off the split's exceptional grid cells; and the mass of the
+    leaves whose region meets those cells at heights up to t.
 
-
-def _bad_set_masses(ext, kernel, p, make_region, excluded, t_grid):
-    """Mass of the leaves whose region still meets the excluded set below t."""
-    space = ext.space
-    heights = ext.heights
-    out = []
-    probe = make_region(0)
-    if probe.kind != "capacity":
-        # the width is the same at every center: one slab serves every t
-        slab = ball_slab(space, excluded, [region_radius(space, kernel, p, probe, float(y))
-                                           for y in heights])
-        return [(float(t), float(space.weights[_below(slab, heights, t)].sum()))
-                for t in t_grid]
-    for t in t_grid:
-        mask = np.zeros(space.n_leaves, dtype=bool)
-        for h, y in enumerate(heights):
-            if not y < t:
-                continue
-            centers = np.flatnonzero(excluded[:, h])
-            if centers.size == 0:
-                continue
-            for x0 in range(space.n_leaves):
-                if mask[x0]:
-                    continue
-                region = make_region(x0)
-                rad = region_radius(space, kernel, p, region, float(y))
-                d = space.distances_from(x0)[centers]
-                if np.any(d < rad):
-                    mask[x0] = True
-        out.append((float(t), float(space.weights[mask].sum())))
-    return out
-
-
-def nontangential_experiment(ext: PoissonExtension, kernel: RadialKernel, p: float,
-                             f: np.ndarray, x0_sample, t_grid=None,
-                             tol: float = 0.02, delta_target: float = 0.05,
-                             split: SplitResult | None = None) -> ConvergenceTable:
-    """Worst deviation from the boundary potential inside shrinking cones."""
-    if split is None:
-        split = approximation_split(ext, kernel, p, f, delta_target)
-    return _experiment(ext, kernel, p, f, x0_sample,
-                       lambda x0: ApproachRegion(x0, "nontangential"),
-                       t_grid, tol, split, track_bad_mass=False)
-
-
-def tangential_experiment(ext: PoissonExtension, kernel: RadialKernel, p: float,
-                          f: np.ndarray, x0_sample, region_kind: str = "polynomial",
-                          t_grid=None, tol: float = 0.05, delta_target: float = 0.05,
-                          scale: float = 1.0, exponent: float | None = None,
-                          inflation: float = 1.0,
-                          split: SplitResult | None = None) -> ConvergenceTable:
-    """Same deviation sup over wider-than-cone contact regions.
+    The t grid is every fourth height plus the finest one.  Heights at or
+    above the region's cutoff (1) count for no t.
 
     The default polynomial exponent p * (s - 1/p') is the width of the
     capacity-matched region: ball mass grows like radius**Q while ball
     capacity decays like y**(Q p (s - 1/p')), so matching them cancels the
     dimension.
     """
-    if region_kind not in TANGENTIAL_KINDS:
-        raise ValueError(f"tangential regions are {', '.join(TANGENTIAL_KINDS)}")
-    if split is None:
-        split = approximation_split(ext, kernel, p, f, delta_target)
-    if exponent is None:
+    if kind == "polynomial" and exponent is None:
         pp = p / (p - 1.0)
         exponent = p * (kernel.s - 1.0 / pp)
+    template = ApproachRegion(0, kind, scale=scale,
+                              exponent=1.0 if exponent is None else exponent)
+    space, heights = ext.space, ext.heights
+    n, nh = space.n_leaves, heights.size
 
-    def make_region(x0: int) -> ApproachRegion:
-        if region_kind == "capacity":
-            return ApproachRegion(x0, "capacity", scale=inflation)
-        if region_kind == "polynomial":
-            return ApproachRegion(x0, "polynomial", scale=scale, exponent=exponent)
-        return ApproachRegion(x0, "exponential", scale=scale)
+    def widths(centers, y: float):
+        """Region widths at height y: one per center for the capacity kind,
+        one for every center otherwise."""
+        if kind != "capacity":
+            return region_radius(space, kernel, p, template, y)
+        return np.array([region_radius(space, kernel, p, replace(template, center=int(x)), y)
+                         for x in centers])
 
-    return _experiment(ext, kernel, p, f, x0_sample, make_region,
-                       t_grid, tol, split, track_bad_mass=True)
+    pot = kernel_operator(kernel, space).apply_function(np.asarray(f, dtype=float))
+    vals = ext.field(pot).values
+    excluded = split.exceedance
+    excluded_prefix = _prefix_counts(excluded)
+    columns = np.arange(nh)
+    t_grid = np.unique(np.concatenate((heights[::4], heights[-1:])))[::-1]
+    # row i of the t table covers the heights at most t_grid[i] below the cutoff
+    live = heights < template.y_cutoff
+    below = (heights <= t_grid[:, None]) & live
+
+    rows = []
+    degenerate = []
+    converged = 0
+    for x0 in x0_sample:
+        x0 = int(x0)
+        radii = np.array([widths([x0], float(y)) for y in heights]).reshape(nh)
+        lo, hi = space.ball_bounds(np.full(nh, x0), radii, closed=False)
+        n_exc = excluded_prefix[hi, columns] - excluded_prefix[lo, columns]
+        n_pts = hi - lo - n_exc
+        n_off = n_pts - ((lo <= x0) & (x0 < hi) & ~excluded[x0])
+        sup_err = np.zeros(nh)
+        for h in np.flatnonzero(live & (n_pts > 0)):
+            kept = ~excluded[lo[h]:hi[h], h]
+            sup_err[h] = np.abs(vals[lo[h]:hi[h], h][kept] - pot[x0]).max()
+        for t, cols in zip(t_grid, below):
+            rows.append(ConvergenceRow(x0, float(t), float(sup_err[cols].max(initial=0.0)),
+                                       int(n_pts[cols].sum()), int(n_off[cols].sum()),
+                                       int(n_exc[cols].sum())))
+        if rows[-1].n_points and rows[-1].sup_error <= tol:
+            converged += 1
+        if n_off[below[0]].sum() == 0:
+            degenerate.append(x0)
+
+    # a leaf counts below t when its region meets an excluded cell at a height
+    # at most t; walking from the finest height, its first meeting is the one
+    # that counts longest, so no width of that leaf is needed after it
+    met = np.full(n, np.inf)
+    open_leaves = np.arange(n)
+    for h in np.flatnonzero(live)[::-1]:
+        if not excluded[:, h].any() or open_leaves.size == 0:
+            continue
+        lo, hi = space.ball_bounds(open_leaves, widths(open_leaves, float(heights[h])),
+                                   closed=False)
+        meets = excluded_prefix[hi, h] > excluded_prefix[lo, h]
+        met[open_leaves[meets]] = heights[h]
+        open_leaves = open_leaves[~meets]
+    bad_mass = [(float(t), float(space.weights[met <= t].sum())) for t in t_grid]
+    return ConvergenceTable(kind, tol, rows, converged / max(len(x0_sample), 1),
+                            split.shadow_capacity, split.bad_capacity,
+                            bad_mass, degenerate)

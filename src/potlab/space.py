@@ -163,41 +163,53 @@ class ModelSpace:
         d = np.subtract.outer(self.coords, self.coords)
         return np.abs(d, out=d)
 
-    def ball_bounds(self, centers, r: float, closed: bool = False):
+    def ball_bounds(self, centers, r, closed: bool = False):
         """Half-open leaf index ranges of the metric balls around ``centers``.
 
+        ``r`` is one radius for every center or one radius per center.
         ``closed`` switches {d < r} to {d <= r}; it matters only when r is a
         realized distance.  A ball with no leaf is the range (c, c).
         """
         centers = np.asarray(centers, dtype=np.int64)
-        if r < 0.0 or (r == 0.0 and not closed):
-            return centers.copy(), centers.copy()
+        empty = None
+        if np.isscalar(r):
+            if r < 0.0 or (r == 0.0 and not closed):
+                return centers.copy(), centers.copy()
+        else:
+            r = np.asarray(r, dtype=float)
+            empty = (r < 0.0) | ((r == 0.0) & (not closed))
         if self.kind == "tree-boundary":
-            block = self._block[self._ball_level(r, closed)]
+            block = self.branching ** (self.depth - self._ball_level(r, closed))
             lo = (centers // block) * block
-            return lo, lo + block
-        coords, c = self.coords, self.coords[centers]
+            hi = lo + block
+        else:
+            coords, c = self.coords, self.coords[centers]
 
-        def inside(y):
-            d = np.abs(coords.take(y, mode="clip") - c)
-            return d <= r if closed else d < r
+            def inside(y):
+                d = np.abs(coords.take(y, mode="clip") - c)
+                return d <= r if closed else d < r
 
-        lo = np.searchsorted(coords, c - r, side="left" if closed else "right")
-        hi = np.searchsorted(coords, c + r, side="right" if closed else "left")
-        # c - r and c + r are rounded, so either search can put an end of the
-        # run one leaf off from what distances_from says; settle both ends
-        lo -= (lo > 0) & inside(lo - 1)
-        lo += ~inside(lo)
-        hi += (hi < self.n_leaves) & inside(hi)
-        hi -= ~inside(hi - 1)
-        return lo.astype(np.int64), hi.astype(np.int64)
+            lo = np.searchsorted(coords, c - r, side="left" if closed else "right")
+            hi = np.searchsorted(coords, c + r, side="right" if closed else "left")
+            # c - r and c + r are rounded, so either search can put an end of
+            # the run one leaf off from what distances_from says; settle both ends
+            lo -= (lo > 0) & inside(lo - 1)
+            lo += ~inside(lo)
+            hi += (hi < self.n_leaves) & inside(hi)
+            hi -= ~inside(hi - 1)
+            lo, hi = lo.astype(np.int64), hi.astype(np.int64)
+        if empty is not None:
+            lo, hi = np.where(empty, centers, lo), np.where(empty, centers, hi)
+        return lo, hi
 
-    def _ball_level(self, r: float, closed: bool) -> int:
+    def _ball_level(self, r, closed: bool):
         """Level l whose subtree is the ultrametric ball {rho < r}, or
-        {rho <= r} when closed: the first l with delta**l below r (at most
-        r when closed), or depth when there is none."""
-        inside = self._radii <= r if closed else self._radii < r
-        return int(np.argmax(inside)) if inside[-1] else self.depth
+        {rho <= r} when closed, per radius: the first l with delta**l below
+        r (at most r when closed), or depth when there is none.  The levels
+        before l are the grid radii at least r (above r when closed)."""
+        before = self._radii.size - np.searchsorted(
+            self._radii[::-1], r, side="right" if closed else "left")
+        return np.minimum(before, self.depth)
 
     def grid_ball_range(self, x: int, level: int) -> tuple[int, int]:
         """Closed ball of radius delta**level around leaf x; on the tree it

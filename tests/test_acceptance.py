@@ -13,8 +13,7 @@ from potlab.capacity import (ball_capacity_profile, singleton_capacity,
                              solve_capacity, theoretical_profile_slope,
                              uniform_ball_capacity)
 from potlab.cli import main as cli_main
-from potlab.convergence import (approximation_split, nontangential_experiment,
-                                tangential_experiment)
+from potlab.convergence import approximation_split, convergence_experiment
 from potlab.kernel import (RadialKernel, TreeKernelOperator, convolve_naive,
                            kernel_operator, lp_norm)
 from potlab.poisson import (PoissonExtension, exceedance_sets, exchange_band,
@@ -254,10 +253,10 @@ def test_criterion_10_convergence_experiments():
     rng = np.random.default_rng(1010)
     sample = np.sort(rng.choice(ms.n_leaves, 64, replace=False))
     split = approximation_split(ext, kernel, 2.0, f, 0.05)
-    nt = nontangential_experiment(ext, kernel, 2.0, f, sample, tol=0.02,
-                                  split=split)
-    tan = tangential_experiment(ext, kernel, 2.0, f, sample,
-                                region_kind="polynomial", tol=0.05, split=split)
+    nt = convergence_experiment(ext, kernel, 2.0, f, sample, split, "nontangential",
+                                tol=0.02)
+    tan = convergence_experiment(ext, kernel, 2.0, f, sample, split, "polynomial",
+                                 tol=0.05)
     ok = (nt.fraction_converged >= 0.95 and tan.fraction_converged >= 0.90
           and split.shadow_capacity < 0.05 and split.bad_capacity < 0.05)
     report(10, ok, f"nontangential {nt.fraction_converged:.0%} (need 95%), "

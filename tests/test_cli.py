@@ -177,6 +177,14 @@ def mutate(mutation: str) -> str:
     ("[converge] profile = nosuch", "profile"),
     ("[poisson] n_heights = -1", "n_heights"),
     ("[poisson] eps_quantile = 2", "eps_quantile"),
+    ("[poisson] n_heights = 1075", "n_heights"),
+    ("[poisson] n_random = many", "n_random"),
+    ("[poisson] n_random = -1", "n_random"),
+    ("[exchange] n_random = 2.5", "n_random"),
+    ("[exchange] n_random = -1", "n_random"),
+    ("[converge] tol_nontangential = tight", "tol_nontangential"),
+    ("[converge] tol_tangential = loose", "tol_tangential"),
+    ("[converge] delta_target = small", "delta_target"),
 ])
 def test_invalid_config_rejected(tmp_path, capsys, mutation, phrase):
     bad = tmp_path / "bad.ini"

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from potlab.convergence import (ApproachRegion, approximation_split,
+from potlab.convergence import (REGION_KINDS, ApproachRegion, SplitResult,
+                                approximation_split, convergence_experiment,
                                 enlarged_set, exceptional_capacity_bound,
-                                nontangential_experiment, region_membership,
-                                region_radius, shadow_covering_check,
-                                shadow_mask, tangential_experiment,
-                                thinness_decay)
+                                region_membership, region_radius,
+                                shadow_covering_check, shadow_mask, thinness_decay)
 from potlab.kernel import RadialKernel, kernel_operator
 from potlab.poisson import PoissonExtension, lipschitz_profile
 from potlab.space import model_space
@@ -216,6 +215,22 @@ def test_shadow_covering_hypothesis_failure_reported(tree6):
     assert rep.inclusion_ok is None
 
 
+@pytest.mark.parametrize("kind", ["tree-boundary", "unit-interval", "cantor-set"])
+def test_shadow_covering_lhs_matches_distance_scan(kind, rng):
+    # lhs marks the leaves x0 with a cell (x, h) of the set at d(x, x0) <= width
+    ms = model_space(kind, 2, 5)
+    heights = 2.0 ** -np.arange(6, dtype=float)
+    over = rng.random((32, 6)) < 0.05
+    dist = ms.distance_matrix()
+    widths = rng.choice(np.concatenate((np.unique(dist), [0.0, -1.0])), (32, 6))
+    rep = shadow_covering_check(ms, over, heights,
+                                lambda x, y: widths[x, np.flatnonzero(heights == y)[0]],
+                                alpha=1.0)
+    expected = [any((over[:, h] & (dist[x0] <= widths[x0, h])).any() for h in range(6))
+                for x0 in range(32)]
+    assert rep.lhs.tolist() == expected
+
+
 def test_exceptional_bound_trivia(ext8, rng):
     f = rng.random(256)
     pot = kernel_operator(K8, ext8.space).apply_function(f)
@@ -277,8 +292,10 @@ def test_split_tightening_target_reported(ext8, rng):
 
 def test_nontangential_constant_function(ext8):
     sample = [0, 100, 255]
-    table = nontangential_experiment(ext8, K8, 2.0, np.full(256, 2.0), sample,
-                                     tol=1e-9)
+    f = np.full(256, 2.0)
+    split = approximation_split(ext8, K8, 2.0, f, 0.05)
+    table = convergence_experiment(ext8, K8, 2.0, f, sample, split, "nontangential",
+                                   tol=1e-9)
     assert table.fraction_converged == 1.0
     assert all(r.sup_error <= 1e-9 for r in table.rows)
 
@@ -287,7 +304,9 @@ def test_nontangential_profile_errors_shrink(ext8):
     f = lipschitz_profile(ext8.space, "hat")
     rng = np.random.default_rng(9)
     sample = np.sort(rng.choice(256, 24, replace=False))
-    table = nontangential_experiment(ext8, K8, 2.0, f, sample, tol=0.02)
+    split = approximation_split(ext8, K8, 2.0, f, 0.05)
+    table = convergence_experiment(ext8, K8, 2.0, f, sample, split, "nontangential",
+                                   tol=0.02)
     assert table.fraction_converged >= 0.95
     by_x0 = {}
     for row in table.rows:
@@ -303,13 +322,15 @@ def test_nontangential_profile_errors_shrink(ext8):
 
 def test_tangential_constant_and_bad_mass(ext8, rng):
     sample = [3, 77]
-    table = tangential_experiment(ext8, K8, 2.0, np.full(256, 1.0), sample,
-                                  region_kind="polynomial", tol=1e-9)
+    f = np.full(256, 1.0)
+    split = approximation_split(ext8, K8, 2.0, f, 0.05)
+    table = convergence_experiment(ext8, K8, 2.0, f, sample, split, "polynomial",
+                                   tol=1e-9)
     assert table.fraction_converged == 1.0
     f = rng.random(256) + np.where(np.arange(256) == 10, 40.0, 0.0)
-    table = tangential_experiment(ext8, K8, 2.0, f, sample,
-                                  region_kind="polynomial", tol=0.05,
-                                  delta_target=0.2)
+    split = approximation_split(ext8, K8, 2.0, f, 0.2)
+    table = convergence_experiment(ext8, K8, 2.0, f, sample, split, "polynomial",
+                                   tol=0.05)
     masses = [m for _, m in table.bad_set_mass]
     assert masses == sorted(masses, reverse=True)
 
@@ -317,8 +338,65 @@ def test_tangential_constant_and_bad_mass(ext8, rng):
 def test_tangential_exponential_degeneracy_reported(ext8):
     f = lipschitz_profile(ext8.space, "bump")
     sample = [0, 128]
-    table = tangential_experiment(ext8, K8, 2.0, f, sample,
-                                  region_kind="exponential", scale=0.004,
-                                  tol=0.05)
+    split = approximation_split(ext8, K8, 2.0, f, 0.05)
+    table = convergence_experiment(ext8, K8, 2.0, f, sample, split, "exponential",
+                                   tol=0.05, scale=0.004)
     # a width this small never captures an off-center grid point
     assert set(table.degenerate) == set(sample)
+
+
+def brute_force_experiment(ext, f, excluded, kind):
+    """Rows (x0, t, sup error, points, off-center points, excluded cells) over
+    every leaf, and (t, bad-set mass) rows, by a distance scan per cell."""
+    space, heights = ext.space, ext.heights
+    n = space.n_leaves
+    pot = kernel_operator(K8, space).apply_function(f)
+    vals = ext.field(pot).values
+    dist = space.distance_matrix()
+    exponent = 2.0 * (K8.s - 0.5)
+    widths = np.array([[region_radius(space, K8, 2.0, ApproachRegion(x0, kind, exponent=exponent),
+                                      float(y)) for y in heights] for x0 in range(n)])
+    t_grid = sorted({*heights[::4], heights[-1]}, reverse=True)
+    rows = []
+    for x0 in range(n):
+        for t in t_grid:
+            err, pts, off, exc = 0.0, 0, 0, 0
+            for h in np.flatnonzero((heights <= t) & (heights < 1.0)):
+                for x in range(n):
+                    if dist[x0, x] >= widths[x0, h]:
+                        continue
+                    if excluded[x, h]:
+                        exc += 1
+                        continue
+                    pts += 1
+                    off += x != x0
+                    err = max(err, abs(vals[x, h] - pot[x0]))
+            rows.append((x0, t, err, pts, off, exc))
+    masses = []
+    for t in t_grid:
+        cols = np.flatnonzero((heights <= t) & (heights < 1.0))
+        meets = [any((excluded[:, h] & (dist[x0] < widths[x0, h])).any() for h in cols)
+                 for x0 in range(n)]
+        masses.append((t, float(space.weights[np.array(meets)].sum())))
+    return rows, masses
+
+
+@pytest.mark.parametrize("space_kind", ["tree-boundary", "cantor-set"])
+@pytest.mark.parametrize("kind", REGION_KINDS)
+def test_experiment_matches_brute_force_scan(space_kind, kind):
+    space = model_space(space_kind, 2, 6)
+    ext = PoissonExtension(space, n_heights=6)
+    rng = np.random.default_rng(806)
+    f = rng.random(space.n_leaves)
+    excluded = rng.random((space.n_leaves, ext.heights.size)) < 0.02
+    excluded[17, -1] = True      # a cell at the finest height
+    split = SplitResult(excluded, np.zeros(space.n_leaves, dtype=bool), ext.heights,
+                        0.0, 0.0, [], 0.05, True, 1.0, [])
+    table = convergence_experiment(ext, K8, 2.0, f, np.arange(space.n_leaves), split,
+                                   kind, tol=0.05)
+    rows, masses = brute_force_experiment(ext, f, excluded, kind)
+    assert [(r.x0, r.t, r.sup_error, r.n_points, r.n_offcenter, r.n_excluded)
+            for r in table.rows] == rows
+    assert table.bad_set_mass == masses
+    # a region meets the finest excluded cell at the finest t
+    assert masses[-1][1] > 0.0

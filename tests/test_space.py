@@ -158,6 +158,23 @@ def test_ball_bounds_are_distance_runs(kind, b):
         assert np.array_equal(lo, hi)
 
 
+@pytest.mark.parametrize("kind", ["tree-boundary", "unit-interval", "cantor-set"])
+def test_ball_bounds_per_center_radii(kind, rng):
+    # one radius per center gives the balls of one scalar call per center,
+    # for realized distances, radii between them, 0 and negative radii
+    ms = model_space(kind, 2, 5)
+    dm = ms.distance_matrix()
+    pool = np.concatenate((np.unique(dm), rng.random(20), [0.0, -0.3, 1.5]))
+    centers = rng.integers(0, ms.n_leaves, 200)
+    radii = rng.choice(pool, centers.size)
+    radii[:2] = 0.0, -0.3
+    for closed in (False, True):
+        lo, hi = ms.ball_bounds(centers, radii, closed=closed)
+        for x, r, a, b in zip(centers, radii, lo, hi):
+            one_lo, one_hi = ms.ball_bounds(np.array([x]), float(r), closed=closed)
+            assert (a, b) == (one_lo[0], one_hi[0])
+
+
 def test_weights_are_a_frozen_copy():
     base = np.ones(8)
     ms = ModelSpace("tree-boundary", 2, 3, 0.5, base)
