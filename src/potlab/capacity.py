@@ -279,11 +279,9 @@ def uniform_ball_capacity(space: ModelSpace, kernel: RadialKernel, p: float,
     subtree is an equilibrium measure.  Only its potential norm is needed,
     one tree-operator apply at any depth.
     """
-    if space.kind != "tree-boundary":
-        raise ValueError("symmetric reduction needs the ultrametric")
+    if not _uniform_tree(space):
+        raise ValueError("symmetric reduction needs the ultrametric and uniform leaf weights")
     w = space.weights
-    if not np.all(w == w[0]):
-        raise ValueError("symmetric reduction needs uniform leaf weights")
     lo, hi = space.subtree_range(x, level)
     nu = np.zeros(space.n_leaves)
     nu[lo:hi] = 1.0 / (hi - lo)
@@ -292,7 +290,12 @@ def uniform_ball_capacity(space: ModelSpace, kernel: RadialKernel, p: float,
     return lp_norm(u, w, pp) ** (-p)
 
 
-_SYMMETRIC_CUTOVER = 2048   # solver handles targets up to this size comfortably
+def _uniform_tree(space: ModelSpace) -> bool:
+    """Whether the symmetric reduction applies: the ultrametric, equal leaf weights."""
+    return space.kind == "tree-boundary" and bool(np.all(space.weights == space.weights[0]))
+
+
+_SYMMETRIC_CUTOVER = 2048   # the solver handles targets below this size comfortably
 
 
 def capacity_value(space: ModelSpace, kernel: RadialKernel, target,
@@ -310,12 +313,14 @@ def grid_ball_capacity(space: ModelSpace, kernel: RadialKernel, p: float,
 
     ``method`` picks the computation: "solver" runs the general program,
     "symmetric" the exact reduction for uniform trees, "auto" switches to
-    the reduction once the target outgrows the solver.  The two paths agree
-    to solver accuracy wherever both apply (asserted in the test suite), but
-    not to the last bit, so each is memoized under its own key.
+    the reduction, where it applies, once the target reaches the cutover
+    size.  The two paths agree to solver accuracy wherever both apply
+    (asserted in the test suite), but not to the last bit, so each is
+    memoized under its own key.
     """
     lo, hi = space.grid_ball_range(x, level)
-    if method == "symmetric" or (method == "auto" and hi - lo > _SYMMETRIC_CUTOVER):
+    if method == "symmetric" or (method == "auto" and hi - lo >= _SYMMETRIC_CUTOVER
+                                 and _uniform_tree(space)):
         return space._cached(("symmetric", kernel, p, lo, hi),
                              lambda: uniform_ball_capacity(space, kernel, p, x, level))
     return capacity_value(space, kernel, np.arange(lo, hi), p)

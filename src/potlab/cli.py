@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import hashlib
 import json
 import math
@@ -257,6 +256,29 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _field(text: str) -> str:
+    """A CSV field, quoted (quotes doubled) when it holds a comma, a quote or
+    a line break, as ``csv.QUOTE_MINIMAL`` does."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _column(values, n_rows: int) -> list:
+    """One CSV column of a block as fields.  A scalar is formatted once and
+    repeated; a numeric array is converted and formatted in one pass (floats
+    as repr, booleans true/false, integers through str); anything else is
+    formatted cell by cell through ``_fmt``."""
+    if np.isscalar(values):
+        return [_field(_fmt(values))] * n_rows
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
+        cells = values.tolist()
+        if values.dtype.kind == "b":
+            return ["true" if v else "false" for v in cells]
+        return list(map(repr if values.dtype.kind == "f" else str, cells))
+    return [_field(_fmt(v)) for v in values]
+
+
 class Emitter:
     """Tracks artifacts so a failed run can remove its partial outputs."""
 
@@ -265,13 +287,24 @@ class Emitter:
         self.written: list[Path] = []
         outdir.mkdir(parents=True, exist_ok=True)
 
-    def csv(self, name: str, header, rows) -> Path:
+    def csv(self, name: str, header, blocks) -> Path:
+        """Write a table whose rows come in blocks.  A block holds one column
+        per header name: 1-D arrays or sequences of one length, or scalars
+        repeated down the block (so a block of scalars is one row).  Each
+        block is formatted a column at a time and written at once, so a
+        large table written in blocks never holds all its text."""
         path = self.outdir / name
+        self.written.append(path)   # before writing, so cleanup removes a partial file
         with open(path, "w", encoding="ascii", newline="") as fh:
-            out = csv.writer(fh, lineterminator="\n")
-            out.writerow(header)
-            out.writerows([_fmt(v) for v in row] for row in rows)
-        self.written.append(path)
+            fh.write(",".join(map(_field, header)) + "\n")
+            for block in blocks:
+                lengths = {len(col) for col in block if not np.isscalar(col)}
+                if len(block) != len(header) or len(lengths) > 1:
+                    raise ValueError(f"{name}: a block's columns do not fit the header")
+                n_rows = lengths.pop() if lengths else 1
+                if n_rows:
+                    cols = [_column(col, n_rows) for col in block]
+                    fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
         return path
 
     def cleanup(self) -> None:
@@ -350,43 +383,38 @@ class Runner:
         k1, k2 = ahlfors_constants(space)
         dump_space(space, self.emit.outdir / "space.txt")
         self.emit.written.append(self.emit.outdir / "space.txt")
-        rows = [(space.kind, space.branching, space.depth, space.delta,
-                 space.dimension, space.n_leaves, space.total_mass, k1, k2)]
         self.emit.csv("space_info.csv",
                       ("kind", "branching", "depth", "delta", "dimension",
                        "leaves", "total_mass", "ahlfors_lower", "ahlfors_upper"),
-                      rows)
+                      [(space.kind, space.branching, space.depth, space.delta,
+                        space.dimension, space.n_leaves, space.total_mass, k1, k2)])
         return [("leaves", space.n_leaves), ("dimension", space.dimension),
                 ("ahlfors_lower", k1), ("ahlfors_upper", k2)]
 
     def run_capacity(self):
         max_iters = _get(self.cfg, "capacity", "max_iters", int, default=MAX_ROUNDS)
         s = self.kernel.s if self.kernel.kind == "riesz" else float("nan")
-        rows = []
-        for set_id, target in _capacity_targets(self.cfg, self.space):
-            sol = solve_capacity(self.space, self.kernel, target, p=self.p,
-                                 max_iters=max_iters)
-            rows.append((set_id, self.p, s, sol.value, sol.relative_gap,
-                         sol.iterations, sol.converged))
+        targets = _capacity_targets(self.cfg, self.space)
+        sols = [solve_capacity(self.space, self.kernel, target, p=self.p,
+                               max_iters=max_iters) for _, target in targets]
         self.emit.csv("capacity.csv",
                       ("set_id", "p", "s", "value", "gap", "iterations", "converged"),
-                      rows)
-        return [("targets", len(rows)),
-                ("first_value", rows[0][3])]
+                      [([set_id for set_id, _ in targets], self.p, s,
+                        [sol.value for sol in sols], [sol.relative_gap for sol in sols],
+                        [sol.iterations for sol in sols], [sol.converged for sol in sols])])
+        return [("targets", len(sols)),
+                ("first_value", sols[0].value)]
 
     def run_ball_profile(self):
         center, levels = _ball_profile_levels(self.cfg, self.space)
         prof = ball_capacity_profile(self.space, self.kernel, self.p, center, levels)
-        rows = [(center, int(n), r, c)
-                for n, r, c in zip(prof.levels, prof.radii, prof.capacities)]
-        self.emit.csv("ball_profile.csv",
-                      ("center", "level", "radius", "capacity"), rows)
+        self.emit.csv("ball_profile.csv", ("center", "level", "radius", "capacity"),
+                      [(center, prof.levels, prof.radii, prof.capacities)])
         theory = (theoretical_profile_slope(self.space.dimension, self.p, self.kernel.s)
                   if self.kernel.kind == "riesz" else float("nan"))
         self.emit.csv("ball_profile_summary.csv",
                       ("center", "slope", "theory_slope", "product_min", "product_max"),
-                      [(center, prof.slope, theory,
-                        prof.log_product_range[0], prof.log_product_range[1])])
+                      [(center, prof.slope, theory, *prof.log_product_range)])
         if self.charts:
             chart = self.emit.outdir / "ball_profile.svg"
             write_line_chart(chart, [("capacity", prof.radii, prof.capacities)],
@@ -402,8 +430,9 @@ class Runner:
         inflation = _get(self.cfg, "quasiadd", "inflation", float, default=1.0)
         margin = _get(self.cfg, "quasiadd", "radius_margin", float, default=1.0)
         s = self.kernel.s if self.kernel.kind == "riesz" else float("nan")
-        rows = []
-        ratios = []
+        header = ("experiment_id", "mode", "n_balls", "p", "s", "sum_capacity",
+                  "union_capacity", "ratio", "ratio_bound", "passed")
+        table = {key: [] for key in header}
         for i in range(n_seeds):
             seed = self.seed + i
             with warnings.catch_warnings():
@@ -418,23 +447,24 @@ class Runner:
                 rep = quasi_additivity_report(self.space, self.kernel, self.p, fam, sets)
                 # ahlfors mode has no provable bound to check the ratio against
                 bound = rep.bound if mode == "tree" else float("nan")
-                rows.append((f"{mode}-{seed}-{shape}", mode, rep.n_balls,
-                             self.p, s, rep.sum_capacity, rep.union_capacity,
-                             rep.ratio, bound, rep.passed))
-                ratios.append(rep.ratio)
-        self.emit.csv("quasiadd.csv",
-                      ("experiment_id", "mode", "n_balls", "p", "s", "sum_capacity",
-                       "union_capacity", "ratio", "ratio_bound", "passed"),
-                      rows)
-        return [("experiments", len(rows)),
+                for key, value in zip(table, (
+                        f"{mode}-{seed}-{shape}", mode, rep.n_balls, self.p, s,
+                        rep.sum_capacity, rep.union_capacity, rep.ratio, bound,
+                        rep.passed)):
+                    table[key].append(value)
+        self.emit.csv("quasiadd.csv", header, [tuple(table.values())])
+        ratios, passed = table["ratio"], table["passed"]
+        return [("experiments", len(ratios)),
                 ("max_ratio", max(ratios) if ratios else float("nan")),
                 # no experiment is no evidence: report it as not passed
-                ("all_passed", bool(rows) and all(r[-1] for r in rows))]
+                ("all_passed", bool(passed) and all(passed))]
 
     def _extension(self):
+        """The run's extension, built once per height grid on the space."""
         n_heights = _get(self.cfg, "poisson", "n_heights", int,
                          default=self.space.depth)
-        return PoissonExtension(self.space, n_heights=n_heights)
+        return self.space._cached(("extension", n_heights),
+                                  lambda: PoissonExtension(self.space, n_heights=n_heights))
 
     def run_poisson(self):
         ext = self._extension()
@@ -444,15 +474,14 @@ class Runner:
         f = lipschitz_profile(self.space, profile)
         op = kernel_operator(self.kernel, self.space)
         field = ext.field(op.apply_function(f))
-        rows = [(x, float(y), field.values[x, h])
-                for h, y in enumerate(ext.heights)
-                for x in range(self.space.n_leaves)]
-        self.emit.csv("poisson_field.csv", ("leaf_index", "y", "value"), rows)
+        leaves = np.arange(self.space.n_leaves)
+        self.emit.csv("poisson_field.csv", ("leaf_index", "y", "value"),
+                      ((leaves, y, field.values[:, h]) for h, y in enumerate(ext.heights)))
 
         ones_err = float(np.abs(ext.field(np.ones(self.space.n_leaves)).values - 1.0).max())
         ng = ext.normalization_grid()
-        checks = [("extension_of_one_minus_one", -ones_err, ones_err, self.space.depth),
-                  ("normalizer", float(ng.min()), float(ng.max()), self.space.depth)]
+        checks = [("extension_of_one_minus_one", -ones_err, ones_err),
+                  ("normalizer", float(ng.min()), float(ng.max()))]
         c_h = harnack_constant(self.space, n_heights=ext.heights.size - 1)
         rng = np.random.default_rng(self.seed)
         worst_margin = math.inf
@@ -460,16 +489,16 @@ class Runner:
             g = rng.random(self.space.n_leaves)
             pot_field = ext.field(op.apply_function(g))
             eps = float(np.quantile(pot_field.values, quantile))
-            lowest, _, ok = harnack_check(ext, self.kernel, g, eps, c_h=c_h)
+            lowest, _, ok = harnack_check(ext, self.kernel, g, eps, c_h=c_h,
+                                          field=pot_field)
             if not ok:
                 raise RuntimeError("harnack check failed")
             if math.isfinite(lowest):
                 worst_margin = min(worst_margin, lowest / (c_h * eps))
         checks.append(("harnack_margin", c_h,
-                       worst_margin if math.isfinite(worst_margin) else float("nan"),
-                       self.space.depth))
-        self.emit.csv("poisson_checks.csv",
-                      ("quantity", "min", "max", "depth"), checks)
+                       worst_margin if math.isfinite(worst_margin) else float("nan")))
+        self.emit.csv("poisson_checks.csv", ("quantity", "min", "max", "depth"),
+                      [(*zip(*checks), self.space.depth)])
         return [("extension_of_one_error", ones_err), ("harnack_constant", c_h)]
 
     def run_exchange(self):
@@ -477,13 +506,13 @@ class Runner:
         n_random = _get(self.cfg, "exchange", "n_random", int, default=5)
         band = exchange_band(self.space, self.kernel,
                              n_heights=ext.heights.size - 1)
-        rows = [("band_calibration", band[0], band[1], CALIBRATION_DEPTH)]
         rng = np.random.default_rng(self.seed)
-        for i in range(n_random):
-            g = rng.random(self.space.n_leaves)
-            lo, hi = exchange_ratio(ext, self.kernel, g)
-            rows.append((f"random_{i}", lo, hi, self.space.depth))
-        self.emit.csv("exchange.csv", ("quantity", "min", "max", "depth"), rows)
+        ratios = [exchange_ratio(ext, self.kernel, rng.random(self.space.n_leaves))
+                  for _ in range(n_random)]
+        self.emit.csv("exchange.csv", ("quantity", "min", "max", "depth"),
+                      [("band_calibration", *band, CALIBRATION_DEPTH),
+                       ([f"random_{i}" for i in range(n_random)], [lo for lo, _ in ratios],
+                        [hi for _, hi in ratios], self.space.depth)])
         return [("band_min", band[0]), ("band_max", band[1])]
 
     def run_converge(self):
@@ -506,17 +535,20 @@ class Runner:
         thin = thinness_decay(self.space, self.kernel, self.p,
                               split.exceedance, ext.heights)
         tables = (("nontangential", nt), (f"tangential-{region}", tan))
-        rows = [(r.x0, table.region_kind, r.t, r.sup_error, r.n_points, r.n_excluded)
-                for _, table in tables for r in table.rows]
         self.emit.csv("converge.csv",
                       ("x0_leaf", "region_kind", "t", "sup_error",
-                       "in_region_points", "excluded"), rows)
+                       "in_region_points", "excluded"),
+                      [([r.x0 for r in table.rows], table.region_kind,
+                        [r.t for r in table.rows], [r.sup_error for r in table.rows],
+                        [r.n_points for r in table.rows], [r.n_excluded for r in table.rows])
+                       for _, table in tables])
         self.emit.csv("converge_summary.csv",
                       ("experiment_id", "fraction_converged", "bad_set_mass",
                        "thin_verdict", "shadow_capacity", "bad_capacity"),
-                      [(label, table.fraction_converged, table.bad_set_mass[-1][1],
-                        thin.thin, split.shadow_capacity, split.bad_capacity)
-                       for label, table in tables])
+                      [([label for label, _ in tables],
+                        [table.fraction_converged for _, table in tables],
+                        [table.bad_set_mass[-1][1] for _, table in tables],
+                        thin.thin, split.shadow_capacity, split.bad_capacity)])
         if self.charts:
             series = []
             for label, table in tables:

@@ -148,14 +148,23 @@ def young_check(kernel: RadialKernel, space: ModelSpace, f: np.ndarray, p: float
 
 class KernelOperator:
     """Uniform interface for potentials: tree-radial fast path when the
-    metric is the ultrametric, dense matrix otherwise."""
+    metric is the ultrametric, dense matrix otherwise.
+
+    ``apply_function`` and ``apply_measure`` take one input as an (n,)
+    vector or k inputs as the columns of an (n, k) block, and return the
+    same shape.  A block makes one pass over the operator for all k
+    columns (one matrix product on the dense path), so its columns can
+    differ from one-at-a-time applies in the last bits.
+    """
 
     def apply_function(self, f: np.ndarray) -> np.ndarray:
-        """K*f = potential of the measure f dmu."""
-        return self._apply(np.asarray(f, dtype=float) * self.space.weights)
+        """K*f = potential of the measure f dmu (per column of a block)."""
+        f = np.asarray(f, dtype=float)
+        w = self.space.weights
+        return self._apply(f * (w[:, None] if f.ndim == 2 else w))
 
     def apply_measure(self, masses: np.ndarray) -> np.ndarray:
-        """K*mu for a measure given by per-leaf masses."""
+        """K*mu for a measure given by per-leaf masses (per column of a block)."""
         return self._apply(np.asarray(masses, dtype=float))
 
     def row(self, x: int) -> np.ndarray:

@@ -232,13 +232,16 @@ def _harnack_worst(cal: ModelSpace, n_heights: int) -> float:
 
 
 def harnack_check(ext: PoissonExtension, kernel: RadialKernel, f: np.ndarray,
-                  eps: float, c_h: float | None = None):
+                  eps: float, c_h: float | None = None,
+                  field: UpperHalfField | None = None):
     """min over the per-height ball slabs of the extended potential,
-    compared against c_h * eps (vacuous pass when the slabs are empty)."""
+    compared against c_h * eps (vacuous pass when the slabs are empty).
+    ``field``, when given, is that extended potential, already computed."""
     if c_h is None:
         c_h = harnack_constant(ext.space, n_heights=ext.heights.size - 1)
-    pot = kernel_operator(kernel, ext.space).apply_function(np.asarray(f, dtype=float))
-    field = ext.field(pot)
+    if field is None:
+        pot = kernel_operator(kernel, ext.space).apply_function(np.asarray(f, dtype=float))
+        field = ext.field(pot)
     sets = exceedance_sets(ext, kernel, f, eps, field=field)
     if not sets.slab.any():
         return math.inf, c_h, True
@@ -255,8 +258,7 @@ def exchange_ratio(ext: PoissonExtension, kernel: RadialKernel, f: np.ndarray):
     op = kernel_operator(kernel, ext.space)
     ext_f = ext.field(f).values
     ext_pot = ext.field(op.apply_function(f)).values
-    swapped = np.column_stack([op.apply_function(ext_f[:, h])
-                               for h in range(ext.heights.size)])
+    swapped = op.apply_function(ext_f)
     ratios = swapped / ext_pot
     return float(ratios.min()), float(ratios.max())
 

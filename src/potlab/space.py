@@ -119,10 +119,12 @@ class ModelSpace:
         return float(self._weight_prefix[hi] - self._weight_prefix[lo])
 
     def block_sum_per_leaf(self, values: np.ndarray, level: int) -> np.ndarray:
-        """Depth-``level`` subtree sums of ``values``, broadcast back to leaves."""
+        """Depth-``level`` subtree sums of ``values``, broadcast back to leaves;
+        an (n, k) block is summed column by column."""
         block = self._block[level]
-        sums = np.asarray(values, dtype=float).reshape(-1, block).sum(axis=1)
-        return np.repeat(sums, block)
+        values = np.asarray(values, dtype=float)
+        sums = values.reshape((-1, block) + values.shape[1:]).sum(axis=1)
+        return sums.repeat(block, axis=0)
 
     def path_of(self, x: int) -> tuple[int, ...]:
         digits = []

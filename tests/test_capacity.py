@@ -264,6 +264,25 @@ def test_ball_capacity_memo_keeps_paths_apart():
             grid_ball_capacity(fresh_tree6(), RIESZ, 2.0, 13, 2, method=method)
 
 
+def test_auto_takes_the_reduction_at_the_cutover_size():
+    # the level-0 ball at depth 11 holds exactly _SYMMETRIC_CUTOVER = 2048 leaves
+    space = model_space("tree-boundary", 2, 11, 0.5)
+    grid_ball_capacity(space, RIESZ, 2.0, 0, 0)
+    kinds = {key[0] for key in space._memo}
+    assert "symmetric" in kinds and "set" not in kinds
+
+
+def test_auto_keeps_the_solver_where_the_reduction_does_not_apply(monkeypatch):
+    monkeypatch.setattr(capacity, "_SYMMETRIC_CUTOVER", 16)
+    for kind in ("unit-interval", "cantor-set"):
+        space = model_space(kind, 2, 6)
+        value = grid_ball_capacity(space, RIESZ, 2.0, 0, 1)
+        kinds = {key[0] for key in space._memo}
+        assert "set" in kinds and "symmetric" not in kinds
+        assert value == grid_ball_capacity(model_space(kind, 2, 6), RIESZ, 2.0, 0, 1,
+                                           method="solver")
+
+
 def spy_on_solves(monkeypatch) -> list:
     """(kernel, p, leaf bytes) of every solve_capacity call from here on."""
     calls = []

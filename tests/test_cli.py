@@ -2,8 +2,10 @@ import configparser
 import csv
 import io
 import json
+import math
 import time
 
+import numpy as np
 import pytest
 
 from potlab import cli
@@ -321,3 +323,75 @@ weights = {weights}
     assert main(["space-info", "--config", str(cfg), "--out", str(out)]) == 0
     back = load_space(out / "space.txt")
     assert back.total_mass == pytest.approx(12.0)
+
+
+def reference_csv(path, header, rows):
+    # the row writer Emitter.csv replaced: the stdlib csv module over a
+    # per-cell formatter
+    def fmt(x):
+        if isinstance(x, (bool, np.bool_)):
+            return "true" if x else "false"
+        if isinstance(x, (float, np.floating)):
+            return repr(float(x))
+        return str(x)
+
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([fmt(v) for v in row] for row in rows)
+
+
+EMIT_HEADER = ("flag", "np_flag", "x", "np_x", "n", "np_n", "label,text")
+EMIT_ROWS = [
+    (True, np.bool_(False), 0.1, np.float64(1 / 3), 3, np.int64(-7), "plain"),
+    (False, np.bool_(True), math.nan, np.float64(math.inf), 0, np.int64(2**40), "a,b"),
+    (True, np.bool_(True), -0.0, np.float64(-math.inf), -1, np.int64(0), 'say "hi"'),
+    (False, np.bool_(False), 1e300, np.float64(-0.0), 10**20, np.int64(5), '"a","b"'),
+]
+
+
+def emit_blocks():
+    """The same table in every form Emitter.csv takes."""
+    lists = [list(col) for col in zip(*EMIT_ROWS)]
+    arrays = [np.array(lists[0]), np.array(lists[1]), np.array(lists[2]),
+              np.array(lists[3]), lists[4], np.array(lists[5]), np.array(lists[6])]
+    return {"rows": EMIT_ROWS,
+            "lists": [lists],
+            "arrays": [arrays],
+            "split": [[col[:2] for col in arrays], [col[2:] for col in lists]]}
+
+
+@pytest.mark.parametrize("form", ["rows", "lists", "arrays", "split"])
+def test_emitter_matches_the_stdlib_row_writer(form, tmp_path):
+    reference_csv(tmp_path / "ref.csv", EMIT_HEADER, EMIT_ROWS)
+    path = cli.Emitter(tmp_path).csv("out.csv", EMIT_HEADER, emit_blocks()[form])
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_emitter_repeats_scalars_and_checks_widths(tmp_path):
+    emit = cli.Emitter(tmp_path)
+    path = emit.csv("t.csv", ("a", "b", "c"),
+                    [("x,y", np.arange(3), np.float64(0.5)), (True, [], 1.0)])
+    reference_csv(tmp_path / "ref.csv", ("a", "b", "c"),
+                  [("x,y", i, 0.5) for i in range(3)])
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    for bad in ([(np.arange(3), np.arange(2), 0.5)], [(1, 2, 3), (1, 2)]):
+        with pytest.raises(ValueError):
+            emit.csv("bad.csv", ("a", "b", "c"), bad)
+        emit.cleanup()     # a failed write leaves no partial file behind
+        assert not (tmp_path / "bad.csv").exists()
+
+
+def test_run_builds_one_extension_per_grid(config, tmp_path, monkeypatch):
+    built = []
+
+    class Counted(cli.PoissonExtension):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("n_heights"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "PoissonExtension", Counted)
+    runner = cli.Runner(cli.load_config(config), tmp_path / "out", 7, charts=False)
+    for subcommand in ("poisson", "exchange", "converge"):
+        runner.run(subcommand)
+    assert built == [6]

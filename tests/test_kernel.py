@@ -271,3 +271,15 @@ def test_lp_norm_inf(rng):
     vals = rng.standard_normal(32)
     w = np.full(32, 1 / 32)
     assert lp_norm(vals, w, np.inf) == pytest.approx(np.abs(vals).max())
+
+
+@pytest.mark.parametrize("k", [1, 13])
+@pytest.mark.parametrize("kind", ["tree-boundary", "unit-interval", "cantor-set"])
+def test_block_apply_matches_column_applies(kind, k, rng):
+    op = kernel_operator(RadialKernel("riesz", s=0.75, p=2.0), model_space(kind, 2, 7))
+    block = rng.random((op.space.n_leaves, k))
+    for apply in (op.apply_function, op.apply_measure):
+        out = apply(block)
+        ref = np.column_stack([apply(block[:, j]) for j in range(k)])
+        assert out.shape == block.shape
+        assert np.all(np.abs(out - ref) <= 1e-13 * np.abs(ref))

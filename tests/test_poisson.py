@@ -293,6 +293,47 @@ def test_exchange_constant_input_closed_form(cantor6):
     assert hi == pytest.approx(float(direct.max()), rel=1e-10)
 
 
+def per_height_exchange_ratio(ext, kernel, f):
+    # one potential per height, as exchange_ratio computed it before block applies
+    op = kernel_operator(kernel, ext.space)
+    ext_f = ext.field(f).values
+    ext_pot = ext.field(op.apply_function(f)).values
+    swapped = np.column_stack([op.apply_function(ext_f[:, h])
+                               for h in range(ext.heights.size)])
+    ratios = swapped / ext_pot
+    return float(ratios.min()), float(ratios.max())
+
+
+@pytest.mark.parametrize("kind", ["tree-boundary", "unit-interval", "cantor-set"])
+def test_exchange_ratio_matches_per_height_loop(kind, rng):
+    ms = model_space(kind, 2, 7)
+    ext = PoissonExtension(ms, n_heights=7)
+    for _ in range(3):
+        f = rng.random(ms.n_leaves)
+        lo, hi = exchange_ratio(ext, RIESZ, f)
+        ref_lo, ref_hi = per_height_exchange_ratio(ext, RIESZ, f)
+        assert lo == pytest.approx(ref_lo, rel=1e-12, abs=0.0)
+        assert hi == pytest.approx(ref_hi, rel=1e-12, abs=0.0)
+
+
+def test_harnack_check_uses_the_given_field(rng, monkeypatch):
+    ms = model_space("cantor-set", 2, 6)
+    ext = PoissonExtension(ms, n_heights=6)
+    k = RadialKernel("riesz", s=0.8, p=2.0)
+    op = kernel_operator(k, ms)
+    f = rng.random(64)
+    field = ext.field(op.apply_function(f))
+    eps = float(np.quantile(field.values, 0.7))
+    expected = harnack_check(ext, k, f, eps)
+
+    def no_recompute(*args):
+        raise AssertionError("the extended potential was computed again")
+
+    monkeypatch.setattr(ext, "field", no_recompute)
+    monkeypatch.setattr(op, "apply_function", no_recompute)
+    assert harnack_check(ext, k, f, eps, field=field) == expected
+
+
 def test_exchange_band_contains_random_inputs(cantor6, rng):
     k = RadialKernel("riesz", s=0.8, p=2.0)
     band = exchange_band(cantor6, k, n_heights=6)
