@@ -2,7 +2,7 @@
 Ahlfors-regular spaces: capacities, equilibrium measures, quasi-additivity
 experiments, dyadic Poisson extensions, and boundary-convergence runs."""
 
-from .space import (ModelSpace, model_space, leaf_coordinates, ahlfors_constants,
+from .space import (ModelSpace, model_space, ahlfors_constants,
                     christ_cubes, verify_christ, dump_space, load_space)
 from .kernel import (RadialKernel, kernel_value, convolve_naive, young_check,
                      lp_norm, kernel_operator, dyadic_riesz_potential,
@@ -15,7 +15,7 @@ from .capacity import (CapacitySolution, solve_capacity, capacity_value, capacit
 from .quasiadd import (SeparatedFamily, ExperimentReport, tree_quasi_additivity_bound,
                        generate_separated_family, verify_separation,
                        quasi_additivity_report, family_target_sets,
-                       estimate_inflation, ahlfors_ratio_batch)
+                       family_batch, estimate_inflation)
 from .poisson import (PoissonExtension, UpperHalfField, dyadic_heights,
                       maximal_function, exceedance_sets, harnack_constant,
                       harnack_check, exchange_ratio, exchange_band,

@@ -149,7 +149,7 @@ def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
             break
         iterations += 1
         if rows is None:
-            rows = np.vstack([op.row(x) for x in E])
+            rows = op.row(E)
         # binding: at or near 0 with the gradient pushing outward
         free = (lam > scale * min(residual, 1e-3)) | (grad > 0.0)
         # Newton step on the free leaves: Hessian K_F diag(w g') K_F^T = A A^T
@@ -190,8 +190,10 @@ def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
 # -- p = 2 exact oracle --------------------------------------------------------
 
 
-def capacity_p2_exact(space: ModelSpace, kernel: RadialKernel, target,
-                      kkt_tol: float = 1e-11) -> float:
+KKT_TOL = 1e-11   # optimality tolerance of the p = 2 active-set oracle
+
+
+def capacity_p2_exact(space: ModelSpace, kernel: RadialKernel, target) -> float:
     """Finite active-set solve of the p = 2 problem (independent oracle).
 
     The optimum is the reciprocal of the least quadratic energy of a
@@ -201,10 +203,8 @@ def capacity_p2_exact(space: ModelSpace, kernel: RadialKernel, target,
     E = np.unique(np.asarray(target, dtype=np.int64))
     if E.size == 0:
         return 0.0
-    op = kernel_operator(kernel, space)
-    w = space.weights
-    rows = np.vstack([op.row(x) for x in E])
-    gram = (rows * w[None, :]) @ rows.T
+    rows = kernel_operator(kernel, space).row(E)
+    gram = (rows * space.weights[None, :]) @ rows.T
     m = E.size
 
     def solve_on(idx):
@@ -218,7 +218,7 @@ def capacity_p2_exact(space: ModelSpace, kernel: RadialKernel, target,
         x = solve_on(idx)
         cand = np.zeros(m)
         cand[idx] = x / x.sum()
-        if np.any(cand[idx] < -kkt_tol):
+        if np.any(cand[idx] < -KKT_TOL):
             # walk back toward the last feasible iterate, drop the blocker
             old = nu[idx]
             new = cand[idx]
@@ -236,7 +236,7 @@ def capacity_p2_exact(space: ModelSpace, kernel: RadialKernel, target,
         energies = gram @ nu
         e = float(nu @ energies)
         violation = e - float(energies.min())
-        if violation <= kkt_tol * max(e, 1e-300):
+        if violation <= KKT_TOL * max(e, 1e-300):
             return 1.0 / e
         entering = int(np.argmin(energies))
         if entering in active:

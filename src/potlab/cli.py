@@ -21,7 +21,6 @@ import json
 import math
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +35,7 @@ from .kernel import RadialKernel, kernel_operator
 from .poisson import (CALIBRATION_DEPTH, PROFILE_NAMES, PoissonExtension, exchange_band,
                       exchange_ratio, harnack_check, harnack_constant,
                       lipschitz_profile)
-from .quasiadd import (FAMILY_MODES, TARGET_SHAPES, family_target_sets,
-                       generate_separated_family, quasi_additivity_report)
+from .quasiadd import FAMILY_MODES, TARGET_SHAPES, family_batch
 from .space import ahlfors_constants, dump_space, model_space
 
 SUITE = ("space-info", "capacity", "ball-profile", "quasiadd", "poisson", "exchange",
@@ -122,10 +120,10 @@ def load_config(path, overrides=()) -> configparser.ConfigParser:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override must look like section.key=value: {item!r}")
         key, value = item.split("=", 1)
-        section, option = key.split(".", 1)
+        section, option = (part.strip() for part in key.split(".", 1))
         if not cfg.has_section(section):
             cfg.add_section(section)
-        cfg.set(section.strip(), option.strip(), value.strip())
+        cfg.set(section, option, value.strip())
     validate_config(cfg)
     return cfg
 
@@ -287,14 +285,20 @@ class Emitter:
         self.written: list[Path] = []
         outdir.mkdir(parents=True, exist_ok=True)
 
+    def path(self, name: str) -> Path:
+        """The path of output ``name``, recorded before the caller writes
+        it, so cleanup also removes a partially written file."""
+        path = self.outdir / name
+        self.written.append(path)
+        return path
+
     def csv(self, name: str, header, blocks) -> Path:
         """Write a table whose rows come in blocks.  A block holds one column
         per header name: 1-D arrays or sequences of one length, or scalars
         repeated down the block (so a block of scalars is one row).  Each
         block is formatted a column at a time and written at once, so a
         large table written in blocks never holds all its text."""
-        path = self.outdir / name
-        self.written.append(path)   # before writing, so cleanup removes a partial file
+        path = self.path(name)
         with open(path, "w", encoding="ascii", newline="") as fh:
             fh.write(",".join(map(_field, header)) + "\n")
             for block in blocks:
@@ -381,8 +385,7 @@ class Runner:
     def run_space_info(self):
         space = self.space
         k1, k2 = ahlfors_constants(space)
-        dump_space(space, self.emit.outdir / "space.txt")
-        self.emit.written.append(self.emit.outdir / "space.txt")
+        dump_space(space, self.emit.path("space.txt"))
         self.emit.csv("space_info.csv",
                       ("kind", "branching", "depth", "delta", "dimension",
                        "leaves", "total_mass", "ahlfors_lower", "ahlfors_upper"),
@@ -416,10 +419,9 @@ class Runner:
                       ("center", "slope", "theory_slope", "product_min", "product_max"),
                       [(center, prof.slope, theory, *prof.log_product_range)])
         if self.charts:
-            chart = self.emit.outdir / "ball_profile.svg"
-            write_line_chart(chart, [("capacity", prof.radii, prof.capacities)],
+            write_line_chart(self.emit.path("ball_profile.svg"),
+                             [("capacity", prof.radii, prof.capacities)],
                              "log10 radius", "log10 capacity", log_x=True, log_y=True)
-            self.emit.written.append(chart)
         return [("slope", prof.slope), ("theory_slope", theory)]
 
     def run_quasiadd(self):
@@ -433,25 +435,14 @@ class Runner:
         header = ("experiment_id", "mode", "n_balls", "p", "s", "sum_capacity",
                   "union_capacity", "ratio", "ratio_bound", "passed")
         table = {key: [] for key in header}
-        for i in range(n_seeds):
-            seed = self.seed + i
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                fam = generate_separated_family(
-                    self.space, self.kernel, self.p, count, seed, mode=mode,
-                    inflation=inflation, radius_margin=margin)
-            if len(fam) == 0:
-                continue
-            for shape in shapes:
-                sets = family_target_sets(self.space, fam, shape, seed)
-                rep = quasi_additivity_report(self.space, self.kernel, self.p, fam, sets)
-                # ahlfors mode has no provable bound to check the ratio against
-                bound = rep.bound if mode == "tree" else float("nan")
-                for key, value in zip(table, (
-                        f"{mode}-{seed}-{shape}", mode, rep.n_balls, self.p, s,
-                        rep.sum_capacity, rep.union_capacity, rep.ratio, bound,
-                        rep.passed)):
-                    table[key].append(value)
+        for seed, shape, rep in family_batch(
+                self.space, self.kernel, self.p, range(self.seed, self.seed + n_seeds),
+                count, mode, shapes, inflation=inflation, radius_margin=margin):
+            for key, value in zip(table, (
+                    f"{mode}-{seed}-{shape}", mode, rep.n_balls, self.p, s,
+                    rep.sum_capacity, rep.union_capacity, rep.ratio, rep.bound,
+                    rep.passed)):
+                table[key].append(value)
         self.emit.csv("quasiadd.csv", header, [tuple(table.values())])
         ratios, passed = table["ratio"], table["passed"]
         return [("experiments", len(ratios)),
@@ -557,10 +548,8 @@ class Runner:
                     by_t.setdefault(r.t, []).append(r.sup_error)
                 ts = sorted(by_t)
                 series.append((label, ts, [max(by_t[t]) for t in ts]))
-            chart = self.emit.outdir / "converge_errors.svg"
-            write_line_chart(chart, series, "log10 height cutoff", "sup error",
-                             log_x=True)
-            self.emit.written.append(chart)
+            write_line_chart(self.emit.path("converge_errors.svg"), series,
+                             "log10 height cutoff", "sup error", log_x=True)
         return [("nontangential_fraction", nt.fraction_converged),
                 ("tangential_fraction", tan.fraction_converged),
                 ("thin", thin.thin)]
@@ -597,10 +586,8 @@ class Runner:
             "wall_time_s": round(wall, 3),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
-        path = self.emit.outdir / "manifest.json"
-        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                        encoding="ascii")
-        self.emit.written.append(path)
+        self.emit.path("manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="ascii")
 
 
 def main(argv=None) -> int:

@@ -41,7 +41,6 @@ class ApproachRegion:
     y_cutoff: float = 1.0
     scale: float = 1.0          # multiplier on the radius function
     exponent: float = 1.0       # polynomial kind: radius = scale * y**exponent
-    dimension: float | None = None   # exponential kind; defaults to the space's
 
     def __post_init__(self):
         if self.kind not in REGION_KINDS:
@@ -62,8 +61,7 @@ def region_radius(space: ModelSpace, kernel: RadialKernel, p: float,
     if region.kind == "exponential":
         if y >= 1.0:
             return 0.0
-        q = region.dimension if region.dimension is not None else space.dimension
-        return region.scale * math.log(1.0 / y) ** (-q)
+        return region.scale * math.log(1.0 / y) ** (-space.dimension)
     er = metric_matching_radius(space, kernel, p, region.center, y)
     return region.scale * er.star
 
@@ -101,15 +99,14 @@ def shadow_mask(space: ModelSpace, over: np.ndarray, heights: np.ndarray,
 
 def thinness_decay(space: ModelSpace, kernel: RadialKernel, p: float,
                    over: np.ndarray, heights: np.ndarray,
-                   t_grid=None, thin_tol: float = 1e-3) -> ThinSetReport:
-    """Capacity of the ball shadow of the sub-t part of a grid set, per t.
+                   thin_tol: float = 1e-3) -> ThinSetReport:
+    """Capacity of the ball shadow of the sub-t part of a grid set, for each
+    grid height t.
 
     The shadows shrink with t, so the capacities are non-increasing as t
     refines; the verdict is thin when the finest value drops below tol.
     """
-    if t_grid is None:
-        t_grid = np.asarray(heights, dtype=float)
-    t_grid = np.sort(np.asarray(t_grid, dtype=float))[::-1]
+    t_grid = np.sort(np.asarray(heights, dtype=float))[::-1]
     slab = ball_slab(space, over, heights)
     shadows = [np.flatnonzero(_below(slab, heights, t)) for t in t_grid]
     caps = np.array([capacity_value(space, kernel, leaves, p) for leaves in shadows])
@@ -245,7 +242,6 @@ def exceptional_capacity_bound(ext: PoissonExtension, kernel: RadialKernel,
 class SplitResult:
     exceedance: np.ndarray       # (n, H) grid cells removed from experiments
     bad_leaves: np.ndarray       # (n,) leaves removed from experiments
-    heights: np.ndarray
     shadow_capacity: float
     bad_capacity: float
     modulus: list                # rows (eps, largest working radius or None)
@@ -262,10 +258,13 @@ def _coarse_mean(space: ModelSpace, values: np.ndarray, level: int) -> np.ndarra
     return num / den
 
 
+SPLIT_LEVELS = 6                    # dyadic thresholds 2**-1 .. 2**-6 per part
+SPLIT_EPS_GRID = (0.2, 0.1, 0.05)   # eps of the split's closeness modulus
+SPLIT_ROUNDS = 40                   # cap on the closeness-budget quarterings
+
+
 def approximation_split(ext: PoissonExtension, kernel: RadialKernel, p: float,
-                        f: np.ndarray, delta_target: float,
-                        n_levels: int = 6, eps_grid=(0.2, 0.1, 0.05),
-                        max_rounds: int = 40) -> SplitResult:
+                        f: np.ndarray, delta_target: float) -> SplitResult:
     """Split off small-capacity exceptional sets outside which the extended
     potential is uniformly close to the boundary potential.
 
@@ -289,12 +288,12 @@ def approximation_split(ext: PoissonExtension, kernel: RadialKernel, p: float,
         parts.append(neg)
     closeness = max(lp_norm(f, w, p), 1e-300)
     levels_used: list = []
-    for _ in range(max_rounds):
+    for _ in range(SPLIT_ROUNDS):
         grid = np.zeros((space.n_leaves, ext.heights.size), dtype=bool)
         bad = np.zeros(space.n_leaves, dtype=bool)
         levels_used = []
         for h in parts:
-            for j in range(1, n_levels + 1):
+            for j in range(1, SPLIT_LEVELS + 1):
                 budget = closeness * 2.0 ** (-j)
                 level = space.depth
                 for lvl in range(space.depth + 1):
@@ -316,8 +315,8 @@ def approximation_split(ext: PoissonExtension, kernel: RadialKernel, p: float,
         if ok:
             break
         closeness *= 0.25
-    modulus = closeness_modulus(ext, op.apply_function(f), grid, bad, eps_grid)
-    return SplitResult(grid, bad, ext.heights, cap_shadow, cap_bad,
+    modulus = closeness_modulus(ext, op.apply_function(f), grid, bad, SPLIT_EPS_GRID)
+    return SplitResult(grid, bad, cap_shadow, cap_bad,
                        modulus, delta_target, ok, closeness, levels_used)
 
 
@@ -384,8 +383,6 @@ class ConvergenceTable:
     tol: float
     rows: list
     fraction_converged: float
-    shadow_capacity: float
-    bad_capacity: float
     bad_set_mass: list            # (t, mass) rows
     degenerate: list              # sampled leaves whose region never leaves the center
 
@@ -471,5 +468,4 @@ def convergence_experiment(ext: PoissonExtension, kernel: RadialKernel, p: float
         open_leaves = open_leaves[~meets]
     bad_mass = [(float(t), float(space.weights[met <= t].sum())) for t in t_grid]
     return ConvergenceTable(kind, tol, rows, converged / max(len(x0_sample), 1),
-                            split.shadow_capacity, split.bad_capacity,
                             bad_mass, degenerate)

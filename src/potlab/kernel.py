@@ -154,7 +154,8 @@ class KernelOperator:
     vector or k inputs as the columns of an (n, k) block, and return the
     same shape.  A block makes one pass over the operator for all k
     columns (one matrix product on the dense path), so its columns can
-    differ from one-at-a-time applies in the last bits.
+    differ from one-at-a-time applies in the last bits.  ``row`` takes one
+    leaf for its (n,) row K(x, .) or m leaves for an (m, n) block of rows.
     """
 
     def apply_function(self, f: np.ndarray) -> np.ndarray:
@@ -166,9 +167,6 @@ class KernelOperator:
     def apply_measure(self, masses: np.ndarray) -> np.ndarray:
         """K*mu for a measure given by per-leaf masses (per column of a block)."""
         return self._apply(np.asarray(masses, dtype=float))
-
-    def row(self, x: int) -> np.ndarray:
-        raise NotImplementedError
 
     def norm_1(self) -> float:
         """max over leaves of the kernel's mass integral (the kernels are
@@ -193,8 +191,10 @@ class TreeKernelOperator(KernelOperator):
                 out = out + coef * space.block_sum_per_leaf(masses, level)
         return out
 
-    def row(self, x):
-        return self.table[self.space.lca_levels(x, np.arange(self.space.n_leaves))]
+    def row(self, leaves):
+        leaves = np.asarray(leaves)
+        return self.table[self.space.lca_levels(leaves[..., None],
+                                                np.arange(self.space.n_leaves))]
 
 
 class DenseKernelOperator(KernelOperator):
@@ -214,8 +214,8 @@ class DenseKernelOperator(KernelOperator):
     def _apply(self, masses):
         return self.matrix @ masses
 
-    def row(self, x):
-        return self.matrix[x]
+    def row(self, leaves):
+        return self.matrix[leaves]
 
 
 def kernel_operator(kernel: RadialKernel, space: ModelSpace) -> KernelOperator:

@@ -85,31 +85,11 @@ class PoissonExtension:
             out += coef * (prefix[hi] - prefix[lo])
         return out
 
-    def _height_index(self, y: float) -> int:
-        match = np.flatnonzero(np.isclose(self.heights, y, rtol=1e-12, atol=0.0))
-        if match.size == 0:
-            raise ValueError(f"height {y} is not on the grid")
-        return int(match[0])
-
     # -- public surface ----------------------------------------------------
-
-    def unnormalized_mass(self, x: int, y: float) -> float:
-        """Kernel mass before normalization, including the 1/y^Q factor."""
-        h = self._height_index(y)
-        return float(self._mass[x, h]) / y**self.q
-
-    def normalization(self, x: int, y: float) -> float:
-        """Constant that makes the extension of 1 equal to 1 at (x, y)."""
-        return 1.0 / self.unnormalized_mass(x, y)
 
     def normalization_grid(self) -> np.ndarray:
         """Normalizing constants at every (leaf, height) grid point."""
         return self.heights[None, :] ** self.q / self._mass
-
-    def integral(self, f: np.ndarray, x: int, y: float) -> float:
-        h = self._height_index(y)
-        prefix = np.concatenate(([0.0], np.cumsum(np.asarray(f) * self.space.weights)))
-        return float(self._collect(prefix, h)[x] / self._mass[x, h])
 
     def field(self, f: np.ndarray) -> UpperHalfField:
         """Extension of f at every grid point; exact normalization by
@@ -119,12 +99,10 @@ class PoissonExtension:
         cols = [self._collect(prefix, h) for h in range(self.heights.size)]
         return UpperHalfField(self.heights, np.column_stack(cols) / self._mass)
 
-    def kernel_profile(self, x: int, h: int) -> np.ndarray:
-        """Per-leaf weights k(z) with extension(f)(x, y_h) = sum k(z) f(z) w(z)."""
-        return self.kernel_matrix(h)[x]
-
     def kernel_matrix(self, h: int) -> np.ndarray:
-        """All kernel profiles at one height, stacked by center leaf.
+        """All kernel profiles at one height, stacked by center leaf: row x
+        holds the per-leaf weights k(z) with extension(f)(x, y_h) =
+        sum k(z) f(z) w(z).
 
         Each center stops at its own first whole-space ring, which takes the
         geometric tail coef / (1 - decay); the shared last ring has it already.
@@ -200,21 +178,21 @@ def exceedance_sets(ext: PoissonExtension, kernel: RadialKernel, f: np.ndarray,
 CALIBRATION_DEPTH = 6
 
 
-def _calibration_space(space: ModelSpace, depth: int) -> ModelSpace:
+def _calibration_space(space: ModelSpace) -> ModelSpace:
     """Same geometry at the calibration depth, uniform mass profile."""
-    return model_space(space.kind, space.branching, depth, space.delta, space.dimension)
+    return model_space(space.kind, space.branching, CALIBRATION_DEPTH, space.delta,
+                       space.dimension)
 
 
-def harnack_constant(space: ModelSpace, n_heights: int = 20,
-                     depth: int = CALIBRATION_DEPTH) -> float:
+def harnack_constant(space: ModelSpace, n_heights: int = 20) -> float:
     """Worst ratio extension(x, y) / extension(x~, y) over x in B(x~, y).
 
     Linearity reduces the minimization over all nonnegative inputs to point
     masses, i.e. to entrywise ratios of kernel profiles; those are
     enumerated exhaustively at the calibration depth.
     """
-    return space._cached(("harnack", n_heights, depth),
-                         lambda: _harnack_worst(_calibration_space(space, depth), n_heights))
+    return space._cached(("harnack", n_heights),
+                         lambda: _harnack_worst(_calibration_space(space), n_heights))
 
 
 def _harnack_worst(cal: ModelSpace, n_heights: int) -> float:
@@ -263,23 +241,20 @@ def exchange_ratio(ext: PoissonExtension, kernel: RadialKernel, f: np.ndarray):
     return float(ratios.min()), float(ratios.max())
 
 
-def exchange_band(space: ModelSpace, kernel: RadialKernel, n_heights: int = 20,
-                  depth: int = CALIBRATION_DEPTH):
+def exchange_band(space: ModelSpace, kernel: RadialKernel, n_heights: int = 20):
     """Exhaustive exchange-ratio band at the calibration depth.
 
     Both orders are linear in the input, so the extremal pointwise ratios
     over all nonnegative inputs are attained at point masses: the band is
     the entrywise ratio range of the two composed kernels.
     """
-    return space._cached(("exchange", kernel, n_heights, depth),
-                         lambda: _exchange_extremes(_calibration_space(space, depth),
-                                                    kernel, n_heights))
+    return space._cached(("exchange", kernel, n_heights),
+                         lambda: _exchange_extremes(_calibration_space(space), kernel, n_heights))
 
 
 def _exchange_extremes(cal: ModelSpace, kernel: RadialKernel, n_heights: int):
     ext = PoissonExtension(cal, n_heights=n_heights)
-    op = kernel_operator(kernel, cal)
-    kmat = np.vstack([op.row(x) for x in range(cal.n_leaves)])
+    kmat = kernel_operator(kernel, cal).row(np.arange(cal.n_leaves))
     w = cal.weights
     lo, hi = math.inf, -math.inf
     for h in range(ext.heights.size):
@@ -297,7 +272,7 @@ def _exchange_extremes(cal: ModelSpace, kernel: RadialKernel, n_heights: int):
 PROFILE_NAMES = ("coordinate", "hat", "bump")
 
 
-def lipschitz_profile(space: ModelSpace, name: str, scale: float = 1.0) -> np.ndarray:
+def lipschitz_profile(space: ModelSpace, name: str) -> np.ndarray:
     """Named Lipschitz profiles evaluated at the leaf positions.
 
     Embedded kinds use the embedding coordinate; the tree boundary uses the
@@ -316,4 +291,4 @@ def lipschitz_profile(space: ModelSpace, name: str, scale: float = 1.0) -> np.nd
         vals = 16.0 * t**2 * (1.0 - t) ** 2
     else:
         raise ValueError(f"unknown profile {name!r}; choose from {PROFILE_NAMES}")
-    return scale * np.asarray(vals, dtype=float)
+    return np.array(vals, dtype=float)   # a fresh array, never the read-only coords

@@ -15,6 +15,7 @@ capacity exceeds the total mass have no enlargement and are skipped.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -78,9 +79,10 @@ def verify_separation(space: ModelSpace, family: SeparatedFamily) -> SeparationC
 def generate_separated_family(space: ModelSpace, kernel: RadialKernel, p: float,
                               count: int, seed: int, mode: str = "tree",
                               inflation: float = 1.0, radius_margin: float = 1.0,
-                              level_range: tuple | None = None,
-                              max_attempts: int | None = None) -> SeparatedFamily:
-    """Greedy seeded sampler of balls with disjoint enlargements."""
+                              level_range: tuple | None = None) -> SeparatedFamily:
+    """Greedy seeded sampler of balls with disjoint enlargements: at most
+    80 draws per requested ball.  Radius levels default to 2..depth-2,
+    narrowed to the single level min(2, depth) on shallow trees."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if mode not in FAMILY_MODES:
@@ -88,13 +90,13 @@ def generate_separated_family(space: ModelSpace, kernel: RadialKernel, p: float,
     if mode == "tree" and space.kind != "tree-boundary":
         raise ValueError("tree mode needs a tree-boundary space")
     if level_range is None:
-        level_range = (min(2, space.depth), max(space.depth - 2, 1))
+        lowest = min(2, space.depth)
+        level_range = (lowest, max(space.depth - 2, lowest))
     lo_lvl, hi_lvl = level_range
     rng = np.random.default_rng(seed)
     fam = SeparatedFamily(mode, [], [], [], [], [],
                           inflation=inflation, radius_margin=radius_margin)
-    attempts = max_attempts if max_attempts is not None else 80 * count
-    for _ in range(attempts):
+    for _ in range(80 * count):
         if len(fam) >= count:
             break
         x = int(rng.integers(space.n_leaves))
@@ -163,7 +165,7 @@ class ExperimentReport:
     sum_capacity: float
     union_capacity: float
     ratio: float
-    bound: float | None            # provable bound in tree mode, None otherwise
+    bound: float                   # provable bound in tree mode, nan otherwise
     passed: bool
     set_capacities: list = field(default_factory=list)
 
@@ -178,7 +180,7 @@ def quasi_additivity_report(space: ModelSpace, kernel: RadialKernel, p: float,
     Subadditivity gives the lower end everywhere.  A tree family is also
     checked against the provable tree bound; on an embedded space the
     converse constant is not computable, so the ratio is only recorded
-    (the batch helpers check its stability).
+    (``estimate_inflation`` checks its stability).
     """
     cert = verify_separation(space, family)
     if not cert.ok:
@@ -193,7 +195,7 @@ def quasi_additivity_report(space: ModelSpace, kernel: RadialKernel, p: float,
     union_cap = capacity_value(space, kernel, union, p)
     ratio = sum(caps) / union_cap if union_cap > 0 else 1.0
     passed = ratio >= 1.0 - ExperimentReport.LOWER_SLACK
-    bound = None
+    bound = math.nan
     if family.mode == "tree":
         bound = tree_quasi_additivity_bound(kernel_operator(kernel, space).norm_1(), p)
         passed = passed and ratio <= bound * (1.0 + ExperimentReport.UPPER_SLACK)
@@ -201,23 +203,26 @@ def quasi_additivity_report(space: ModelSpace, kernel: RadialKernel, p: float,
                             ratio, bound, passed, caps)
 
 
-def ahlfors_ratio_batch(space: ModelSpace, s: float, p: float, seeds,
-                        count: int = 4, inflation: float = 1.0,
-                        radius_margin: float = 1.0, shape: str = "ball") -> list:
-    """Empirical quasi-additivity ratios over a seeded batch of families."""
-    kernel = RadialKernel("riesz", s=s, p=p)
-    ratios = []
+def family_batch(space: ModelSpace, kernel: RadialKernel, p: float, seeds,
+                 count: int, mode: str, shapes, inflation: float = 1.0,
+                 radius_margin: float = 1.0) -> list:
+    """(seed, shape, report) per seed and shape: one separated family per
+    seed, and a report on each target shape inside its balls.  A seed whose
+    family comes out empty contributes no row."""
+    out = []
     for seed in seeds:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            fam = generate_separated_family(
-                space, kernel, p, count, seed, mode="ahlfors",
-                inflation=inflation, radius_margin=radius_margin)
+            fam = generate_separated_family(space, kernel, p, count, seed, mode=mode,
+                                            inflation=inflation,
+                                            radius_margin=radius_margin)
         if len(fam) == 0:
             continue
-        sets = family_target_sets(space, fam, shape, seed)
-        ratios.append(quasi_additivity_report(space, kernel, p, fam, sets).ratio)
-    return ratios
+        for shape in shapes:
+            sets = family_target_sets(space, fam, shape, seed)
+            out.append((seed, shape,
+                        quasi_additivity_report(space, kernel, p, fam, sets)))
+    return out
 
 
 INFLATION_GRID = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
@@ -225,8 +230,7 @@ INFLATION_GRID = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
 
 def estimate_inflation(space: ModelSpace, s: float, p: float,
                        radius_margin: float = 1.0, seeds=range(10),
-                       count: int = 4, grid=INFLATION_GRID,
-                       stability: float = 0.05) -> float:
+                       count: int = 4, stability: float = 0.05) -> float:
     """Smallest grid inflation whose batch max ratio has stabilized.
 
     Stabilized means the max ratio moves by less than ``stability`` when
@@ -236,13 +240,14 @@ def estimate_inflation(space: ModelSpace, s: float, p: float,
     seeds = list(seeds)
     if len(seeds) < 10:
         raise ValueError("estimate needs a batch of at least 10 seeds")
+    kernel = RadialKernel("riesz", s=s, p=p)
     maxima = []
-    for psi in grid:
-        ratios = ahlfors_ratio_batch(space, s, p, seeds, count=count,
-                                     inflation=psi, radius_margin=radius_margin)
-        maxima.append(max(ratios) if ratios else 1.0)
-    for i in range(len(grid) - 1):
+    for psi in INFLATION_GRID:
+        rows = family_batch(space, kernel, p, seeds, count, "ahlfors", ("ball",),
+                            inflation=psi, radius_margin=radius_margin)
+        maxima.append(max((rep.ratio for _, _, rep in rows), default=1.0))
+    for i in range(len(INFLATION_GRID) - 1):
         if abs(maxima[i + 1] - maxima[i]) < stability * maxima[i]:
-            return float(grid[i])
+            return float(INFLATION_GRID[i])
     warnings.warn("inflation grid exhausted without stabilization")
-    return float(grid[-1])
+    return float(INFLATION_GRID[-1])

@@ -61,12 +61,12 @@ class ModelSpace:
         weights = np.full(n, 1.0 / n) if weights is None else np.array(weights, dtype=float)
         if weights.shape != (n,):
             raise ValueError(f"expected {n} leaf weights, got shape {weights.shape}")
-        if not np.all(weights > 0.0):
-            raise ValueError("leaf weights must be strictly positive")
+        if not np.all((weights > 0.0) & np.isfinite(weights)):
+            raise ValueError("leaf weights must be finite and strictly positive")
         if dimension is None:
             dimension = math.log(branching) / math.log(1.0 / delta)
-        if dimension <= 0:
-            raise ValueError("dimension must be positive")
+        if not 0.0 < dimension < math.inf:
+            raise ValueError("dimension must be finite and positive")
         weights.setflags(write=False)
         self.kind = kind
         self.branching = int(branching)
@@ -252,13 +252,6 @@ def model_space(kind: str, branching: int, depth: int, delta: float | None = Non
         else:
             delta = 0.5
     return ModelSpace(kind, branching, depth, delta, weights, dimension)
-
-
-def leaf_coordinates(space: ModelSpace) -> np.ndarray:
-    """Embedding coordinates of the leaves (the nested-piece intersection points)."""
-    if space.kind == "tree-boundary":
-        raise ValueError("tree-boundary leaves are their own points; no embedding")
-    return space.coords
 
 
 def ahlfors_constants(space: ModelSpace) -> tuple[float, float]:

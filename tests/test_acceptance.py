@@ -183,7 +183,7 @@ def test_criterion_6_poisson_normalization():
 def test_criterion_7_exchange_band():
     kernel = RadialKernel("riesz", s=0.75, p=2.0)
     ms6 = model_space("cantor-set", 2, 6)
-    band = exchange_band(ms6, kernel, n_heights=6, depth=6)
+    band = exchange_band(ms6, kernel, n_heights=6)
     ms8 = model_space("cantor-set", 2, 8)
     ext = PoissonExtension(ms8, n_heights=8)
     rng = np.random.default_rng(707)
@@ -199,7 +199,7 @@ def test_criterion_7_exchange_band():
 def test_criterion_8_harnack():
     kernel = RadialKernel("riesz", s=0.8, p=2.0)
     ms = model_space("cantor-set", 2, 8)
-    c_h = harnack_constant(ms, n_heights=8, depth=6)
+    c_h = harnack_constant(ms, n_heights=8)
     ext = PoissonExtension(ms, n_heights=8)
     op = kernel_operator(kernel, ms)
     rng = np.random.default_rng(808)

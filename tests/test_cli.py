@@ -156,6 +156,10 @@ def mutate(mutation: str) -> str:
     ("[space] kind = unit-interval; delta = 0.3", "unit-interval"),
     ("[space] kind = cantor-set; delta = 0.6", "cantor-set"),
     ("depth = 3; [space] mass_profile = custom; [space] weights = 1,2,3", "leaf weights"),
+    ("depth = 3; [space] mass_profile = custom; [space] weights = 1,1,1,1,1,1,1,inf",
+     "leaf weights"),
+    ("[space] dimension = nan", "dimension"),
+    ("[space] dimension = inf", "dimension"),
     ("[space] kind = cantor-set; delta = 0.3; [kernel] kind = radial; "
      "[kernel] levels = 1,1,1,1,1,1,1", "riesz kernel"),
     ("depth = 4; [kernel] kind = radial; [kernel] levels = 1,1,1", "level table"),
@@ -271,6 +275,20 @@ def test_ahlfors_quasiadd_writes_no_ratio_bound(tmp_path):
     assert all(r["passed"] == "true" and float(r["ratio"]) >= 1.0 - 1e-9 for r in rows)
 
 
+@pytest.mark.parametrize("kind,mode", [("tree-boundary", "tree"),
+                                       ("unit-interval", "ahlfors")])
+@pytest.mark.parametrize("depth", [2, 3])
+def test_shallow_quasiadd_runs(tmp_path, kind, mode, depth):
+    # the default radius levels 2..depth-2 are empty below depth 4
+    cfg = tmp_path / "shallow.ini"
+    cfg.write_text(f"[space]\nkind = {kind}\nbranching = 2\ndepth = {depth}\n\n"
+                   f"[quasiadd]\nmode = {mode}\nseeds = 3\n")
+    out = tmp_path / "out"
+    assert main(["quasiadd", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = read_csv(out / "quasiadd.csv")
+    assert rows and all(r["passed"] == "true" for r in rows)
+
+
 def test_missing_config_rejected(tmp_path, capsys):
     code = main(["space-info", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path / "x")])
@@ -287,6 +305,14 @@ def test_tol_override(config, tmp_path):
     code = main(["capacity", "--config", str(config), "--out", str(out),
                  "--tol-override", "nonsense"])
     assert code == 2
+    # blanks around a section name name the same section, new or not
+    assert main(["space-info", "--config", str(config), "--out", str(out),
+                 "--tol-override", "poisson .n_random=2"]) == 0
+    cfg = cli.load_config(config, ["poisson .n_random=2", " capacity .targets=singleton:3"])
+    assert cfg.sections() == ["space", "kernel", "capacity", "ball-profile", "quasiadd",
+                              "converge", "run", "poisson"]
+    assert cfg.get("poisson", "n_random") == "2"
+    assert cfg.get("capacity", "targets") == "singleton:3"
 
 
 def test_runtime_failure_cleans_outputs(config, tmp_path, capsys, monkeypatch):
@@ -305,6 +331,22 @@ def test_runtime_failure_cleans_outputs(config, tmp_path, capsys, monkeypatch):
     assert code == 1
     assert capsys.readouterr().err.startswith("error kind=runtime")
     assert not list(out.glob("*.csv"))
+
+
+def test_partial_space_dump_cleaned(config, tmp_path, capsys, monkeypatch):
+    # space.txt is recorded before it is written, so a dump that fails half
+    # way leaves nothing behind
+    out = tmp_path / "out"
+
+    def partial_dump(space, path):
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write("tree-boundary 2 6\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "dump_space", partial_dump)
+    assert main(["space-info", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error kind=runtime")
+    assert not (out / "space.txt").exists()
 
 
 def test_custom_weights_space(tmp_path):

@@ -317,7 +317,7 @@ def test_nontangential_profile_errors_shrink(ext8):
         if rows[-1][1] <= rows[0][1] + 1e-12:
             shrink += 1
     assert shrink / len(by_x0) >= 0.95
-    assert table.shadow_capacity < 0.05
+    assert split.shadow_capacity < 0.05
 
 
 def test_tangential_constant_and_bad_mass(ext8, rng):
@@ -390,7 +390,7 @@ def test_experiment_matches_brute_force_scan(space_kind, kind):
     f = rng.random(space.n_leaves)
     excluded = rng.random((space.n_leaves, ext.heights.size)) < 0.02
     excluded[17, -1] = True      # a cell at the finest height
-    split = SplitResult(excluded, np.zeros(space.n_leaves, dtype=bool), ext.heights,
+    split = SplitResult(excluded, np.zeros(space.n_leaves, dtype=bool),
                         0.0, 0.0, [], 0.05, True, 1.0, [])
     table = convergence_experiment(ext, K8, 2.0, f, np.arange(space.n_leaves), split,
                                    kind, tol=0.05)

@@ -184,6 +184,18 @@ def full_matrix(op):
 
 
 @pytest.mark.parametrize("kind", ["tree-boundary", "unit-interval", "cantor-set"])
+def test_row_block_equals_stacked_rows(kind):
+    ms = model_space(kind, 2, 6)
+    op = kernel_operator(RadialKernel("riesz", s=0.75, p=2.0), ms)
+    assert op.row(5).shape == (ms.n_leaves,)
+    for leaves in (np.array([5]), np.array([40, 3, 3, 63]), np.arange(ms.n_leaves)):
+        block = op.row(leaves)
+        assert block.shape == (leaves.size, ms.n_leaves)
+        stacked = np.vstack([op.row(int(x)) for x in leaves])
+        assert block.tobytes() == stacked.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["tree-boundary", "unit-interval", "cantor-set"])
 def test_operator_built_once_per_space_and_kernel(kind):
     ms = model_space(kind, 2, 6)
     k75 = RadialKernel("riesz", s=0.75, p=2.0)

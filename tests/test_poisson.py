@@ -53,10 +53,11 @@ def test_matches_naive_double_loop(tree6, cantor6, rng):
     for ms in (tree6, cantor6):
         ext = PoissonExtension(ms, n_heights=8)
         f = rng.random(ms.n_leaves)
+        values = ext.field(f).values
         for x in (0, 13, 50):
-            for y in (1.0, 0.25, 2.0**-8):
-                direct = naive_extension(ms, ms.dimension, f, x, y)
-                assert ext.integral(f, x, y) == pytest.approx(direct, rel=1e-12)
+            for h in (0, 2, 8):   # y = 1, 1/4, 2**-8
+                direct = naive_extension(ms, ms.dimension, f, x, float(ext.heights[h]))
+                assert values[x, h] == pytest.approx(direct, rel=1e-12)
 
 
 def per_center_profile(ext, x, h):
@@ -97,10 +98,9 @@ def test_built_extension_searches_no_balls(kind, monkeypatch, rng):
     search = ms.ball_bounds
     monkeypatch.setattr(ms, "ball_bounds",
                         lambda *args, **kwargs: calls.append(1) or search(*args, **kwargs))
-    f = rng.random(ms.n_leaves)
-    ext.field(f)
-    for h, y in enumerate(ext.heights):
-        ext.integral(f, 5, float(y))
+    ext.field(rng.random(ms.n_leaves))
+    ext.normalization_grid()
+    for h in range(ext.heights.size):
         ext.kernel_matrix(h)
     assert calls == []
 
@@ -112,7 +112,7 @@ def test_ball_indicator_deep_inside(tree6, cantor6):
         lo, hi = ms.grid_ball_range(20, 2)
         f = np.zeros(ms.n_leaves)
         f[lo:hi] = 1.0
-        value = ext.integral(f, (lo + hi) // 2, 2.0**-6)
+        value = ext.field(f).values[(lo + hi) // 2, 6]   # y = 2**-6
         assert 0.9 <= value <= 1.0
 
 
@@ -150,10 +150,9 @@ def test_locality_outside_saturating_ball(tree6, rng):
     ext = PoissonExtension(tree6, n_heights=6)
     f = rng.random(64)
     x, h = 9, 4
-    y = float(ext.heights[h])
-    profile = ext.kernel_profile(x, h)
+    profile = ext.kernel_matrix(h)[x]
     direct = float(profile @ (f * tree6.weights))
-    assert ext.integral(f, x, y) == pytest.approx(direct, rel=1e-12)
+    assert ext.field(f).values[x, h] == pytest.approx(direct, rel=1e-12)
     assert np.all(profile > 0)
 
 

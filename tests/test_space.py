@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from potlab.space import (ModelSpace, ahlfors_constants, christ_cubes, dump_space,
-                          leaf_coordinates, load_space, model_space, verify_christ)
+                          load_space, model_space, verify_christ)
 
 
 def open_ball(space, x, r):
@@ -194,21 +194,21 @@ def test_model_space_kind_validation():
 
 def test_leaf_coordinates_values():
     mi = model_space("unit-interval", 2, 4)
-    assert leaf_coordinates(mi)[mi.leaf_of((0, 0, 0, 0))] == 0.0
+    assert mi.coords[mi.leaf_of((0, 0, 0, 0))] == 0.0
     mi2 = model_space("unit-interval", 2, 2)
-    assert leaf_coordinates(mi2)[mi2.leaf_of((1, 0))] == pytest.approx(0.5)
+    assert mi2.coords[mi2.leaf_of((1, 0))] == pytest.approx(0.5)
     mc = model_space("cantor-set", 2, 6)
     # all-ones path accumulates the geometric series of upper thirds
     top = mc.leaf_of((1,) * 6)
-    assert leaf_coordinates(mc)[top] == pytest.approx(sum(2 * 3.0**-k for k in range(1, 7)))
-    with pytest.raises(ValueError):
-        leaf_coordinates(model_space("tree-boundary", 2, 3))
+    assert mc.coords[top] == pytest.approx(sum(2 * 3.0**-k for k in range(1, 7)))
+    # tree-boundary leaves are their own points: no embedding
+    assert model_space("tree-boundary", 2, 3).coords is None
 
 
 def test_leaf_coordinates_injective_order_preserving():
     for kind in ("unit-interval", "cantor-set"):
         ms = model_space(kind, 3 if kind == "unit-interval" else 2, 4)
-        coords = leaf_coordinates(ms)
+        coords = ms.coords
         assert np.all(np.diff(coords) > 0)
 
 
@@ -243,7 +243,7 @@ def test_christ_dyadic_intervals(interval6):
         assert len(row) == 2**k
         spans = [(c.lo, c.hi) for c in row]
         assert spans == sorted(spans)
-        coords = leaf_coordinates(interval6)
+        coords = interval6.coords
         for c in row:
             width = coords[c.hi - 1] - coords[c.lo]
             assert width <= 2.0**-k + 1e-12
