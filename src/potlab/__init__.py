@@ -2,6 +2,11 @@
 Ahlfors-regular spaces: capacities, equilibrium measures, quasi-additivity
 experiments, dyadic Poisson extensions, and boundary-convergence runs."""
 
+# numpy loads these on first use (numpy.ma inside the first np.unique), about
+# 18 ms each; importing them here keeps that cost in start-up, not in a run
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from .space import (ModelSpace, model_space, ahlfors_constants,
                     christ_cubes, verify_christ, dump_space, load_space)
 from .kernel import (RadialKernel, kernel_value, convolve_naive, young_check,

@@ -15,8 +15,11 @@ a negative gradient are moved to 0, the others take a Newton step on the
 Hessian K_F diag(w g') K_F^T, and a projected Armijo search along the step
 lets many leaves enter or leave the support in one round.  It stops when
 the projected-gradient residual reaches rounding level; ``iterations``
-counts the rounds.  ``capacity_value`` memoizes the value of a leaf set on
-the space, the one solve memo for callers that read only the value.
+counts the rounds.  Each Newton system is one LU solve (``spd_solve``,
+LAPACK ``gesv`` through numpy); only an exactly singular Hessian falls back
+to a solve with a 1e-13 diagonal jitter.  ``capacity_value`` memoizes the
+value of a leaf set on the space, the one solve memo for callers that read
+only the value.
 
 Certificates are unconditional: any measure rescaled to the constraint
 boundary gives a lower bound, the recovered density rescaled to
@@ -28,29 +31,31 @@ quadratic program is provided as an independent oracle.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .kernel import KernelOperator, RadialKernel, kernel_operator, lp_norm
 from .space import ModelSpace
 
 
-def _solve_spd(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Positive-semidefinite solve with a jitter fallback.
 
-    Near-singular systems only slow the outer iteration down; optimality is
-    certified through the duality gap, so warnings here carry no signal.
+    ``np.linalg.solve`` factors the matrix by LU with partial pivoting
+    (LAPACK ``gesv``), which raises only on an exactly singular matrix (a
+    zero pivot); a Cholesky factorization would also raise on one that is
+    merely not positive definite in floating point.  On that error the
+    diagonal is raised by 1e-13 of its mean and the system solved again.
+    Near-singular systems only slow the outer iteration down; optimality
+    is certified through the duality gap, which still decides
+    ``converged``.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        try:
-            return scipy.linalg.solve(mat, rhs, assume_a="pos")
-        except scipy.linalg.LinAlgError:
-            jitter = 1e-13 * max(float(np.trace(mat)) / mat.shape[0], 1e-300)
-            return scipy.linalg.solve(mat + jitter * np.eye(mat.shape[0]), rhs)
+    try:
+        return np.linalg.solve(mat, rhs)
+    except np.linalg.LinAlgError:
+        jitter = 1e-13 * max(float(np.trace(mat)) / mat.shape[0], 1e-300)
+        return np.linalg.solve(mat + jitter * np.eye(mat.shape[0]), rhs)
 
 
 @dataclass
@@ -159,7 +164,7 @@ def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
         gprime[pos] = (ds.pp - 1.0) / p * (u[pos] / p) ** (ds.pp - 2.0)
         a = rows[free] * np.sqrt(w * gprime)
         direction = -lam                       # binding leaves move to 0
-        direction[free] = _solve_spd(a @ a.T, grad[free])
+        direction[free] = spd_solve(a @ a.T, grad[free])
         # projected Armijo search; near the optimum the objective moves
         # less than its own rounding, hence the noise allowance
         slope = float(grad @ direction)
@@ -208,7 +213,7 @@ def capacity_p2_exact(space: ModelSpace, kernel: RadialKernel, target) -> float:
     m = E.size
 
     def solve_on(idx):
-        return _solve_spd(gram[np.ix_(idx, idx)], np.ones(idx.size))
+        return spd_solve(gram[np.ix_(idx, idx)], np.ones(idx.size))
 
     active = [int(np.argmin(np.diag(gram)))]
     nu = np.zeros(m)

@@ -24,7 +24,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .capacity import (MAX_ROUNDS, ball_capacity_profile, solve_capacity,
@@ -117,10 +116,11 @@ def load_config(path, overrides=()) -> configparser.ConfigParser:
     if not read:
         raise ConfigError(f"config file not found: {path}")
     for item in overrides:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
+        key, eq, value = item.partition("=")
+        section, dot, option = (part.strip() for part in key.partition("."))
+        # configparser reserves its DEFAULT section for keys every section inherits
+        if not (eq and dot and section and option) or section == cfg.default_section:
             raise ConfigError(f"override must look like section.key=value: {item!r}")
-        key, value = item.split("=", 1)
-        section, option = (part.strip() for part in key.split(".", 1))
         if not cfg.has_section(section):
             cfg.add_section(section)
         cfg.set(section, option, value.strip())
@@ -582,7 +582,7 @@ class Runner:
             "config_sha256": digest.hexdigest(),
             "seed": self.seed,
             "versions": {"potlab": __version__, "python": sys.version.split()[0],
-                         "numpy": np.__version__, "scipy": scipy.__version__},
+                         "numpy": np.__version__},
             "wall_time_s": round(wall, 3),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }

@@ -192,9 +192,19 @@ class TreeKernelOperator(KernelOperator):
         return out
 
     def row(self, leaves):
+        # K(x, .) is table[lca level]: start every row at the level-0 value,
+        # then write each finer level's value over x's subtree block, in one
+        # pass per level over the (m, n / block, block) view
         leaves = np.asarray(leaves)
-        return self.table[self.space.lca_levels(leaves[..., None],
-                                                np.arange(self.space.n_leaves))]
+        space = self.space
+        n = space.n_leaves
+        flat = leaves.reshape(-1)
+        rows = np.arange(flat.size)
+        out = np.full((flat.size, n), self.table[0])
+        for level in range(1, space.depth + 1):
+            block = space._block[level]
+            out.reshape(flat.size, n // block, block)[rows, flat // block] = self.table[level]
+        return out.reshape(leaves.shape + (n,))
 
 
 class DenseKernelOperator(KernelOperator):

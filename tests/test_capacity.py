@@ -6,7 +6,7 @@ import pytest
 from potlab import capacity
 from potlab.capacity import (ball_capacity_profile, capacity_p2_exact,
                              grid_ball_capacity, metric_matching_radius,
-                             singleton_capacity, solve_capacity,
+                             singleton_capacity, solve_capacity, spd_solve,
                              theoretical_profile_slope, tree_matching_radius,
                              uniform_ball_capacity)
 from potlab.convergence import approximation_split, thinness_decay
@@ -19,6 +19,22 @@ RIESZ = RadialKernel("riesz", s=0.75, p=2.0)
 
 def constant_kernel(depth, value=1.0, p=2.0):
     return RadialKernel("radial", p=p, level_values=(value,) * (depth + 1))
+
+
+def test_spd_solve_matches_numpy_on_spd(rng):
+    a = rng.standard_normal((12, 12))
+    mat = a @ a.T + 12.0 * np.eye(12)
+    rhs = rng.standard_normal(12)
+    assert np.array_equal(spd_solve(mat, rhs), np.linalg.solve(mat, rhs))
+
+
+def test_spd_solve_jitters_an_exactly_singular_matrix():
+    mat = np.ones((3, 3))   # positive semidefinite, rank 1
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(mat, np.ones(3))
+    x = spd_solve(mat, np.ones(3))
+    assert np.all(np.isfinite(x))
+    np.testing.assert_allclose(mat @ x, np.ones(3), rtol=1e-9)
 
 
 def test_empty_target(tree6):

@@ -3,7 +3,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,11 +195,21 @@ def mutate(mutation: str) -> str:
     ("[converge] tol_nontangential = tight", "tol_nontangential"),
     ("[converge] tol_tangential = loose", "tol_tangential"),
     ("[converge] delta_target = small", "delta_target"),
+    # command-line overrides that name no usable section or key
+    ("--tol-override DEFAULT.x=1", "section.key=value"),
+    ("--tol-override .n=1", "section.key=value"),
+    ("--tol-override space.=3", "section.key=value"),
 ])
 def test_invalid_config_rejected(tmp_path, capsys, mutation, phrase):
+    flag, _, override = mutation.partition(" ")
     bad = tmp_path / "bad.ini"
-    bad.write_text(mutate(mutation))
-    code = main(["space-info", "--config", str(bad), "--out", str(tmp_path / "x")])
+    extra = []
+    if flag == "--tol-override":
+        bad.write_text(BASE_CONFIG)
+        extra = [flag, override]
+    else:
+        bad.write_text(mutate(mutation))
+    code = main(["space-info", "--config", str(bad), "--out", str(tmp_path / "x"), *extra])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error kind=config")
@@ -313,6 +327,42 @@ def test_tol_override(config, tmp_path):
                               "converge", "run", "poisson"]
     assert cfg.get("poisson", "n_random") == "2"
     assert cfg.get("capacity", "targets") == "singleton:3"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(code: str, *args) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return done.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    loaded = run_python("import sys, potlab.cli; print(*sys.modules)").split()
+    assert "potlab.cli" in loaded
+    assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
+
+
+def test_runs_import_nothing_after_set_up(tmp_path):
+    # every module a run needs is loaded by the time the Runner exists, so the
+    # run times measure work alone; the codec registry's ``encodings.*``
+    # entries, loaded on the first ASCII write, are the standard library's own
+    config = tmp_path / "depth5.ini"
+    config.write_text(BASE_CONFIG.replace("depth = 6", "depth = 5").replace(",40", ",20"))
+    code = """if True:
+        import sys
+        from pathlib import Path
+        import potlab.cli as cli
+        runner = cli.Runner(cli.load_config(sys.argv[1]), Path(sys.argv[2]), 7)
+        before = set(sys.modules)
+        runner.run("full-suite")
+        print(*(m for m in set(sys.modules) - before if not m.startswith("encodings.")))
+    """
+    assert run_python(code, config, tmp_path / "out").split() == []
+    assert (tmp_path / "out" / "converge_summary.csv").is_file()
 
 
 def test_runtime_failure_cleans_outputs(config, tmp_path, capsys, monkeypatch):

@@ -195,6 +195,26 @@ def test_row_block_equals_stacked_rows(kind):
         assert block.tobytes() == stacked.tobytes()
 
 
+@pytest.mark.parametrize("b,depth", [(2, 1), (2, 8), (3, 4)])
+def test_tree_row_block_matches_level_lookup(b, depth, rng):
+    # the row block against the shared-prefix lookup it replaces
+    ms = model_space("tree-boundary", b, depth, 0.3)
+    op = kernel_operator(RadialKernel("riesz", s=0.75, p=2.0), ms)
+    leaves_all = np.arange(ms.n_leaves)
+
+    def lookup(leaves):
+        return op.table[ms.lca_levels(np.asarray(leaves)[..., None], leaves_all)]
+
+    cases = [rng.choice(ms.n_leaves, size=min(ms.n_leaves, 20), replace=False)
+             for _ in range(5)]
+    cases += [0, ms.n_leaves - 1, rng.integers(0, ms.n_leaves, size=(3, 4)),
+              np.array([], dtype=np.int64)]
+    for leaves in cases:
+        block, expected = op.row(leaves), lookup(leaves)
+        assert block.shape == np.shape(leaves) + (ms.n_leaves,)
+        assert block.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("kind", ["tree-boundary", "unit-interval", "cantor-set"])
 def test_operator_built_once_per_space_and_kernel(kind):
     ms = model_space(kind, 2, 6)
