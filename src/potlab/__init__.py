@@ -7,11 +7,8 @@ experiments, dyadic Poisson extensions, and boundary-convergence runs."""
 import numpy.ma  # noqa: F401
 import numpy.random  # noqa: F401
 
-from .space import (ModelSpace, model_space, ahlfors_constants,
-                    christ_cubes, verify_christ, dump_space, load_space)
-from .kernel import (RadialKernel, kernel_value, convolve_naive, young_check,
-                     lp_norm, kernel_operator, dyadic_riesz_potential,
-                     dyadic_riesz_bounds)
+from .space import ModelSpace, model_space, ahlfors_constants, dump_space, load_space
+from .kernel import RadialKernel, convolve_naive, lp_norm, kernel_operator
 from .capacity import (CapacitySolution, solve_capacity, capacity_value, capacity_p2_exact,
                        singleton_capacity, uniform_ball_capacity,
                        tree_matching_radius, metric_matching_radius,
@@ -19,16 +16,13 @@ from .capacity import (CapacitySolution, solve_capacity, capacity_value, capacit
                        EnlargementRadius)
 from .quasiadd import (SeparatedFamily, ExperimentReport, tree_quasi_additivity_bound,
                        generate_separated_family, verify_separation,
-                       quasi_additivity_report, family_target_sets,
-                       family_batch, estimate_inflation)
+                       quasi_additivity_report, family_target_sets, family_batch)
 from .poisson import (PoissonExtension, UpperHalfField, dyadic_heights,
-                      maximal_function, exceedance_sets, harnack_constant,
-                      harnack_check, exchange_ratio, exchange_band,
-                      lipschitz_profile)
-from .convergence import (ApproachRegion, region_membership, region_radius,
-                          thinness_decay, enlarged_set, shadow_covering_check,
-                          exceptional_capacity_bound, approximation_split,
-                          closeness_modulus, convergence_experiment,
-                          ThinSetReport, SplitResult, ConvergenceTable)
+                      exceedance_sets, harnack_constant, harnack_check,
+                      exchange_ratio, exchange_band, lipschitz_profile)
+from .convergence import (ApproachRegion, region_radius, thinness_decay,
+                          approximation_split, closeness_modulus,
+                          convergence_experiment, ThinSetReport, SplitResult,
+                          ConvergenceTable)
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ import numpy as np
 
 from .capacity import capacity_value, metric_matching_radius
 from .kernel import RadialKernel, kernel_operator, lp_norm
-from .poisson import PoissonExtension, ball_slab, exceedance_sets
+from .poisson import PoissonExtension, ball_slab
 from .space import ModelSpace
 
 REGION_KINDS = ("nontangential", "capacity", "polynomial", "exponential")
@@ -38,15 +38,14 @@ class ApproachRegion:
     is below the kind's radius function at height y."""
     center: int
     kind: str
-    y_cutoff: float = 1.0
     scale: float = 1.0          # multiplier on the radius function
     exponent: float = 1.0       # polynomial kind: radius = scale * y**exponent
 
     def __post_init__(self):
         if self.kind not in REGION_KINDS:
             raise ValueError(f"unknown region kind {self.kind!r}")
-        if self.scale <= 0 or self.y_cutoff <= 0:
-            raise ValueError("scale and y_cutoff must be positive")
+        if self.scale <= 0:
+            raise ValueError("scale must be positive")
         if self.kind == "polynomial" and self.exponent <= 0:
             raise ValueError("polynomial region needs a positive exponent")
 
@@ -64,14 +63,6 @@ def region_radius(space: ModelSpace, kernel: RadialKernel, p: float,
         return region.scale * math.log(1.0 / y) ** (-space.dimension)
     er = metric_matching_radius(space, kernel, p, region.center, y)
     return region.scale * er.star
-
-
-def region_membership(space: ModelSpace, kernel: RadialKernel, p: float,
-                      region: ApproachRegion, x: int, y: float) -> bool:
-    if not 0.0 < y < region.y_cutoff:
-        raise ValueError("height must lie in (0, y_cutoff)")
-    return space.distance(x, region.center) < region_radius(
-        space, kernel, p, region, y)
 
 
 # -- thin sets ------------------------------------------------------------------
@@ -111,128 +102,6 @@ def thinness_decay(space: ModelSpace, kernel: RadialKernel, p: float,
     shadows = [np.flatnonzero(_below(slab, heights, t)) for t in t_grid]
     caps = np.array([capacity_value(space, kernel, leaves, p) for leaves in shadows])
     return ThinSetReport(t_grid, caps, bool(caps[-1] < thin_tol), thin_tol)
-
-
-# -- capacity-matched enlargements ----------------------------------------------
-
-
-@dataclass
-class EnlargedSet:
-    mask: np.ndarray
-    mass: float
-    capacity: float
-    ratio: float                 # mass of the enlargement over capacity of E
-    sentinel_count: int          # centers whose matching radius did not exist
-
-
-def _distance_to_outside(space: ModelSpace, inside: np.ndarray) -> np.ndarray:
-    """d(x, complement) for every x in the set (complement must be nonempty)."""
-    outside = np.flatnonzero(~inside)
-    dists = np.empty(space.n_leaves)
-    for x in np.flatnonzero(inside):
-        dists[x] = space.distances_from(x)[outside].min()
-    return dists
-
-
-def enlarged_set(space: ModelSpace, kernel: RadialKernel, p: float,
-                 members, factor: float = 1.0) -> EnlargedSet:
-    """Union of capacity-matched balls around a leaf set.
-
-    Each point is inflated to ``factor`` times the matching radius of its
-    distance-to-complement ball; the companion statistic compares the
-    enlarged mass with the capacity of the original set.
-    """
-    mask = np.zeros(space.n_leaves, dtype=bool)
-    mask[np.asarray(members, dtype=np.int64)] = True
-    if not mask.any():
-        raise ValueError("enlargement needs a nonempty set")
-    if mask.all():
-        raise ValueError("enlargement is undefined when the set is everything")
-    if factor < 1.0:
-        raise ValueError("factor must be at least 1")
-    gaps = _distance_to_outside(space, mask)
-    out = mask.copy()
-    sentinels = 0
-    for x in np.flatnonzero(mask):
-        er = metric_matching_radius(space, kernel, p, int(x), float(gaps[x]))
-        if not er.exists:
-            sentinels += 1
-        lo, hi = space.ball_bounds(np.array([x]), factor * er.star, closed=False)
-        out[int(lo[0]):int(hi[0])] = True
-    cap = capacity_value(space, kernel, np.flatnonzero(mask), p)
-    mass = float(space.weights[out].sum())
-    return EnlargedSet(out, mass, cap, mass / cap if cap > 0 else math.inf, sentinels)
-
-
-# -- covering of shadowed regions -------------------------------------------------
-
-
-@dataclass
-class CoveringReport:
-    hypothesis_ok: bool
-    alpha_measured: float
-    monotone: bool
-    inclusion_ok: bool | None     # None when the hypothesis check failed
-    lhs: np.ndarray
-    rhs: np.ndarray
-
-
-def _prefix_counts(cells: np.ndarray) -> np.ndarray:
-    """(n + 1, H) counts of marked cells per column among the leaves before
-    each index, so a leaf range's count is a difference of two rows."""
-    return np.vstack((np.zeros((1, cells.shape[1]), np.int64), np.cumsum(cells, axis=0)))
-
-
-def shadow_covering_check(space: ModelSpace, over: np.ndarray,
-                          heights: np.ndarray, radius_fn, alpha: float) -> CoveringReport:
-    """Check that leaves whose region meets a grid set are covered by
-    region slices anchored on the set's ball shadow.
-
-    ``radius_fn(x, y)`` is the region width; the hypotheses (monotone in y,
-    widths comparable across centers within ``alpha``) are verified on the
-    grid before the inclusion is asserted.
-    """
-    n = space.n_leaves
-    widths = np.array([[float(radius_fn(x, float(y))) for y in heights]
-                       for x in range(n)])
-    monotone = bool(np.all(np.diff(widths, axis=1) <= 1e-12))  # heights decrease
-    col_max = widths.max(axis=0)
-    col_min = widths.min(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alpha_measured = float(np.nanmax(np.where(col_min > 0, col_max / col_min,
-                                                  np.where(col_max > 0, np.inf, 1.0))))
-    hypothesis_ok = monotone and alpha >= alpha_measured - 1e-12
-    # lhs: leaves whose region touches the set (membership is d <= width)
-    counts = _prefix_counts(over)
-    lhs = np.zeros(n, dtype=bool)
-    for h in np.flatnonzero(over.any(axis=0)):
-        lo, hi = space.ball_bounds(np.arange(n), widths[:, h], closed=True)
-        lhs |= counts[hi, h] > counts[lo, h]
-    # rhs: region slices around shadow points at their escape distance
-    star = shadow_mask(space, over, heights)
-    rhs = np.zeros(n, dtype=bool)
-    if star.any() and not star.all():
-        gaps = _distance_to_outside(space, star)
-        for x in np.flatnonzero(star):
-            w = alpha * float(radius_fn(int(x), float(gaps[x])))
-            d = space.distances_from(int(x))
-            rhs |= d <= w
-    elif star.all():
-        rhs[:] = True
-    inclusion = bool(np.all(rhs[lhs])) if hypothesis_ok else None
-    return CoveringReport(hypothesis_ok, alpha_measured, monotone, inclusion, lhs, rhs)
-
-
-# -- exceptional-set capacity bound ----------------------------------------------
-
-
-def exceptional_capacity_bound(ext: PoissonExtension, kernel: RadialKernel,
-                               p: float, f: np.ndarray, eps: float):
-    """Capacity of the exceedance shadow against (norm(f)/eps)**p."""
-    leaves = exceedance_sets(ext, kernel, f, eps).star_leaves()
-    cap = capacity_value(ext.space, kernel, leaves, p)
-    bound = (lp_norm(f, ext.space.weights, p) / eps) ** p
-    return cap, bound, cap / bound if bound > 0 else 0.0
 
 
 # -- Lusin-type approximation split ------------------------------------------------
@@ -367,6 +236,12 @@ def closeness_modulus(ext: PoissonExtension, g: np.ndarray, excluded: np.ndarray
 # -- convergence experiments --------------------------------------------------------
 
 
+def _prefix_counts(cells: np.ndarray) -> np.ndarray:
+    """(n + 1, H) counts of marked cells per column among the leaves before
+    each index, so a leaf range's count is a difference of two rows."""
+    return np.vstack((np.zeros((1, cells.shape[1]), np.int64), np.cumsum(cells, axis=0)))
+
+
 @dataclass
 class ConvergenceRow:
     x0: int
@@ -397,7 +272,7 @@ def convergence_experiment(ext: PoissonExtension, kernel: RadialKernel, p: float
     leaves whose region meets those cells at heights up to t.
 
     The t grid is every fourth height plus the finest one.  Heights at or
-    above the region's cutoff (1) count for no t.
+    above 1, the diameter, count for no t.
 
     The default polynomial exponent p * (s - 1/p') is the width of the
     capacity-matched region: ball mass grows like radius**Q while ball
@@ -427,7 +302,7 @@ def convergence_experiment(ext: PoissonExtension, kernel: RadialKernel, p: float
     columns = np.arange(nh)
     t_grid = np.unique(np.concatenate((heights[::4], heights[-1:])))[::-1]
     # row i of the t table covers the heights at most t_grid[i] below the cutoff
-    live = heights < template.y_cutoff
+    live = heights < 1.0
     below = (heights <= t_grid[:, None]) & live
 
     rows = []

@@ -57,6 +57,9 @@ class RadialKernel:
             vals = np.asarray(self.level_values, dtype=float)
             if vals.ndim != 1 or not np.all(np.isfinite(vals)) or np.any(vals < 0):
                 raise ValueError("level values must be finite and nonnegative")
+            # K*1 > 0 at every leaf exactly when some level carries mass
+            if not np.any(vals > 0):
+                raise ValueError("level values must not all be zero")
             # a hashable table, so the kernel itself can key caches
             object.__setattr__(self, "level_values", tuple(vals.tolist()))
 
@@ -90,13 +93,6 @@ class RadialKernel:
         return table
 
 
-def kernel_value(kernel: RadialKernel, space: ModelSpace, x: int, y: int) -> float:
-    """K(x, y) in the space's own metric; raises on the Riesz diagonal."""
-    if x == y and kernel.kind == "riesz":
-        raise ValueError("riesz kernel is undefined on the diagonal")
-    return float(kernel_operator(kernel, space).row(x)[y])
-
-
 def convolve_naive(kernel: RadialKernel, space: ModelSpace, f: np.ndarray) -> np.ndarray:
     """Exact quadratic-cost potential of the function f (oracle of the tree
     operator, so ultrametric only)."""
@@ -107,40 +103,12 @@ def convolve_naive(kernel: RadialKernel, space: ModelSpace, f: np.ndarray) -> np
     return kmat @ (np.asarray(f, dtype=float) * space.weights)
 
 
-def kernel_norm_tail_bound(kernel: RadialKernel, space: ModelSpace) -> float:
-    """Upper bound for the kernel norm at every refinement of this space.
-
-    Refining a uniform tree adds per-level terms that decay geometrically
-    whenever the level values grow slower than the branching; the bound is
-    the current norm plus that geometric tail.
-    """
-    if kernel.kind != "riesz":
-        raise ValueError("tail bound is specific to the riesz kernel")
-    if space.kind != "tree-boundary":
-        raise ValueError("tail bound is specific to the ultrametric")
-    b, delta, n = space.branching, space.delta, space.depth
-    # per-level contribution of a uniform profile: (1-1/b) * (delta**(-q s) / b)**l
-    ratio = delta ** (-space.dimension * kernel.s) / b
-    if ratio >= 1.0:
-        raise ValueError("kernel norm diverges with depth for these parameters")
-    tail = (1.0 - 1.0 / b) * ratio**n / (1.0 - ratio) * space.total_mass
-    return kernel_operator(kernel, space).norm_1() + tail
-
-
 def lp_norm(values: np.ndarray, weights: np.ndarray, p: float) -> float:
     """Weighted L^p norm; p = inf gives the sup norm."""
     values = np.asarray(values, dtype=float)
     if np.isinf(p):
         return float(np.abs(values).max()) if values.size else 0.0
     return float((weights @ np.abs(values) ** p) ** (1.0 / p))
-
-
-def young_check(kernel: RadialKernel, space: ModelSpace, f: np.ndarray, p: float):
-    """Both sides of ||K*f||_p <= ||K||_1 ||f||_p; pass within 1e-12 slack."""
-    op = kernel_operator(kernel, space)
-    lhs = lp_norm(op.apply_function(f), space.weights, p)
-    rhs = op.norm_1() * lp_norm(f, space.weights, p)
-    return lhs, rhs, lhs <= rhs * (1.0 + 1e-12)
 
 
 # -- kernel operators ------------------------------------------------------------
@@ -232,59 +200,3 @@ def kernel_operator(kernel: RadialKernel, space: ModelSpace) -> KernelOperator:
     """The operator of ``kernel`` on ``space``, built once per (space, kernel)."""
     cls = TreeKernelOperator if space.kind == "tree-boundary" else DenseKernelOperator
     return space._cached(("operator", kernel), lambda: cls(kernel, space))
-
-
-# -- dyadic form of the power-law kernel --------------------------------------
-
-
-def dyadic_riesz_kernel_value(d: float, q: float, s: float, diameter: float = 1.0) -> float:
-    """Sum over dyadic radii 2**j of 2**(-q*s*j) * [d < 2**j].
-
-    Indices run from the finest scale that separates two leaves up to the
-    diameter; beyond the diameter every ball is the whole space and the
-    remaining geometric tail is added in closed form.
-    """
-    if d <= 0:
-        raise ValueError("dyadic kernel is off-diagonal only")
-    j_max = int(np.ceil(np.log2(diameter)))
-    j_lo = int(np.floor(np.log2(d))) + 1   # smallest j with 2**j > d
-    base = 2.0 ** (-q * s)
-    tail = base ** (j_max + 1) / (1.0 - base)
-    if j_lo > j_max:
-        return tail
-    return float(np.sum(base ** np.arange(j_lo, j_max + 1))) + tail
-
-
-def dyadic_riesz_potential(space: ModelSpace, g: np.ndarray, s: float) -> np.ndarray:
-    """Potential of g under the dyadic staircase kernel (balls at radii 2**j)."""
-    q = space.dimension
-    g = np.asarray(g, dtype=float)
-    masses = g * space.weights
-    prefix = np.concatenate(([0.0], np.cumsum(masses)))
-    n = space.n_leaves
-    centers = np.arange(n, dtype=np.int64)
-    j_max = int(np.ceil(np.log2(space.diameter)))
-    j_lo = int(np.floor(space.depth * np.log2(space.delta)))
-    base = 2.0 ** (-q * s)
-    out = np.zeros(n)
-    total = float(masses.sum())
-    for j in range(j_lo, j_max + 1):
-        lo, hi = space.ball_bounds(centers, 2.0**j, closed=False)
-        out += base**j * (prefix[hi] - prefix[lo])
-    out += base ** (j_max + 1) / (1.0 - base) * total
-    # atoms never see themselves: remove the self term each ball contributed
-    weight_on_self = float(np.sum(base ** np.arange(j_lo, j_max + 1))) \
-        + base ** (j_max + 1) / (1.0 - base)
-    out -= weight_on_self * masses
-    return out
-
-
-def dyadic_riesz_bounds(space: ModelSpace, s: float) -> tuple[float, float]:
-    """Brute-force min/max of dyadic-kernel / exact-kernel over realized
-    distances; potentials of nonnegative inputs have their ratio inside."""
-    q = space.dimension
-    dmat = space.distance_matrix()
-    dists = np.unique(dmat[dmat > 0])
-    ratios = [dyadic_riesz_kernel_value(d, q, s, space.diameter) / d ** (-q * s)
-              for d in dists]
-    return float(min(ratios)), float(max(ratios))

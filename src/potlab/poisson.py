@@ -4,8 +4,8 @@ The extension at (x, y) averages f over the balls B(x, 2**k y) with
 geometrically decaying weights 2**(-(Q+1)k), normalized to reproduce
 constants exactly.  Once a ball saturates the whole space the remaining
 terms form a geometric series that is added in closed form, so there is no
-truncation error in k.  Heights live on the dyadic grid diam * 2**(-m);
-values above the diameter are rejected (the normalizer is unbounded
+truncation error in k.  Heights live on the dyadic grid diam * 2**(-m),
+m >= 0, so none lies above the diameter (the normalizer is unbounded
 there and nothing at the boundary depends on large heights).
 
 Calibration helpers exploit that the extension is linear in f: extremal
@@ -39,16 +39,10 @@ class UpperHalfField:
 class PoissonExtension:
     """Grid machinery for one model space; immutable and reusable."""
 
-    def __init__(self, space: ModelSpace, n_heights: int = 20,
-                 heights: np.ndarray | None = None):
+    def __init__(self, space: ModelSpace, n_heights: int = 20):
         self.space = space
         self.q = space.dimension
-        if heights is None:
-            heights = dyadic_heights(space.diameter, n_heights)
-        heights = np.asarray(heights, dtype=float)
-        if np.any(heights <= 0) or np.any(heights > space.diameter + 1e-15):
-            raise ValueError("heights must lie in (0, diam]")
-        self.heights = heights
+        self.heights = dyadic_heights(space.diameter, n_heights)
         self._decay = 2.0 ** (-(self.q + 1.0))
         # per height, the all-leaf rings and the unnormalized kernel masses
         self._rings = [list(self._ring_bounds(float(y))) for y in self.heights]
@@ -119,11 +113,6 @@ class PoissonExtension:
             live &= ~whole
         out += np.where(live, last[0], 0.0)[:, None]
         return out / self._mass[:, h][:, None]
-
-
-def maximal_function(ext: PoissonExtension, f: np.ndarray) -> np.ndarray:
-    """Height-grid supremum of the extension, per leaf."""
-    return ext.field(f).values.max(axis=1)
 
 
 @dataclass

@@ -5,7 +5,7 @@ for a family of balls whose capacity-matched enlargements are pairwise
 disjoint: on tree boundaries the constant is explicit in the kernel norm
 and the exponent, while on embedded model spaces it exists but is not
 computable from the data, so batches record the empirical ratio and check
-its stability instead.
+only the subadditive lower end.
 
 Families are produced by a seeded greedy sampler: draw a center and a
 radius level, compute the enlargement, keep the candidate when its
@@ -78,21 +78,19 @@ def verify_separation(space: ModelSpace, family: SeparatedFamily) -> SeparationC
 
 def generate_separated_family(space: ModelSpace, kernel: RadialKernel, p: float,
                               count: int, seed: int, mode: str = "tree",
-                              inflation: float = 1.0, radius_margin: float = 1.0,
-                              level_range: tuple | None = None) -> SeparatedFamily:
+                              inflation: float = 1.0,
+                              radius_margin: float = 1.0) -> SeparatedFamily:
     """Greedy seeded sampler of balls with disjoint enlargements: at most
-    80 draws per requested ball.  Radius levels default to 2..depth-2,
-    narrowed to the single level min(2, depth) on shallow trees."""
+    80 draws per requested ball.  Radius levels are 2..depth-2, narrowed to
+    the single level min(2, depth) on shallow trees."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if mode not in FAMILY_MODES:
         raise ValueError(f"unknown family mode {mode!r}")
     if mode == "tree" and space.kind != "tree-boundary":
         raise ValueError("tree mode needs a tree-boundary space")
-    if level_range is None:
-        lowest = min(2, space.depth)
-        level_range = (lowest, max(space.depth - 2, lowest))
-    lo_lvl, hi_lvl = level_range
+    lo_lvl = min(2, space.depth)
+    hi_lvl = max(space.depth - 2, lo_lvl)
     rng = np.random.default_rng(seed)
     fam = SeparatedFamily(mode, [], [], [], [], [],
                           inflation=inflation, radius_margin=radius_margin)
@@ -179,8 +177,8 @@ def quasi_additivity_report(space: ModelSpace, kernel: RadialKernel, p: float,
 
     Subadditivity gives the lower end everywhere.  A tree family is also
     checked against the provable tree bound; on an embedded space the
-    converse constant is not computable, so the ratio is only recorded
-    (``estimate_inflation`` checks its stability).
+    converse constant is not computable, so the ratio is only recorded,
+    with a ``nan`` bound, and ``passed`` rests on subadditivity alone.
     """
     cert = verify_separation(space, family)
     if not cert.ok:
@@ -223,31 +221,3 @@ def family_batch(space: ModelSpace, kernel: RadialKernel, p: float, seeds,
             out.append((seed, shape,
                         quasi_additivity_report(space, kernel, p, fam, sets)))
     return out
-
-
-INFLATION_GRID = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
-
-
-def estimate_inflation(space: ModelSpace, s: float, p: float,
-                       radius_margin: float = 1.0, seeds=range(10),
-                       count: int = 4, stability: float = 0.05) -> float:
-    """Smallest grid inflation whose batch max ratio has stabilized.
-
-    Stabilized means the max ratio moves by less than ``stability`` when
-    the inflation is bumped one grid step; if the grid is exhausted the
-    last value is returned with a warning.
-    """
-    seeds = list(seeds)
-    if len(seeds) < 10:
-        raise ValueError("estimate needs a batch of at least 10 seeds")
-    kernel = RadialKernel("riesz", s=s, p=p)
-    maxima = []
-    for psi in INFLATION_GRID:
-        rows = family_batch(space, kernel, p, seeds, count, "ahlfors", ("ball",),
-                            inflation=psi, radius_margin=radius_margin)
-        maxima.append(max((rep.ratio for _, _, rep in rows), default=1.0))
-    for i in range(len(INFLATION_GRID) - 1):
-        if abs(maxima[i + 1] - maxima[i]) < stability * maxima[i]:
-            return float(INFLATION_GRID[i])
-    warnings.warn("inflation grid exhausted without stabilization")
-    return float(INFLATION_GRID[-1])

@@ -26,7 +26,6 @@ grid-indexed quantities (mass profiles, ball capacities) use the closed ball.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -271,130 +270,6 @@ def ahlfors_constants(space: ModelSpace) -> tuple[float, float]:
         lo_ratio = min(lo_ratio, float(ratios.min()))
         hi_ratio = max(hi_ratio, float(ratios.max()))
     return lo_ratio, hi_ratio
-
-
-# -- dyadic cube hierarchy ---------------------------------------------------
-
-
-@dataclass
-class ChristCube:
-    level: int
-    index: int
-    lo: int          # half-open leaf range [lo, hi)
-    hi: int
-    center: int      # witness leaf for the inner ball
-    inner_radius: float
-
-    def contains(self, other: "ChristCube") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-
-@dataclass
-class ChristTree:
-    space: ModelSpace
-    levels: list            # levels[k] = list[ChristCube]
-    delta: float
-    c_inner: float          # recorded inner-ball constant
-    c_diam: float           # recorded diameter constant
-
-    def cubes(self, level: int):
-        return self.levels[level]
-
-
-def christ_cubes(space: ModelSpace) -> ChristTree:
-    """Cube hierarchy: level-k cubes are the depth-k subtree spans.
-
-    For the tree boundary the constants delta and 1 are exact; for the
-    embedded kinds the inner-ball and diameter constants are measured on
-    the discretization and recorded, not assumed.
-    """
-    b, N, delta = space.branching, space.depth, space.delta
-    levels = []
-    c_inner, c_diam = math.inf, 0.0
-    for k in range(N + 1):
-        block = b ** (N - k)
-        row = []
-        for alpha in range(b**k):
-            lo, hi = alpha * block, (alpha + 1) * block
-            center = (lo + hi - 1) // 2
-            if space.kind == "tree-boundary":
-                # open ball of radius delta**(k+1) at any leaf stays in the cube
-                inner = delta ** (k + 1)
-            else:
-                inner = _distance_to_complement(space, center, lo, hi)
-            row.append(ChristCube(k, alpha, lo, hi, center, inner))
-            if k >= 1:
-                c_inner = min(c_inner, inner / delta**k)
-                diam = _range_diameter(space, lo, hi)
-                c_diam = max(c_diam, diam / delta**k)
-        levels.append(row)
-    if space.kind == "tree-boundary":
-        c_inner, c_diam = delta, 1.0
-    return ChristTree(space, levels, delta, c_inner, c_diam)
-
-
-def _range_diameter(space: ModelSpace, lo: int, hi: int) -> float:
-    return 0.0 if hi - lo <= 1 else space.distance(lo, hi - 1)
-
-
-def _distance_to_complement(space: ModelSpace, x: int, lo: int, hi: int) -> float:
-    n = space.n_leaves
-    if lo == 0 and hi == n:
-        return space.diameter
-    best = math.inf
-    if lo > 0:
-        best = min(best, space.distance(x, lo - 1))
-    if hi < n:
-        best = min(best, space.distance(x, hi))
-    return best
-
-
-def verify_christ(ctree: ChristTree) -> dict:
-    """Exhaustively check the five cube-hierarchy properties.
-
-    Returns a report with one boolean per property plus the first violation
-    found, if any.
-    """
-    space = ctree.space
-    n = space.n_leaves
-    report = {"cover": True, "nesting": True, "unique_parent": True,
-              "diameter": True, "inner_ball": True, "violation": None}
-
-    def fail(key, info):
-        report[key] = False
-        if report["violation"] is None:
-            report["violation"] = (key, info)
-
-    for k, row in enumerate(ctree.levels):
-        covered = np.zeros(n, dtype=bool)
-        for cube in row:
-            if covered[cube.lo:cube.hi].any():
-                fail("nesting", (k, cube.index))
-            covered[cube.lo:cube.hi] = True
-        if not covered.all():
-            fail("cover", k)
-    for k, row in enumerate(ctree.levels):
-        for parent_level in range(k):
-            for cube in row:
-                parents = [c for c in ctree.levels[parent_level] if c.contains(cube)]
-                crossers = [c for c in ctree.levels[parent_level]
-                            if not c.contains(cube) and not (c.hi <= cube.lo or c.lo >= cube.hi)]
-                if len(parents) != 1:
-                    fail("unique_parent", (k, cube.index, parent_level))
-                if crossers:
-                    fail("nesting", (k, cube.index, parent_level))
-    for k, row in enumerate(ctree.levels):
-        if k == 0:
-            continue
-        for cube in row:
-            if _range_diameter(space, cube.lo, cube.hi) > ctree.c_diam * ctree.delta**k + 1e-12:
-                fail("diameter", (k, cube.index))
-            # open ball of the recorded inner radius must stay inside the cube
-            r = ctree.c_inner * ctree.delta**k
-            lo, hi = space.ball_bounds(np.array([cube.center]), r, closed=False)
-            if not (cube.lo <= int(lo[0]) and int(hi[0]) <= cube.hi):
-                fail("inner_ball", (k, cube.index))
-    return report
 
 
 # -- flat text serialization --------------------------------------------------

@@ -167,6 +167,7 @@ def mutate(mutation: str) -> str:
     ("[space] kind = cantor-set; delta = 0.3; [kernel] kind = radial; "
      "[kernel] levels = 1,1,1,1,1,1,1", "riesz kernel"),
     ("depth = 4; [kernel] kind = radial; [kernel] levels = 1,1,1", "level table"),
+    ("[kernel] kind = radial; [kernel] levels = 0,0,0,0,0,0,0", "all be zero"),
     # run-time keys, checked at validation against what the run accepts
     ("targets = ball:999:3", "leaf 999"),
     ("targets = ball:13:9", "level 9"),

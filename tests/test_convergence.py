@@ -1,13 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 from potlab.convergence import (REGION_KINDS, ApproachRegion, SplitResult,
                                 approximation_split, convergence_experiment,
-                                enlarged_set, exceptional_capacity_bound,
-                                region_membership, region_radius,
-                                shadow_covering_check, shadow_mask, thinness_decay)
+                                region_radius, shadow_mask, thinness_decay)
 from potlab.kernel import RadialKernel, kernel_operator
 from potlab.poisson import PoissonExtension, lipschitz_profile
 from potlab.space import model_space
@@ -18,6 +14,11 @@ K8 = RadialKernel("riesz", s=0.8, p=2.0)
 @pytest.fixture(scope="module")
 def ext8():
     return PoissonExtension(model_space("tree-boundary", 2, 8, 0.5), n_heights=8)
+
+
+def region_membership(space, kernel, p, region, x, y):
+    """(x, y) lies in the region: d(x, center) below the width at height y."""
+    return space.distance(x, region.center) < region_radius(space, kernel, p, region, y)
 
 
 def test_region_validation():
@@ -35,14 +36,6 @@ def test_center_always_inside(tree6, kind):
     region = ApproachRegion(9, kind, scale=1.0, exponent=0.6)
     for y in (0.5, 0.25, 2.0**-6):
         assert region_membership(tree6, K8, 2.0, region, 9, y)
-
-
-def test_membership_height_bounds(tree6):
-    region = ApproachRegion(0, "nontangential", y_cutoff=0.5)
-    with pytest.raises(ValueError):
-        region_membership(tree6, K8, 2.0, region, 0, 0.75)
-    with pytest.raises(ValueError):
-        region_membership(tree6, K8, 2.0, region, 0, 0.0)
 
 
 def test_polynomial_threshold_arithmetic(tree6):
@@ -127,119 +120,6 @@ def test_thinness_monotone_on_grid(ext8, rng):
         m1 = shadow_mask(space, over, ext8.heights, t=float(t1))
         m2 = shadow_mask(space, over, ext8.heights, t=float(t2))
         assert np.all(m2[m1])
-
-
-def test_enlarged_set_smallest_case(tree6):
-    es = enlarged_set(tree6, K8, 2.0, [13], factor=1.0)
-    assert es.mask[13]
-    assert es.mask.sum() >= 1
-    assert es.capacity > 0
-    # distance to the complement of a single leaf is the sibling distance
-    assert tree6.distances_from(13)[np.arange(64) != 13].min() == \
-        pytest.approx(0.5**5)
-
-
-def test_enlarged_set_contains_original(tree6, rng):
-    for _ in range(5):
-        members = np.unique(rng.integers(0, 64, 12))
-        es = enlarged_set(tree6, K8, 2.0, members, factor=2.0)
-        assert np.all(es.mask[members])
-        assert es.ratio < math.inf
-
-
-def test_enlarged_set_rejects_degenerate(tree6):
-    with pytest.raises(ValueError):
-        enlarged_set(tree6, K8, 2.0, [])
-    with pytest.raises(ValueError):
-        enlarged_set(tree6, K8, 2.0, np.arange(64))
-    with pytest.raises(ValueError):
-        enlarged_set(tree6, K8, 2.0, [3], factor=0.5)
-
-
-def test_enlarged_set_ratio_stable_across_depth(rng):
-    # the same union of coarse cylinders viewed at two truncation depths:
-    # the mass-to-capacity constant stays of the same order (capacities
-    # themselves converge slowly in depth, so only a factor-level check
-    # is meaningful here)
-    stats = {}
-    for depth in (6, 8):
-        ms = model_space("tree-boundary", 2, depth, 0.5)
-        worst = 0.0
-        for seed in range(5):
-            picks = np.random.default_rng(seed).random(2**4) < 0.3
-            if not picks.any() or picks.all():
-                picks[0], picks[-1] = True, False
-            mask = np.repeat(picks, 2 ** (depth - 4))
-            es = enlarged_set(ms, K8, 2.0, np.flatnonzero(mask), factor=2.0)
-            worst = max(worst, es.ratio)
-        stats[depth] = worst
-    assert 0 < stats[6] < math.inf and 0 < stats[8] < math.inf
-    assert max(stats.values()) <= 2.0 * min(stats.values())
-
-
-def test_shadow_covering_empty(tree6):
-    heights = 2.0 ** -np.arange(7, dtype=float)
-    empty = np.zeros((64, 7), dtype=bool)
-    rep = shadow_covering_check(tree6, empty, heights,
-                                lambda x, y: 2.0 * y, alpha=1.0)
-    assert rep.hypothesis_ok and rep.inclusion_ok
-    assert not rep.lhs.any() and not rep.rhs.any()
-
-
-def test_shadow_covering_slab_with_matched_widths(tree6):
-    heights = 2.0 ** -np.arange(7, dtype=float)
-    over = np.zeros((64, 7), dtype=bool)
-    over[24:28, 3] = True        # one slab at height 1/8
-
-    def width(x, y):
-        region = ApproachRegion(x, "capacity", scale=1.5)
-        return region_radius(tree6, K8, 2.0, region, y)
-
-    cols = np.array([[width(x, y) for y in heights] for x in range(64)])
-    alpha_needed = (cols.max(axis=0) / cols.min(axis=0)).max()
-    rep = shadow_covering_check(tree6, over, heights, width, alpha=alpha_needed)
-    assert rep.hypothesis_ok
-    assert rep.inclusion_ok
-
-
-def test_shadow_covering_hypothesis_failure_reported(tree6):
-    heights = 2.0 ** -np.arange(7, dtype=float)
-    over = np.zeros((64, 7), dtype=bool)
-    over[10, 2] = True
-    # widths differ across centers by a factor 3: alpha=1 cannot certify
-    rep = shadow_covering_check(tree6, over, heights,
-                                lambda x, y: (3.0 if x < 32 else 1.0) * y,
-                                alpha=1.0)
-    assert not rep.hypothesis_ok
-    assert rep.alpha_measured == pytest.approx(3.0)
-    assert rep.inclusion_ok is None
-
-
-@pytest.mark.parametrize("kind", ["tree-boundary", "unit-interval", "cantor-set"])
-def test_shadow_covering_lhs_matches_distance_scan(kind, rng):
-    # lhs marks the leaves x0 with a cell (x, h) of the set at d(x, x0) <= width
-    ms = model_space(kind, 2, 5)
-    heights = 2.0 ** -np.arange(6, dtype=float)
-    over = rng.random((32, 6)) < 0.05
-    dist = ms.distance_matrix()
-    widths = rng.choice(np.concatenate((np.unique(dist), [0.0, -1.0])), (32, 6))
-    rep = shadow_covering_check(ms, over, heights,
-                                lambda x, y: widths[x, np.flatnonzero(heights == y)[0]],
-                                alpha=1.0)
-    expected = [any((over[:, h] & (dist[x0] <= widths[x0, h])).any() for h in range(6))
-                for x0 in range(32)]
-    assert rep.lhs.tolist() == expected
-
-
-def test_exceptional_bound_trivia(ext8, rng):
-    f = rng.random(256)
-    pot = kernel_operator(K8, ext8.space).apply_function(f)
-    top = ext8.field(pot).values.max()
-    cap, bound, ratio = exceptional_capacity_bound(ext8, K8, 2.0, f, top * 1.01)
-    assert cap == 0.0 and ratio == 0.0
-    c1 = exceptional_capacity_bound(ext8, K8, 2.0, f, 0.5)
-    c2 = exceptional_capacity_bound(ext8, K8, 2.0, 2.0 * f, 1.0)
-    assert c1[2] == pytest.approx(c2[2], rel=1e-9)
 
 
 def test_split_continuous_profile(ext8):

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from potlab.kernel import (DenseKernelOperator, RadialKernel, convolve_naive,
-                           dyadic_riesz_bounds, dyadic_riesz_potential,
-                           kernel_norm_tail_bound, kernel_operator, kernel_value,
-                           lp_norm, young_check)
+                           kernel_operator, lp_norm)
 from potlab.space import ModelSpace, model_space
 
 
@@ -32,7 +30,13 @@ def test_kernel_validation():
     with pytest.raises(ValueError):
         RadialKernel("radial", level_values=(1.0, -1.0))
     with pytest.raises(ValueError):
+        RadialKernel("radial", level_values=(0.0,) * 7)   # K*1 = 0 at every leaf
+    with pytest.raises(ValueError):
         RadialKernel("nosuch")
+
+
+def kernel_value(kernel, space, x, y):
+    return kernel_operator(kernel, space).row(x)[y]
 
 
 def test_kernel_value_examples(tree6, interval6):
@@ -45,13 +49,10 @@ def test_kernel_value_examples(tree6, interval6):
     const = constant_kernel(tree6)
     assert kernel_value(const, tree6, 3, 3) == 1.0
     assert kernel_value(const, tree6, 3, 60) == 1.0
-    with pytest.raises(ValueError):
-        kernel_value(k, tree6, 5, 5)
+    assert kernel_value(k, tree6, 5, 5) == 0.0   # atoms have no self-interaction
     # embedded metric: the Euclidean distance 1/64, not the ultrametric 1/2
     k75 = RadialKernel("riesz", s=0.75, p=2.0)
-    value = kernel_value(k75, interval6, 0, 1)
-    assert value == kernel_operator(k75, interval6).row(0)[1]
-    assert value == pytest.approx(64**0.75)
+    assert kernel_value(k75, interval6, 0, 1) == pytest.approx(64**0.75)
     with pytest.raises(ValueError):
         kernel_value(const, interval6, 0, 1)   # radial tables are ultrametric only
 
@@ -59,10 +60,8 @@ def test_kernel_value_examples(tree6, interval6):
 def test_kernel_value_symmetric_exhaustive():
     ms = model_space("tree-boundary", 2, 4, 0.6)
     k = RadialKernel("riesz", s=0.8, p=2.0)
-    for x in range(16):
-        for y in range(16):
-            if x != y:
-                assert kernel_value(k, ms, x, y) == kernel_value(k, ms, y, x)
+    rows = kernel_operator(k, ms).row(np.arange(16))
+    assert np.array_equal(rows, rows.T)
 
 
 def test_norm_constant_kernel(tree6):
@@ -96,8 +95,6 @@ def test_norm_stabilizes_with_depth():
     norms = [norm_1(k, model_space("tree-boundary", 2, n, 0.5))
              for n in range(4, 11)]
     assert np.all(np.diff(norms) > 0)
-    bound = kernel_norm_tail_bound(k, model_space("tree-boundary", 2, 4, 0.5))
-    assert all(v <= bound + 1e-12 for v in norms)
 
 
 def test_convolve_trivia(tree6):
@@ -127,7 +124,7 @@ def test_convolve_single_spike():
         if x == spike:
             assert out[x] == 0.0     # no self-interaction
         else:
-            expected = kernel_value(k, ms, x, spike) * ms.weights[spike]
+            expected = ms.distance(x, spike) ** (-ms.dimension * k.s) * ms.weights[spike]
             assert out[x] == pytest.approx(expected)
 
 
@@ -259,10 +256,17 @@ def test_dense_operator_build_holds_one_matrix(kind):
     assert peak <= 1.25 * 8 * ms.n_leaves**2
 
 
+def young_sides(kernel, space, f, p):
+    """Both sides of ||K*f||_p <= ||K||_1 ||f||_p."""
+    op = kernel_operator(kernel, space)
+    lhs = lp_norm(op.apply_function(f), space.weights, p)
+    return lhs, op.norm_1() * lp_norm(f, space.weights, p)
+
+
 def test_young_equality_case(tree6):
     const = constant_kernel(tree6)
-    lhs, rhs, ok = young_check(const, tree6, np.ones(64), 2.0)
-    assert ok and lhs == pytest.approx(rhs) == pytest.approx(1.0)
+    lhs, rhs = young_sides(const, tree6, np.ones(64), 2.0)
+    assert lhs == pytest.approx(rhs) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
@@ -270,33 +274,8 @@ def test_young_random(p, tree6, rng):
     k = RadialKernel("riesz", s=0.75, p=2.0)
     for _ in range(20):
         f = rng.random(64)
-        lhs, rhs, ok = young_check(k, tree6, f, p)
-        assert ok, (lhs, rhs)
-
-
-def test_dyadic_riesz_zero(tree6):
-    assert np.allclose(dyadic_riesz_potential(tree6, np.zeros(64), 0.75), 0.0)
-
-
-def test_dyadic_riesz_point_mass_ratio_bounds(tree6):
-    s = 0.75
-    c1, c2 = dyadic_riesz_bounds(tree6, s)
-    k = RadialKernel("riesz", s=s, p=2.0)
-    g = np.zeros(64)
-    g[17] = 1.0
-    dy = dyadic_riesz_potential(tree6, g, s)
-    exact = convolve_naive(k, tree6, g)
-    live = exact > 0
-    ratio = dy[live] / exact[live]
-    assert ratio.min() >= c1 - 1e-12
-    assert ratio.max() <= c2 + 1e-12
-
-
-def test_dyadic_riesz_scale_invariance(cantor6, rng):
-    g = rng.random(64)
-    a = dyadic_riesz_potential(cantor6, g, 0.8)
-    b = dyadic_riesz_potential(cantor6, 5.0 * g, 0.8)
-    assert np.allclose(b, 5.0 * a)
+        lhs, rhs = young_sides(k, tree6, f, p)
+        assert lhs <= rhs * (1.0 + 1e-12), (lhs, rhs)
 
 
 def test_lp_norm_inf(rng):

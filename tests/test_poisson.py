@@ -7,8 +7,7 @@ from potlab.convergence import closeness_modulus
 from potlab.kernel import RadialKernel, kernel_operator, lp_norm
 from potlab.poisson import (PoissonExtension, ball_slab, dyadic_heights, exceedance_sets,
                             exchange_band, exchange_ratio, harnack_check,
-                            harnack_constant, lipschitz_profile,
-                            maximal_function)
+                            harnack_constant, lipschitz_profile)
 from potlab.space import model_space
 
 RIESZ = RadialKernel("riesz", s=0.75, p=2.0)
@@ -41,11 +40,7 @@ def test_extension_of_one_is_one(kind):
     assert np.abs(field.values - 1.0).max() <= 1e-12
 
 
-def test_heights_validation(tree6):
-    with pytest.raises(ValueError):
-        PoissonExtension(tree6, heights=np.array([2.0]))
-    with pytest.raises(ValueError):
-        PoissonExtension(tree6, heights=np.array([0.0]))
+def test_heights_validation():
     assert dyadic_heights(1.0, 4).tolist() == [1.0, 0.5, 0.25, 0.125, 0.0625]
 
 
@@ -156,15 +151,6 @@ def test_locality_outside_saturating_ball(tree6, rng):
     assert np.all(profile > 0)
 
 
-def test_maximal_function(tree6, rng):
-    ext = PoissonExtension(tree6, n_heights=10)
-    assert np.allclose(maximal_function(ext, np.ones(64)), 1.0)
-    f = rng.random(64)
-    big = maximal_function(ext, f)
-    vals = ext.field(f).values
-    assert np.all(big[:, None] >= vals - 1e-15)
-
-
 def test_maximal_ratio_recorded_across_depths(rng):
     ratios = {}
     for depth in (6, 8):
@@ -174,7 +160,8 @@ def test_maximal_ratio_recorded_across_depths(rng):
         for _ in range(5):
             coarse = rng.random(2**5)
             f = np.repeat(coarse, 2 ** (depth - 5))
-            worst = max(worst, lp_norm(maximal_function(ext, f), ms.weights, 2.0)
+            maximal = ext.field(f).values.max(axis=1)   # sup over the height grid
+            worst = max(worst, lp_norm(maximal, ms.weights, 2.0)
                         / lp_norm(f, ms.weights, 2.0))
         ratios[depth] = worst
     assert ratios[6] < math.inf and ratios[8] < math.inf

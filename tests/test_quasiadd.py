@@ -6,8 +6,7 @@ import pytest
 
 from potlab.capacity import singleton_capacity, solve_capacity
 from potlab.kernel import RadialKernel, kernel_operator
-from potlab.quasiadd import (estimate_inflation, family_batch,
-                             family_target_sets, generate_separated_family,
+from potlab.quasiadd import (family_batch, family_target_sets, generate_separated_family,
                              quasi_additivity_report, tree_quasi_additivity_bound,
                              verify_separation, SeparatedFamily)
 
@@ -52,8 +51,7 @@ def test_overlapping_family_detected(tree8):
 
 def test_exhaustion_warns(tree6):
     with pytest.warns(UserWarning, match="exhausted"):
-        fam = generate_separated_family(tree6, RIESZ, 2.0, tree6.n_leaves, seed=0,
-                                        level_range=(1, 2))
+        fam = generate_separated_family(tree6, RIESZ, 2.0, tree6.n_leaves, seed=0)
     assert len(fam) < tree6.n_leaves
 
 
@@ -143,21 +141,3 @@ def test_ahlfors_batch_and_inflation_monotonicity(cantor6):
         for psi in (1.0, 3.0))
     assert lo and hi
     assert max(hi) <= max(lo) * (1.0 + 1e-9)
-
-
-def test_estimate_inflation_contracts(cantor6, tree6):
-    # tree-boundary geometry is already separated at inflation 1
-    est = estimate_inflation(tree6, 0.75, 2.0, seeds=range(10), count=3)
-    assert est == 1.0
-    with pytest.raises(ValueError):
-        estimate_inflation(cantor6, 0.8, 2.0, seeds=range(5))
-    with pytest.warns(UserWarning, match="exhausted"):
-        est = estimate_inflation(cantor6, 0.8, 2.0, seeds=range(10), count=2,
-                                 stability=-1.0)
-    assert est == 8.0
-
-
-def test_estimate_inflation_reproducible(cantor6):
-    a = estimate_inflation(cantor6, 0.8, 2.0, seeds=range(10), count=2)
-    b = estimate_inflation(cantor6, 0.8, 2.0, seeds=range(10), count=2)
-    assert a == b

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from potlab.space import (ModelSpace, ahlfors_constants, christ_cubes, dump_space,
-                          load_space, model_space, verify_christ)
+from potlab.space import ModelSpace, ahlfors_constants, dump_space, load_space, model_space
 
 
 def open_ball(space, x, r):
@@ -228,41 +227,6 @@ def test_ahlfors_constants_ordering(rng):
     ms = ModelSpace("tree-boundary", 2, 6, 0.5, w)
     k1, k2 = ahlfors_constants(ms)
     assert 0 < k1 <= k2 < math.inf
-
-
-def test_christ_level_zero_is_everything(tree6):
-    ct = christ_cubes(tree6)
-    assert len(ct.cubes(0)) == 1
-    assert (ct.cubes(0)[0].lo, ct.cubes(0)[0].hi) == (0, tree6.n_leaves)
-
-
-def test_christ_dyadic_intervals(interval6):
-    ct = christ_cubes(interval6)
-    for k in range(5):
-        row = ct.cubes(k)
-        assert len(row) == 2**k
-        spans = [(c.lo, c.hi) for c in row]
-        assert spans == sorted(spans)
-        coords = interval6.coords
-        for c in row:
-            width = coords[c.hi - 1] - coords[c.lo]
-            assert width <= 2.0**-k + 1e-12
-
-
-@pytest.mark.parametrize("kind,b", [("tree-boundary", 2), ("unit-interval", 2),
-                                    ("cantor-set", 2)])
-def test_christ_properties_exhaustive(kind, b):
-    ms = model_space(kind, b, 6 if kind == "tree-boundary" else 5)
-    report = verify_christ(christ_cubes(ms))
-    assert report["violation"] is None, report
-
-
-def test_christ_recorded_constants(tree6, cantor6):
-    ct = christ_cubes(tree6)
-    assert ct.c_inner == pytest.approx(tree6.delta)
-    assert ct.c_diam == pytest.approx(1.0)
-    cc = christ_cubes(cantor6)
-    assert 0 < cc.c_inner and cc.c_diam <= 1.0 + 1e-12
 
 
 def test_serialization_roundtrip(tmp_path, rng):
