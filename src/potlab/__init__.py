@@ -18,11 +18,10 @@ from .quasiadd import (SeparatedFamily, ExperimentReport, tree_quasi_additivity_
                        generate_separated_family, verify_separation,
                        quasi_additivity_report, family_target_sets, family_batch)
 from .poisson import (PoissonExtension, UpperHalfField, dyadic_heights,
-                      exceedance_sets, harnack_constant, harnack_check,
+                      harnack_constant, harnack_check,
                       exchange_ratio, exchange_band, lipschitz_profile)
 from .convergence import (ApproachRegion, region_radius, thinness_decay,
-                          approximation_split, closeness_modulus,
-                          convergence_experiment, ThinSetReport, SplitResult,
-                          ConvergenceTable)
+                          approximation_split, convergence_experiment,
+                          ThinSetReport, SplitResult, ConvergenceTable)
 
 __version__ = "0.1.0"

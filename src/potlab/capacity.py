@@ -60,10 +60,9 @@ def spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 @dataclass
 class CapacitySolution:
-    value: float
+    value: float                # primal bound, from the feasible density
     density: np.ndarray         # feasible primal density f
     measure: np.ndarray         # dual measure, potential normalized to norm 1
-    primal_value: float
     dual_value: float
     relative_gap: float
     iterations: int
@@ -131,7 +130,7 @@ def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
         raise ValueError("p must lie strictly between 1 and infinity")
     if E.size == 0:
         z = np.zeros(n)
-        return CapacitySolution(0.0, z, z.copy(), 0.0, 0.0, 0.0, 0, True)
+        return CapacitySolution(0.0, z, z.copy(), 0.0, 0.0, 0, True)
     op = kernel_operator(kernel, space)
     w = space.weights
     ds = _DualState(op, w, E, p)
@@ -187,8 +186,7 @@ def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
     u_norm = float(w @ state["u"] ** ds.pp) ** (1.0 / ds.pp)
     measure = _scatter(lam / u_norm, E, n)
     return CapacitySolution(
-        value=primal, density=density, measure=measure,
-        primal_value=primal, dual_value=dual, relative_gap=gap,
+        value=primal, density=density, measure=measure, dual_value=dual, relative_gap=gap,
         iterations=iterations, converged=gap <= GAP_ACCEPT)
 
 
@@ -266,8 +264,6 @@ def singleton_capacity(space: ModelSpace, kernel: RadialKernel, x: int,
 @dataclass
 class EnlargementRadius:
     """Radius at which ball mass first dominates the ball's capacity."""
-    center: int
-    r: float
     matching: float      # inf when the capacity exceeds the total mass
     star: float          # max(r, matching); diameter in the sentinel case
     exists: bool
@@ -342,12 +338,12 @@ def tree_matching_radius(space: ModelSpace, kernel: RadialKernel, p: float,
     r = space.grid_radius(level)
     cap = grid_ball_capacity(space, kernel, p, x, level)
     if cap > space.total_mass:
-        return EnlargementRadius(x, r, math.inf, space.diameter, False)
+        return EnlargementRadius(math.inf, space.diameter, False)
     for m in range(space.depth, -1, -1):
         if space.range_mass(*space.subtree_range(x, m)) >= cap:
             match = space.delta ** (m - 0.5)
-            return EnlargementRadius(x, r, match, max(r, match), True, m)
-    return EnlargementRadius(x, r, math.inf, space.diameter, False)
+            return EnlargementRadius(match, max(r, match), True, m)
+    return EnlargementRadius(math.inf, space.diameter, False)
 
 
 def metric_matching_radius(space: ModelSpace, kernel: RadialKernel, p: float,
@@ -362,7 +358,7 @@ def metric_matching_radius(space: ModelSpace, kernel: RadialKernel, p: float,
     lo, hi = space.ball_bounds(np.array([x]), r, closed=closed)
     cap = capacity_value(space, kernel, np.arange(lo[0], hi[0]), p)
     if cap > space.total_mass:
-        return EnlargementRadius(x, r, math.inf, space.diameter, False)
+        return EnlargementRadius(math.inf, space.diameter, False)
     dists = space.distances_from(x)
     order = np.argsort(dists, kind="stable")
     sorted_d = dists[order]
@@ -372,9 +368,9 @@ def metric_matching_radius(space: ModelSpace, kernel: RadialKernel, p: float,
     closed_mass = cum[sorted_d.size - 1 - last_pos]
     hit = np.searchsorted(closed_mass, cap, side="left")
     if hit >= uniq.size:
-        return EnlargementRadius(x, r, math.inf, space.diameter, False)
+        return EnlargementRadius(math.inf, space.diameter, False)
     match = float(uniq[hit])
-    return EnlargementRadius(x, r, match, max(r, match), True)
+    return EnlargementRadius(match, max(r, match), True)
 
 
 # -- ball capacity profiles ----------------------------------------------------
@@ -382,7 +378,6 @@ def metric_matching_radius(space: ModelSpace, kernel: RadialKernel, p: float,
 
 @dataclass
 class BallCapacityProfile:
-    center: int
     levels: np.ndarray
     radii: np.ndarray
     capacities: np.ndarray
@@ -407,4 +402,4 @@ def ball_capacity_profile(space: ModelSpace, kernel: RadialKernel, p: float,
         slope = float(np.polyfit(np.log(radii), np.log(caps), 1)[0])
     products = caps * np.log(1.0 / radii)
     rng = (float(products.min()), float(products.max())) if levels.size else None
-    return BallCapacityProfile(x, levels, radii, caps, slope, rng)
+    return BallCapacityProfile(levels, radii, caps, slope, rng)

@@ -41,6 +41,21 @@ SUITE = ("space-info", "capacity", "ball-profile", "quasiadd", "poisson", "excha
          "converge")
 SUBCOMMANDS = SUITE + ("full-suite",)
 
+# every section and key of the README config grammar; any other is rejected
+_KEYS = {
+    "space": ("kind", "branching", "depth", "delta", "dimension", "mass_profile",
+              "weights"),
+    "kernel": ("kind", "s", "p", "levels"),
+    "capacity": ("targets", "max_iters"),
+    "ball-profile": ("center", "levels"),
+    "quasiadd": ("mode", "count", "seeds", "shapes"),
+    "poisson": ("n_heights", "profile", "eps_quantile", "n_random"),
+    "exchange": ("n_random",),
+    "converge": ("sample", "region", "profile", "tol_nontangential", "tol_tangential",
+                 "delta_target"),
+    "run": ("seed",),
+}
+
 # keys with a fixed set of values: (section, key) -> (allowed values, default)
 _CHOICES = {
     ("quasiadd", "mode"): (FAMILY_MODES, "tree"),
@@ -54,8 +69,6 @@ _CHOICES = {
 _BOUNDS = (("capacity", "max_iters", int, 1, math.inf),
            ("quasiadd", "count", int, 1, math.inf),
            ("quasiadd", "seeds", int, 1, math.inf),
-           ("quasiadd", "inflation", float, 1.0, math.inf),
-           ("quasiadd", "radius_margin", float, 1.0, math.inf),
            # 2**-1075 underflows to 0, which is not a height
            ("poisson", "n_heights", int, 0, 1074),
            ("poisson", "eps_quantile", float, 0.0, 1.0),
@@ -129,10 +142,19 @@ def load_config(path, overrides=()) -> configparser.ConfigParser:
 
 
 def validate_config(cfg) -> None:
-    """Reject a config by building what it describes: the space, the kernel
-    and, for a radial kernel, its level table (no dense operator), the
-    capacity targets and the ball-profile grid balls; then check every other
-    key a run reads against the values the run accepts."""
+    """Reject a config that names a section or key outside the grammar (a
+    ``[DEFAULT]`` key counts as a key of every section), then build what it
+    describes: the space, the kernel and, for a radial kernel, its level
+    table (no dense operator), the capacity targets and the ball-profile
+    grid balls; then check every other key a run reads against the values
+    the run accepts."""
+    for section in cfg.sections():
+        if section not in _KEYS:
+            raise ConfigError(f"unknown section [{section}]; known: {', '.join(_KEYS)}")
+        unknown = [key for key in cfg.options(section) if key not in _KEYS[section]]
+        if unknown:
+            raise ConfigError(f"unknown [{section}] key {unknown[0]!r}; known: "
+                              f"{', '.join(_KEYS[section])}")
     if not cfg.has_section("space"):
         raise ConfigError("missing [space] section")
     try:
@@ -171,6 +193,10 @@ def _check_subcommand(cfg, subcommand: str) -> None:
             and _get(cfg, "space", "kind", str) != "tree-boundary"):
         raise ConfigError("[quasiadd] mode = tree needs a tree-boundary space; "
                           "use mode = ahlfors")
+    if ("converge" in runs and _get(cfg, "kernel", "kind", str) == "radial"
+            and _choice(cfg, "converge", "region") == "polynomial"):
+        raise ConfigError("[converge] region = polynomial needs a riesz kernel's s; "
+                          "use region = capacity")
 
 
 def build_space(cfg):
@@ -429,15 +455,13 @@ class Runner:
         count = _get(self.cfg, "quasiadd", "count", int, default=4)
         n_seeds = _get(self.cfg, "quasiadd", "seeds", int, default=10)
         shapes = _shapes(self.cfg)
-        inflation = _get(self.cfg, "quasiadd", "inflation", float, default=1.0)
-        margin = _get(self.cfg, "quasiadd", "radius_margin", float, default=1.0)
         s = self.kernel.s if self.kernel.kind == "riesz" else float("nan")
         header = ("experiment_id", "mode", "n_balls", "p", "s", "sum_capacity",
                   "union_capacity", "ratio", "ratio_bound", "passed")
         table = {key: [] for key in header}
         for seed, shape, rep in family_batch(
                 self.space, self.kernel, self.p, range(self.seed, self.seed + n_seeds),
-                count, mode, shapes, inflation=inflation, radius_margin=margin):
+                count, mode, shapes):
             for key, value in zip(table, (
                     f"{mode}-{seed}-{shape}", mode, rep.n_balls, self.p, s,
                     rep.sum_capacity, rep.union_capacity, rep.ratio, rep.bound,
@@ -480,8 +504,7 @@ class Runner:
             g = rng.random(self.space.n_leaves)
             pot_field = ext.field(op.apply_function(g))
             eps = float(np.quantile(pot_field.values, quantile))
-            lowest, _, ok = harnack_check(ext, self.kernel, g, eps, c_h=c_h,
-                                          field=pot_field)
+            lowest, ok = harnack_check(ext, pot_field, eps, c_h)
             if not ok:
                 raise RuntimeError("harnack check failed")
             if math.isfinite(lowest):

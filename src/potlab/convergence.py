@@ -38,14 +38,11 @@ class ApproachRegion:
     is below the kind's radius function at height y."""
     center: int
     kind: str
-    scale: float = 1.0          # multiplier on the radius function
-    exponent: float = 1.0       # polynomial kind: radius = scale * y**exponent
+    exponent: float = 1.0       # polynomial kind: radius = y**exponent
 
     def __post_init__(self):
         if self.kind not in REGION_KINDS:
             raise ValueError(f"unknown region kind {self.kind!r}")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
         if self.kind == "polynomial" and self.exponent <= 0:
             raise ValueError("polynomial region needs a positive exponent")
 
@@ -54,15 +51,14 @@ def region_radius(space: ModelSpace, kernel: RadialKernel, p: float,
                   region: ApproachRegion, y: float) -> float:
     """Width of the region at height y."""
     if region.kind == "nontangential":
-        return region.scale * y
+        return y
     if region.kind == "polynomial":
-        return region.scale * y**region.exponent
+        return y**region.exponent
     if region.kind == "exponential":
         if y >= 1.0:
             return 0.0
-        return region.scale * math.log(1.0 / y) ** (-space.dimension)
-    er = metric_matching_radius(space, kernel, p, region.center, y)
-    return region.scale * er.star
+        return math.log(1.0 / y) ** (-space.dimension)
+    return metric_matching_radius(space, kernel, p, region.center, y).star
 
 
 # -- thin sets ------------------------------------------------------------------
@@ -73,35 +69,30 @@ class ThinSetReport:
     t_values: np.ndarray
     capacities: np.ndarray
     thin: bool
-    thin_tol: float
 
 
-def _below(slab: np.ndarray, heights, t: float | None) -> np.ndarray:
-    """OR of the slab columns at heights below t (all columns when t is None)."""
-    heights = np.asarray(heights, dtype=float)
-    return slab[:, heights < t].any(axis=1) if t is not None else slab.any(axis=1)
+THIN_TOL = 1e-3   # finest shadow capacity below which a grid set is thin
 
 
-def shadow_mask(space: ModelSpace, over: np.ndarray, heights: np.ndarray,
-                t: float | None = None) -> np.ndarray:
-    """Union of balls B(x, y) over grid cells of ``over`` (below t if given)."""
-    return _below(ball_slab(space, over, heights), heights, t)
+def _below(slab: np.ndarray, heights, t: float) -> np.ndarray:
+    """OR of the slab columns at heights below t."""
+    return slab[:, np.asarray(heights, dtype=float) < t].any(axis=1)
 
 
 def thinness_decay(space: ModelSpace, kernel: RadialKernel, p: float,
-                   over: np.ndarray, heights: np.ndarray,
-                   thin_tol: float = 1e-3) -> ThinSetReport:
+                   over: np.ndarray, heights: np.ndarray) -> ThinSetReport:
     """Capacity of the ball shadow of the sub-t part of a grid set, for each
     grid height t.
 
     The shadows shrink with t, so the capacities are non-increasing as t
-    refines; the verdict is thin when the finest value drops below tol.
+    refines; the verdict is thin when the finest value drops below
+    ``THIN_TOL``.
     """
     t_grid = np.sort(np.asarray(heights, dtype=float))[::-1]
     slab = ball_slab(space, over, heights)
     shadows = [np.flatnonzero(_below(slab, heights, t)) for t in t_grid]
     caps = np.array([capacity_value(space, kernel, leaves, p) for leaves in shadows])
-    return ThinSetReport(t_grid, caps, bool(caps[-1] < thin_tol), thin_tol)
+    return ThinSetReport(t_grid, caps, bool(caps[-1] < THIN_TOL))
 
 
 # -- Lusin-type approximation split ------------------------------------------------
@@ -113,11 +104,7 @@ class SplitResult:
     bad_leaves: np.ndarray       # (n,) leaves removed from experiments
     shadow_capacity: float
     bad_capacity: float
-    modulus: list                # rows (eps, largest working radius or None)
-    target: float
     ok: bool
-    closeness: float             # budget that produced the final split
-    levels_used: list
 
 
 def _coarse_mean(space: ModelSpace, values: np.ndarray, level: int) -> np.ndarray:
@@ -127,9 +114,8 @@ def _coarse_mean(space: ModelSpace, values: np.ndarray, level: int) -> np.ndarra
     return num / den
 
 
-SPLIT_LEVELS = 6                    # dyadic thresholds 2**-1 .. 2**-6 per part
-SPLIT_EPS_GRID = (0.2, 0.1, 0.05)   # eps of the split's closeness modulus
-SPLIT_ROUNDS = 40                   # cap on the closeness-budget quarterings
+SPLIT_LEVELS = 6    # dyadic thresholds 2**-1 .. 2**-6 per part
+SPLIT_ROUNDS = 40   # cap on the closeness-budget quarterings
 
 
 def approximation_split(ext: PoissonExtension, kernel: RadialKernel, p: float,
@@ -141,7 +127,7 @@ def approximation_split(ext: PoissonExtension, kernel: RadialKernel, p: float,
     levels; the grid set collects the cells where the extension of the
     residual potential beats the dyadic thresholds, the leaf set the points
     where the residual potential itself does.  The closeness budget is
-    halved until both shadow capacities verify below the target (at worst
+    quartered until both shadow capacities verify below the target (at worst
     the stand-ins equal f and the sets are empty).
     """
     f = np.asarray(f, dtype=float)
@@ -156,11 +142,9 @@ def approximation_split(ext: PoissonExtension, kernel: RadialKernel, p: float,
     if neg.any():
         parts.append(neg)
     closeness = max(lp_norm(f, w, p), 1e-300)
-    levels_used: list = []
     for _ in range(SPLIT_ROUNDS):
         grid = np.zeros((space.n_leaves, ext.heights.size), dtype=bool)
         bad = np.zeros(space.n_leaves, dtype=bool)
-        levels_used = []
         for h in parts:
             for j in range(1, SPLIT_LEVELS + 1):
                 budget = closeness * 2.0 ** (-j)
@@ -169,7 +153,6 @@ def approximation_split(ext: PoissonExtension, kernel: RadialKernel, p: float,
                     if lp_norm(h - _coarse_mean(space, h, lvl), w, p) <= budget:
                         level = lvl
                         break
-                levels_used.append(level)
                 resid = np.abs(h - _coarse_mean(space, h, level))
                 if not resid.any():
                     continue
@@ -177,60 +160,14 @@ def approximation_split(ext: PoissonExtension, kernel: RadialKernel, p: float,
                 pot = op.apply_function(resid)
                 grid |= ext.field(pot).values > thr
                 bad |= pot >= thr
-        shadow = shadow_mask(space, grid, ext.heights)
+        shadow = ball_slab(space, grid, ext.heights).any(axis=1)
         cap_shadow = capacity_value(space, kernel, np.flatnonzero(shadow), p)
         cap_bad = capacity_value(space, kernel, np.flatnonzero(bad), p)
         ok = cap_shadow < delta_target and cap_bad < delta_target
         if ok:
             break
         closeness *= 0.25
-    modulus = closeness_modulus(ext, op.apply_function(f), grid, bad, SPLIT_EPS_GRID)
-    return SplitResult(grid, bad, cap_shadow, cap_bad,
-                       modulus, delta_target, ok, closeness, levels_used)
-
-
-def closeness_modulus(ext: PoissonExtension, g: np.ndarray, excluded: np.ndarray,
-                      bad_leaves: np.ndarray, eps_grid) -> list:
-    """Largest grid radius within which the extension of the boundary values
-    g stays eps-close to g, avoiding the exceptional sets; None marks
-    resolution exhaustion at that eps.
-
-    A point (x, y) is within radius r of (x0, 0) when both d(x, x0) and y
-    are below r, so the search scans submatrices of the field.  Empty
-    exclusion masks give the plain uniform-continuity modulus.
-    """
-    space = ext.space
-    g = np.asarray(g, dtype=float)
-    vals = ext.field(g).values
-    hi_vals = np.where(excluded, -np.inf, vals)
-    lo_vals = np.where(excluded, np.inf, vals)
-    keep = np.flatnonzero(~bad_leaves)
-    rows = []
-    for eps in sorted(eps_grid, reverse=True):
-        found = None
-        for radius in ext.heights:     # descending: first success is maximal
-            cols = np.flatnonzero(ext.heights < radius)
-            if cols.size == 0:
-                continue
-            lo, hi = space.ball_bounds(np.arange(space.n_leaves), float(radius),
-                                       closed=False)
-            worst = 0.0
-            for x0 in keep:
-                block_hi = hi_vals[lo[x0]:hi[x0], :][:, cols]
-                block_lo = lo_vals[lo[x0]:hi[x0], :][:, cols]
-                top = block_hi.max() if block_hi.size else -np.inf
-                bot = block_lo.min() if block_lo.size else np.inf
-                if top > -np.inf:
-                    worst = max(worst, top - g[x0])
-                if bot < np.inf:
-                    worst = max(worst, g[x0] - bot)
-                if worst > eps:
-                    break
-            if worst <= eps:
-                found = float(radius)
-                break
-        rows.append((float(eps), found))
-    return rows
+    return SplitResult(grid, bad, cap_shadow, cap_bad, ok)
 
 
 # -- convergence experiments --------------------------------------------------------
@@ -248,24 +185,20 @@ class ConvergenceRow:
     t: float
     sup_error: float
     n_points: int
-    n_offcenter: int
     n_excluded: int
 
 
 @dataclass
 class ConvergenceTable:
     region_kind: str
-    tol: float
     rows: list
     fraction_converged: float
     bad_set_mass: list            # (t, mass) rows
-    degenerate: list              # sampled leaves whose region never leaves the center
 
 
 def convergence_experiment(ext: PoissonExtension, kernel: RadialKernel, p: float,
                            f: np.ndarray, x0_sample, split: SplitResult, kind: str,
-                           tol: float, scale: float = 1.0,
-                           exponent: float | None = None) -> ConvergenceTable:
+                           tol: float) -> ConvergenceTable:
     """Worst deviation from the boundary potential inside the approach
     regions of one kind around each sampled leaf, at the heights up to each
     cutoff t and off the split's exceptional grid cells; and the mass of the
@@ -274,16 +207,20 @@ def convergence_experiment(ext: PoissonExtension, kernel: RadialKernel, p: float
     The t grid is every fourth height plus the finest one.  Heights at or
     above 1, the diameter, count for no t.
 
-    The default polynomial exponent p * (s - 1/p') is the width of the
-    capacity-matched region: ball mass grows like radius**Q while ball
-    capacity decays like y**(Q p (s - 1/p')), so matching them cancels the
-    dimension.
+    The polynomial exponent p * (s - 1/p') is the width of the
+    capacity-matched region of a Riesz kernel: ball mass grows like
+    radius**Q while ball capacity decays like y**(Q p (s - 1/p')), so
+    matching them cancels the dimension.  A radial kernel has no s, so it
+    takes no polynomial region.
     """
-    if kind == "polynomial" and exponent is None:
+    exponent = 1.0
+    if kind == "polynomial":
+        if kernel.kind != "riesz":
+            raise ValueError("the polynomial region needs a riesz kernel's s; "
+                             "use the capacity region")
         pp = p / (p - 1.0)
         exponent = p * (kernel.s - 1.0 / pp)
-    template = ApproachRegion(0, kind, scale=scale,
-                              exponent=1.0 if exponent is None else exponent)
+    template = ApproachRegion(0, kind, exponent=exponent)
     space, heights = ext.space, ext.heights
     n, nh = space.n_leaves, heights.size
 
@@ -306,7 +243,6 @@ def convergence_experiment(ext: PoissonExtension, kernel: RadialKernel, p: float
     below = (heights <= t_grid[:, None]) & live
 
     rows = []
-    degenerate = []
     converged = 0
     for x0 in x0_sample:
         x0 = int(x0)
@@ -314,19 +250,15 @@ def convergence_experiment(ext: PoissonExtension, kernel: RadialKernel, p: float
         lo, hi = space.ball_bounds(np.full(nh, x0), radii, closed=False)
         n_exc = excluded_prefix[hi, columns] - excluded_prefix[lo, columns]
         n_pts = hi - lo - n_exc
-        n_off = n_pts - ((lo <= x0) & (x0 < hi) & ~excluded[x0])
         sup_err = np.zeros(nh)
         for h in np.flatnonzero(live & (n_pts > 0)):
             kept = ~excluded[lo[h]:hi[h], h]
             sup_err[h] = np.abs(vals[lo[h]:hi[h], h][kept] - pot[x0]).max()
         for t, cols in zip(t_grid, below):
             rows.append(ConvergenceRow(x0, float(t), float(sup_err[cols].max(initial=0.0)),
-                                       int(n_pts[cols].sum()), int(n_off[cols].sum()),
-                                       int(n_exc[cols].sum())))
+                                       int(n_pts[cols].sum()), int(n_exc[cols].sum())))
         if rows[-1].n_points and rows[-1].sup_error <= tol:
             converged += 1
-        if n_off[below[0]].sum() == 0:
-            degenerate.append(x0)
 
     # a leaf counts below t when its region meets an excluded cell at a height
     # at most t; walking from the finest height, its first meeting is the one
@@ -342,5 +274,4 @@ def convergence_experiment(ext: PoissonExtension, kernel: RadialKernel, p: float
         met[open_leaves[meets]] = heights[h]
         open_leaves = open_leaves[~meets]
     bad_mass = [(float(t), float(space.weights[met <= t].sum())) for t in t_grid]
-    return ConvergenceTable(kind, tol, rows, converged / max(len(x0_sample), 1),
-                            bad_mass, degenerate)
+    return ConvergenceTable(kind, rows, converged / max(len(x0_sample), 1), bad_mass)

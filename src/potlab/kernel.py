@@ -66,13 +66,6 @@ class RadialKernel:
     def conjugate(self) -> float:
         return self.p / (self.p - 1.0)
 
-    def scaled(self, c: float) -> "RadialKernel":
-        """The kernel multiplied by a positive constant (radial table form)."""
-        if self.kind == "riesz":
-            raise ValueError("scale a riesz kernel through its level table")
-        return RadialKernel("radial", p=self.p,
-                            level_values=tuple(c * v for v in self.level_values))
-
     def level_table(self, space: ModelSpace) -> np.ndarray:
         """Per-level kernel values, diagonal convention in slot ``depth``.
 

@@ -115,17 +115,6 @@ class PoissonExtension:
         return out / self._mass[:, h][:, None]
 
 
-@dataclass
-class ExceedanceSets:
-    heights: np.ndarray
-    over: np.ndarray         # (n, H) bool: extension of the potential > eps
-    star: np.ndarray         # (n,) bool: union of balls B(x, y) over cells
-    slab: np.ndarray         # (n, H) bool: the same balls kept per height
-
-    def star_leaves(self) -> np.ndarray:
-        return np.flatnonzero(self.star)
-
-
 def ball_slab(space: ModelSpace, cells: np.ndarray, radii) -> np.ndarray:
     """(n, H) bool: column h is the union of the open balls B(x, radii[h])
     over the leaves x marked in ``cells[:, h]`` (empty where the radius is
@@ -142,24 +131,6 @@ def ball_slab(space: ModelSpace, cells: np.ndarray, radii) -> np.ndarray:
         np.add.at(bump, hi, -1.0)
         slab[:, h] = np.cumsum(bump[:-1]) > 0
     return slab
-
-
-def exceedance_sets(ext: PoissonExtension, kernel: RadialKernel, f: np.ndarray,
-                    eps: float, field: UpperHalfField | None = None) -> ExceedanceSets:
-    """Grid supersets where the extended potential exceeds eps.
-
-    ``over`` thresholds the extension of K*f; ``star`` projects it to the
-    boundary through the balls B(x, y); ``slab`` keeps those balls at their
-    own height.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if field is None:
-        pot = kernel_operator(kernel, ext.space).apply_function(np.asarray(f, dtype=float))
-        field = ext.field(pot)
-    over = field.values > eps
-    slab = ball_slab(ext.space, over, ext.heights)
-    return ExceedanceSets(ext.heights, over, slab.any(axis=1), slab)
 
 
 # -- calibrated comparisons ----------------------------------------------------
@@ -198,22 +169,19 @@ def _harnack_worst(cal: ModelSpace, n_heights: int) -> float:
     return worst
 
 
-def harnack_check(ext: PoissonExtension, kernel: RadialKernel, f: np.ndarray,
-                  eps: float, c_h: float | None = None,
-                  field: UpperHalfField | None = None):
-    """min over the per-height ball slabs of the extended potential,
-    compared against c_h * eps (vacuous pass when the slabs are empty).
-    ``field``, when given, is that extended potential, already computed."""
-    if c_h is None:
-        c_h = harnack_constant(ext.space, n_heights=ext.heights.size - 1)
-    if field is None:
-        pot = kernel_operator(kernel, ext.space).apply_function(np.asarray(f, dtype=float))
-        field = ext.field(pot)
-    sets = exceedance_sets(ext, kernel, f, eps, field=field)
-    if not sets.slab.any():
-        return math.inf, c_h, True
-    lowest = float(field.values[sets.slab].min())
-    return lowest, c_h, lowest >= c_h * eps
+def harnack_check(ext: PoissonExtension, field: UpperHalfField, eps: float,
+                  c_h: float) -> tuple[float, bool]:
+    """(lowest, ok): the least value of the extended potential ``field`` over
+    the per-height slabs of balls B(x, y) around its cells above eps, and
+    whether it reaches c_h * eps (a vacuous pass, lowest inf, when no cell
+    exceeds eps)."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    slab = ball_slab(ext.space, field.values > eps, ext.heights)
+    if not slab.any():
+        return math.inf, True
+    lowest = float(field.values[slab].min())
+    return lowest, lowest >= c_h * eps
 
 
 def exchange_ratio(ext: PoissonExtension, kernel: RadialKernel, f: np.ndarray):

@@ -42,11 +42,7 @@ class SeparatedFamily:
     mode: str                      # "tree" | "ahlfors"
     centers: list
     levels: list                   # grid ball = depth-level subtree around center
-    radii: list                    # delta**level, the nominal radii
-    enlarged_radii: list           # open-ball radii of the disjoint enlargements
     enlarged_ranges: list          # half-open leaf ranges of the enlargements
-    inflation: float = 1.0         # ahlfors: factor on the matching radius
-    radius_margin: float = 1.0     # ahlfors: factor on r before matching
     skipped: int = 0               # candidates without a matching radius
 
     def __len__(self):
@@ -77,9 +73,7 @@ def verify_separation(space: ModelSpace, family: SeparatedFamily) -> SeparationC
 
 
 def generate_separated_family(space: ModelSpace, kernel: RadialKernel, p: float,
-                              count: int, seed: int, mode: str = "tree",
-                              inflation: float = 1.0,
-                              radius_margin: float = 1.0) -> SeparatedFamily:
+                              count: int, seed: int, mode: str = "tree") -> SeparatedFamily:
     """Greedy seeded sampler of balls with disjoint enlargements: at most
     80 draws per requested ball.  Radius levels are 2..depth-2, narrowed to
     the single level min(2, depth) on shallow trees."""
@@ -92,30 +86,25 @@ def generate_separated_family(space: ModelSpace, kernel: RadialKernel, p: float,
     lo_lvl = min(2, space.depth)
     hi_lvl = max(space.depth - 2, lo_lvl)
     rng = np.random.default_rng(seed)
-    fam = SeparatedFamily(mode, [], [], [], [], [],
-                          inflation=inflation, radius_margin=radius_margin)
+    fam = SeparatedFamily(mode, [], [], [])
     for _ in range(80 * count):
         if len(fam) >= count:
             break
         x = int(rng.integers(space.n_leaves))
         level = int(rng.integers(lo_lvl, hi_lvl + 1))
-        r = space.grid_radius(level)
         if mode == "tree":
             er = tree_matching_radius(space, kernel, p, x, level)
             if not er.exists:
                 fam.skipped += 1
                 continue
-            enlarged_level = min(level, er.matching_level)
-            enlarged_r = space.delta ** (enlarged_level - 0.5)
-            lo, hi = space.subtree_range(x, enlarged_level)
+            lo, hi = space.subtree_range(x, min(level, er.matching_level))
         else:
-            er = metric_matching_radius(space, kernel, p, x, radius_margin * r,
+            er = metric_matching_radius(space, kernel, p, x, space.grid_radius(level),
                                         closed=True)
             if not er.exists:
                 fam.skipped += 1
                 continue
-            enlarged_r = inflation * er.star
-            blo, bhi = space.ball_bounds(np.array([x]), enlarged_r, closed=True)
+            blo, bhi = space.ball_bounds(np.array([x]), er.star, closed=True)
             lo, hi = int(blo[0]), int(bhi[0])
             # the nominal ball must sit inside its enlargement
             glo, ghi = space.grid_ball_range(x, level)
@@ -124,8 +113,6 @@ def generate_separated_family(space: ModelSpace, kernel: RadialKernel, p: float,
             continue
         fam.centers.append(x)
         fam.levels.append(level)
-        fam.radii.append(r)
-        fam.enlarged_radii.append(enlarged_r)
         fam.enlarged_ranges.append((lo, hi))
     if len(fam) < count:
         warnings.warn(f"family exhausted the space: produced {len(fam)} of "
@@ -157,15 +144,12 @@ def family_target_sets(space: ModelSpace, family: SeparatedFamily, shape: str,
 
 @dataclass
 class ExperimentReport:
-    mode: str
     n_balls: int
-    p: float
     sum_capacity: float
     union_capacity: float
     ratio: float
     bound: float                   # provable bound in tree mode, nan otherwise
     passed: bool
-    set_capacities: list = field(default_factory=list)
 
     LOWER_SLACK = 1e-9
     UPPER_SLACK = 1e-6
@@ -197,13 +181,11 @@ def quasi_additivity_report(space: ModelSpace, kernel: RadialKernel, p: float,
     if family.mode == "tree":
         bound = tree_quasi_additivity_bound(kernel_operator(kernel, space).norm_1(), p)
         passed = passed and ratio <= bound * (1.0 + ExperimentReport.UPPER_SLACK)
-    return ExperimentReport(family.mode, len(family), p, sum(caps), union_cap,
-                            ratio, bound, passed, caps)
+    return ExperimentReport(len(family), sum(caps), union_cap, ratio, bound, passed)
 
 
 def family_batch(space: ModelSpace, kernel: RadialKernel, p: float, seeds,
-                 count: int, mode: str, shapes, inflation: float = 1.0,
-                 radius_margin: float = 1.0) -> list:
+                 count: int, mode: str, shapes) -> list:
     """(seed, shape, report) per seed and shape: one separated family per
     seed, and a report on each target shape inside its balls.  A seed whose
     family comes out empty contributes no row."""
@@ -211,9 +193,7 @@ def family_batch(space: ModelSpace, kernel: RadialKernel, p: float, seeds,
     for seed in seeds:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            fam = generate_separated_family(space, kernel, p, count, seed, mode=mode,
-                                            inflation=inflation,
-                                            radius_margin=radius_margin)
+            fam = generate_separated_family(space, kernel, p, count, seed, mode=mode)
         if len(fam) == 0:
             continue
         for shape in shapes:

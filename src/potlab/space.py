@@ -125,23 +125,6 @@ class ModelSpace:
         sums = values.reshape((-1, block) + values.shape[1:]).sum(axis=1)
         return sums.repeat(block, axis=0)
 
-    def path_of(self, x: int) -> tuple[int, ...]:
-        digits = []
-        for _ in range(self.depth):
-            x, d = divmod(x, self.branching)
-            digits.append(d)
-        return tuple(reversed(digits))
-
-    def leaf_of(self, path) -> int:
-        if len(path) != self.depth:
-            raise ValueError(f"path length must equal depth {self.depth}")
-        x = 0
-        for d in path:
-            if not 0 <= d < self.branching:
-                raise ValueError(f"path digit {d} out of range")
-            x = x * self.branching + d
-        return x
-
     # -- metric ----------------------------------------------------------------
 
     def distance(self, x: int, y: int) -> float:

@@ -1,0 +1,104 @@
+"""Compare the determinism outputs of this checkout with another source tree.
+
+Usage, from the repository root::
+
+    python tests/golden/determinism.py OTHER_SRC
+
+``OTHER_SRC`` is the ``src`` directory of another potlab checkout, say the
+parent commit unpacked with ``git archive``.  The determinism set is
+``full-suite`` (charts on) on every golden config next to this script, at
+its ``[run] seed``, and every workload of ``potbench/run.py``: the config
+``render_config`` writes for it, its subcommands, runner seed 0.  Each run
+goes through ``load_config`` and ``Runner`` in a fresh single-threaded
+interpreter on each source tree, as the benchmark's children do.  Every
+CSV, SVG and ``space.txt`` output is compared byte for byte; manifests
+record times and are left out.  Each output that differs, or that only one
+side wrote, is listed, and the script exits 1 when there is any.
+"""
+
+from __future__ import annotations
+
+import configparser
+import importlib.util
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+GOLDEN = Path(__file__).resolve().parent
+ROOT = GOLDEN.parents[1]
+COMPARED = ("*.csv", "*.svg", "space.txt")
+
+RUN = """if True:
+    import sys
+    from pathlib import Path
+    from potlab.cli import Runner, load_config
+    config, out, seed, *subcommands = sys.argv[1:]
+    runner = Runner(load_config(config), Path(out), int(seed))
+    for subcommand in subcommands:
+        runner.run(subcommand)
+"""
+
+
+def _benchmark():
+    """``potbench/run.py`` as a module, for its workloads and config writer."""
+    spec = importlib.util.spec_from_file_location("potbench_run", ROOT / "potbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def determinism_set(workdir: Path) -> list:
+    """(name, config path, seed, subcommands) of every determinism run."""
+    runs = []
+    for config in sorted(GOLDEN.glob("*/config.ini")):
+        cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        cfg.read(config)
+        runs.append((config.parent.name, config, cfg.getint("run", "seed", fallback=0),
+                     ("full-suite",)))
+    bench = _benchmark()
+    for name, workload in sorted(bench.WORKLOADS.items()):
+        config = workdir / f"{name}.ini"
+        config.write_text(bench.render_config(workload))
+        runs.append((name, config, bench.runner_seed(0, 0), workload.subcommands))
+    return runs
+
+
+def run(src: Path, config: Path, seed: int, subcommands, out: Path) -> dict:
+    """name -> bytes of the compared outputs of one run on source tree ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(src),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    subprocess.run([sys.executable, "-c", RUN, str(config), str(out), str(seed),
+                    *subcommands], env=env, check=True)
+    return {p.name: p.read_bytes() for pattern in COMPARED for p in sorted(out.glob(pattern))}
+
+
+def main(argv) -> int:
+    if len(argv) != 1 or not (Path(argv[0]) / "potlab" / "__init__.py").is_file():
+        print("usage: python tests/golden/determinism.py OTHER_SRC, the src "
+              "directory of another potlab checkout", file=sys.stderr)
+        return 2
+    other = Path(argv[0]).resolve()
+    differ, total = [], 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, config, seed, subcommands in determinism_set(tmp):
+            ours = run(ROOT / "src", config, seed, subcommands, tmp / "ours" / name)
+            theirs = run(other, config, seed, subcommands, tmp / "theirs" / name)
+            for output in sorted(ours.keys() | theirs.keys()):
+                total += 1
+                if ours.get(output) != theirs.get(output):
+                    side = ("" if output in ours and output in theirs
+                            else " (this checkout only)" if output in ours
+                            else f" ({other} only)")
+                    differ.append(f"{name}/{output}{side}")
+    for line in differ:
+        print(f"differs: {line}")
+    print(f"{total - len(differ)} of {total} outputs identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

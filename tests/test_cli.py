@@ -143,7 +143,7 @@ def mutate(mutation: str) -> str:
         key, value = (part.strip() for part in assignment.split("="))
         section = section.lstrip("[") or next(
             name for name in cfg.sections() if cfg.has_option(name, key))
-        if not cfg.has_section(section):
+        if not cfg.has_section(section) and section != cfg.default_section:
             cfg.add_section(section)
         cfg.set(section, key, value)
     out = io.StringIO()
@@ -196,6 +196,13 @@ def mutate(mutation: str) -> str:
     ("[converge] tol_nontangential = tight", "tol_nontangential"),
     ("[converge] tol_tangential = loose", "tol_tangential"),
     ("[converge] delta_target = small", "delta_target"),
+    # sections and keys outside the grammar, which used to be ignored
+    ("[converge] sampel = 3", "'sampel'"),
+    ("[quasiadd] shape = ball", "'shape'"),
+    ("[quasiadd] inflation = 1.5", "'inflation'"),
+    ("[colour] hue = red", "[colour]"),
+    ("[DEFAULT] sampel = 3", "'sampel'"),
+    ("--tol-override converge.sampel=3", "'sampel'"),
     # command-line overrides that name no usable section or key
     ("--tol-override DEFAULT.x=1", "section.key=value"),
     ("--tol-override .n=1", "section.key=value"),
@@ -247,6 +254,24 @@ def test_radial_exchange_needs_calibration_depth(tmp_path, capsys, subcommand, c
         assert "calibration depth" in err
 
 
+RADIAL_DEPTH6 = "[kernel] kind = radial; [kernel] levels = 1,2,4,8,16,32,0"
+
+
+@pytest.mark.parametrize("mutation,subcommand,code", [
+    (RADIAL_DEPTH6, "converge", 2), (RADIAL_DEPTH6, "full-suite", 2),
+    (RADIAL_DEPTH6 + "; [converge] region = capacity", "converge", 0)])
+def test_radial_kernel_has_no_polynomial_region(tmp_path, capsys, mutation, subcommand,
+                                                code):
+    # the polynomial width reads the riesz exponent s, which a radial table lacks
+    cfg = tmp_path / "radial.ini"
+    cfg.write_text(mutate(mutation))
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "x")]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error kind=config") and err.count("\n") == 1
+        assert "region = polynomial" in err
+
+
 @pytest.mark.parametrize("subcommand,code", [
     ("quasiadd", 2), ("full-suite", 2), ("space-info", 0)])
 def test_tree_quasiadd_needs_tree_boundary(tmp_path, capsys, subcommand, code):
@@ -278,10 +303,10 @@ def test_quasiadd_without_experiments_does_not_pass(tmp_path, capsys):
 
 def test_ahlfors_quasiadd_writes_no_ratio_bound(tmp_path):
     # ahlfors mode checks the ratio against no upper constant, so the bound
-    # column stays empty (nan) rather than showing the inflation it used
+    # column stays empty (nan)
     cfg = tmp_path / "ahlfors.ini"
     cfg.write_text(mutate("[space] kind = unit-interval; [quasiadd] mode = ahlfors; "
-                          "[quasiadd] inflation = 1.5; [quasiadd] seeds = 2"))
+                          "[quasiadd] seeds = 2"))
     out = tmp_path / "out"
     assert main(["quasiadd", "--config", str(cfg), "--out", str(out)]) == 0
     rows = read_csv(out / "quasiadd.csv")

@@ -3,9 +3,9 @@ import pytest
 
 from potlab.convergence import (REGION_KINDS, ApproachRegion, SplitResult,
                                 approximation_split, convergence_experiment,
-                                region_radius, shadow_mask, thinness_decay)
+                                region_radius, thinness_decay)
 from potlab.kernel import RadialKernel, kernel_operator
-from potlab.poisson import PoissonExtension, lipschitz_profile
+from potlab.poisson import PoissonExtension, ball_slab, lipschitz_profile
 from potlab.space import model_space
 
 K8 = RadialKernel("riesz", s=0.8, p=2.0)
@@ -26,21 +26,19 @@ def test_region_validation():
         ApproachRegion(0, "nosuch")
     with pytest.raises(ValueError):
         ApproachRegion(0, "polynomial", exponent=0.0)
-    with pytest.raises(ValueError):
-        ApproachRegion(0, "nontangential", scale=0.0)
 
 
 @pytest.mark.parametrize("kind", ["nontangential", "capacity", "polynomial",
                                   "exponential"])
 def test_center_always_inside(tree6, kind):
-    region = ApproachRegion(9, kind, scale=1.0, exponent=0.6)
+    region = ApproachRegion(9, kind, exponent=0.6)
     for y in (0.5, 0.25, 2.0**-6):
         assert region_membership(tree6, K8, 2.0, region, 9, y)
 
 
 def test_polynomial_threshold_arithmetic(tree6):
     c, e = 1.0, 0.6
-    region = ApproachRegion(0, "polynomial", scale=c, exponent=e)
+    region = ApproachRegion(0, "polynomial", exponent=e)
     x = 32                       # distance 1.0 from leaf 0? no: lca 0 -> 1.0
     d = tree6.distance(0, x)
     assert d == pytest.approx(1.0)
@@ -66,7 +64,7 @@ def test_nontangential_nested_in_capacity_region(tree6):
     # the matched radius dominates the input radius, so cones sit inside
     for x0 in (0, 21, 63):
         cone = ApproachRegion(x0, "nontangential")
-        wide = ApproachRegion(x0, "capacity", scale=1.0)
+        wide = ApproachRegion(x0, "capacity")
         for y in (0.5, 0.125, 2.0**-5):
             for x in range(64):
                 if region_membership(tree6, K8, 2.0, cone, x, y):
@@ -75,7 +73,7 @@ def test_nontangential_nested_in_capacity_region(tree6):
 
 def test_polynomial_region_strictly_wider_at_fine_heights(tree6):
     # contact wider than the cone: off-center points with d > y
-    region = ApproachRegion(0, "polynomial", scale=1.0, exponent=0.6)
+    region = ApproachRegion(0, "polynomial", exponent=0.6)
     y = 2.0**-5
     rad = region_radius(tree6, K8, 2.0, region, y)
     hits = [x for x in range(64)
@@ -116,9 +114,10 @@ def test_thinness_monotone_on_grid(ext8, rng):
     # shadows grow with t, so capacities are non-decreasing along growing t
     ordered = rep.capacities[np.argsort(rep.t_values)]
     assert np.all(np.diff(ordered) >= -1e-12)
+    slab = ball_slab(space, over, ext8.heights)
     for t1, t2 in [(rep.t_values[3], rep.t_values[1])]:
-        m1 = shadow_mask(space, over, ext8.heights, t=float(t1))
-        m2 = shadow_mask(space, over, ext8.heights, t=float(t2))
+        m1 = slab[:, ext8.heights < t1].any(axis=1)
+        m2 = slab[:, ext8.heights < t2].any(axis=1)
         assert np.all(m2[m1])
 
 
@@ -127,7 +126,6 @@ def test_split_continuous_profile(ext8):
     split = approximation_split(ext8, K8, 2.0, f, 0.05)
     assert split.ok
     assert split.shadow_capacity < 0.05 and split.bad_capacity < 0.05
-    assert all(r is not None for _, r in split.modulus)
 
 
 def test_split_random_function(ext8, rng):
@@ -139,13 +137,14 @@ def test_split_random_function(ext8, rng):
 
 def test_split_spike_resolves_at_leaf_level(ext8):
     # a one-leaf spike is exactly representable at the truncation scale, so
-    # the stand-ins collapse onto f itself rather than faking smoothness
+    # the stand-ins collapse onto f itself rather than faking smoothness:
+    # no residual is left, and both exceptional sets are empty
     f = np.zeros(256)
     f[100] = 60.0
     split = approximation_split(ext8, K8, 2.0, f, 0.2)
     assert split.ok
     assert split.shadow_capacity < 0.2 and split.bad_capacity < 0.2
-    assert max(split.levels_used) == ext8.space.depth
+    assert not split.exceedance.any() and not split.bad_leaves.any()
 
 
 def test_split_thinness_pipeline(ext8, rng):
@@ -153,8 +152,7 @@ def test_split_thinness_pipeline(ext8, rng):
     f[40] = 30.0
     f += rng.random(256)
     split = approximation_split(ext8, K8, 2.0, f, 0.1)
-    rep = thinness_decay(ext8.space, K8, 2.0, split.exceedance, ext8.heights,
-                         thin_tol=0.1)
+    rep = thinness_decay(ext8.space, K8, 2.0, split.exceedance, ext8.heights)
     ordered = rep.capacities[np.argsort(rep.t_values)]
     assert np.all(np.diff(ordered) >= -1e-12)
     assert rep.capacities[-1] < 0.1
@@ -167,7 +165,7 @@ def test_split_tightening_target_reported(ext8, rng):
     assert tight.ok
     assert tight.shadow_capacity < 0.025 and tight.bad_capacity < 0.025
     # reported, not asserted: the sets need not shrink monotonically
-    assert wide.target > tight.target
+    assert wide.ok
 
 
 def test_nontangential_constant_function(ext8):
@@ -215,19 +213,21 @@ def test_tangential_constant_and_bad_mass(ext8, rng):
     assert masses == sorted(masses, reverse=True)
 
 
-def test_tangential_exponential_degeneracy_reported(ext8):
+def test_polynomial_region_needs_a_riesz_kernel(ext8):
+    # the polynomial width reads the riesz exponent s, which a radial table lacks
+    radial = RadialKernel("radial", level_values=tuple(K8.level_table(ext8.space)))
     f = lipschitz_profile(ext8.space, "bump")
-    sample = [0, 128]
-    split = approximation_split(ext8, K8, 2.0, f, 0.05)
-    table = convergence_experiment(ext8, K8, 2.0, f, sample, split, "exponential",
-                                   tol=0.05, scale=0.004)
-    # a width this small never captures an off-center grid point
-    assert set(table.degenerate) == set(sample)
+    split = approximation_split(ext8, radial, 2.0, f, 0.05)
+    with pytest.raises(ValueError, match="riesz"):
+        convergence_experiment(ext8, radial, 2.0, f, [0], split, "polynomial", tol=0.05)
+    table = convergence_experiment(ext8, radial, 2.0, f, [0], split, "nontangential",
+                                   tol=0.05)
+    assert table.rows
 
 
 def brute_force_experiment(ext, f, excluded, kind):
-    """Rows (x0, t, sup error, points, off-center points, excluded cells) over
-    every leaf, and (t, bad-set mass) rows, by a distance scan per cell."""
+    """Rows (x0, t, sup error, points, excluded cells) over every leaf, and
+    (t, bad-set mass) rows, by a distance scan per cell."""
     space, heights = ext.space, ext.heights
     n = space.n_leaves
     pot = kernel_operator(K8, space).apply_function(f)
@@ -240,7 +240,7 @@ def brute_force_experiment(ext, f, excluded, kind):
     rows = []
     for x0 in range(n):
         for t in t_grid:
-            err, pts, off, exc = 0.0, 0, 0, 0
+            err, pts, exc = 0.0, 0, 0
             for h in np.flatnonzero((heights <= t) & (heights < 1.0)):
                 for x in range(n):
                     if dist[x0, x] >= widths[x0, h]:
@@ -249,9 +249,8 @@ def brute_force_experiment(ext, f, excluded, kind):
                         exc += 1
                         continue
                     pts += 1
-                    off += x != x0
                     err = max(err, abs(vals[x, h] - pot[x0]))
-            rows.append((x0, t, err, pts, off, exc))
+            rows.append((x0, t, err, pts, exc))
     masses = []
     for t in t_grid:
         cols = np.flatnonzero((heights <= t) & (heights < 1.0))
@@ -270,13 +269,11 @@ def test_experiment_matches_brute_force_scan(space_kind, kind):
     f = rng.random(space.n_leaves)
     excluded = rng.random((space.n_leaves, ext.heights.size)) < 0.02
     excluded[17, -1] = True      # a cell at the finest height
-    split = SplitResult(excluded, np.zeros(space.n_leaves, dtype=bool),
-                        0.0, 0.0, [], 0.05, True, 1.0, [])
+    split = SplitResult(excluded, np.zeros(space.n_leaves, dtype=bool), 0.0, 0.0, True)
     table = convergence_experiment(ext, K8, 2.0, f, np.arange(space.n_leaves), split,
                                    kind, tol=0.05)
     rows, masses = brute_force_experiment(ext, f, excluded, kind)
-    assert [(r.x0, r.t, r.sup_error, r.n_points, r.n_offcenter, r.n_excluded)
-            for r in table.rows] == rows
+    assert [(r.x0, r.t, r.sup_error, r.n_points, r.n_excluded) for r in table.rows] == rows
     assert table.bad_set_mass == masses
     # a region meets the finest excluded cell at the finest t
     assert masses[-1][1] > 0.0

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from potlab.convergence import closeness_modulus
 from potlab.kernel import RadialKernel, kernel_operator, lp_norm
-from potlab.poisson import (PoissonExtension, ball_slab, dyadic_heights, exceedance_sets,
-                            exchange_band, exchange_ratio, harnack_check,
-                            harnack_constant, lipschitz_profile)
+from potlab.poisson import (PoissonExtension, ball_slab, dyadic_heights, exchange_band,
+                            exchange_ratio, harnack_check, harnack_constant,
+                            lipschitz_profile)
 from potlab.space import model_space
 
 RIESZ = RadialKernel("riesz", s=0.75, p=2.0)
@@ -168,30 +167,37 @@ def test_maximal_ratio_recorded_across_depths(rng):
     assert abs(ratios[8] - ratios[6]) <= 0.25 * ratios[6]
 
 
+def exceedance(ext, f, eps):
+    """Grid cells where the extended potential of f exceeds eps, and the
+    per-height slab of the balls B(x, y) around them."""
+    over = ext.field(kernel_operator(RIESZ, ext.space).apply_function(f)).values > eps
+    return over, ball_slab(ext.space, over, ext.heights)
+
+
 def test_exceedance_trivia(tree6, rng):
     ext = PoissonExtension(tree6, n_heights=6)
     f = rng.random(64) + 0.1
     pot = kernel_operator(RIESZ, tree6).apply_function(f)
     top = ext.field(pot).values.max()
-    empty = exceedance_sets(ext, RIESZ, f, top * 1.01)
-    assert not empty.over.any() and not empty.star.any() and not empty.slab.any()
-    tiny = exceedance_sets(ext, RIESZ, f, 1e-12)
-    assert tiny.star.all()
+    over, slab = exceedance(ext, f, top * 1.01)
+    assert not over.any() and not slab.any()
+    _, slab = exceedance(ext, f, 1e-12)
+    assert slab.any(axis=1).all()
 
 
 def test_exceedance_star_two_ways(tree6):
     ext = PoissonExtension(tree6, n_heights=6)
     f = np.zeros(64)
     f[17] = 5.0
-    sets = exceedance_sets(ext, RIESZ, f, 0.35)
+    over, slab = exceedance(ext, f, 0.35)
     # naive scan: a leaf is shadowed iff it sits inside some flagged ball
     expected = np.zeros(64, dtype=bool)
     for h, y in enumerate(ext.heights):
-        for x in np.flatnonzero(sets.over[:, h]):
+        for x in np.flatnonzero(over[:, h]):
             for z in range(64):
                 if tree6.distance(int(x), z) < y:
                     expected[z] = True
-    assert np.array_equal(sets.star, expected)
+    assert np.array_equal(slab.any(axis=1), expected)
 
 
 @pytest.mark.parametrize("kind", ["tree-boundary", "cantor-set"])
@@ -211,9 +217,9 @@ def test_ball_slab_matches_naive_scan(kind, rng):
 def test_exceedance_monotone_in_eps(tree6, rng):
     ext = PoissonExtension(tree6, n_heights=6)
     f = rng.random(64)
-    s1 = exceedance_sets(ext, RIESZ, f, 0.4)
-    s2 = exceedance_sets(ext, RIESZ, f, 0.8)
-    assert np.all(s1.star[s2.star])     # larger eps gives a smaller shadow
+    star1 = exceedance(ext, f, 0.4)[1].any(axis=1)
+    star2 = exceedance(ext, f, 0.8)[1].any(axis=1)
+    assert np.all(star1[star2])     # larger eps gives a smaller shadow
 
 
 def test_harnack_constant_is_one_on_ultrametric(tree6):
@@ -225,13 +231,17 @@ def test_harnack_constant_is_one_on_ultrametric(tree6):
 def test_harnack_vacuous_and_constant_input(cantor6):
     ext = PoissonExtension(cantor6, n_heights=6)
     k = RadialKernel("riesz", s=0.8, p=2.0)
-    lowest, c_h, ok = harnack_check(ext, k, np.zeros(64) + 1e-9, 1e6)
+    op = kernel_operator(k, cantor6)
+    c_h = harnack_constant(cantor6, n_heights=6)
+    tiny = ext.field(op.apply_function(np.zeros(64) + 1e-9))
+    lowest, ok = harnack_check(ext, tiny, 1e6, c_h)
     assert ok and math.isinf(lowest)
-    f = np.ones(64)
-    pot = kernel_operator(k, cantor6).apply_function(f)
-    eps = float(ext.field(pot).values.min()) * 0.99
-    lowest, c_h, ok = harnack_check(ext, k, f, eps)
+    field = ext.field(op.apply_function(np.ones(64)))
+    eps = float(field.values.min()) * 0.99
+    lowest, ok = harnack_check(ext, field, eps, c_h)
     assert ok
+    with pytest.raises(ValueError, match="eps must be positive"):
+        harnack_check(ext, field, 0.0, c_h)
 
 
 def test_harnack_random_batch(cantor6, rng):
@@ -240,9 +250,9 @@ def test_harnack_random_batch(cantor6, rng):
     c_h = harnack_constant(cantor6, n_heights=6)
     op = kernel_operator(k, cantor6)
     for _ in range(10):
-        f = rng.random(64)
-        eps = float(np.quantile(ext.field(op.apply_function(f)).values, 0.7))
-        lowest, _, ok = harnack_check(ext, k, f, eps, c_h=c_h)
+        field = ext.field(op.apply_function(rng.random(64)))
+        eps = float(np.quantile(field.values, 0.7))
+        lowest, ok = harnack_check(ext, field, eps, c_h)
         assert ok, (lowest, c_h * eps)
 
 
@@ -307,17 +317,23 @@ def test_harnack_check_uses_the_given_field(rng, monkeypatch):
     ext = PoissonExtension(ms, n_heights=6)
     k = RadialKernel("riesz", s=0.8, p=2.0)
     op = kernel_operator(k, ms)
-    f = rng.random(64)
-    field = ext.field(op.apply_function(f))
+    field = ext.field(op.apply_function(rng.random(64)))
     eps = float(np.quantile(field.values, 0.7))
-    expected = harnack_check(ext, k, f, eps)
+    c_h = harnack_constant(ms, n_heights=6)
+    # naive scan: the least field value at a height over the balls B(x, y)
+    # around that height's cells above eps
+    lowest = math.inf
+    for h, y in enumerate(ext.heights):
+        for x in np.flatnonzero(field.values[:, h] > eps):
+            inside = ms.distances_from(int(x)) < y
+            lowest = min(lowest, float(field.values[inside, h].min()))
 
     def no_recompute(*args):
         raise AssertionError("the extended potential was computed again")
 
     monkeypatch.setattr(ext, "field", no_recompute)
     monkeypatch.setattr(op, "apply_function", no_recompute)
-    assert harnack_check(ext, k, f, eps, field=field) == expected
+    assert harnack_check(ext, field, eps, c_h) == (lowest, lowest >= c_h * eps)
 
 
 def test_exchange_band_contains_random_inputs(cantor6, rng):
@@ -338,40 +354,6 @@ def test_exchange_band_keyed_on_kernel():
     band2 = exchange_band(shared, k2, n_heights=6)
     assert band1 != band2
     assert band2 == exchange_band(model_space("tree-boundary", 2, 6, 0.5), k2, n_heights=6)
-
-
-def continuity_modulus(ext, g, eps_grid):
-    # the closeness scan with nothing excluded
-    n, nh = ext.space.n_leaves, ext.heights.size
-    return closeness_modulus(ext, g, np.zeros((n, nh), dtype=bool),
-                             np.zeros(n, dtype=bool), eps_grid)
-
-
-def test_uniform_continuity_constant(tree6):
-    ext = PoissonExtension(tree6, n_heights=6)
-    rows = continuity_modulus(ext, np.full(64, 0.3), [0.1, 0.01])
-    for _, delta in rows:
-        assert delta == pytest.approx(float(ext.heights[0]))
-
-
-def test_uniform_continuity_identity_profile(interval6):
-    ext = PoissonExtension(interval6, n_heights=6)
-    g = lipschitz_profile(interval6, "coordinate")
-    rows = continuity_modulus(ext, g, [0.1])
-    eps, delta = rows[0]
-    assert delta is not None and delta > interval6.delta**interval6.depth
-
-
-def test_uniform_continuity_monotone_in_eps_and_lipschitz(tree6):
-    ext = PoissonExtension(tree6, n_heights=6)
-    g = lipschitz_profile(tree6, "hat")
-    rows = continuity_modulus(ext, g, [0.4, 0.2, 0.1])
-    deltas = [d for _, d in rows]
-    assert all(d is not None for d in deltas)
-    assert deltas == sorted(deltas, reverse=True)
-    gentler = continuity_modulus(ext, 0.5 * g, [0.4, 0.2, 0.1])
-    for (_, d1), (_, d2) in zip(rows, gentler):
-        assert d2 >= d1
 
 
 def test_profile_names(tree6):
