@@ -487,8 +487,12 @@ class Runner:
         n_random = _get(self.cfg, "poisson", "n_random", int, default=5)
         quantile = _get(self.cfg, "poisson", "eps_quantile", float, default=0.7)
         f = lipschitz_profile(self.space, profile)
-        op = kernel_operator(self.kernel, self.space)
-        field = ext.field(op.apply_function(f))
+        # the profile and the random inputs in one block apply; one
+        # (n_random, n) draw gives the same inputs as n_random draws of n
+        rng = np.random.default_rng(self.seed)
+        pots = kernel_operator(self.kernel, self.space).apply_function(
+            np.column_stack((f, *rng.random((n_random, self.space.n_leaves)))))
+        field = ext.field(pots[:, 0])
         leaves = np.arange(self.space.n_leaves)
         self.emit.csv("poisson_field.csv", ("leaf_index", "y", "value"),
                       ((leaves, y, field.values[:, h]) for h, y in enumerate(ext.heights)))
@@ -498,11 +502,9 @@ class Runner:
         checks = [("extension_of_one_minus_one", -ones_err, ones_err),
                   ("normalizer", float(ng.min()), float(ng.max()))]
         c_h = harnack_constant(self.space, n_heights=ext.heights.size - 1)
-        rng = np.random.default_rng(self.seed)
         worst_margin = math.inf
-        for _ in range(n_random):
-            g = rng.random(self.space.n_leaves)
-            pot_field = ext.field(op.apply_function(g))
+        for pot in pots[:, 1:].T:
+            pot_field = ext.field(pot)
             eps = float(np.quantile(pot_field.values, quantile))
             lowest, ok = harnack_check(ext, pot_field, eps, c_h)
             if not ok:
@@ -542,9 +544,11 @@ class Runner:
         sample = np.sort(rng.choice(self.space.n_leaves,
                                     min(n_sample, self.space.n_leaves), replace=False))
         split = approximation_split(ext, self.kernel, self.p, f, delta_target)
-        nt = convergence_experiment(ext, self.kernel, self.p, f, sample, split,
+        pot = kernel_operator(self.kernel, self.space).apply_function(f)
+        field = ext.field(pot)
+        nt = convergence_experiment(ext, self.kernel, self.p, pot, field, sample, split,
                                     "nontangential", tol_nt)
-        tan = convergence_experiment(ext, self.kernel, self.p, f, sample, split,
+        tan = convergence_experiment(ext, self.kernel, self.p, pot, field, sample, split,
                                      region, tol_tan)
         thin = thinness_decay(self.space, self.kernel, self.p,
                               split.exceedance, ext.heights)

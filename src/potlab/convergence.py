@@ -25,7 +25,7 @@ import numpy as np
 
 from .capacity import capacity_value, metric_matching_radius
 from .kernel import RadialKernel, kernel_operator, lp_norm
-from .poisson import PoissonExtension, ball_slab
+from .poisson import PoissonExtension, UpperHalfField, ball_slab
 from .space import ModelSpace
 
 REGION_KINDS = ("nontangential", "capacity", "polynomial", "exponential")
@@ -197,9 +197,10 @@ class ConvergenceTable:
 
 
 def convergence_experiment(ext: PoissonExtension, kernel: RadialKernel, p: float,
-                           f: np.ndarray, x0_sample, split: SplitResult, kind: str,
-                           tol: float) -> ConvergenceTable:
-    """Worst deviation from the boundary potential inside the approach
+                           pot: np.ndarray, field: UpperHalfField, x0_sample,
+                           split: SplitResult, kind: str, tol: float) -> ConvergenceTable:
+    """Worst deviation of the extended potential ``field`` from the boundary
+    potential ``pot`` (``field`` is ``ext.field(pot)``) inside the approach
     regions of one kind around each sampled leaf, at the heights up to each
     cutoff t and off the split's exceptional grid cells; and the mass of the
     leaves whose region meets those cells at heights up to t.
@@ -232,8 +233,7 @@ def convergence_experiment(ext: PoissonExtension, kernel: RadialKernel, p: float
         return np.array([region_radius(space, kernel, p, replace(template, center=int(x)), y)
                          for x in centers])
 
-    pot = kernel_operator(kernel, space).apply_function(np.asarray(f, dtype=float))
-    vals = ext.field(pot).values
+    vals = field.values
     excluded = split.exceedance
     excluded_prefix = _prefix_counts(excluded)
     columns = np.arange(nh)

@@ -5,7 +5,9 @@ distance, hence only on the shared-prefix level of a leaf pair: it is a
 table of one value per level plus a diagonal convention.  The power-law
 (Riesz) kernel ``d(x,y)**(-Q*s)`` is supported both in the ultrametric and
 in the embedded metrics; in the latter case it is no longer radial in the
-tree and potentials go through a dense matrix.  Either way every potential
+tree, but it still depends only on the digit differences of a leaf pair,
+and potentials go through dense blocks of that digit-difference table.
+Either way every potential
 K*f, K*mu and the norm ||K||_1 comes from ``kernel_operator(kernel, space)``
 on a ``ModelSpace``, whose dimension Q the Riesz kernel uses.
 
@@ -17,10 +19,13 @@ their own diagonal value (the level-N entry of the table).
 The tree operator exploits that the distance from a leaf outside a
 subtree to every leaf inside it is a single number: summing per-level
 subtree aggregates reproduces the exact quadratic-cost sum in O(n * N).
+The embedded operator computes each distance from the digit differences,
+so no entry loses digits to the difference of two nearby coordinates.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,14 +114,15 @@ def lp_norm(values: np.ndarray, weights: np.ndarray, p: float) -> float:
 
 class KernelOperator:
     """Uniform interface for potentials: tree-radial fast path when the
-    metric is the ultrametric, dense matrix otherwise.
+    metric is the ultrametric, dense digit-difference blocks otherwise.
 
     ``apply_function`` and ``apply_measure`` take one input as an (n,)
     vector or k inputs as the columns of an (n, k) block, and return the
     same shape.  A block makes one pass over the operator for all k
-    columns (one matrix product on the dense path), so its columns can
-    differ from one-at-a-time applies in the last bits.  ``row`` takes one
-    leaf for its (n,) row K(x, .) or m leaves for an (m, n) block of rows.
+    columns (one matrix product per table block on the embedded path), so
+    its columns can differ from one-at-a-time applies in the last bits.
+    ``row`` takes one leaf for its (n,) row K(x, .) or m leaves for an
+    (m, n) block of rows.
     """
 
     def apply_function(self, f: np.ndarray) -> np.ndarray:
@@ -168,25 +174,107 @@ class TreeKernelOperator(KernelOperator):
         return out.reshape(leaves.shape + (n,))
 
 
+_LEAF_BLOCK = 512   # most leaves on a side of one dense block of the operator table
+_GATHER = 1 << 12   # index entries per gather while the table is filled
+
+
 class DenseKernelOperator(KernelOperator):
+    """K on an embedded space, held as the dense blocks of its digit-difference
+    table.
+
+    The embedding coordinate is linear in the base-b digits of a leaf, so
+    K(x, y) depends only on the vector of digit differences of x and y.  The
+    bottom k digits, with b**k the largest block of at most ``_LEAF_BLOCK``
+    leaves, index the rows and columns of a block; the top T = N - k digit
+    differences pick the block.  ``matrix[e]`` is K between any two depth-T
+    subtrees whose top digits differ by the e-th vector of
+    ``range(1 - b, b) ** T`` (C order), so the table holds
+    ``(2b - 1)**T * b**(2k)`` entries; with T = 0 it is the n x n matrix.
+    An apply makes one matrix product per top difference.
+    """
+
     def __init__(self, kernel: RadialKernel, space: ModelSpace):
         if kernel.kind != "riesz":
             raise ValueError("embedded metrics support only the riesz kernel")
         self.kernel = kernel
         self.space = space
-        # one n x n buffer; read-only because every caller shares its rows
-        d = space.distance_matrix()
-        np.fill_diagonal(d, 1.0)
-        np.power(d, -space.dimension * kernel.s, out=d)
-        np.fill_diagonal(d, 0.0)
-        d.setflags(write=False)
-        self.matrix = d
+        b, depth, delta = space.branching, space.depth, space.delta
+        bottom = 0
+        while bottom < depth and b ** (bottom + 1) <= _LEAF_BLOCK:
+            bottom += 1
+        self._top = depth - bottom
+        block = b**bottom
+        # the distance of every digit-difference vector, summed over the levels
+        # from the finest up and never as the difference of two nearly equal
+        # coordinates, then the kernel once per vector
+        diffs = np.arange(1 - b, b, dtype=float)
+        step = (1.0 - delta) / (b - 1)
+        values = np.zeros(1)
+        for level in range(depth - 1, -1, -1):
+            values = np.add.outer(diffs * step * delta**level, values).reshape(-1)
+        np.abs(values, out=values)
+        centre = values.size // 2    # the zero vector: a leaf and itself
+        values[centre] = 1.0
+        np.power(values, -space.dimension * kernel.s, out=values)
+        values[centre] = 0.0
+        # row e of the generating table is K over the bottom differences at the
+        # e-th top difference; block e's entry (i, j) sits at code(i) - code(j)
+        # past the middle of that row, a few block rows per gather
+        values = values.reshape((2 * b - 1) ** self._top, -1)
+        codes = _digit_codes(b, bottom)
+        matrix = np.empty((values.shape[0], block, block))
+        rows = max(1, _GATHER // block)
+        for lo in range(0, block, rows):
+            index = (codes[lo:lo + rows, None] + values.shape[1] // 2) - codes
+            for kmat, kvals in zip(matrix, values):
+                np.take(kvals, index, out=kmat[lo:lo + rows], mode="clip")
+        # read-only because every caller shares its rows
+        matrix.setflags(write=False)
+        self.matrix = matrix
+        # per top difference, the top digits of the output and input subtree
+        # pairs it links, as slices of the (block, b, ..., b) leaf layout
+        self._pairs = [
+            ((slice(None),) + tuple(slice(max(0, d), b + min(0, d)) for d in diff),
+             (slice(None),) + tuple(slice(max(0, -d), b + min(0, -d)) for d in diff))
+            for diff in itertools.product(range(1 - b, b), repeat=self._top)]
 
     def _apply(self, masses):
-        return self.matrix @ masses
+        top, block = self._top, self.matrix.shape[1]
+        shape = masses.shape
+        # leaves as (bottom digits, top digits..., columns): the matrix product
+        # of a block takes every subtree pair of its top difference at once
+        x = masses.reshape((self.space.branching,) * top + (block,) + shape[1:])
+        x = x.transpose(top, *range(top), *range(top + 1, x.ndim))
+        out = np.zeros(x.shape)
+        for kmat, (dst, src) in zip(self.matrix, self._pairs):
+            part = out[dst]
+            rhs = x[src]
+            if rhs.ndim > 2:
+                rhs = rhs.reshape(block, part.size // block)
+            part += (kmat @ rhs).reshape(part.shape)
+        return out.transpose(*range(1, top + 1), 0, *range(top + 1, x.ndim)).reshape(shape)
 
     def row(self, leaves):
-        return self.matrix[leaves]
+        # x's row segment against each depth-T subtree is a row of the block
+        # of their top-digit difference
+        leaves = np.asarray(leaves)
+        codes = _digit_codes(self.space.branching, self._top)
+        subtree, leaf = np.divmod(leaves, self.matrix.shape[1])
+        e = codes[subtree][..., None] - codes + self.matrix.shape[0] // 2
+        out = self.matrix[e, leaf[..., None]]
+        out.setflags(write=False)
+        return out.reshape(leaves.shape + (self.space.n_leaves,))
+
+
+def _digit_codes(b: int, digits: int) -> np.ndarray:
+    """The base-b digits of 0 .. b**digits - 1 read in base 2b - 1, so the
+    code of x minus the code of y, plus the code of all digits b - 1, is the
+    C-order index of their digit-difference vector in range(1 - b, b)**digits."""
+    idx = np.arange(b**digits, dtype=np.int64)
+    codes = np.zeros_like(idx)
+    for level in range(digits):
+        codes = codes * (2 * b - 1) + (idx // b ** (digits - 1 - level)) % b
+    return codes
 
 
 def kernel_operator(kernel: RadialKernel, space: ModelSpace) -> KernelOperator:

@@ -190,10 +190,11 @@ def exchange_ratio(ext: PoissonExtension, kernel: RadialKernel, f: np.ndarray):
     f = np.asarray(f, dtype=float)
     if not np.any(f > 0) or np.any(f < 0):
         raise ValueError("exchange ratio needs nonnegative, nonzero input")
-    op = kernel_operator(kernel, ext.space)
     ext_f = ext.field(f).values
-    ext_pot = ext.field(op.apply_function(f)).values
-    swapped = op.apply_function(ext_f)
+    # K*f and K*ext_f in one block apply
+    pots = kernel_operator(kernel, ext.space).apply_function(np.column_stack((f, ext_f)))
+    ext_pot = ext.field(pots[:, 0]).values
+    swapped = pots[:, 1:]
     ratios = swapped / ext_pot
     return float(ratios.min()), float(ratios.max())
 

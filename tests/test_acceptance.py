@@ -254,10 +254,12 @@ def test_criterion_10_convergence_experiments():
     rng = np.random.default_rng(1010)
     sample = np.sort(rng.choice(ms.n_leaves, 64, replace=False))
     split = approximation_split(ext, kernel, 2.0, f, 0.05)
-    nt = convergence_experiment(ext, kernel, 2.0, f, sample, split, "nontangential",
-                                tol=0.02)
-    tan = convergence_experiment(ext, kernel, 2.0, f, sample, split, "polynomial",
-                                 tol=0.05)
+    pot = kernel_operator(kernel, ms).apply_function(f)
+    field = ext.field(pot)
+    nt = convergence_experiment(ext, kernel, 2.0, pot, field, sample, split,
+                                "nontangential", tol=0.02)
+    tan = convergence_experiment(ext, kernel, 2.0, pot, field, sample, split,
+                                 "polynomial", tol=0.05)
     ok = (nt.fraction_converged >= 0.95 and tan.fraction_converged >= 0.90
           and split.shadow_capacity < 0.05 and split.bad_capacity < 0.05)
     report(10, ok, f"nontangential {nt.fraction_converged:.0%} (need 95%), "

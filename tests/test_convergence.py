@@ -168,12 +168,18 @@ def test_split_tightening_target_reported(ext8, rng):
     assert wide.ok
 
 
+def experiment(ext, kernel, f, sample, split, kind, tol):
+    """convergence_experiment on the potential of f and its extension."""
+    pot = kernel_operator(kernel, ext.space).apply_function(f)
+    return convergence_experiment(ext, kernel, 2.0, pot, ext.field(pot), sample, split,
+                                  kind, tol=tol)
+
+
 def test_nontangential_constant_function(ext8):
     sample = [0, 100, 255]
     f = np.full(256, 2.0)
     split = approximation_split(ext8, K8, 2.0, f, 0.05)
-    table = convergence_experiment(ext8, K8, 2.0, f, sample, split, "nontangential",
-                                   tol=1e-9)
+    table = experiment(ext8, K8, f, sample, split, "nontangential", tol=1e-9)
     assert table.fraction_converged == 1.0
     assert all(r.sup_error <= 1e-9 for r in table.rows)
 
@@ -183,8 +189,7 @@ def test_nontangential_profile_errors_shrink(ext8):
     rng = np.random.default_rng(9)
     sample = np.sort(rng.choice(256, 24, replace=False))
     split = approximation_split(ext8, K8, 2.0, f, 0.05)
-    table = convergence_experiment(ext8, K8, 2.0, f, sample, split, "nontangential",
-                                   tol=0.02)
+    table = experiment(ext8, K8, f, sample, split, "nontangential", tol=0.02)
     assert table.fraction_converged >= 0.95
     by_x0 = {}
     for row in table.rows:
@@ -202,13 +207,11 @@ def test_tangential_constant_and_bad_mass(ext8, rng):
     sample = [3, 77]
     f = np.full(256, 1.0)
     split = approximation_split(ext8, K8, 2.0, f, 0.05)
-    table = convergence_experiment(ext8, K8, 2.0, f, sample, split, "polynomial",
-                                   tol=1e-9)
+    table = experiment(ext8, K8, f, sample, split, "polynomial", tol=1e-9)
     assert table.fraction_converged == 1.0
     f = rng.random(256) + np.where(np.arange(256) == 10, 40.0, 0.0)
     split = approximation_split(ext8, K8, 2.0, f, 0.2)
-    table = convergence_experiment(ext8, K8, 2.0, f, sample, split, "polynomial",
-                                   tol=0.05)
+    table = experiment(ext8, K8, f, sample, split, "polynomial", tol=0.05)
     masses = [m for _, m in table.bad_set_mass]
     assert masses == sorted(masses, reverse=True)
 
@@ -219,9 +222,8 @@ def test_polynomial_region_needs_a_riesz_kernel(ext8):
     f = lipschitz_profile(ext8.space, "bump")
     split = approximation_split(ext8, radial, 2.0, f, 0.05)
     with pytest.raises(ValueError, match="riesz"):
-        convergence_experiment(ext8, radial, 2.0, f, [0], split, "polynomial", tol=0.05)
-    table = convergence_experiment(ext8, radial, 2.0, f, [0], split, "nontangential",
-                                   tol=0.05)
+        experiment(ext8, radial, f, [0], split, "polynomial", tol=0.05)
+    table = experiment(ext8, radial, f, [0], split, "nontangential", tol=0.05)
     assert table.rows
 
 
@@ -270,8 +272,7 @@ def test_experiment_matches_brute_force_scan(space_kind, kind):
     excluded = rng.random((space.n_leaves, ext.heights.size)) < 0.02
     excluded[17, -1] = True      # a cell at the finest height
     split = SplitResult(excluded, np.zeros(space.n_leaves, dtype=bool), 0.0, 0.0, True)
-    table = convergence_experiment(ext, K8, 2.0, f, np.arange(space.n_leaves), split,
-                                   kind, tol=0.05)
+    table = experiment(ext, K8, f, np.arange(space.n_leaves), split, kind, tol=0.05)
     rows, masses = brute_force_experiment(ext, f, excluded, kind)
     assert [(r.x0, r.t, r.sup_error, r.n_points, r.n_excluded) for r in table.rows] == rows
     assert table.bad_set_mass == masses

@@ -1,8 +1,11 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from potlab import kernel as kernel_module
 from potlab.kernel import (DenseKernelOperator, RadialKernel, convolve_naive,
                            kernel_operator, lp_norm)
 from potlab.space import ModelSpace, model_space
@@ -227,33 +230,115 @@ def test_operator_built_once_per_space_and_kernel(kind):
         assert np.array_equal(full_matrix(op), full_matrix(fresh))
 
 
+def riesz_of(d, kernel, space):
+    """The Riesz kernel at the distances d, 0 on the diagonal."""
+    np.fill_diagonal(d, 1.0)
+    d **= -space.dimension * kernel.s
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def riesz_oracle(kernel, space):
+    """The Riesz kernel of the embedded metric from the distance matrix."""
+    return riesz_of(space.distance_matrix(), kernel, space)
+
+
+def exact_riesz_matrix(kernel, space):
+    """The Riesz kernel at the exact distances of the embedding of the float
+    delta: coordinates in rationals, each distance rounded once."""
+    b, depth = space.branching, space.depth
+    delta = Fraction(space.delta)
+    step = (1 - delta) / (b - 1)
+    coords = [sum((x // b ** (depth - 1 - level)) % b * step * delta**level
+                  for level in range(depth)) for x in range(space.n_leaves)]
+    den = math.lcm(*(c.denominator for c in coords))
+    nums = np.array([c.numerator * (den // c.denominator) for c in coords], dtype=object)
+    # int / int is correctly rounded
+    return riesz_of((np.abs(nums[:, None] - nums[None, :]) / den).astype(float), kernel, space)
+
+
+def max_rel_error(a, ref):
+    off = ref != 0.0
+    assert np.array_equal(a[~off], ref[~off])
+    return float((np.abs(a - ref)[off] / ref[off]).max())
+
+
 @pytest.mark.parametrize("kind", ["unit-interval", "cantor-set"])
 def test_dense_operator_exact_and_read_only(kind):
     ms = model_space(kind, 2, 6)
     k = RadialKernel("riesz", s=0.75, p=2.0)
     op = kernel_operator(k, ms)
-    off = ~np.eye(ms.n_leaves, dtype=bool)
-    expected = np.zeros((ms.n_leaves, ms.n_leaves))
-    expected[off] = np.abs(ms.coords[:, None] - ms.coords[None, :])[off] \
-        ** (-ms.dimension * k.s)
-    assert np.array_equal(op.matrix, expected)
+    assert op.matrix.shape == (1, ms.n_leaves, ms.n_leaves)
+    if kind == "unit-interval":
+        # b-adic coordinates are exact, so their differences are too
+        off = ~np.eye(ms.n_leaves, dtype=bool)
+        expected = np.zeros((ms.n_leaves, ms.n_leaves))
+        expected[off] = np.abs(ms.coords[:, None] - ms.coords[None, :])[off] \
+            ** (-ms.dimension * k.s)
+        assert np.array_equal(op.matrix[0], expected)
+    else:
+        assert max_rel_error(op.matrix[0], exact_riesz_matrix(k, ms)) <= 1e-15
     with pytest.raises(ValueError):
-        op.matrix[0, 1] = 1.0
+        op.matrix[0, 0, 1] = 1.0
     with pytest.raises(ValueError):
         op.row(3)[0] = 1.0
+    with pytest.raises(ValueError):
+        op.row(np.array([3, 4]))[0, 0] = 1.0
+
+
+def test_cantor_entries_match_exact_distances():
+    # the entries come from digit differences, so nearest pairs lose nothing
+    # to the cancellation of two coordinates near 1/2
+    ms = model_space("cantor-set", 2, 8)
+    k = RadialKernel("riesz", s=0.75, p=2.0)
+    op = DenseKernelOperator(k, ms)
+    assert max_rel_error(op.row(np.arange(ms.n_leaves)), exact_riesz_matrix(k, ms)) <= 1e-15
+
+
+@pytest.mark.parametrize("b,depth,leaf_block,top", [
+    (2, 7, 512, 0), (2, 7, 8, 4), (3, 4, 512, 0), (3, 4, 9, 2), (3, 6, 512, 1)])
+@pytest.mark.parametrize("kind", ["unit-interval", "cantor-set"])
+def test_block_operator_equals_distance_matrix_oracle(kind, b, depth, leaf_block, top,
+                                                      monkeypatch, rng):
+    # T = top digits pick the block; a small leaf block gives several
+    monkeypatch.setattr(kernel_module, "_LEAF_BLOCK", leaf_block)
+    ms = model_space(kind, b, depth, 0.25 if kind == "cantor-set" and b == 3 else None)
+    k = RadialKernel("riesz", s=0.75, p=2.0)
+    op = DenseKernelOperator(k, ms)
+    n, block = ms.n_leaves, b ** (depth - top)
+    assert op.matrix.shape == ((2 * b - 1) ** top, block, block)
+    oracle = riesz_oracle(k, ms)
+    full = op.row(np.arange(n))
+    assert max_rel_error(full, oracle) <= 1e-12
+    # K is symmetric: the block of difference -e is the transposed block of e
+    assert np.array_equal(op.matrix, op.matrix[::-1].transpose(0, 2, 1))
+    assert np.array_equal(full, full.T)
+    for leaves in (5, np.array([n - 1, 0, 5, 5]), rng.integers(0, n, size=(3, 4))):
+        rows = op.row(leaves)
+        assert rows.shape == np.shape(leaves) + (n,)
+        assert np.array_equal(rows, full[leaves])
+    for f in (rng.random(n), rng.random((n, 3))):
+        masses = f * ms.weights.reshape((n,) + (1,) * (f.ndim - 1))
+        for out, ref in ((op.apply_function(f), oracle @ masses),
+                         (op.apply_measure(f), oracle @ f)):
+            assert out.shape == f.shape
+            assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("kind", ["unit-interval", "cantor-set"])
 def test_dense_operator_build_holds_one_matrix(kind):
-    ms = model_space(kind, 2, 9)
+    # depth 9 is one 512-leaf block; depth 10 has one top digit, so three blocks
     k = RadialKernel("riesz", s=0.75, p=2.0)
-    tracemalloc.start()
-    try:
-        DenseKernelOperator(k, ms)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * 8 * ms.n_leaves**2
+    for depth, blocks in ((9, 1), (10, 3)):
+        ms = model_space(kind, 2, depth)
+        tracemalloc.start()
+        try:
+            op = DenseKernelOperator(k, ms)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert op.matrix.nbytes == 8 * blocks * 512**2
+        assert peak <= 1.25 * op.matrix.nbytes
 
 
 def young_sides(kernel, space, f, p):
