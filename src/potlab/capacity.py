@@ -135,7 +135,7 @@ def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
     w = space.weights
     ds = _DualState(op, w, E, p)
 
-    if np.any(op.apply_function(np.ones(n))[E] <= 0.0):
+    if np.any(op.mass()[E] <= 0.0):
         raise ValueError("kernel carries no mass toward part of the target")
     # the best multiple c of the uniform measure: c**(p'-1) = sum(lam) / (p * moment)
     state = ds.evaluate(np.ones(E.size))

@@ -31,9 +31,9 @@ from .capacity import (MAX_ROUNDS, ball_capacity_profile, solve_capacity,
 from .convergence import (TANGENTIAL_KINDS, approximation_split, convergence_experiment,
                           thinness_decay)
 from .kernel import RadialKernel, kernel_operator
-from .poisson import (CALIBRATION_DEPTH, PROFILE_NAMES, PoissonExtension, exchange_band,
+from .poisson import (CALIBRATION_DEPTH, PROFILE_NAMES, exchange_band,
                       exchange_ratio, harnack_check, harnack_constant,
-                      lipschitz_profile)
+                      lipschitz_profile, poisson_extension)
 from .quasiadd import FAMILY_MODES, TARGET_SHAPES, family_batch
 from .space import ahlfors_constants, dump_space, model_space
 
@@ -475,11 +475,10 @@ class Runner:
                 ("all_passed", bool(passed) and all(passed))]
 
     def _extension(self):
-        """The run's extension, built once per height grid on the space."""
+        """The run's extension, on the configured height grid."""
         n_heights = _get(self.cfg, "poisson", "n_heights", int,
                          default=self.space.depth)
-        return self.space._cached(("extension", n_heights),
-                                  lambda: PoissonExtension(self.space, n_heights=n_heights))
+        return poisson_extension(self.space, n_heights)
 
     def run_poisson(self):
         ext = self._extension()

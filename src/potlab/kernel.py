@@ -125,6 +125,15 @@ class KernelOperator:
     (m, n) block of rows.
     """
 
+    def mass(self) -> np.ndarray:
+        """K*1, the kernel's mass integral at every leaf: computed once per
+        (space, kernel) and read-only, since every caller shares it."""
+        def compute():
+            out = self.apply_function(np.ones(self.space.n_leaves))
+            out.setflags(write=False)
+            return out
+        return self.space._cached(("mass", self.kernel), compute)
+
     def apply_function(self, f: np.ndarray) -> np.ndarray:
         """K*f = potential of the measure f dmu (per column of a block)."""
         f = np.asarray(f, dtype=float)
@@ -138,7 +147,7 @@ class KernelOperator:
     def norm_1(self) -> float:
         """max over leaves of the kernel's mass integral (the kernels are
         symmetric, so the two sup-integrals coincide)."""
-        return float(self.apply_function(np.ones(self.space.n_leaves)).max())
+        return float(self.mass().max())
 
 
 class TreeKernelOperator(KernelOperator):
@@ -188,8 +197,12 @@ class DenseKernelOperator(KernelOperator):
     leaves, index the rows and columns of a block; the top T = N - k digit
     differences pick the block.  ``matrix[e]`` is K between any two depth-T
     subtrees whose top digits differ by the e-th vector of
-    ``range(1 - b, b) ** T`` (C order), so the table holds
-    ``(2b - 1)**T * b**(2k)`` entries; with T = 0 it is the n x n matrix.
+    ``range(1 - b, b) ** T`` (C order).  K is symmetric, so the block of a
+    difference is the transposed block of its negative: the table keeps the
+    ``((2b - 1)**T + 1) / 2`` differences up to and including zero, and
+    holds that many times ``b**(2k)`` entries; with T = 0 it is the n x n
+    matrix.  The last block, ``zero = matrix.shape[0] - 1``, is the zero
+    difference, and a difference e past it is ``matrix[2 * zero - e].T``.
     An apply makes one matrix product per top difference.
     """
 
@@ -206,21 +219,24 @@ class DenseKernelOperator(KernelOperator):
         block = b**bottom
         # the distance of every digit-difference vector, summed over the levels
         # from the finest up and never as the difference of two nearly equal
-        # coordinates, then the kernel once per vector
+        # coordinates
         diffs = np.arange(1 - b, b, dtype=float)
         step = (1.0 - delta) / (b - 1)
         values = np.zeros(1)
         for level in range(depth - 1, -1, -1):
             values = np.add.outer(diffs * step * delta**level, values).reshape(-1)
+        # row e of the generating table is K over the bottom differences at the
+        # e-th top difference, kept for the top differences up to zero; the
+        # last of them is the zero vector, whose middle is a leaf and itself
+        kept = (2 * b - 1) ** self._top // 2 + 1
+        values = values.reshape(2 * kept - 1, -1)[:kept]
         np.abs(values, out=values)
-        centre = values.size // 2    # the zero vector: a leaf and itself
+        centre = (kept - 1, values.shape[1] // 2)
         values[centre] = 1.0
         np.power(values, -space.dimension * kernel.s, out=values)
         values[centre] = 0.0
-        # row e of the generating table is K over the bottom differences at the
-        # e-th top difference; block e's entry (i, j) sits at code(i) - code(j)
-        # past the middle of that row, a few block rows per gather
-        values = values.reshape((2 * b - 1) ** self._top, -1)
+        # block e's entry (i, j) sits at code(i) - code(j) past the middle of
+        # row e, a few block rows per gather
         codes = _digit_codes(b, bottom)
         matrix = np.empty((values.shape[0], block, block))
         rows = max(1, _GATHER // block)
@@ -240,13 +256,16 @@ class DenseKernelOperator(KernelOperator):
 
     def _apply(self, masses):
         top, block = self._top, self.matrix.shape[1]
+        zero = self.matrix.shape[0] - 1
         shape = masses.shape
         # leaves as (bottom digits, top digits..., columns): the matrix product
         # of a block takes every subtree pair of its top difference at once
         x = masses.reshape((self.space.branching,) * top + (block,) + shape[1:])
         x = x.transpose(top, *range(top), *range(top + 1, x.ndim))
         out = np.zeros(x.shape)
-        for kmat, (dst, src) in zip(self.matrix, self._pairs):
+        for e, (dst, src) in enumerate(self._pairs):
+            # a transposed view: BLAS reads it through its transpose flag
+            kmat = self.matrix[e] if e <= zero else self.matrix[2 * zero - e].T
             part = out[dst]
             rhs = x[src]
             if rhs.ndim > 2:
@@ -256,12 +275,21 @@ class DenseKernelOperator(KernelOperator):
 
     def row(self, leaves):
         # x's row segment against each depth-T subtree is a row of the block
-        # of their top-digit difference
+        # of their top-digit difference e, or past zero a column of the block
+        # of -e; with T = 0 there is one block and one gather of rows
         leaves = np.asarray(leaves)
         codes = _digit_codes(self.space.branching, self._top)
+        zero = self.matrix.shape[0] - 1
         subtree, leaf = np.divmod(leaves, self.matrix.shape[1])
-        e = codes[subtree][..., None] - codes + self.matrix.shape[0] // 2
-        out = self.matrix[e, leaf[..., None]]
+        e = codes[subtree][..., None] - codes + zero
+        leaf = np.broadcast_to(leaf[..., None], e.shape)
+        flip = e > zero
+        if flip.any():
+            out = np.empty(e.shape + self.matrix.shape[2:])
+            out[~flip] = self.matrix[e[~flip], leaf[~flip]]
+            out[flip] = self.matrix[2 * zero - e[flip], :, leaf[flip]]
+        else:
+            out = self.matrix[e, leaf]
         out.setflags(write=False)
         return out.reshape(leaves.shape + (self.space.n_leaves,))
 

@@ -44,40 +44,57 @@ class PoissonExtension:
         self.q = space.dimension
         self.heights = dyadic_heights(space.diameter, n_heights)
         self._decay = 2.0 ** (-(self.q + 1.0))
-        # per height, the all-leaf rings and the unnormalized kernel masses
-        self._rings = [list(self._ring_bounds(float(y))) for y in self.heights]
-        wprefix = np.concatenate(([0.0], np.cumsum(space.weights)))
-        self._mass = np.column_stack(
-            [self._collect(wprefix, h) for h in range(self.heights.size)])
+        # ring k of height h is the ball of radius heights[h] * 2**k =
+        # diam * 2**(k - h), exact in floating point, so the heights share
+        # their radii: the all-leaf balls once per radius, and per height
+        # the (coef, ball index) of its rings
+        self._balls = self._radius_balls()
+        self._rings = [self._height_rings(n_heights - h) for h in range(self.heights.size)]
+        self._mass = self._collect(np.concatenate(([0.0], np.cumsum(space.weights))))
 
-    def _ring_bounds(self, y: float):
-        """(coef, lo, hi) for the balls B(x, 2**k y) around every leaf x, k = 0, 1, ...
-
-        coef is 2**(-(Q+1)k) and [lo, hi) the leaf ranges.  The rings stop at
-        the first k whose balls are all the whole space; that last coef
-        carries the closed-form geometric tail from k on.  A ball of radius
-        above the diameter is the whole space, so k never exceeds
-        ceil(log2(diam / y)) + 1.
-        """
+    def _radius_balls(self):
+        """(lo, hi) leaf ranges of the balls B(x, r) around every leaf x, for
+        the radii heights[-1] * 2**i, i = 0, 1, ..., up to the first radius
+        whose balls are all the whole space.  Every ball of radius above the
+        diameter is the whole space, so i never exceeds n_heights + 1."""
         n = self.space.n_leaves
         centers = np.arange(n, dtype=np.int64)
-        coef = 1.0
-        r = y
-        for _ in range(math.ceil(math.log2(self.space.diameter / y)) + 2):
-            lo, hi = self.space.ball_bounds(centers, r, closed=False)
+        balls = []
+        for r in np.append(self.heights[::-1], 2.0 * self.space.diameter):
+            lo, hi = self.space.ball_bounds(centers, float(r), closed=False)
+            balls.append((lo, hi))
             if np.all(lo == 0) and np.all(hi == n):
-                yield coef / (1.0 - self._decay), lo, hi
-                return
-            yield coef, lo, hi
-            coef *= self._decay
-            r *= 2.0
+                break
+        return balls
 
-    def _collect(self, prefix: np.ndarray, h: int) -> np.ndarray:
-        """sum_k 2**(-(Q+1)k) * integral over B(x, 2**k y_h), all leaves at once."""
-        out = np.zeros(self.space.n_leaves)
-        for coef, lo, hi in self._rings[h]:
-            out += coef * (prefix[hi] - prefix[lo])
-        return out
+    def _height_rings(self, first: int):
+        """(coef, ball index) of the rings B(x, 2**k y), k = 0, 1, ..., of the
+        height y whose radius is ball ``first``.
+
+        coef is 2**(-(Q+1)k).  The rings stop at the first k whose balls are
+        all the whole space; that last coef carries the closed-form
+        geometric tail from k on.
+        """
+        whole = len(self._balls) - 1
+        rings = []
+        coef = 1.0
+        for i in range(first, max(first, whole)):
+            rings.append((coef, i))
+            coef *= self._decay
+        rings.append((coef / (1.0 - self._decay), whole))
+        return rings
+
+    def _collect(self, prefix: np.ndarray) -> np.ndarray:
+        """Column h is sum_k 2**(-(Q+1)k) * integral over B(x, 2**k y_h), all
+        leaves at once; each ball integral is formed once per radius."""
+        integrals = [prefix[hi] - prefix[lo] for lo, hi in self._balls]
+        cols = []
+        for rings in self._rings:
+            out = np.zeros(self.space.n_leaves)
+            for coef, i in rings:
+                out += coef * integrals[i]
+            cols.append(out)
+        return np.column_stack(cols)
 
     # -- public surface ----------------------------------------------------
 
@@ -90,8 +107,7 @@ class PoissonExtension:
         construction (the same collector feeds numerator and denominator)."""
         prefix = np.concatenate(([0.0], np.cumsum(np.asarray(f, dtype=float)
                                                   * self.space.weights)))
-        cols = [self._collect(prefix, h) for h in range(self.heights.size)]
-        return UpperHalfField(self.heights, np.column_stack(cols) / self._mass)
+        return UpperHalfField(self.heights, self._collect(prefix) / self._mass)
 
     def kernel_matrix(self, h: int) -> np.ndarray:
         """All kernel profiles at one height, stacked by center leaf: row x
@@ -105,14 +121,22 @@ class PoissonExtension:
         leaves = np.arange(n)
         out = np.zeros((n, n))
         live = np.ones(n, dtype=bool)
-        *head, last = self._rings[h]
-        for coef, lo, hi in head:
+        *head, (tail, _) = self._rings[h]
+        for coef, i in head:
+            lo, hi = self._balls[i]
             whole = (lo == 0) & (hi == n)
             c = np.where(live, np.where(whole, coef / (1.0 - self._decay), coef), 0.0)
             out += c[:, None] * ((leaves >= lo[:, None]) & (leaves < hi[:, None]))
             live &= ~whole
-        out += np.where(live, last[0], 0.0)[:, None]
+        out += np.where(live, tail, 0.0)[:, None]
         return out / self._mass[:, h][:, None]
+
+
+def poisson_extension(space: ModelSpace, n_heights: int) -> PoissonExtension:
+    """The extension of ``space`` on ``n_heights`` dyadic heights, built once
+    per (space, height grid)."""
+    return space._cached(("extension", n_heights),
+                         lambda: PoissonExtension(space, n_heights=n_heights))
 
 
 def ball_slab(space: ModelSpace, cells: np.ndarray, radii) -> np.ndarray:
@@ -139,9 +163,10 @@ CALIBRATION_DEPTH = 6
 
 
 def _calibration_space(space: ModelSpace) -> ModelSpace:
-    """Same geometry at the calibration depth, uniform mass profile."""
-    return model_space(space.kind, space.branching, CALIBRATION_DEPTH, space.delta,
-                       space.dimension)
+    """Same geometry at the calibration depth, uniform mass profile; built
+    once per space, so the calibrations share its extension and operator."""
+    return space._cached(("calibration",), lambda: model_space(
+        space.kind, space.branching, CALIBRATION_DEPTH, space.delta, space.dimension))
 
 
 def harnack_constant(space: ModelSpace, n_heights: int = 20) -> float:
@@ -156,7 +181,7 @@ def harnack_constant(space: ModelSpace, n_heights: int = 20) -> float:
 
 
 def _harnack_worst(cal: ModelSpace, n_heights: int) -> float:
-    ext = PoissonExtension(cal, n_heights=n_heights)
+    ext = poisson_extension(cal, n_heights)
     worst = math.inf
     centers = np.arange(cal.n_leaves, dtype=np.int64)
     for h in range(ext.heights.size):
@@ -211,7 +236,7 @@ def exchange_band(space: ModelSpace, kernel: RadialKernel, n_heights: int = 20):
 
 
 def _exchange_extremes(cal: ModelSpace, kernel: RadialKernel, n_heights: int):
-    ext = PoissonExtension(cal, n_heights=n_heights)
+    ext = poisson_extension(cal, n_heights)
     kmat = kernel_operator(kernel, cal).row(np.arange(cal.n_leaves))
     w = cal.weights
     lo, hi = math.inf, -math.inf

@@ -230,7 +230,7 @@ def model_space(kind: str, branching: int, depth: int, delta: float | None = Non
         if kind == "unit-interval":
             delta = 1.0 / branching
         elif kind == "cantor-set":
-            delta = 1.0 / 3.0
+            delta = 1.0 / (branching + 1)   # below 1/b, as the gaps need
         else:
             delta = 0.5
     return ModelSpace(kind, branching, depth, delta, weights, dimension)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from potlab import cli
+from potlab import cli, poisson
 from potlab.capacity import singleton_capacity
 from potlab.cli import main
 from potlab.kernel import RadialKernel
@@ -443,6 +443,15 @@ weights = {weights}
     assert back.total_mass == pytest.approx(12.0)
 
 
+def test_cantor_default_delta_fits_the_branching(tmp_path):
+    # no delta key: the default 1/(b + 1) is below 1/b at every branching
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[space]\nkind = cantor-set\nbranching = 3\ndepth = 3\n")
+    out = tmp_path / "out"
+    assert main(["space-info", "--config", str(cfg), "--out", str(out)]) == 0
+    assert load_space(out / "space.txt").delta == 0.25
+
+
 def reference_csv(path, header, rows):
     # the row writer Emitter.csv replaced: the stdlib csv module over a
     # per-cell formatter
@@ -503,13 +512,15 @@ def test_emitter_repeats_scalars_and_checks_widths(tmp_path):
 def test_run_builds_one_extension_per_grid(config, tmp_path, monkeypatch):
     built = []
 
-    class Counted(cli.PoissonExtension):
-        def __init__(self, *args, **kwargs):
-            built.append(kwargs.get("n_heights"))
-            super().__init__(*args, **kwargs)
+    class Counted(poisson.PoissonExtension):
+        def __init__(self, space, n_heights):
+            built.append((space.depth, n_heights))
+            super().__init__(space, n_heights=n_heights)
 
-    monkeypatch.setattr(cli, "PoissonExtension", Counted)
+    monkeypatch.setattr(poisson, "PoissonExtension", Counted)
     runner = cli.Runner(cli.load_config(config), tmp_path / "out", 7, charts=False)
     for subcommand in ("poisson", "exchange", "converge"):
         runner.run(subcommand)
-    assert built == [6]
+    # the run's grid, and one calibration extension that the Harnack
+    # constant and the exchange band share
+    assert built == [(runner.space.depth, 6), (poisson.CALIBRATION_DEPTH, 6)]

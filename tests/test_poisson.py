@@ -99,6 +99,75 @@ def test_built_extension_searches_no_balls(kind, monkeypatch, rng):
     assert calls == []
 
 
+def per_height_rings(space, y):
+    """Each height's own ring search, which the shared radii replace
+    (reference): (coef, lo, hi) of B(x, 2**k y) around every leaf x, up to
+    the first ring whose balls are all the whole space, whose coef carries
+    the geometric tail."""
+    n = space.n_leaves
+    decay = 2.0 ** (-(space.dimension + 1.0))
+    rings, coef, r = [], 1.0, y
+    while True:
+        lo, hi = space.ball_bounds(np.arange(n), r)
+        if np.all(lo == 0) and np.all(hi == n):
+            return rings + [(coef / (1.0 - decay), lo, hi)]
+        rings.append((coef, lo, hi))
+        coef *= decay
+        r *= 2.0
+
+
+def per_height_reference(ext, f):
+    """Field values, normalization grid and kernel matrices of ``ext`` from
+    the per-height collector (reference)."""
+    space = ext.space
+    n = space.n_leaves
+    decay = 2.0 ** (-(space.dimension + 1.0))
+    rings = [per_height_rings(space, float(y)) for y in ext.heights]
+
+    def collect(g):
+        prefix = np.concatenate(([0.0], np.cumsum(g * space.weights)))
+        cols = []
+        for height in rings:
+            out = np.zeros(n)
+            for coef, lo, hi in height:
+                out += coef * (prefix[hi] - prefix[lo])
+            cols.append(out)
+        return np.column_stack(cols)
+
+    mass = collect(np.ones(n))
+    kmats = []
+    for h, height in enumerate(rings):
+        out = np.zeros((n, n))
+        live = np.ones(n, dtype=bool)
+        for coef, lo, hi in height[:-1]:
+            whole = (lo == 0) & (hi == n)
+            c = np.where(live, np.where(whole, coef / (1.0 - decay), coef), 0.0)
+            out += c[:, None] * ((np.arange(n) >= lo[:, None]) & (np.arange(n) < hi[:, None]))
+            live &= ~whole
+        out += np.where(live, height[-1][0], 0.0)[:, None]
+        kmats.append(out / mass[:, h][:, None])
+    return collect(f) / mass, ext.heights[None, :] ** space.dimension / mass, kmats
+
+
+@pytest.mark.parametrize("n_heights", [3, 6, 20])
+@pytest.mark.parametrize("kind", ["tree-boundary", "unit-interval", "cantor-set"])
+def test_extension_searches_each_radius_once(kind, n_heights, monkeypatch, rng):
+    ms = model_space(kind, 2, 6)
+    calls = []
+    search = ms.ball_bounds
+    monkeypatch.setattr(ms, "ball_bounds",
+                        lambda *args, **kwargs: calls.append(1) or search(*args, **kwargs))
+    ext = PoissonExtension(ms, n_heights=n_heights)
+    assert len(calls) <= n_heights + 3
+    monkeypatch.undo()
+    f = rng.random(ms.n_leaves)
+    values, grid, kmats = per_height_reference(ext, f)
+    assert ext.field(f).values.tobytes() == values.tobytes()
+    assert ext.normalization_grid().tobytes() == grid.tobytes()
+    for h, kmat in enumerate(kmats):
+        assert ext.kernel_matrix(h).tobytes() == kmat.tobytes()
+
+
 def test_ball_indicator_deep_inside(tree6, cantor6):
     # far below the ball scale the average barely sees the complement
     for ms in (tree6, cantor6):
