@@ -13,13 +13,16 @@ the support.  One two-metric projected Newton phase (Bertsekas 1982) solves
 it from the best multiple of the uniform measure: leaves at or near 0 with
 a negative gradient are moved to 0, the others take a Newton step on the
 Hessian K_F diag(w g') K_F^T, and a projected Armijo search along the step
-lets many leaves enter or leave the support in one round.  It stops when
-the projected-gradient residual reaches rounding level; ``iterations``
-counts the rounds.  Each Newton system is one LU solve (``spd_solve``,
-LAPACK ``gesv`` through numpy); only an exactly singular Hessian falls back
-to a solve with a 1e-13 diagonal jitter.  ``capacity_value`` memoizes the
-value of a leaf set on the space, the one solve memo for callers that read
-only the value.
+lets many leaves enter or leave the support in one round.  At p = 2,
+g' = 1/2 wherever the potential is positive, so the weights of the Hessian
+rarely move: the first round's all-free Gram is kept, and a later round
+with the same weights takes its free block instead of forming its own.  It
+stops when the projected-gradient residual reaches rounding level;
+``iterations`` counts the rounds.  Each Newton system is one LU solve
+(``spd_solve``, LAPACK ``gesv`` through numpy); only an exactly singular
+Hessian falls back to a solve with a 1e-13 diagonal jitter.
+``capacity_value`` memoizes the value of a leaf set on the space, the one
+solve memo for callers that read only the value.
 
 Certificates are unconditional: any measure rescaled to the constraint
 boundary gives a lower bound, the recovered density rescaled to
@@ -99,6 +102,13 @@ class _DualState:
         return dual, primal
 
 
+def _gram(rows, free, weights):
+    """A A^T for A = rows[free] * weights, with A freed once it is formed."""
+    a = rows[free]
+    a *= weights
+    return a @ a.T
+
+
 def _scatter(values, idx, n):
     out = np.zeros(n)
     out[idx] = values
@@ -143,6 +153,7 @@ def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
     state = ds.evaluate(lam)
 
     rows = None   # built on the first round: many targets start at the optimum
+    gram = gram_weights = None   # p = 2: the all-free Hessian and its weights
     iterations = 0
     while True:
         grad = state["grad"]
@@ -156,14 +167,21 @@ def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
             rows = op.row(E)
         # binding: at or near 0 with the gradient pushing outward
         free = (lam > scale * min(residual, 1e-3)) | (grad > 0.0)
-        # Newton step on the free leaves: Hessian K_F diag(w g') K_F^T = A A^T
+        # Newton step on the free leaves: Hessian K_F diag(w g') K_F^T = A A^T,
+        # at p = 2 the free block of the kept all-free one while its weights hold
         u = state["u"]
         gprime = np.zeros_like(u)
         pos = u > 0
         gprime[pos] = (ds.pp - 1.0) / p * (u[pos] / p) ** (ds.pp - 2.0)
-        a = rows[free] * np.sqrt(w * gprime)
+        weights = np.sqrt(w * gprime)
+        if gram is not None and np.array_equal(weights, gram_weights):
+            hessian = gram if free.all() else gram[np.ix_(free, free)]
+        else:
+            hessian = _gram(rows, free, weights)
+            if p == 2.0 and free.all():
+                gram, gram_weights = hessian, weights
         direction = -lam                       # binding leaves move to 0
-        direction[free] = spd_solve(a @ a.T, grad[free])
+        direction[free] = spd_solve(hessian, grad[free])
         # projected Armijo search; near the optimum the objective moves
         # less than its own rounding, hence the noise allowance
         slope = float(grad @ direction)

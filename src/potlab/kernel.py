@@ -183,7 +183,12 @@ class TreeKernelOperator(KernelOperator):
         return out.reshape(leaves.shape + (n,))
 
 
-_LEAF_BLOCK = 512   # most leaves on a side of one dense block of the operator table
+# leaves on a side of one dense block of the operator table: the smallest power
+# of b with at least _LEAF_FLOOR, unless it passes _LEAF_BLOCK, then the largest
+# with at most that.  Only b = 2 gets a block below the largest (128, not 512):
+# smaller blocks at b = 3 and 4 slow the one-column applies
+_LEAF_FLOOR = 128
+_LEAF_BLOCK = 512
 _GATHER = 1 << 12   # index entries per gather while the table is filled
 
 
@@ -193,17 +198,21 @@ class DenseKernelOperator(KernelOperator):
 
     The embedding coordinate is linear in the base-b digits of a leaf, so
     K(x, y) depends only on the vector of digit differences of x and y.  The
-    bottom k digits, with b**k the largest block of at most ``_LEAF_BLOCK``
-    leaves, index the rows and columns of a block; the top T = N - k digit
-    differences pick the block.  ``matrix[e]`` is K between any two depth-T
-    subtrees whose top digits differ by the e-th vector of
-    ``range(1 - b, b) ** T`` (C order).  K is symmetric, so the block of a
-    difference is the transposed block of its negative: the table keeps the
-    ``((2b - 1)**T + 1) / 2`` differences up to and including zero, and
-    holds that many times ``b**(2k)`` entries; with T = 0 it is the n x n
-    matrix.  The last block, ``zero = matrix.shape[0] - 1``, is the zero
-    difference, and a difference e past it is ``matrix[2 * zero - e].T``.
-    An apply makes one matrix product per top difference.
+    bottom k digits index the rows and columns of a block of b**k leaves, the
+    smallest power of b with at least ``_LEAF_FLOOR`` leaves or, if that has
+    more than ``_LEAF_BLOCK``, the largest with at most that many (capped at
+    the n leaves); the top T = N - k digit differences pick the block.
+    ``matrix[e]`` is K between any two depth-T subtrees whose top digits
+    differ by the e-th vector of ``range(1 - b, b) ** T`` (C order).  K is
+    symmetric, so the block of a difference is the transposed block of its
+    negative: the table keeps the ``((2b - 1)**T + 1) / 2`` differences up
+    to and including zero, and holds that many times ``b**(2k)`` entries;
+    with T = 0 it is the n x n matrix.  The last block,
+    ``zero = matrix.shape[0] - 1``, is the zero difference, and a difference
+    e past it is ``matrix[2 * zero - e].T``.  The build fills the table one
+    kept block at a time, so it never holds the distances of all
+    (2b - 1)**N difference vectors.  An apply makes one matrix product per
+    top difference.
     """
 
     def __init__(self, kernel: RadialKernel, space: ModelSpace):
@@ -213,37 +222,46 @@ class DenseKernelOperator(KernelOperator):
         self.space = space
         b, depth, delta = space.branching, space.depth, space.delta
         bottom = 0
-        while bottom < depth and b ** (bottom + 1) <= _LEAF_BLOCK:
+        while (bottom < depth and b**bottom < _LEAF_FLOOR
+               and b ** (bottom + 1) <= _LEAF_BLOCK):
             bottom += 1
-        self._top = depth - bottom
+        self._top = top = depth - bottom
         block = b**bottom
-        # the distance of every digit-difference vector, summed over the levels
-        # from the finest up and never as the difference of two nearly equal
-        # coordinates
-        diffs = np.arange(1 - b, b, dtype=float)
+        # the distance of a digit-difference vector is the sum of its per-level
+        # terms from the finest level up, never the difference of two nearly
+        # equal coordinates: the sums over the bottom levels once, then each
+        # kept top difference's terms onto them in the same order
         step = (1.0 - delta) / (b - 1)
-        values = np.zeros(1)
-        for level in range(depth - 1, -1, -1):
-            values = np.add.outer(diffs * step * delta**level, values).reshape(-1)
-        # row e of the generating table is K over the bottom differences at the
-        # e-th top difference, kept for the top differences up to zero; the
-        # last of them is the zero vector, whose middle is a leaf and itself
-        kept = (2 * b - 1) ** self._top // 2 + 1
-        values = values.reshape(2 * kept - 1, -1)[:kept]
-        np.abs(values, out=values)
-        centre = (kept - 1, values.shape[1] // 2)
-        values[centre] = 1.0
-        np.power(values, -space.dimension * kernel.s, out=values)
-        values[centre] = 0.0
-        # block e's entry (i, j) sits at code(i) - code(j) past the middle of
-        # row e, a few block rows per gather
-        codes = _digit_codes(b, bottom)
-        matrix = np.empty((values.shape[0], block, block))
+        terms = [np.arange(1 - b, b, dtype=float) * step * delta**level
+                 for level in range(depth)]
+        fine = np.zeros(1)
+        for level in range(depth - 1, top - 1, -1):
+            fine = np.add.outer(terms[level], fine).reshape(-1)
+        middle = fine.size // 2
+        # block e holds K over the bottom differences at the e-th top difference,
+        # for the top differences up to zero; the last is the zero vector, whose
+        # middle is a leaf and itself.  Entry (i, j) sits at code(i) - code(j)
+        # past the middle; the index is shared by every block, in int32 to keep
+        # it small beside the table, and a gather takes a few block rows
+        kept = (2 * b - 1) ** top // 2 + 1
+        codes = _digit_codes(b, bottom).astype(np.int32)
+        index = (codes[:, None] + middle) - codes
+        matrix = np.empty((kept, block, block))
         rows = max(1, _GATHER // block)
-        for lo in range(0, block, rows):
-            index = (codes[lo:lo + rows, None] + values.shape[1] // 2) - codes
-            for kmat, kvals in zip(matrix, values):
-                np.take(kvals, index, out=kmat[lo:lo + rows], mode="clip")
+        diffs = itertools.product(range(2 * b - 1), repeat=top)
+        for e, diff in enumerate(itertools.islice(diffs, kept)):
+            values = fine
+            for level in range(top - 1, -1, -1):
+                values = terms[level][diff[level]] + values
+            values = np.abs(values)
+            centre = e == kept - 1
+            if centre:
+                values[middle] = 1.0
+            np.power(values, -space.dimension * kernel.s, out=values)
+            if centre:
+                values[middle] = 0.0
+            for lo in range(0, block, rows):
+                np.take(values, index[lo:lo + rows], out=matrix[e, lo:lo + rows], mode="clip")
         # read-only because every caller shares its rows
         matrix.setflags(write=False)
         self.matrix = matrix

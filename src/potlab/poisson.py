@@ -183,11 +183,11 @@ def harnack_constant(space: ModelSpace, n_heights: int = 20) -> float:
 def _harnack_worst(cal: ModelSpace, n_heights: int) -> float:
     ext = poisson_extension(cal, n_heights)
     worst = math.inf
-    centers = np.arange(cal.n_leaves, dtype=np.int64)
     for h in range(ext.heights.size):
         profiles = ext.kernel_matrix(h)
-        # open balls of positive radius contain their center, so none is empty
-        lo, hi = cal.ball_bounds(centers, float(ext.heights[h]), closed=False)
+        # the open balls B(x, heights[h]) are the height's first ring; of
+        # positive radius, they contain their center, so none is empty
+        lo, hi = ext._balls[ext._rings[h][0][1]]
         for xt in range(cal.n_leaves):
             ratios = profiles[lo[xt]:hi[xt]] / profiles[xt][None, :]
             worst = min(worst, float(ratios.min()))

@@ -204,6 +204,28 @@ def test_newton_rounds_converge_on_a_long_run():
     assert sol.iterations < capacity.MAX_ROUNDS
 
 
+@pytest.mark.parametrize("kind", ["unit-interval", "cantor-set"])
+def test_p2_solve_forms_one_gram(kind, monkeypatch):
+    # at p = 2 the Hessian weights sqrt(w g') stay put, so every later round
+    # solves on the free block of the first round's Gram; at p = 3 they move,
+    # so each round forms its own
+    space = model_space(kind, 2, 7)
+    target = np.arange(space.n_leaves)
+    grams = []
+    form = capacity._gram
+    monkeypatch.setattr(capacity, "_gram",
+                        lambda rows, free, weights: grams.append(int(free.sum()))
+                        or form(rows, free, weights))
+    sol = solve_capacity(space, RIESZ, target, p=2.0)
+    assert sol.iterations > 1 and grams == [space.n_leaves]
+    assert sol.value == pytest.approx(capacity_p2_exact(space, RIESZ, target), rel=1e-8)
+    grams.clear()
+    sol = solve_capacity(space, RadialKernel("riesz", s=0.75, p=3.0), target, p=3.0)
+    assert sol.iterations > 1 and len(grams) == sol.iterations
+    assert min(grams) < space.n_leaves
+    assert sol.relative_gap <= capacity.GAP_ACCEPT
+
+
 def test_nonconvergence_flag():
     # one Newton round leaves a spread-out target far from optimal (gap 0.196)
     space = model_space("unit-interval", 2, 7)

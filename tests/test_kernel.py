@@ -324,12 +324,35 @@ def test_block_operator_equals_distance_matrix_oracle(kind, b, depth, leaf_block
             assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def rule_block(b, depth):
+    """The leaf block of the table: the smallest power of b with at least 128
+    leaves, or the largest with at most 512 when that one has more, capped at
+    b**depth."""
+    powers = [b**k for k in range(depth + 1)]
+    at_least = [x for x in powers if x >= 128]
+    if at_least and at_least[0] <= 512:
+        return at_least[0]
+    return max(x for x in powers if x <= 512)
+
+
+@pytest.mark.parametrize("b,depth,block", [
+    (2, 5, 32), (2, 9, 128), (3, 6, 243), (4, 5, 256), (5, 4, 125), (6, 4, 216),
+    (7, 4, 343), (8, 4, 512), (9, 3, 81), (12, 3, 144)])
+def test_leaf_block_rule(b, depth, block):
+    # only b = 2 moves below the largest block of at most 512 leaves
+    ms = model_space("unit-interval", b, depth)
+    op = DenseKernelOperator(RadialKernel("riesz", s=0.75, p=2.0), ms)
+    assert block == rule_block(b, depth)
+    top = depth - round(math.log(block, b))
+    assert op.matrix.shape == (((2 * b - 1) ** top + 1) // 2, block, block)
+
+
 @pytest.mark.parametrize("kind", ["unit-interval", "cantor-set"])
 def test_dense_operator_build_holds_one_matrix(kind):
-    # depth 9 is one 512-leaf block; depth 10 has one top digit, so three
-    # top differences, of which the table keeps -1 and 0
+    # the table is filled one kept block at a time from the sums over the
+    # bottom digit differences, with no vector over every difference
     k = RadialKernel("riesz", s=0.75, p=2.0)
-    for depth, blocks in ((9, 1), (10, 2)):
+    for depth in (9, 10, 12):
         ms = model_space(kind, 2, depth)
         tracemalloc.start()
         try:
@@ -337,8 +360,42 @@ def test_dense_operator_build_holds_one_matrix(kind):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert op.matrix.nbytes == 8 * blocks * 512**2
+        block = rule_block(2, depth)
+        top = depth - round(math.log2(block))
+        assert op.matrix.shape == ((3**top + 1) // 2, block, block)
         assert peak <= 1.25 * op.matrix.nbytes
+
+
+def all_difference_table(kernel, space, block):
+    """The table from the distances of every digit-difference vector at once,
+    summed over the levels from the finest up (reference)."""
+    b, depth, delta = space.branching, space.depth, space.delta
+    top = depth - round(math.log(block, b))
+    diffs = np.arange(1 - b, b, dtype=float)
+    step = (1.0 - delta) / (b - 1)
+    values = np.zeros(1)
+    for level in range(depth - 1, -1, -1):
+        values = np.add.outer(diffs * step * delta**level, values).reshape(-1)
+    kept = (2 * b - 1) ** top // 2 + 1
+    values = np.abs(values.reshape(2 * kept - 1, -1)[:kept])
+    centre = (kept - 1, values.shape[1] // 2)
+    values[centre] = 1.0
+    values **= -space.dimension * kernel.s
+    values[centre] = 0.0
+    codes = kernel_module._digit_codes(b, depth - top)
+    index = (codes[:, None] + values.shape[1] // 2) - codes
+    return values[:, index]
+
+
+@pytest.mark.parametrize("kind,b,depths", [
+    ("unit-interval", 2, (9, 10, 11, 12)), ("cantor-set", 2, (9, 10, 11, 12)),
+    ("unit-interval", 3, (5, 6)), ("cantor-set", 3, (5, 6))])
+def test_block_table_equals_all_difference_chain(kind, b, depths):
+    k = RadialKernel("riesz", s=0.75, p=2.0)
+    for depth in depths:
+        ms = model_space(kind, b, depth)
+        op = DenseKernelOperator(k, ms)
+        assert op.matrix.tobytes() == all_difference_table(k, ms, op.matrix.shape[1]).tobytes()
 
 
 def young_sides(kernel, space, f, p):

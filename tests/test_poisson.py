@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from potlab.kernel import RadialKernel, kernel_operator, lp_norm
-from potlab.poisson import (PoissonExtension, ball_slab, dyadic_heights, exchange_band,
-                            exchange_ratio, harnack_check, harnack_constant,
-                            lipschitz_profile)
+from potlab.poisson import (PoissonExtension, _harnack_worst, ball_slab, dyadic_heights,
+                            exchange_band, exchange_ratio, harnack_check, harnack_constant,
+                            lipschitz_profile, poisson_extension)
 from potlab.space import model_space
 
 RIESZ = RadialKernel("riesz", s=0.75, p=2.0)
@@ -295,6 +295,29 @@ def test_harnack_constant_is_one_on_ultrametric(tree6):
     # balls of equal radius coincide when they overlap, so the extension
     # kernel is literally the same at both points
     assert harnack_constant(tree6, n_heights=6) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n_heights", [3, 6, 20])
+@pytest.mark.parametrize("kind", ["tree-boundary", "unit-interval", "cantor-set"])
+def test_harnack_reads_balls_from_the_extension(kind, n_heights, monkeypatch):
+    # each height's open balls B(x, y) are its first ring, so the worst ratio
+    # searches no ball beyond the extension's own, and equals the per-height
+    # search it replaces (reference)
+    ms = model_space(kind, 2, 6)
+    ext = poisson_extension(ms, n_heights)
+    centers = np.arange(ms.n_leaves)
+    expected = math.inf
+    for h, y in enumerate(ext.heights):
+        profiles = ext.kernel_matrix(h)
+        lo, hi = ms.ball_bounds(centers, float(y), closed=False)
+        for xt in centers:
+            expected = min(expected, float((profiles[lo[xt]:hi[xt]] / profiles[xt]).min()))
+    calls = []
+    search = ms.ball_bounds
+    monkeypatch.setattr(ms, "ball_bounds",
+                        lambda *args, **kwargs: calls.append(1) or search(*args, **kwargs))
+    assert _harnack_worst(ms, n_heights) == expected
+    assert calls == []
 
 
 def test_harnack_vacuous_and_constant_input(cantor6):
