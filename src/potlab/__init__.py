@@ -17,7 +17,7 @@ from .capacity import (CapacitySolution, solve_capacity, capacity_value, capacit
 from .quasiadd import (SeparatedFamily, ExperimentReport, tree_quasi_additivity_bound,
                        generate_separated_family, verify_separation,
                        quasi_additivity_report, family_target_sets, family_batch)
-from .poisson import (PoissonExtension, UpperHalfField, dyadic_heights, poisson_extension,
+from .poisson import (PoissonExtension, dyadic_heights, poisson_extension,
                       harnack_constant, harnack_check,
                       exchange_ratio, exchange_band, lipschitz_profile)
 from .convergence import (ApproachRegion, region_radius, thinness_decay,

@@ -494,9 +494,9 @@ class Runner:
         field = ext.field(pots[:, 0])
         leaves = np.arange(self.space.n_leaves)
         self.emit.csv("poisson_field.csv", ("leaf_index", "y", "value"),
-                      ((leaves, y, field.values[:, h]) for h, y in enumerate(ext.heights)))
+                      ((leaves, y, field[:, h]) for h, y in enumerate(ext.heights)))
 
-        ones_err = float(np.abs(ext.field(np.ones(self.space.n_leaves)).values - 1.0).max())
+        ones_err = float(np.abs(ext.field(np.ones(self.space.n_leaves)) - 1.0).max())
         ng = ext.normalization_grid()
         checks = [("extension_of_one_minus_one", -ones_err, ones_err),
                   ("normalizer", float(ng.min()), float(ng.max()))]
@@ -504,7 +504,7 @@ class Runner:
         worst_margin = math.inf
         for pot in pots[:, 1:].T:
             pot_field = ext.field(pot)
-            eps = float(np.quantile(pot_field.values, quantile))
+            eps = float(np.quantile(pot_field, quantile))
             lowest, ok = harnack_check(ext, pot_field, eps, c_h)
             if not ok:
                 raise RuntimeError("harnack check failed")

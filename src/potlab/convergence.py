@@ -25,7 +25,7 @@ import numpy as np
 
 from .capacity import capacity_value, metric_matching_radius
 from .kernel import RadialKernel, kernel_operator, lp_norm
-from .poisson import PoissonExtension, UpperHalfField, ball_slab
+from .poisson import PoissonExtension, ball_slab
 from .space import ModelSpace
 
 REGION_KINDS = ("nontangential", "capacity", "polynomial", "exponential")
@@ -109,9 +109,9 @@ class SplitResult:
 
 def _coarse_mean(space: ModelSpace, values: np.ndarray, level: int) -> np.ndarray:
     """Weighted mean of ``values`` over depth-``level`` subtrees, per leaf."""
-    num = space.block_sum_per_leaf(values * space.weights, level)
-    den = space.block_sum_per_leaf(space.weights, level)
-    return num / den
+    block = space.branching ** (space.depth - level)
+    num = (values * space.weights).reshape(-1, block).sum(axis=1).repeat(block)
+    return num / space.weights.reshape(-1, block).sum(axis=1).repeat(block)
 
 
 SPLIT_LEVELS = 6    # dyadic thresholds 2**-1 .. 2**-6 per part
@@ -158,7 +158,7 @@ def approximation_split(ext: PoissonExtension, kernel: RadialKernel, p: float,
                     continue
                 thr = 2.0 ** (-j)
                 pot = op.apply_function(resid)
-                grid |= ext.field(pot).values > thr
+                grid |= ext.field(pot) > thr
                 bad |= pot >= thr
         shadow = ball_slab(space, grid, ext.heights).any(axis=1)
         cap_shadow = capacity_value(space, kernel, np.flatnonzero(shadow), p)
@@ -197,7 +197,7 @@ class ConvergenceTable:
 
 
 def convergence_experiment(ext: PoissonExtension, kernel: RadialKernel, p: float,
-                           pot: np.ndarray, field: UpperHalfField, x0_sample,
+                           pot: np.ndarray, field: np.ndarray, x0_sample,
                            split: SplitResult, kind: str, tol: float) -> ConvergenceTable:
     """Worst deviation of the extended potential ``field`` from the boundary
     potential ``pot`` (``field`` is ``ext.field(pot)``) inside the approach
@@ -233,7 +233,6 @@ def convergence_experiment(ext: PoissonExtension, kernel: RadialKernel, p: float
         return np.array([region_radius(space, kernel, p, replace(template, center=int(x)), y)
                          for x in centers])
 
-    vals = field.values
     excluded = split.exceedance
     excluded_prefix = _prefix_counts(excluded)
     columns = np.arange(nh)
@@ -253,7 +252,7 @@ def convergence_experiment(ext: PoissonExtension, kernel: RadialKernel, p: float
         sup_err = np.zeros(nh)
         for h in np.flatnonzero(live & (n_pts > 0)):
             kept = ~excluded[lo[h]:hi[h], h]
-            sup_err[h] = np.abs(vals[lo[h]:hi[h], h][kept] - pot[x0]).max()
+            sup_err[h] = np.abs(field[lo[h]:hi[h], h][kept] - pot[x0]).max()
         for t, cols in zip(t_grid, below):
             rows.append(ConvergenceRow(x0, float(t), float(sup_err[cols].max(initial=0.0)),
                                        int(n_pts[cols].sum()), int(n_exc[cols].sum())))

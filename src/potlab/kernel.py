@@ -5,22 +5,19 @@ distance, hence only on the shared-prefix level of a leaf pair: it is a
 table of one value per level plus a diagonal convention.  The power-law
 (Riesz) kernel ``d(x,y)**(-Q*s)`` is supported both in the ultrametric and
 in the embedded metrics; in the latter case it is no longer radial in the
-tree, but it still depends only on the digit differences of a leaf pair,
-and potentials go through dense blocks of that digit-difference table.
-Either way every potential
-K*f, K*mu and the norm ||K||_1 comes from ``kernel_operator(kernel, space)``
-on a ``ModelSpace``, whose dimension Q the Riesz kernel uses.
+tree, but it still depends only on the digit differences of a leaf pair.
+Either way every potential K*f, K*mu and the norm ||K||_1 comes from
+``kernel_operator(kernel, space)`` on a ``ModelSpace``, whose dimension Q
+the Riesz kernel uses.
 
 Atoms carry no self-interaction for the Riesz kind: the diagonal is the
 discretization artifact of a measure with no point masses, so it is
 excluded from every integral.  General radial kernels instead declare
 their own diagonal value (the level-N entry of the table).
 
-The tree operator exploits that the distance from a leaf outside a
-subtree to every leaf inside it is a single number: summing per-level
-subtree aggregates reproduces the exact quadratic-cost sum in O(n * N).
-The embedded operator computes each distance from the digit differences,
-so no entry loses digits to the difference of two nearby coordinates.
+Both operators are exact and hold dense blocks of b**k leaves: the tree
+operator one block within a subtree plus subtree sums above it, the
+embedded one a block per top digit difference, summed from the digits.
 """
 
 from __future__ import annotations
@@ -113,16 +110,15 @@ def lp_norm(values: np.ndarray, weights: np.ndarray, p: float) -> float:
 
 
 class KernelOperator:
-    """Uniform interface for potentials: tree-radial fast path when the
-    metric is the ultrametric, dense digit-difference blocks otherwise.
+    """Uniform interface for potentials, ``TreeKernelOperator`` on the
+    ultrametric and ``DenseKernelOperator`` on embedded metrics.
 
     ``apply_function`` and ``apply_measure`` take one input as an (n,)
     vector or k inputs as the columns of an (n, k) block, and return the
     same shape.  A block makes one pass over the operator for all k
-    columns (one matrix product per table block on the embedded path), so
-    its columns can differ from one-at-a-time applies in the last bits.
-    ``row`` takes one leaf for its (n,) row K(x, .) or m leaves for an
-    (m, n) block of rows.
+    columns, so its columns can differ from one-at-a-time applies in the
+    last bits.  ``row`` takes one leaf for its (n,) row K(x, .) or m leaves
+    for an (m, n) block of rows.
     """
 
     def mass(self) -> np.ndarray:
@@ -150,46 +146,71 @@ class KernelOperator:
         return float(self.mass().max())
 
 
+# leaves on a side of the dense block of either operator: the smallest power of b
+# with at least _LEAF_FLOOR, unless it passes _LEAF_BLOCK, then the largest with
+# at most that.  Only b = 2 gets a block below the largest (128, not 512):
+# smaller blocks at b = 3 and 4 slow the one-column applies
+_LEAF_FLOOR = 128
+_LEAF_BLOCK = 512
+_GATHER = 1 << 12   # index entries per gather while the dense table is filled
+
+
+def _bottom_digits(b: int, depth: int) -> int:
+    """k of the leaf block b**k by the rule above, capped at the depth."""
+    k = 0
+    while k < depth and b**k < _LEAF_FLOOR and b ** (k + 1) <= _LEAF_BLOCK:
+        k += 1
+    return k
+
+
 class TreeKernelOperator(KernelOperator):
+    """K on the ultrametric: one dense ``block`` within each depth-T subtree
+    of b**k leaves (k from ``_bottom_digits``, T = N - k), and between two
+    subtrees the one value table[lca of their top digits].  An apply, exact,
+    is one product of the block with every subtree, O(n * b**k), plus
+    telescoped sums of the b**T subtree masses, O(b**T) per top level."""
+
     def __init__(self, kernel: RadialKernel, space: ModelSpace):
         self.kernel = kernel
         self.space = space
         self.table = kernel.level_table(space)
+        self._top = space.depth - _bottom_digits(space.branching, space.depth)
+        # the first subtree's leaves share its top T digits, so their lca is T
+        # plus that of their bottom digits; read-only, as every caller shares it
+        leaves = np.arange(space.n_leaves // space.branching**self._top)
+        self.block = self.table[space.lca_levels(leaves[:, None], leaves)]
+        self.block.setflags(write=False)
 
     def _apply(self, masses):
-        # sum over levels of K(delta**l) * (level-l subtree mass - level-(l+1) mass),
-        # telescoped so each level is touched once
-        space = self.space
-        out = self.table[0] * space.block_sum_per_leaf(masses, 0)
-        for level in range(1, space.depth + 1):
-            coef = self.table[level] - self.table[level - 1]
-            if coef != 0.0:
-                out = out + coef * space.block_sum_per_leaf(masses, level)
-        return out
+        top, size, cols = self._top, self.block.shape[0], masses.size // masses.shape[0]
+        # one row per subtree and column: one product with the symmetric block
+        rows = masses.reshape(-1, size, cols).transpose(0, 2, 1).reshape(-1, size)
+        out = (rows @ self.block).reshape(-1, cols, size)
+        # between subtrees: the sum over the top levels of K(delta**l) * (level-l
+        # mass - level-(l+1) mass), telescoped; the block holds level T and below
+        sums = rows.sum(axis=1).reshape(-1, cols)
+        far = -self.table[top - 1] * sums if top else np.zeros_like(sums)
+        for level in range(top):
+            coef = self.table[level] - (self.table[level - 1] if level else 0.0)
+            span = self.space.branching ** (top - level)
+            far += coef * sums.reshape(-1, span, cols).sum(axis=1).repeat(span, axis=0)
+        out += far[:, :, None]
+        return out.transpose(0, 2, 1).reshape(masses.shape)
 
     def row(self, leaves):
-        # K(x, .) is table[lca level]: start every row at the level-0 value,
-        # then write each finer level's value over x's subtree block, in one
-        # pass per level over the (m, n / block, block) view
-        leaves = np.asarray(leaves)
-        space = self.space
-        n = space.n_leaves
-        flat = leaves.reshape(-1)
-        rows = np.arange(flat.size)
-        out = np.full((flat.size, n), self.table[0])
-        for level in range(1, space.depth + 1):
-            block = space._block[level]
-            out.reshape(flat.size, n // block, block)[rows, flat // block] = self.table[level]
-        return out.reshape(leaves.shape + (n,))
-
-
-# leaves on a side of one dense block of the operator table: the smallest power
-# of b with at least _LEAF_FLOOR, unless it passes _LEAF_BLOCK, then the largest
-# with at most that.  Only b = 2 gets a block below the largest (128, not 512):
-# smaller blocks at b = 3 and 4 slow the one-column applies
-_LEAF_FLOOR = 128
-_LEAF_BLOCK = 512
-_GATHER = 1 << 12   # index entries per gather while the table is filled
+        # table[lca of the top digits] per other subtree, written level by level
+        # and repeated over its leaves; over x's own subtree, row x of the block
+        flat = np.asarray(leaves).reshape(-1)
+        rows, size = np.arange(flat.size), self.block.shape[0]
+        subtree, leaf = np.divmod(flat, size)
+        far = np.full((flat.size, self.space.n_leaves // size), self.table[0])
+        for level in range(1, self._top):
+            span = self.space.branching ** (self._top - level)
+            far.reshape(flat.size, far.shape[1] // span, span)[rows, subtree // span] = \
+                self.table[level]
+        out = far.repeat(size, axis=1)
+        out.reshape(far.shape + (size,))[rows, subtree] = self.block[leaf]
+        return out.reshape(np.shape(leaves) + (self.space.n_leaves,))
 
 
 class DenseKernelOperator(KernelOperator):
@@ -198,10 +219,9 @@ class DenseKernelOperator(KernelOperator):
 
     The embedding coordinate is linear in the base-b digits of a leaf, so
     K(x, y) depends only on the vector of digit differences of x and y.  The
-    bottom k digits index the rows and columns of a block of b**k leaves, the
-    smallest power of b with at least ``_LEAF_FLOOR`` leaves or, if that has
-    more than ``_LEAF_BLOCK``, the largest with at most that many (capped at
-    the n leaves); the top T = N - k digit differences pick the block.
+    bottom k digits index the rows and columns of a block of b**k leaves, k
+    from ``_bottom_digits``; the top T = N - k digit differences pick the
+    block.
     ``matrix[e]`` is K between any two depth-T subtrees whose top digits
     differ by the e-th vector of ``range(1 - b, b) ** T`` (C order).  K is
     symmetric, so the block of a difference is the transposed block of its
@@ -209,10 +229,9 @@ class DenseKernelOperator(KernelOperator):
     to and including zero, and holds that many times ``b**(2k)`` entries;
     with T = 0 it is the n x n matrix.  The last block,
     ``zero = matrix.shape[0] - 1``, is the zero difference, and a difference
-    e past it is ``matrix[2 * zero - e].T``.  The build fills the table one
-    kept block at a time, so it never holds the distances of all
-    (2b - 1)**N difference vectors.  An apply makes one matrix product per
-    top difference.
+    e past it is ``matrix[2 * zero - e].T``.  The build, a kept block at a
+    time, never holds the distances of all (2b - 1)**N difference vectors.
+    An apply makes one matrix product per top difference.
     """
 
     def __init__(self, kernel: RadialKernel, space: ModelSpace):
@@ -221,10 +240,7 @@ class DenseKernelOperator(KernelOperator):
         self.kernel = kernel
         self.space = space
         b, depth, delta = space.branching, space.depth, space.delta
-        bottom = 0
-        while (bottom < depth and b**bottom < _LEAF_FLOOR
-               and b ** (bottom + 1) <= _LEAF_BLOCK):
-            bottom += 1
+        bottom = _bottom_digits(b, depth)
         self._top = top = depth - bottom
         block = b**bottom
         # the distance of a digit-difference vector is the sum of its per-level

@@ -17,7 +17,6 @@ constants (Harnack, exchange bands) that deeper runs are checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,12 +27,6 @@ from .space import ModelSpace, model_space
 def dyadic_heights(diameter: float = 1.0, n_heights: int = 20) -> np.ndarray:
     """Decreasing height grid diam * 2**(-m), m = 0..n_heights."""
     return diameter * 2.0 ** (-np.arange(n_heights + 1, dtype=float))
-
-
-@dataclass
-class UpperHalfField:
-    heights: np.ndarray          # decreasing, all in (0, diam]
-    values: np.ndarray           # (n_leaves, n_heights)
 
 
 class PoissonExtension:
@@ -102,12 +95,12 @@ class PoissonExtension:
         """Normalizing constants at every (leaf, height) grid point."""
         return self.heights[None, :] ** self.q / self._mass
 
-    def field(self, f: np.ndarray) -> UpperHalfField:
-        """Extension of f at every grid point; exact normalization by
-        construction (the same collector feeds numerator and denominator)."""
+    def field(self, f: np.ndarray) -> np.ndarray:
+        """The (n, H) extension of f at every grid point; exactly normalized,
+        as one collector feeds numerator and denominator."""
         prefix = np.concatenate(([0.0], np.cumsum(np.asarray(f, dtype=float)
                                                   * self.space.weights)))
-        return UpperHalfField(self.heights, self._collect(prefix) / self._mass)
+        return self._collect(prefix) / self._mass
 
     def kernel_matrix(self, h: int) -> np.ndarray:
         """All kernel profiles at one height, stacked by center leaf: row x
@@ -194,7 +187,7 @@ def _harnack_worst(cal: ModelSpace, n_heights: int) -> float:
     return worst
 
 
-def harnack_check(ext: PoissonExtension, field: UpperHalfField, eps: float,
+def harnack_check(ext: PoissonExtension, field: np.ndarray, eps: float,
                   c_h: float) -> tuple[float, bool]:
     """(lowest, ok): the least value of the extended potential ``field`` over
     the per-height slabs of balls B(x, y) around its cells above eps, and
@@ -202,10 +195,10 @@ def harnack_check(ext: PoissonExtension, field: UpperHalfField, eps: float,
     exceeds eps)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    slab = ball_slab(ext.space, field.values > eps, ext.heights)
+    slab = ball_slab(ext.space, field > eps, ext.heights)
     if not slab.any():
         return math.inf, True
-    lowest = float(field.values[slab].min())
+    lowest = float(field[slab].min())
     return lowest, lowest >= c_h * eps
 
 
@@ -215,10 +208,10 @@ def exchange_ratio(ext: PoissonExtension, kernel: RadialKernel, f: np.ndarray):
     f = np.asarray(f, dtype=float)
     if not np.any(f > 0) or np.any(f < 0):
         raise ValueError("exchange ratio needs nonnegative, nonzero input")
-    ext_f = ext.field(f).values
+    ext_f = ext.field(f)
     # K*f and K*ext_f in one block apply
     pots = kernel_operator(kernel, ext.space).apply_function(np.column_stack((f, ext_f)))
-    ext_pot = ext.field(pots[:, 0]).values
+    ext_pot = ext.field(pots[:, 0])
     swapped = pots[:, 1:]
     ratios = swapped / ext_pot
     return float(ratios.min()), float(ratios.max())

@@ -9,8 +9,9 @@ only the subadditive lower end.
 
 Families are produced by a seeded greedy sampler: draw a center and a
 radius level, compute the enlargement, keep the candidate when its
-enlarged ball avoids everything kept so far.  Candidates whose ball
-capacity exceeds the total mass have no enlargement and are skipped.
+enlarged ball avoids everything kept so far; one whose grid ball meets a
+kept enlargement is rejected unsolved.  Candidates whose ball capacity
+exceeds the total mass have no enlargement and are skipped.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class SeparatedFamily:
     centers: list
     levels: list                   # grid ball = depth-level subtree around center
     enlarged_ranges: list          # half-open leaf ranges of the enlargements
-    skipped: int = 0               # candidates without a matching radius
+    skipped: int = 0               # solved candidates without a matching radius
 
     def __len__(self):
         return len(self.centers)
@@ -92,23 +93,22 @@ def generate_separated_family(space: ModelSpace, kernel: RadialKernel, p: float,
             break
         x = int(rng.integers(space.n_leaves))
         level = int(rng.integers(lo_lvl, hi_lvl + 1))
+        # the enlargement holds the grid ball, so a grid ball that meets a kept
+        # enlargement is rejected before its matching-radius solve
+        glo, ghi = space.grid_ball_range(x, level)
+        if any(glo < h and l < ghi for l, h in fam.enlarged_ranges):
+            continue
+        er = (tree_matching_radius(space, kernel, p, x, level) if mode == "tree" else
+              metric_matching_radius(space, kernel, p, x, space.grid_radius(level), closed=True))
+        if not er.exists:
+            fam.skipped += 1
+            continue
         if mode == "tree":
-            er = tree_matching_radius(space, kernel, p, x, level)
-            if not er.exists:
-                fam.skipped += 1
-                continue
             lo, hi = space.subtree_range(x, min(level, er.matching_level))
         else:
-            er = metric_matching_radius(space, kernel, p, x, space.grid_radius(level),
-                                        closed=True)
-            if not er.exists:
-                fam.skipped += 1
-                continue
             blo, bhi = space.ball_bounds(np.array([x]), er.star, closed=True)
-            lo, hi = int(blo[0]), int(bhi[0])
             # the nominal ball must sit inside its enlargement
-            glo, ghi = space.grid_ball_range(x, level)
-            lo, hi = min(lo, glo), max(hi, ghi)
+            lo, hi = min(int(blo[0]), glo), max(int(bhi[0]), ghi)
         if any(lo < h and l < hi for l, h in fam.enlarged_ranges):
             continue
         fam.centers.append(x)

@@ -117,14 +117,6 @@ class ModelSpace:
     def range_mass(self, lo: int, hi: int) -> float:
         return float(self._weight_prefix[hi] - self._weight_prefix[lo])
 
-    def block_sum_per_leaf(self, values: np.ndarray, level: int) -> np.ndarray:
-        """Depth-``level`` subtree sums of ``values``, broadcast back to leaves;
-        an (n, k) block is summed column by column."""
-        block = self._block[level]
-        values = np.asarray(values, dtype=float)
-        sums = values.reshape((-1, block) + values.shape[1:]).sum(axis=1)
-        return sums.repeat(block, axis=0)
-
     # -- metric ----------------------------------------------------------------
 
     def distance(self, x: int, y: int) -> float:

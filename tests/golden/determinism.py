@@ -13,13 +13,19 @@ goes through ``load_config`` and ``Runner`` in a fresh single-threaded
 interpreter on each source tree, as the benchmark's children do.  Every
 CSV, SVG and ``space.txt`` output is compared byte for byte; manifests
 record times and are left out.  Each output that differs, or that only one
-side wrote, is listed, and the script exits 1 when there is any.
+side wrote, is listed, and the script exits 1 when there is any.  A CSV
+that differs is also compared field by field: the line gives the number of
+numeric fields that moved and the worst relative move among them,
+|ours - theirs| / max(|ours|, |theirs|).
 """
 
 from __future__ import annotations
 
 import configparser
+import csv
 import importlib.util
+import io
+import math
 import os
 import subprocess
 import sys
@@ -75,6 +81,37 @@ def run(src: Path, config: Path, seed: int, subcommands, out: Path) -> dict:
     return {p.name: p.read_bytes() for pattern in COMPARED for p in sorted(out.glob(pattern))}
 
 
+def csv_moves(ours: bytes, theirs: bytes) -> str:
+    """How two CSVs differ field by field: the numeric fields that moved, the
+    worst relative move and its column, and the count of other fields that
+    changed."""
+    a, b = (list(csv.reader(io.StringIO(side.decode()))) for side in (ours, theirs))
+    if [len(row) for row in a] != [len(row) for row in b]:
+        return "rows or fields differ"
+    moved, other, worst, column = 0, 0, 0.0, ""
+    for row_a, row_b in zip(a[1:], b[1:]):
+        for name, x, y in zip(a[0], row_a, row_b):
+            if x == y:
+                continue
+            try:
+                fx, fy = float(x), float(y)
+            except ValueError:
+                fx = fy = math.nan
+            if not (math.isfinite(fx) and math.isfinite(fy)):
+                other += 1
+                continue
+            moved += 1
+            move = abs(fx - fy) / max(abs(fx), abs(fy))
+            if move > worst:
+                worst, column = move, name
+    text = f"{moved} numeric fields moved"
+    if moved:
+        text += f", worst relative {worst:.2g} ({column})"
+    if a[0] != b[0]:
+        other += 1
+    return text + (f", {other} other fields differ" if other else "")
+
+
 def main(argv) -> int:
     if len(argv) != 1 or not (Path(argv[0]) / "potlab" / "__init__.py").is_file():
         print("usage: python tests/golden/determinism.py OTHER_SRC, the src "
@@ -93,6 +130,8 @@ def main(argv) -> int:
                     side = ("" if output in ours and output in theirs
                             else " (this checkout only)" if output in ours
                             else f" ({other} only)")
+                    if not side and output.endswith(".csv"):
+                        side = f": {csv_moves(ours[output], theirs[output])}"
                     differ.append(f"{name}/{output}{side}")
     for line in differ:
         print(f"differs: {line}")

@@ -168,7 +168,7 @@ def test_criterion_6_poisson_normalization():
             ms = model_space(kind, 2, depth)
             ext = PoissonExtension(ms, n_heights=depth)
             field = ext.field(np.ones(ms.n_leaves))
-            worst_one = max(worst_one, float(np.abs(field.values - 1.0).max()))
+            worst_one = max(worst_one, float(np.abs(field - 1.0).max()))
             grid = ext.normalization_grid()
             ratios[(kind, depth)] = float(grid.max() / grid.min())
     ok = worst_one <= 1e-12
@@ -208,7 +208,7 @@ def test_criterion_8_harnack():
     for i in range(50):
         f = rng.random(ms.n_leaves)
         field = ext.field(op.apply_function(f))
-        eps = float(np.quantile(field.values, quantiles[i % 3]))
+        eps = float(np.quantile(field, quantiles[i % 3]))
         lowest, ok = harnack_check(ext, field, eps, c_h)
         checked += 1
         if not ok:
@@ -231,9 +231,9 @@ def test_criterion_9_exceedance_ratio_stability():
             f = np.repeat(coarse, 2 ** (depth - 5))   # same function, refined
             field = ext.field(op.apply_function(f))
             for q in (0.5, 0.75, 0.9):
-                eps = float(np.quantile(field.values, q))
+                eps = float(np.quantile(field, q))
                 # the star: leaves inside a ball B(x, y) around a cell above eps
-                leaves = np.flatnonzero(ball_slab(ms, field.values > eps,
+                leaves = np.flatnonzero(ball_slab(ms, field > eps,
                                                   ext.heights).any(axis=1))
                 cap = (solve_capacity(ms, kernel, leaves, p=2.0).value
                        if leaves.size else 0.0)

@@ -233,7 +233,7 @@ def brute_force_experiment(ext, f, excluded, kind):
     space, heights = ext.space, ext.heights
     n = space.n_leaves
     pot = kernel_operator(K8, space).apply_function(f)
-    vals = ext.field(pot).values
+    vals = ext.field(pot)
     dist = space.distance_matrix()
     exponent = 2.0 * (K8.s - 0.5)
     widths = np.array([[region_radius(space, K8, 2.0, ApproachRegion(x0, kind, exponent=exponent),

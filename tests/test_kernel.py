@@ -215,6 +215,33 @@ def test_tree_row_block_matches_level_lookup(b, depth, rng):
         assert block.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("b,depth,top", [(2, 7, 0), (2, 10, 3), (3, 4, 0), (3, 6, 1)])
+@pytest.mark.parametrize("kind", ["riesz", "radial"])
+def test_tree_operator_exact_against_long_double_oracle(kind, b, depth, top, rng):
+    # the within-subtree block and the top-level subtree sums add up to
+    # table[lca] @ masses to rounding, on inputs spanning six decades; the
+    # radial table carries a nonzero diagonal, the Riesz one a zero diagonal
+    ms = model_space("tree-boundary", b, depth)
+    kernel = (RadialKernel("riesz", s=0.75, p=2.0) if kind == "riesz" else
+              RadialKernel("radial", level_values=tuple(rng.random(depth + 1) + 0.5)))
+    op = kernel_operator(kernel, ms)
+    assert op.block.shape == (b ** (depth - top),) * 2
+    lca = ms.lca_matrix()
+    oracle = op.table.astype(np.longdouble)[lca]
+    assert (op.table[depth] == 0.0) == (kind == "riesz")
+    for shape in ((ms.n_leaves,), (ms.n_leaves, 3)):
+        for _ in range(3):
+            f = 10.0 ** rng.uniform(0.0, 6.0, size=shape)
+            masses = f * ms.weights.reshape((-1,) + (1,) * (f.ndim - 1))
+            for out, m in ((op.apply_function(f), masses), (op.apply_measure(f), f)):
+                ref = oracle @ m.astype(np.longdouble)
+                assert out.shape == f.shape
+                assert float(np.max(np.abs(out - ref) / ref)) <= 2e-15
+    for leaves in (0, ms.n_leaves - 1, np.arange(ms.n_leaves),
+                   rng.integers(0, ms.n_leaves, size=(3, 4))):
+        assert op.row(leaves).tobytes() == op.table[lca[leaves]].tobytes()
+
+
 @pytest.mark.parametrize("kind", ["tree-boundary", "unit-interval", "cantor-set"])
 def test_operator_built_once_per_space_and_kernel(kind):
     ms = model_space(kind, 2, 6)

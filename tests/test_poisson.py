@@ -36,7 +36,7 @@ def test_extension_of_one_is_one(kind):
     ms = model_space(kind, 2, 6)
     ext = PoissonExtension(ms, n_heights=12)
     field = ext.field(np.ones(ms.n_leaves))
-    assert np.abs(field.values - 1.0).max() <= 1e-12
+    assert np.abs(field - 1.0).max() <= 1e-12
 
 
 def test_heights_validation():
@@ -47,7 +47,7 @@ def test_matches_naive_double_loop(tree6, cantor6, rng):
     for ms in (tree6, cantor6):
         ext = PoissonExtension(ms, n_heights=8)
         f = rng.random(ms.n_leaves)
-        values = ext.field(f).values
+        values = ext.field(f)
         for x in (0, 13, 50):
             for h in (0, 2, 8):   # y = 1, 1/4, 2**-8
                 direct = naive_extension(ms, ms.dimension, f, x, float(ext.heights[h]))
@@ -76,7 +76,7 @@ def test_kernel_matrix_matches_field_and_per_center_loop(kind, rng):
     ms = model_space(kind, 2, 6)
     ext = PoissonExtension(ms)
     f = rng.random(ms.n_leaves)
-    values = ext.field(f).values
+    values = ext.field(f)
     for h in range(ext.heights.size):
         kmat = ext.kernel_matrix(h)
         assert np.allclose(kmat @ (f * ms.weights), values[:, h], rtol=1e-12, atol=0.0)
@@ -162,7 +162,7 @@ def test_extension_searches_each_radius_once(kind, n_heights, monkeypatch, rng):
     monkeypatch.undo()
     f = rng.random(ms.n_leaves)
     values, grid, kmats = per_height_reference(ext, f)
-    assert ext.field(f).values.tobytes() == values.tobytes()
+    assert ext.field(f).tobytes() == values.tobytes()
     assert ext.normalization_grid().tobytes() == grid.tobytes()
     for h, kmat in enumerate(kmats):
         assert ext.kernel_matrix(h).tobytes() == kmat.tobytes()
@@ -175,7 +175,7 @@ def test_ball_indicator_deep_inside(tree6, cantor6):
         lo, hi = ms.grid_ball_range(20, 2)
         f = np.zeros(ms.n_leaves)
         f[lo:hi] = 1.0
-        value = ext.field(f).values[(lo + hi) // 2, 6]   # y = 2**-6
+        value = ext.field(f)[(lo + hi) // 2, 6]   # y = 2**-6
         assert 0.9 <= value <= 1.0
 
 
@@ -200,11 +200,11 @@ def test_linearity_monotonicity_positivity(tree6, rng):
     ext = PoissonExtension(tree6, n_heights=6)
     f = rng.random(64)
     g = f + rng.random(64)
-    vf, vg = ext.field(f).values, ext.field(g).values
+    vf, vg = ext.field(f), ext.field(g)
     assert np.all(vf <= vg + 1e-12)
-    assert np.all(ext.field(f).values >= 0.0)
-    combo = ext.field(2.0 * f + 0.5 * g).values
-    assert np.allclose(combo, 2 * vf + 0.5 * ext.field(g).values)
+    assert np.all(ext.field(f) >= 0.0)
+    combo = ext.field(2.0 * f + 0.5 * g)
+    assert np.allclose(combo, 2 * vf + 0.5 * ext.field(g))
 
 
 def test_locality_outside_saturating_ball(tree6, rng):
@@ -215,7 +215,7 @@ def test_locality_outside_saturating_ball(tree6, rng):
     x, h = 9, 4
     profile = ext.kernel_matrix(h)[x]
     direct = float(profile @ (f * tree6.weights))
-    assert ext.field(f).values[x, h] == pytest.approx(direct, rel=1e-12)
+    assert ext.field(f)[x, h] == pytest.approx(direct, rel=1e-12)
     assert np.all(profile > 0)
 
 
@@ -228,7 +228,7 @@ def test_maximal_ratio_recorded_across_depths(rng):
         for _ in range(5):
             coarse = rng.random(2**5)
             f = np.repeat(coarse, 2 ** (depth - 5))
-            maximal = ext.field(f).values.max(axis=1)   # sup over the height grid
+            maximal = ext.field(f).max(axis=1)   # sup over the height grid
             worst = max(worst, lp_norm(maximal, ms.weights, 2.0)
                         / lp_norm(f, ms.weights, 2.0))
         ratios[depth] = worst
@@ -239,7 +239,7 @@ def test_maximal_ratio_recorded_across_depths(rng):
 def exceedance(ext, f, eps):
     """Grid cells where the extended potential of f exceeds eps, and the
     per-height slab of the balls B(x, y) around them."""
-    over = ext.field(kernel_operator(RIESZ, ext.space).apply_function(f)).values > eps
+    over = ext.field(kernel_operator(RIESZ, ext.space).apply_function(f)) > eps
     return over, ball_slab(ext.space, over, ext.heights)
 
 
@@ -247,7 +247,7 @@ def test_exceedance_trivia(tree6, rng):
     ext = PoissonExtension(tree6, n_heights=6)
     f = rng.random(64) + 0.1
     pot = kernel_operator(RIESZ, tree6).apply_function(f)
-    top = ext.field(pot).values.max()
+    top = ext.field(pot).max()
     over, slab = exceedance(ext, f, top * 1.01)
     assert not over.any() and not slab.any()
     _, slab = exceedance(ext, f, 1e-12)
@@ -329,7 +329,7 @@ def test_harnack_vacuous_and_constant_input(cantor6):
     lowest, ok = harnack_check(ext, tiny, 1e6, c_h)
     assert ok and math.isinf(lowest)
     field = ext.field(op.apply_function(np.ones(64)))
-    eps = float(field.values.min()) * 0.99
+    eps = float(field.min()) * 0.99
     lowest, ok = harnack_check(ext, field, eps, c_h)
     assert ok
     with pytest.raises(ValueError, match="eps must be positive"):
@@ -343,7 +343,7 @@ def test_harnack_random_batch(cantor6, rng):
     op = kernel_operator(k, cantor6)
     for _ in range(10):
         field = ext.field(op.apply_function(rng.random(64)))
-        eps = float(np.quantile(field.values, 0.7))
+        eps = float(np.quantile(field, 0.7))
         lowest, ok = harnack_check(ext, field, eps, c_h)
         assert ok, (lowest, c_h * eps)
 
@@ -375,7 +375,7 @@ def test_exchange_constant_input_closed_form(cantor6):
     lo, hi = exchange_ratio(ext, k, f)
     kernel_mass = op.apply_function(np.ones(64))
     direct = np.column_stack([
-        op.apply_function(np.full(64, c)) / ext.field(c * kernel_mass).values[:, h]
+        op.apply_function(np.full(64, c)) / ext.field(c * kernel_mass)[:, h]
         for h in range(ext.heights.size)])
     assert lo == pytest.approx(float(direct.min()), rel=1e-10)
     assert hi == pytest.approx(float(direct.max()), rel=1e-10)
@@ -384,8 +384,8 @@ def test_exchange_constant_input_closed_form(cantor6):
 def per_height_exchange_ratio(ext, kernel, f):
     # one potential per height, as exchange_ratio computed it before block applies
     op = kernel_operator(kernel, ext.space)
-    ext_f = ext.field(f).values
-    ext_pot = ext.field(op.apply_function(f)).values
+    ext_f = ext.field(f)
+    ext_pot = ext.field(op.apply_function(f))
     swapped = np.column_stack([op.apply_function(ext_f[:, h])
                                for h in range(ext.heights.size)])
     ratios = swapped / ext_pot
@@ -410,15 +410,15 @@ def test_harnack_check_uses_the_given_field(rng, monkeypatch):
     k = RadialKernel("riesz", s=0.8, p=2.0)
     op = kernel_operator(k, ms)
     field = ext.field(op.apply_function(rng.random(64)))
-    eps = float(np.quantile(field.values, 0.7))
+    eps = float(np.quantile(field, 0.7))
     c_h = harnack_constant(ms, n_heights=6)
     # naive scan: the least field value at a height over the balls B(x, y)
     # around that height's cells above eps
     lowest = math.inf
     for h, y in enumerate(ext.heights):
-        for x in np.flatnonzero(field.values[:, h] > eps):
+        for x in np.flatnonzero(field[:, h] > eps):
             inside = ms.distances_from(int(x)) < y
-            lowest = min(lowest, float(field.values[inside, h].min()))
+            lowest = min(lowest, float(field[inside, h].min()))
 
     def no_recompute(*args):
         raise AssertionError("the extended potential was computed again")

@@ -4,11 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
+from potlab import quasiadd as quasiadd_module
 from potlab.capacity import singleton_capacity, solve_capacity
 from potlab.kernel import RadialKernel, kernel_operator
 from potlab.quasiadd import (family_batch, family_target_sets, generate_separated_family,
                              quasi_additivity_report, tree_quasi_additivity_bound,
                              verify_separation, SeparatedFamily)
+from potlab.space import model_space
 
 RIESZ = RadialKernel("riesz", s=0.75, p=2.0)
 
@@ -139,3 +141,59 @@ def test_ahlfors_batch_is_subadditive(cantor6):
     for _, _, rep in rows:
         assert math.isnan(rep.bound)
         assert rep.passed and rep.ratio >= 1.0 - 1e-9
+
+
+def reference_family(space, kernel, p, count, seed):
+    """The ahlfors sampler that solves every candidate's matching radius and
+    only then rejects overlaps (reference), with each candidate's (x, level)
+    and whether its grid ball met an enlargement kept before it."""
+    lo_lvl = min(2, space.depth)
+    hi_lvl = max(space.depth - 2, lo_lvl)
+    rng = np.random.default_rng(seed)
+    fam = SeparatedFamily("ahlfors", [], [], [])
+    drawn = []
+    for _ in range(80 * count):
+        if len(fam) >= count:
+            break
+        x = int(rng.integers(space.n_leaves))
+        level = int(rng.integers(lo_lvl, hi_lvl + 1))
+        glo, ghi = space.grid_ball_range(x, level)
+        drawn.append(((x, level), any(glo < h and l < ghi for l, h in fam.enlarged_ranges)))
+        er = quasiadd_module.metric_matching_radius(space, kernel, p, x,
+                                                    space.grid_radius(level), closed=True)
+        if not er.exists:
+            continue
+        blo, bhi = space.ball_bounds(np.array([x]), er.star, closed=True)
+        lo, hi = min(int(blo[0]), glo), max(int(bhi[0]), ghi)
+        if any(lo < h and l < hi for l, h in fam.enlarged_ranges):
+            continue
+        fam.centers.append(x)
+        fam.levels.append(level)
+        fam.enlarged_ranges.append((lo, hi))
+    return fam, drawn
+
+
+def test_grid_ball_overlap_skips_the_matching_solve(monkeypatch):
+    # the enlargement holds the grid ball, so a candidate whose grid ball meets
+    # a kept enlargement is rejected unsolved, and the family is unchanged
+    solve = quasiadd_module.metric_matching_radius
+    solved = []
+
+    def counting(space, kernel, p, x, r, closed=False):
+        solved.append((x, r))
+        return solve(space, kernel, p, x, r, closed=closed)
+
+    met = 0
+    for seed in range(4):
+        ref, drawn = reference_family(model_space("unit-interval", 2, 8), RIESZ, 2.0, 4, seed)
+        space = model_space("unit-interval", 2, 8)
+        solved.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(quasiadd_module, "metric_matching_radius", counting)
+            fam = generate_separated_family(space, RIESZ, 2.0, 4, seed, mode="ahlfors")
+        assert (fam.centers, fam.levels, fam.enlarged_ranges) == (
+            ref.centers, ref.levels, ref.enlarged_ranges)
+        assert solved == [(x, space.grid_radius(level))
+                          for (x, level), meets in drawn if not meets]
+        met += sum(meets for _, meets in drawn)
+    assert met > 0
