@@ -22,6 +22,7 @@ import math
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,54 +31,16 @@ from .capacity import (MAX_ROUNDS, ball_capacity_profile, solve_capacity,
                        theoretical_profile_slope)
 from .convergence import (TANGENTIAL_KINDS, approximation_split, convergence_experiment,
                           thinness_decay)
-from .kernel import RadialKernel, kernel_operator
+from .kernel import KERNEL_KINDS, RadialKernel, kernel_operator
 from .poisson import (CALIBRATION_DEPTH, PROFILE_NAMES, exchange_band,
                       exchange_ratio, harnack_check, harnack_constant,
                       lipschitz_profile, poisson_extension)
 from .quasiadd import FAMILY_MODES, TARGET_SHAPES, family_batch
-from .space import ahlfors_constants, dump_space, model_space
+from .space import VALID_KINDS, ahlfors_constants, dump_space, model_space
 
 SUITE = ("space-info", "capacity", "ball-profile", "quasiadd", "poisson", "exchange",
          "converge")
 SUBCOMMANDS = SUITE + ("full-suite",)
-
-# every section and key of the README config grammar; any other is rejected
-_KEYS = {
-    "space": ("kind", "branching", "depth", "delta", "dimension", "mass_profile",
-              "weights"),
-    "kernel": ("kind", "s", "p", "levels"),
-    "capacity": ("targets", "max_iters"),
-    "ball-profile": ("center", "levels"),
-    "quasiadd": ("mode", "count", "seeds", "shapes"),
-    "poisson": ("n_heights", "profile", "eps_quantile", "n_random"),
-    "exchange": ("n_random",),
-    "converge": ("sample", "region", "profile", "tol_nontangential", "tol_tangential",
-                 "delta_target"),
-    "run": ("seed",),
-}
-
-# keys with a fixed set of values: (section, key) -> (allowed values, default)
-_CHOICES = {
-    ("quasiadd", "mode"): (FAMILY_MODES, "tree"),
-    ("poisson", "profile"): (PROFILE_NAMES, "bump"),
-    ("converge", "profile"): (PROFILE_NAMES, "bump"),
-    ("converge", "region"): (TANGENTIAL_KINDS, "polynomial"),
-}
-
-# numeric keys, checked when given (every default lies inside):
-# (section, key, type, lowest, highest)
-_BOUNDS = (("capacity", "max_iters", int, 1, math.inf),
-           ("quasiadd", "count", int, 1, math.inf),
-           ("quasiadd", "seeds", int, 1, math.inf),
-           # 2**-1075 underflows to 0, which is not a height
-           ("poisson", "n_heights", int, 0, 1074),
-           ("poisson", "eps_quantile", float, 0.0, 1.0),
-           ("poisson", "n_random", int, 0, math.inf),
-           ("exchange", "n_random", int, 0, math.inf),
-           ("converge", "sample", int, 1, math.inf),
-           ("converge", "tol_nontangential", float, 0.0, math.inf),
-           ("converge", "tol_tangential", float, 0.0, math.inf),
-           ("converge", "delta_target", float, 0.0, math.inf))
 
 
 class ConfigError(ValueError):
@@ -87,45 +50,141 @@ class ConfigError(ValueError):
 # -- config ---------------------------------------------------------------------
 
 
-def _get(cfg, section, key, cast, default=None, required=False):
-    if not cfg.has_option(section, key):
-        if required:
-            raise ConfigError(f"missing [{section}] {key}")
-        return default
-    raw = cfg.get(section, key).strip()
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
-
-
-def _choice(cfg, section, key):
-    allowed, default = _CHOICES[section, key]
-    value = _get(cfg, section, key, str, default=default)
-    if value not in allowed:
-        raise ConfigError(f"[{section}] {key} must be one of {', '.join(allowed)}, "
-                          f"got {value!r}")
-    return value
-
-
 def _float_list(raw: str):
     return [float(tok) for tok in raw.replace(";", ",").split(",") if tok.strip()]
 
 
 def _int_range(raw: str):
-    """Either "a..b" (inclusive) or a comma list."""
+    """Either "a..b" (inclusive, as a range, so its ends are checked before
+    any level is listed) or a comma list."""
     if ".." in raw:
         a, b = raw.split("..")
-        return list(range(int(a), int(b) + 1))
+        return range(int(a), int(b) + 1)
     return [int(tok) for tok in raw.split(",") if tok.strip()]
 
 
+_REQUIRED = object()
+
+
+class _Only(NamedTuple):
+    """The default of a key read only when another key of its section holds
+    ``value``: required then, rejected otherwise."""
+    key: str
+    value: str
+
+
+# every section and key of the README config grammar (any other is rejected),
+# in its order: (section, key) -> (parser, default, allowed).  The default is
+# a constant, _REQUIRED, an _Only, or a function of the built space; allowed
+# is None, a tuple of choices, or a closed (lowest, highest) range
+_SCHEMA = {
+    ("space", "kind"): (str, _REQUIRED, VALID_KINDS),
+    ("space", "branching"): (int, _REQUIRED, (2, math.inf)),
+    ("space", "depth"): (int, _REQUIRED, (1, math.inf)),
+    ("space", "delta"): (float, lambda sp: sp.delta, None),
+    ("space", "dimension"): (float, lambda sp: sp.dimension, None),
+    ("space", "mass_profile"): (str, "uniform", ("uniform", "custom")),
+    ("space", "weights"): (_float_list, _Only("mass_profile", "custom"), None),
+    ("kernel", "kind"): (str, "riesz", KERNEL_KINDS),
+    ("kernel", "s"): (float, 0.75, None),
+    ("kernel", "p"): (float, 2.0, None),
+    ("kernel", "levels"): (_float_list, _Only("kind", "radial"), None),
+    ("capacity", "targets"): (str, lambda sp: f"ball:0:{max(sp.depth - 2, 1)}", None),
+    ("capacity", "max_iters"): (int, MAX_ROUNDS, (1, math.inf)),
+    ("ball-profile", "center"): (int, 0, None),
+    ("ball-profile", "levels"): (_int_range, lambda sp: range(1, max(sp.depth - 1, 2)),
+                                 None),
+    ("quasiadd", "mode"): (str, "tree", FAMILY_MODES),
+    ("quasiadd", "count"): (int, 4, (1, math.inf)),
+    ("quasiadd", "seeds"): (int, 10, (1, math.inf)),
+    ("quasiadd", "shapes"): (lambda raw: tuple(tok.strip() for tok in raw.split(",")),
+                             TARGET_SHAPES, TARGET_SHAPES),
+    # 2**-1075 underflows to 0, which is not a height
+    ("poisson", "n_heights"): (int, lambda sp: sp.depth, (0, 1074)),
+    ("poisson", "profile"): (str, "bump", PROFILE_NAMES),
+    ("poisson", "eps_quantile"): (float, 0.7, (0.0, 1.0)),
+    ("poisson", "n_random"): (int, 5, (0, math.inf)),
+    ("exchange", "n_random"): (int, 5, (0, math.inf)),
+    ("converge", "sample"): (int, 16, (1, math.inf)),
+    ("converge", "region"): (str, "polynomial", TANGENTIAL_KINDS),
+    ("converge", "profile"): (str, "bump", PROFILE_NAMES),
+    ("converge", "tol_nontangential"): (float, 0.02, (0.0, math.inf)),
+    ("converge", "tol_tangential"): (float, 0.05, (0.0, math.inf)),
+    ("converge", "delta_target"): (float, 0.05, (0.0, math.inf)),
+    ("run", "seed"): (int, 0, (0, math.inf)),
+}
+
+
+def _value(cfg, values: dict, section: str, key: str):
+    """The checked value of one key as ``cfg`` gives it, or its default; a
+    function of the space is left as None for ``resolve`` to fill in."""
+    parse, default, allowed = _SCHEMA[section, key]
+    only = isinstance(default, _Only)
+    read = not only or values[section, default.key] == default.value
+    if not cfg.has_option(section, key):
+        if default is _REQUIRED or (only and read):
+            raise ConfigError(f"missing [{section}] {key}")
+        return None if only or callable(default) else default
+    if not read:
+        raise ConfigError(f"[{section}] {key} is read only under "
+                          f"{default.key} = {default.value}")
+    raw = cfg.get(section, key).strip()
+    try:
+        value = parse(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+    if allowed and isinstance(allowed[0], str):
+        names = value if isinstance(value, tuple) else (value,)
+        if not set(names) <= set(allowed):
+            raise ConfigError(f"[{section}] {key} must be one of {', '.join(allowed)}, "
+                              f"got {raw!r}")
+        if len(set(names)) < len(names):
+            raise ConfigError(f"[{section}] {key} names one value twice: {raw!r}")
+    elif allowed and not allowed[0] <= value <= allowed[1]:
+        raise ConfigError(f"[{section}] {key} must lie in [{allowed[0]}, {allowed[1]}], "
+                          f"got {value}")
+    return value
+
+
+def resolve(cfg):
+    """(space, kernel, values) of a run: the space and the kernel ``cfg``
+    describes, with the kernel's level table checked against the space (no
+    operator is built), and the checked value of every schema key, defaults
+    included, keyed (section, key).  The capacity targets and the
+    ball-profile grid balls are checked against the space too."""
+    values = {}
+    for section, key in _SCHEMA:
+        values[section, key] = _value(cfg, values, section, key)
+    try:
+        space = model_space(*(values["space", key] for key in (
+            "kind", "branching", "depth", "delta", "dimension", "weights")))
+        kernel = RadialKernel(*(values["kernel", key]
+                                for key in ("kind", "s", "p", "levels")))
+        kernel.level_table(space)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    for name, (_, default, _) in _SCHEMA.items():
+        if values[name] is None and callable(default):
+            values[name] = default(space)
+    parse_targets(values["capacity", "targets"], space)
+    center, levels = values["ball-profile", "center"], values["ball-profile", "levels"]
+    if not levels:
+        raise ConfigError("[ball-profile] levels names no level")
+    try:
+        for level in levels:
+            space.grid_ball_range(center, level)
+    except ValueError as exc:
+        raise ConfigError(f"[ball-profile] {exc}") from exc
+    return space, kernel, values
+
+
 def load_config(path, overrides=()) -> configparser.ConfigParser:
-    cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # no interpolation: a '%' is text, not a reference to another key
+    cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         read = cfg.read(path)
     except configparser.Error as exc:   # repeated key or section, no header, ...
-        raise ConfigError(" ".join(str(exc).split())) from exc
+        raise ConfigError(str(exc)) from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
     for item in overrides:
@@ -142,86 +201,36 @@ def load_config(path, overrides=()) -> configparser.ConfigParser:
 
 
 def validate_config(cfg) -> None:
-    """Reject a config that names a section or key outside the grammar (a
-    ``[DEFAULT]`` key counts as a key of every section), then build what it
-    describes: the space, the kernel and, for a radial kernel, its level
-    table (no dense operator), the capacity targets and the ball-profile
-    grid balls; then check every other key a run reads against the values
-    the run accepts."""
+    """Reject a config that names a section or key outside the schema (a
+    ``[DEFAULT]`` key counts as a key of every section), then resolve it."""
+    known = {}
+    for section, key in _SCHEMA:
+        known.setdefault(section, []).append(key)
     for section in cfg.sections():
-        if section not in _KEYS:
-            raise ConfigError(f"unknown section [{section}]; known: {', '.join(_KEYS)}")
-        unknown = [key for key in cfg.options(section) if key not in _KEYS[section]]
+        if section not in known:
+            raise ConfigError(f"unknown section [{section}]; known: {', '.join(known)}")
+        unknown = [key for key in cfg.options(section) if key not in known[section]]
         if unknown:
             raise ConfigError(f"unknown [{section}] key {unknown[0]!r}; known: "
-                              f"{', '.join(_KEYS[section])}")
-    if not cfg.has_section("space"):
-        raise ConfigError("missing [space] section")
-    try:
-        space = build_space(cfg)
-        build_kernel(cfg).level_table(space)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    _capacity_targets(cfg, space)
-    center, levels = _ball_profile_levels(cfg, space)
-    if not levels:
-        raise ConfigError("[ball-profile] levels names no level")
-    try:
-        for level in levels:
-            space.grid_ball_range(center, level)
-    except ValueError as exc:
-        raise ConfigError(f"[ball-profile] {exc}") from exc
-    for section, key in _CHOICES:
-        _choice(cfg, section, key)
-    if not set(_shapes(cfg)) <= set(TARGET_SHAPES):
-        raise ConfigError(f"[quasiadd] shapes must come from {', '.join(TARGET_SHAPES)}")
-    for section, key, cast, lowest, highest in _BOUNDS:
-        value = _get(cfg, section, key, cast)
-        if value is not None and not lowest <= value <= highest:
-            raise ConfigError(f"[{section}] {key} must lie in [{lowest}, {highest}], "
-                              f"got {value}")
+                              f"{', '.join(known[section])}")
+    resolve(cfg)
 
 
-def _check_subcommand(cfg, subcommand: str) -> None:
+def _check_subcommand(values: dict, subcommand: str) -> None:
     """Reject what only the named subcommand cannot run."""
     runs = SUITE if subcommand == "full-suite" else (subcommand,)
-    if ("exchange" in runs and _get(cfg, "kernel", "kind", str) == "radial"
-            and _get(cfg, "space", "depth", int) != CALIBRATION_DEPTH):
+    if ("exchange" in runs and values["kernel", "kind"] == "radial"
+            and values["space", "depth"] != CALIBRATION_DEPTH):
         raise ConfigError("exchange with a radial kernel needs [space] depth = "
                           f"{CALIBRATION_DEPTH}, the calibration depth")
-    if ("quasiadd" in runs and _choice(cfg, "quasiadd", "mode") == "tree"
-            and _get(cfg, "space", "kind", str) != "tree-boundary"):
+    if ("quasiadd" in runs and values["quasiadd", "mode"] == "tree"
+            and values["space", "kind"] != "tree-boundary"):
         raise ConfigError("[quasiadd] mode = tree needs a tree-boundary space; "
                           "use mode = ahlfors")
-    if ("converge" in runs and _get(cfg, "kernel", "kind", str) == "radial"
-            and _choice(cfg, "converge", "region") == "polynomial"):
+    if ("converge" in runs and values["kernel", "kind"] == "radial"
+            and values["converge", "region"] == "polynomial"):
         raise ConfigError("[converge] region = polynomial needs a riesz kernel's s; "
                           "use region = capacity")
-
-
-def build_space(cfg):
-    profile = _get(cfg, "space", "mass_profile", str, default="uniform")
-    if profile not in ("uniform", "custom"):
-        raise ConfigError(f"unknown mass_profile {profile!r}")
-    weights = None
-    if profile == "custom":
-        weights = _get(cfg, "space", "weights", _float_list, required=True)
-    return model_space(_get(cfg, "space", "kind", str, required=True),
-                       _get(cfg, "space", "branching", int, required=True),
-                       _get(cfg, "space", "depth", int, required=True),
-                       _get(cfg, "space", "delta", float),
-                       _get(cfg, "space", "dimension", float),
-                       weights)
-
-
-def build_kernel(cfg):
-    kind = _get(cfg, "kernel", "kind", str, default="riesz")
-    p = _get(cfg, "kernel", "p", float, default=2.0)
-    if kind == "radial":
-        return RadialKernel("radial", p=p,
-                            level_values=_get(cfg, "kernel", "levels", _float_list,
-                                              required=True))
-    return RadialKernel(kind, s=_get(cfg, "kernel", "s", float, default=0.75), p=p)
 
 
 def parse_targets(raw: str, space):
@@ -249,24 +258,6 @@ def parse_targets(raw: str, space):
     if not out:
         raise ConfigError("no capacity targets given")
     return out
-
-
-def _capacity_targets(cfg, space):
-    return parse_targets(_get(cfg, "capacity", "targets", str,
-                              default=f"ball:0:{max(space.depth - 2, 1)}"), space)
-
-
-def _ball_profile_levels(cfg, space):
-    """(center, levels) of the ball-profile run."""
-    center = _get(cfg, "ball-profile", "center", int, default=0)
-    levels = _get(cfg, "ball-profile", "levels", _int_range,
-                  default=list(range(1, max(space.depth - 1, 2))))
-    return center, levels
-
-
-def _shapes(cfg):
-    return [shape.strip() for shape in
-            _get(cfg, "quasiadd", "shapes", str, default=",".join(TARGET_SHAPES)).split(",")]
 
 
 # -- output helpers ---------------------------------------------------------------
@@ -309,11 +300,12 @@ class Emitter:
     def __init__(self, outdir: Path):
         self.outdir = outdir
         self.written: list[Path] = []
-        outdir.mkdir(parents=True, exist_ok=True)
 
     def path(self, name: str) -> Path:
         """The path of output ``name``, recorded before the caller writes
-        it, so cleanup also removes a partially written file."""
+        it, so cleanup also removes a partially written file; the first call
+        makes the directory, so a run rejected before it writes makes none."""
+        self.outdir.mkdir(parents=True, exist_ok=True)
         path = self.outdir / name
         self.written.append(path)
         return path
@@ -397,14 +389,16 @@ def write_line_chart(path: Path, series, x_label: str, y_label: str,
 
 
 class Runner:
-    def __init__(self, cfg, outdir: Path, seed: int, charts: bool = True):
+    """The runs of one resolved config; a ``seed`` of None takes its ``[run] seed``."""
+
+    def __init__(self, cfg, outdir: Path, seed: int | None, charts: bool = True):
         self.cfg = cfg
-        self.seed = seed
+        self.space, self.kernel, self.values = resolve(cfg)
+        self.seed = self.values["run", "seed"] if seed is None else seed
         self.charts = charts
         self.emit = Emitter(outdir)
-        self.space = build_space(cfg)
-        self.kernel = build_kernel(cfg)
         self.p = self.kernel.p
+        self.s = self.kernel.s if self.kernel.kind == "riesz" else math.nan
 
     # each runner returns a list of (name, value) summary pairs for stdout
 
@@ -421,41 +415,37 @@ class Runner:
                 ("ahlfors_lower", k1), ("ahlfors_upper", k2)]
 
     def run_capacity(self):
-        max_iters = _get(self.cfg, "capacity", "max_iters", int, default=MAX_ROUNDS)
-        s = self.kernel.s if self.kernel.kind == "riesz" else float("nan")
-        targets = _capacity_targets(self.cfg, self.space)
+        targets = parse_targets(self.values["capacity", "targets"], self.space)
         sols = [solve_capacity(self.space, self.kernel, target, p=self.p,
-                               max_iters=max_iters) for _, target in targets]
+                               max_iters=self.values["capacity", "max_iters"])
+                for _, target in targets]
         self.emit.csv("capacity.csv",
                       ("set_id", "p", "s", "value", "gap", "iterations", "converged"),
-                      [([set_id for set_id, _ in targets], self.p, s,
+                      [([set_id for set_id, _ in targets], self.p, self.s,
                         [sol.value for sol in sols], [sol.relative_gap for sol in sols],
                         [sol.iterations for sol in sols], [sol.converged for sol in sols])])
         return [("targets", len(sols)),
                 ("first_value", sols[0].value)]
 
     def run_ball_profile(self):
-        center, levels = _ball_profile_levels(self.cfg, self.space)
+        center, levels = (self.values["ball-profile", key] for key in ("center", "levels"))
         prof = ball_capacity_profile(self.space, self.kernel, self.p, center, levels)
         self.emit.csv("ball_profile.csv", ("center", "level", "radius", "capacity"),
                       [(center, prof.levels, prof.radii, prof.capacities)])
-        theory = (theoretical_profile_slope(self.space.dimension, self.p, self.kernel.s)
-                  if self.kernel.kind == "riesz" else float("nan"))
+        theory = theoretical_profile_slope(self.space.dimension, self.p, self.s)
+        slope = float("nan") if prof.slope is None else prof.slope   # one level fits none
         self.emit.csv("ball_profile_summary.csv",
                       ("center", "slope", "theory_slope", "product_min", "product_max"),
-                      [(center, prof.slope, theory, *prof.log_product_range)])
+                      [(center, slope, theory, *prof.log_product_range)])
         if self.charts:
             write_line_chart(self.emit.path("ball_profile.svg"),
                              [("capacity", prof.radii, prof.capacities)],
                              "log10 radius", "log10 capacity", log_x=True, log_y=True)
-        return [("slope", prof.slope), ("theory_slope", theory)]
+        return [("slope", slope), ("theory_slope", theory)]
 
     def run_quasiadd(self):
-        mode = _choice(self.cfg, "quasiadd", "mode")
-        count = _get(self.cfg, "quasiadd", "count", int, default=4)
-        n_seeds = _get(self.cfg, "quasiadd", "seeds", int, default=10)
-        shapes = _shapes(self.cfg)
-        s = self.kernel.s if self.kernel.kind == "riesz" else float("nan")
+        mode, count, n_seeds, shapes = (self.values["quasiadd", key]
+                                         for key in ("mode", "count", "seeds", "shapes"))
         header = ("experiment_id", "mode", "n_balls", "p", "s", "sum_capacity",
                   "union_capacity", "ratio", "ratio_bound", "passed")
         table = {key: [] for key in header}
@@ -463,7 +453,7 @@ class Runner:
                 self.space, self.kernel, self.p, range(self.seed, self.seed + n_seeds),
                 count, mode, shapes):
             for key, value in zip(table, (
-                    f"{mode}-{seed}-{shape}", mode, rep.n_balls, self.p, s,
+                    f"{mode}-{seed}-{shape}", mode, rep.n_balls, self.p, self.s,
                     rep.sum_capacity, rep.union_capacity, rep.ratio, rep.bound,
                     rep.passed)):
                 table[key].append(value)
@@ -476,15 +466,12 @@ class Runner:
 
     def _extension(self):
         """The run's extension, on the configured height grid."""
-        n_heights = _get(self.cfg, "poisson", "n_heights", int,
-                         default=self.space.depth)
-        return poisson_extension(self.space, n_heights)
+        return poisson_extension(self.space, self.values["poisson", "n_heights"])
 
     def run_poisson(self):
         ext = self._extension()
-        profile = _choice(self.cfg, "poisson", "profile")
-        n_random = _get(self.cfg, "poisson", "n_random", int, default=5)
-        quantile = _get(self.cfg, "poisson", "eps_quantile", float, default=0.7)
+        profile, quantile, n_random = (self.values["poisson", key]
+                                       for key in ("profile", "eps_quantile", "n_random"))
         f = lipschitz_profile(self.space, profile)
         # the profile and the random inputs in one block apply; one
         # (n_random, n) draw gives the same inputs as n_random draws of n
@@ -518,7 +505,7 @@ class Runner:
 
     def run_exchange(self):
         ext = self._extension()
-        n_random = _get(self.cfg, "exchange", "n_random", int, default=5)
+        n_random = self.values["exchange", "n_random"]
         band = exchange_band(self.space, self.kernel,
                              n_heights=ext.heights.size - 1)
         rng = np.random.default_rng(self.seed)
@@ -532,12 +519,10 @@ class Runner:
 
     def run_converge(self):
         ext = self._extension()
-        n_sample = _get(self.cfg, "converge", "sample", int, default=16)
-        region = _choice(self.cfg, "converge", "region")
-        tol_nt = _get(self.cfg, "converge", "tol_nontangential", float, default=0.02)
-        tol_tan = _get(self.cfg, "converge", "tol_tangential", float, default=0.05)
-        delta_target = _get(self.cfg, "converge", "delta_target", float, default=0.05)
-        profile = _choice(self.cfg, "converge", "profile")
+        n_sample, region, profile, tol_nt, tol_tan, delta_target = (
+            self.values["converge", key] for key in (
+                "sample", "region", "profile", "tol_nontangential", "tol_tangential",
+                "delta_target"))
         f = lipschitz_profile(self.space, profile)
         rng = np.random.default_rng(self.seed)
         sample = np.sort(rng.choice(self.space.n_leaves,
@@ -605,6 +590,8 @@ class Runner:
                 digest.update(f"{section}.{key}={self.cfg.get(section, key)}\n".encode())
         manifest = {
             "command": subcommand,
+            "config": {f"{section}.{key}": value
+                       for (section, key), value in self.values.items()},
             "config_sha256": digest.hexdigest(),
             "seed": self.seed,
             "versions": {"potlab": __version__, "python": sys.version.split()[0],
@@ -613,7 +600,9 @@ class Runner:
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
         self.emit.path("manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="ascii")
+            # a level range is written as its list
+            json.dumps(manifest, indent=2, sort_keys=True, default=list) + "\n",
+            encoding="ascii")
 
 
 def main(argv=None) -> int:
@@ -622,7 +611,7 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", required=True, help="INI experiment config")
     parser.add_argument("--out", default="potlab-out", help="output directory")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=int,
                         help="overrides [run] seed (default 0)")
     parser.add_argument("--tol-override", action="append", default=[],
                         metavar="SECTION.KEY=VAL", help="config override, repeatable")
@@ -630,14 +619,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.tol_override)
-        seed = args.seed if args.seed is not None else _get(cfg, "run", "seed", int, default=0)
-        if seed < 0:
+        if args.seed is not None and args.seed < 0:
             raise ConfigError("seed must be >= 0")
-        _check_subcommand(cfg, args.subcommand)
+        runner = Runner(cfg, Path(args.out), args.seed, charts=not args.no_charts)
+        _check_subcommand(runner.values, args.subcommand)
     except ConfigError as exc:
-        print(f'error kind=config message="{exc}"', file=sys.stderr)
+        # one line, whatever line breaks the config put in the message
+        print(f'error kind=config message="{" ".join(str(exc).split())}"', file=sys.stderr)
         return 2
-    runner = Runner(cfg, Path(args.out), seed, charts=not args.no_charts)
     try:
         summary = runner.run(args.subcommand)
     except Exception as exc:  # remove partial outputs, report one line

@@ -29,6 +29,8 @@ import numpy as np
 
 from .space import ModelSpace
 
+KERNEL_KINDS = ("riesz", "radial")
+
 
 @dataclass(frozen=True)
 class RadialKernel:
@@ -45,7 +47,7 @@ class RadialKernel:
     level_values: tuple | None = None   # radial kind: one value per level 0..N
 
     def __post_init__(self):
-        if self.kind not in ("riesz", "radial"):
+        if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if not self.p > 1.0 or not np.isfinite(self.p):
             raise ValueError("exponent p must be finite and > 1")

@@ -30,6 +30,7 @@ import math
 import numpy as np
 
 VALID_KINDS = ("tree-boundary", "unit-interval", "cantor-set")
+MAX_LEAVES = 2**24   # the largest space the tests build has 2**20 leaves
 
 
 class ModelSpace:
@@ -56,6 +57,11 @@ class ModelSpace:
             raise ValueError("unit-interval requires delta = 1/branching")
         if kind == "cantor-set" and delta * branching >= 1.0:
             raise ValueError("cantor-set requires delta < 1/branching (positive gaps)")
+        # checked before any array is sized; as b >= 2, a depth past the cap's
+        # bit length is over the cap, so the power below stays small
+        if depth > MAX_LEAVES.bit_length() or branching**depth > MAX_LEAVES:
+            raise ValueError(f"a space has at most {MAX_LEAVES} leaves, got "
+                             f"branching**depth = {branching}**{depth}")
         n = branching**depth
         weights = np.full(n, 1.0 / n) if weights is None else np.array(weights, dtype=float)
         if weights.shape != (n,):

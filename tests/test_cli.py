@@ -102,6 +102,11 @@ def test_full_suite_fast_and_passing(config, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 7
     assert manifest["command"] == "full-suite"
+    # the effective config: every schema key, defaults resolved against the space
+    config = manifest["config"]
+    assert set(config) == {f"{section}.{key}" for section, key in cli._SCHEMA}
+    assert config["poisson.n_heights"] == 6
+    assert config["quasiadd.seeds"] == 4
 
 
 def test_full_suite_csvs_parse_to_header_width(config, tmp_path):
@@ -196,6 +201,13 @@ def mutate(mutation: str) -> str:
     ("[converge] tol_nontangential = tight", "tol_nontangential"),
     ("[converge] tol_tangential = loose", "tol_tangential"),
     ("[converge] delta_target = small", "delta_target"),
+    # keys the config's own choices leave unread, and a shape named twice
+    ("[space] weights = 5,5", "mass_profile = custom"),
+    ("[kernel] levels = 1,2", "kind = radial"),
+    ("[quasiadd] shapes = ball,ball", "twice"),
+    # a level range is checked before it is listed, a space before it is built
+    ("[ball-profile] levels = 1..1000000000000", "level 7"),
+    ("depth = 40", "16777216 leaves"),
     # sections and keys outside the grammar, which used to be ignored
     ("[converge] sampel = 3", "'sampel'"),
     ("[quasiadd] shape = ball", "'shape'"),
@@ -237,6 +249,60 @@ def test_unparsable_config_rejected(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("error kind=config")
     assert err.count("\n") == 1
+
+
+def test_negative_config_seed_rejected(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(mutate("[run] seed = -1"))
+    with pytest.raises(cli.ConfigError, match=r"\[run\] seed"):
+        cli.load_config(bad)
+    # a --seed argument does not hide the bad key
+    assert main(["space-info", "--config", str(bad), "--out", str(tmp_path / "x"),
+                 "--seed", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error kind=config")
+
+
+def readme_grammar():
+    """(section, key) -> (value, comment) of README's config grammar block,
+    in its order; a comment-only line continues the comment above it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Config grammar", 1)[1].split("```ini\n", 1)[1]
+    entries, section = {}, None
+    for line in block.split("```", 1)[0].splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif line.lstrip().startswith(";"):
+            value, comment = entries[name]
+            entries[name] = value, f"{comment} {line.strip(' ;')}"
+        elif line:
+            key, _, rest = line.partition("=")
+            value, _, comment = rest.partition("  ;")
+            name = section, key.strip()
+            entries[name] = value.strip(), comment.strip()
+    return entries
+
+
+def test_readme_grammar_matches_schema():
+    grammar = readme_grammar()
+    assert list(grammar) == list(cli._SCHEMA)
+    for (section, key), (parse, default, allowed) in cli._SCHEMA.items():
+        value, comment = grammar[section, key]
+        if allowed and isinstance(allowed[0], str):
+            assert " | ".join(allowed) in comment, key
+        elif allowed:
+            lo, hi = allowed
+            text = (f">= {lo:g}" if hi == math.inf
+                    else f"[{lo:g}, {hi:g}]" if isinstance(lo, float) else f"{lo}..{hi}")
+            assert text in comment, key
+        if default is cli._REQUIRED:
+            assert comment.startswith("required"), key
+        elif isinstance(default, cli._Only):
+            assert comment.startswith("required, and read only when "
+                                      f"{default.key} = {default.value}"), key
+        elif callable(default):
+            assert comment.startswith("default: "), key
+        else:
+            assert parse(value) == default, key
 
 
 RADIAL_DEPTH8 = "depth = 8; [kernel] kind = radial; [kernel] levels = " + ",".join(["1"] * 9)
@@ -287,6 +353,15 @@ def test_tree_quasiadd_needs_tree_boundary(tmp_path, capsys, subcommand, code):
         assert "tree-boundary" in err
 
 
+def test_rejected_subcommand_makes_no_output_directory(tmp_path, capsys):
+    # the runner is set up before the subcommand is checked; it makes nothing
+    cfg = tmp_path / "interval.ini"
+    cfg.write_text(mutate("[space] kind = unit-interval"))
+    assert main(["quasiadd", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("error kind=config")
+    assert not (tmp_path / "x").exists()
+
+
 def test_quasiadd_without_experiments_does_not_pass(tmp_path, capsys):
     # a tiny kernel gives every ball a capacity above the total mass, so no
     # ball has an enlargement and every family comes out empty
@@ -327,6 +402,15 @@ def test_shallow_quasiadd_runs(tmp_path, kind, mode, depth):
     assert main(["quasiadd", "--config", str(cfg), "--out", str(out)]) == 0
     rows = read_csv(out / "quasiadd.csv")
     assert rows and all(r["passed"] == "true" for r in rows)
+
+
+def test_single_level_ball_profile_runs(config, tmp_path, capsys):
+    # one level fits no slope, which the summary writes as nan
+    out = tmp_path / "out"
+    assert main(["ball-profile", "--config", str(config), "--out", str(out),
+                 "--tol-override", "ball-profile.levels=3"]) == 0
+    assert "slope = nan" in capsys.readouterr().out
+    assert read_csv(out / "ball_profile_summary.csv")[0]["slope"] == "nan"
 
 
 def test_missing_config_rejected(tmp_path, capsys):
