@@ -18,7 +18,12 @@ g' = 1/2 wherever the potential is positive, so the weights of the Hessian
 rarely move: the first round's all-free Gram is kept, and a later round
 with the same weights takes its free block instead of forming its own.  It
 stops when the projected-gradient residual reaches rounding level;
-``iterations`` counts the rounds.  Each Newton system is one LU solve
+``iterations`` counts the rounds.  The first round takes the target's
+kernel rows for its Hessian.  On an embedded space every evaluation from
+then on reads u = K*lam and K*g on the target from those rows, two
+products in place of two dense applies, so only the evaluations before
+the first round apply the operator, and a target that starts at the
+optimum never gathers rows.  Each Newton system is one LU solve
 (``spd_solve``, LAPACK ``gesv`` through numpy); only an exactly singular
 Hessian falls back to a solve with a 1e-13 diagonal jitter.
 ``capacity_value`` memoizes the value of a leaf set on the space, the one
@@ -38,7 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import KernelOperator, RadialKernel, kernel_operator, lp_norm
+from .kernel import (DenseKernelOperator, KernelOperator, RadialKernel, kernel_operator,
+                     lp_norm)
 from .space import ModelSpace
 
 
@@ -73,7 +79,11 @@ class CapacitySolution:
 
 
 class _DualState:
-    """Caches the nonlinear quantities attached to a candidate measure."""
+    """Caches the nonlinear quantities attached to a candidate measure.
+
+    Once ``rows`` holds K on the target (m, n), an evaluation reads
+    u = rows^T lam and (K*g)|_E = rows (w g) from them; until then it makes
+    one operator apply for each.  ``kg`` is K*g on the target only."""
 
     def __init__(self, op: KernelOperator, weights, target, p):
         self.op = op
@@ -81,15 +91,18 @@ class _DualState:
         self.E = target
         self.p = p
         self.pp = p / (p - 1.0)
+        self.rows = None
 
     def evaluate(self, lam):
-        u = self.op.apply_measure(_scatter(lam, self.E, self.w.size))
+        rows = self.rows
+        u = self.op.apply_measure(_scatter(lam, self.E, self.w.size)) if rows is None \
+            else lam @ rows
         u = np.maximum(u, 0.0)
         g = (u / self.p) ** (self.pp - 1.0)
-        kg = self.op.apply_function(g)
+        kg = self.op.apply_function(g)[self.E] if rows is None else rows @ (self.w * g)
         moment = float(self.w @ (u / self.p) ** self.pp)   # = sum w g**p
         objective = float(lam.sum()) - (self.p - 1.0) * moment
-        grad = 1.0 - kg[self.E]
+        grad = 1.0 - kg
         return {"u": u, "g": g, "kg": kg, "moment": moment,
                 "objective": objective, "grad": grad}
 
@@ -97,7 +110,7 @@ class _DualState:
         u_norm = float(self.w @ state["u"] ** self.pp) ** (1.0 / self.pp)
         lam_sum = float(lam.sum())
         dual = (lam_sum / u_norm) ** self.p if u_norm > 0 else 0.0
-        floor = float(state["kg"][self.E].min())
+        floor = float(state["kg"].min())
         primal = state["moment"] / floor**self.p if floor > 0 else math.inf
         return dual, primal
 
@@ -165,6 +178,12 @@ def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
         iterations += 1
         if rows is None:
             rows = op.row(E)
+            # from here on every evaluation reads the rows: a dense apply
+            # gathers each block of the table, which costs more than the two
+            # products with the rows; a tree apply gathers nothing and costs
+            # less, so tree solves keep it
+            if isinstance(op, DenseKernelOperator):
+                ds.rows = rows
         # binding: at or near 0 with the gradient pushing outward
         free = (lam > scale * min(residual, 1e-3)) | (grad > 0.0)
         # Newton step on the free leaves: Hessian K_F diag(w g') K_F^T = A A^T,
@@ -199,7 +218,7 @@ def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
 
     dual, primal = ds.certificates(lam, state)
     gap = max((primal - dual) / primal, 0.0) if primal > 0 else 0.0
-    floor = float(state["kg"][E].min())
+    floor = float(state["kg"].min())
     density = state["g"] / floor
     u_norm = float(w @ state["u"] ** ds.pp) ** (1.0 / ds.pp)
     measure = _scatter(lam / u_norm, E, n)

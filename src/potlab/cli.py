@@ -590,7 +590,7 @@ class Runner:
                 digest.update(f"{section}.{key}={self.cfg.get(section, key)}\n".encode())
         manifest = {
             "command": subcommand,
-            "config": {f"{section}.{key}": value
+            "config": {f"{section}.{key}": _json_value(value)
                        for (section, key), value in self.values.items()},
             "config_sha256": digest.hexdigest(),
             "seed": self.seed,
@@ -600,9 +600,27 @@ class Runner:
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
         self.emit.path("manifest.json").write_text(
-            # a level range is written as its list
-            json.dumps(manifest, indent=2, sort_keys=True, default=list) + "\n",
+            json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n",
             encoding="ascii")
+
+
+def _json_value(value):
+    """A config value in strict JSON: a level range or a tuple as its list, a
+    non-finite float as the string "inf", "-inf" or "nan" (null is a key the
+    run did not read)."""
+    if isinstance(value, (tuple, list, range)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else "inf" if value > 0 else "-inf"
+    return value
+
+
+def _error_line(kind: str, exc: Exception) -> str:
+    """``error kind=KIND message="..."`` on one line: the message's whitespace
+    joined, and its backslashes and quotes escaped, so the field ends at the
+    last quote."""
+    message = " ".join(str(exc).split()).replace("\\", "\\\\").replace('"', '\\"')
+    return f'error kind={kind} message="{message}"'
 
 
 def main(argv=None) -> int:
@@ -624,14 +642,13 @@ def main(argv=None) -> int:
         runner = Runner(cfg, Path(args.out), args.seed, charts=not args.no_charts)
         _check_subcommand(runner.values, args.subcommand)
     except ConfigError as exc:
-        # one line, whatever line breaks the config put in the message
-        print(f'error kind=config message="{" ".join(str(exc).split())}"', file=sys.stderr)
+        print(_error_line("config", exc), file=sys.stderr)
         return 2
     try:
         summary = runner.run(args.subcommand)
     except Exception as exc:  # remove partial outputs, report one line
         runner.emit.cleanup()
-        print(f'error kind=runtime message="{exc}"', file=sys.stderr)
+        print(_error_line("runtime", exc), file=sys.stderr)
         return 1
     for name, value in summary:
         print(f"{name} = {_fmt(value)}")

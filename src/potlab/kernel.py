@@ -15,9 +15,11 @@ discretization artifact of a measure with no point masses, so it is
 excluded from every integral.  General radial kernels instead declare
 their own diagonal value (the level-N entry of the table).
 
-Both operators are exact and hold dense blocks of b**k leaves: the tree
-operator one block within a subtree plus subtree sums above it, the
-embedded one a block per top digit difference, summed from the digits.
+Both operators are exact and apply through dense blocks of b**k leaves: the
+tree operator holds one block within a subtree and sums subtree masses
+above it; the embedded one holds each kernel value once, one per digit
+difference vector, and gathers the block of each top digit difference from
+them when it applies.
 """
 
 from __future__ import annotations
@@ -123,19 +125,28 @@ class KernelOperator:
     for an (m, n) block of rows.
     """
 
+    _mass = None
+
+    def __init__(self, kernel: RadialKernel, space: ModelSpace):
+        # what an apply reads of the space, not the space itself, so that the
+        # space's operator memo makes no reference cycle
+        self.kernel = kernel
+        self.weights, self.n_leaves = space.weights, space.n_leaves
+        self.branching = space.branching
+
     def mass(self) -> np.ndarray:
         """K*1, the kernel's mass integral at every leaf: computed once per
-        (space, kernel) and read-only, since every caller shares it."""
-        def compute():
-            out = self.apply_function(np.ones(self.space.n_leaves))
-            out.setflags(write=False)
-            return out
-        return self.space._cached(("mass", self.kernel), compute)
+        operator, hence once per (space, kernel) through ``kernel_operator``,
+        and read-only, since every caller shares it."""
+        if self._mass is None:
+            self._mass = self.apply_function(np.ones(self.n_leaves))
+            self._mass.setflags(write=False)
+        return self._mass
 
     def apply_function(self, f: np.ndarray) -> np.ndarray:
         """K*f = potential of the measure f dmu (per column of a block)."""
         f = np.asarray(f, dtype=float)
-        w = self.space.weights
+        w = self.weights
         return self._apply(f * (w[:, None] if f.ndim == 2 else w))
 
     def apply_measure(self, masses: np.ndarray) -> np.ndarray:
@@ -154,7 +165,6 @@ class KernelOperator:
 # smaller blocks at b = 3 and 4 slow the one-column applies
 _LEAF_FLOOR = 128
 _LEAF_BLOCK = 512
-_GATHER = 1 << 12   # index entries per gather while the dense table is filled
 
 
 def _bottom_digits(b: int, depth: int) -> int:
@@ -173,8 +183,7 @@ class TreeKernelOperator(KernelOperator):
     telescoped sums of the b**T subtree masses, O(b**T) per top level."""
 
     def __init__(self, kernel: RadialKernel, space: ModelSpace):
-        self.kernel = kernel
-        self.space = space
+        super().__init__(kernel, space)
         self.table = kernel.level_table(space)
         self._top = space.depth - _bottom_digits(space.branching, space.depth)
         # the first subtree's leaves share its top T digits, so their lca is T
@@ -194,7 +203,7 @@ class TreeKernelOperator(KernelOperator):
         far = -self.table[top - 1] * sums if top else np.zeros_like(sums)
         for level in range(top):
             coef = self.table[level] - (self.table[level - 1] if level else 0.0)
-            span = self.space.branching ** (top - level)
+            span = self.branching ** (top - level)
             far += coef * sums.reshape(-1, span, cols).sum(axis=1).repeat(span, axis=0)
         out += far[:, :, None]
         return out.transpose(0, 2, 1).reshape(masses.shape)
@@ -205,46 +214,47 @@ class TreeKernelOperator(KernelOperator):
         flat = np.asarray(leaves).reshape(-1)
         rows, size = np.arange(flat.size), self.block.shape[0]
         subtree, leaf = np.divmod(flat, size)
-        far = np.full((flat.size, self.space.n_leaves // size), self.table[0])
+        far = np.full((flat.size, self.n_leaves // size), self.table[0])
         for level in range(1, self._top):
-            span = self.space.branching ** (self._top - level)
+            span = self.branching ** (self._top - level)
             far.reshape(flat.size, far.shape[1] // span, span)[rows, subtree // span] = \
                 self.table[level]
         out = far.repeat(size, axis=1)
         out.reshape(far.shape + (size,))[rows, subtree] = self.block[leaf]
-        return out.reshape(np.shape(leaves) + (self.space.n_leaves,))
+        return out.reshape(np.shape(leaves) + (self.n_leaves,))
 
 
 class DenseKernelOperator(KernelOperator):
-    """K on an embedded space, held as the dense blocks of its digit-difference
-    table.
+    """K on an embedded space, held as one value per digit-difference vector.
 
     The embedding coordinate is linear in the base-b digits of a leaf, so
     K(x, y) depends only on the vector of digit differences of x and y.  The
     bottom k digits index the rows and columns of a block of b**k leaves, k
     from ``_bottom_digits``; the top T = N - k digit differences pick the
     block.
-    ``matrix[e]`` is K between any two depth-T subtrees whose top digits
-    differ by the e-th vector of ``range(1 - b, b) ** T`` (C order).  K is
-    symmetric, so the block of a difference is the transposed block of its
-    negative: the table keeps the ``((2b - 1)**T + 1) / 2`` differences up
-    to and including zero, and holds that many times ``b**(2k)`` entries;
-    with T = 0 it is the n x n matrix.  The last block,
-    ``zero = matrix.shape[0] - 1``, is the zero difference, and a difference
-    e past it is ``matrix[2 * zero - e].T``.  The build, a kept block at a
-    time, never holds the distances of all (2b - 1)**N difference vectors.
-    An apply makes one matrix product per top difference.
+    ``matrix[e]`` holds the ``(2b - 1)**k`` values of K between two depth-T
+    subtrees whose top digits differ by the e-th vector of
+    ``range(1 - b, b) ** T`` (C order), one per bottom difference vector, so
+    each kernel value is held once.  Entry (i, j) of that block is
+    ``matrix[e, index[i, j]]`` with the shared ``index[i, j] = code(i) -
+    code(j) + middle`` (``_digit_codes``; middle is the zero bottom
+    difference).  K is symmetric, so the block of a difference is the
+    transposed block of its negative: the table keeps the
+    ``((2b - 1)**T + 1) / 2`` top differences up to and including zero.  The
+    last, ``zero = matrix.shape[0] - 1``, is the zero difference, and a
+    difference e past it is the transposed block of ``2 * zero - e``.  The
+    build never holds the distances of all (2b - 1)**N difference vectors.
+    An apply gathers each block into one scratch block and makes one matrix
+    product per top difference; a row block gathers the block rows it reads.
     """
 
     def __init__(self, kernel: RadialKernel, space: ModelSpace):
         if kernel.kind != "riesz":
             raise ValueError("embedded metrics support only the riesz kernel")
-        self.kernel = kernel
-        self.space = space
+        super().__init__(kernel, space)
         b, depth, delta = space.branching, space.depth, space.delta
         bottom = _bottom_digits(b, depth)
         self._top = top = depth - bottom
-        block = b**bottom
         # the distance of a digit-difference vector is the sum of its per-level
         # terms from the finest level up, never the difference of two nearly
         # equal coordinates: the sums over the bottom levels once, then each
@@ -256,33 +266,29 @@ class DenseKernelOperator(KernelOperator):
         for level in range(depth - 1, top - 1, -1):
             fine = np.add.outer(terms[level], fine).reshape(-1)
         middle = fine.size // 2
-        # block e holds K over the bottom differences at the e-th top difference,
+        # row e holds K over the bottom differences at the e-th top difference,
         # for the top differences up to zero; the last is the zero vector, whose
-        # middle is a leaf and itself.  Entry (i, j) sits at code(i) - code(j)
-        # past the middle; the index is shared by every block, in int32 to keep
-        # it small beside the table, and a gather takes a few block rows
+        # middle is a leaf and itself
         kept = (2 * b - 1) ** top // 2 + 1
-        codes = _digit_codes(b, bottom).astype(np.int32)
-        index = (codes[:, None] + middle) - codes
-        matrix = np.empty((kept, block, block))
-        rows = max(1, _GATHER // block)
+        matrix = np.empty((kept, fine.size))
         diffs = itertools.product(range(2 * b - 1), repeat=top)
         for e, diff in enumerate(itertools.islice(diffs, kept)):
             values = fine
             for level in range(top - 1, -1, -1):
                 values = terms[level][diff[level]] + values
-            values = np.abs(values)
+            values = np.abs(values, out=matrix[e])
             centre = e == kept - 1
             if centre:
                 values[middle] = 1.0
             np.power(values, -space.dimension * kernel.s, out=values)
             if centre:
                 values[middle] = 0.0
-            for lo in range(0, block, rows):
-                np.take(values, index[lo:lo + rows], out=matrix[e, lo:lo + rows], mode="clip")
-        # read-only because every caller shares its rows
+        # read-only, like the index, because every caller shares them
         matrix.setflags(write=False)
         self.matrix = matrix
+        codes = _digit_codes(b, bottom)
+        self._index = (codes[:, None] + middle) - codes
+        self._index.setflags(write=False)
         # per top difference, the top digits of the output and input subtree
         # pairs it links, as slices of the (block, b, ..., b) leaf layout
         self._pairs = [
@@ -291,43 +297,60 @@ class DenseKernelOperator(KernelOperator):
             for diff in itertools.product(range(1 - b, b), repeat=self._top)]
 
     def _apply(self, masses):
-        top, block = self._top, self.matrix.shape[1]
+        top, block = self._top, self._index.shape[0]
         zero = self.matrix.shape[0] - 1
         shape = masses.shape
         # leaves as (bottom digits, top digits..., columns): the matrix product
         # of a block takes every subtree pair of its top difference at once
-        x = masses.reshape((self.space.branching,) * top + (block,) + shape[1:])
+        x = masses.reshape((self.branching,) * top + (block,) + shape[1:])
         x = x.transpose(top, *range(top), *range(top + 1, x.ndim))
         out = np.zeros(x.shape)
+        kmat = np.empty((block, block))
         for e, (dst, src) in enumerate(self._pairs):
-            # a transposed view: BLAS reads it through its transpose flag
-            kmat = self.matrix[e] if e <= zero else self.matrix[2 * zero - e].T
+            # past zero, the mirror's block as a transposed view: BLAS reads it
+            # through its transpose flag
+            np.take(self.matrix[min(e, 2 * zero - e)], self._index, out=kmat, mode="clip")
             part = out[dst]
             rhs = x[src]
             if rhs.ndim > 2:
                 rhs = rhs.reshape(block, part.size // block)
-            part += (kmat @ rhs).reshape(part.shape)
+            part += ((kmat if e <= zero else kmat.T) @ rhs).reshape(part.shape)
         return out.transpose(*range(1, top + 1), 0, *range(top + 1, x.ndim)).reshape(shape)
 
     def row(self, leaves):
-        # x's row segment against each depth-T subtree is a row of the block
-        # of their top-digit difference e, or past zero a column of the block
-        # of -e; with T = 0 there is one block and one gather of rows
+        # x's row segment against each depth-T subtree is row x of the block of
+        # their top difference; past zero, column x of the mirror's block, that
+        # is row x of the block gathered from the mirror's values read backwards.
+        # Each (kept difference, direction) a call reads gets the span of block
+        # rows its leaves need gathered once; then the segments are copied
         leaves = np.asarray(leaves)
-        codes = _digit_codes(self.space.branching, self._top)
+        block = self._index.shape[0]
         zero = self.matrix.shape[0] - 1
-        subtree, leaf = np.divmod(leaves, self.matrix.shape[1])
-        e = codes[subtree][..., None] - codes + zero
-        leaf = np.broadcast_to(leaf[..., None], e.shape)
-        flip = e > zero
-        if flip.any():
-            out = np.empty(e.shape + self.matrix.shape[2:])
-            out[~flip] = self.matrix[e[~flip], leaf[~flip]]
-            out[flip] = self.matrix[2 * zero - e[flip], :, leaf[flip]]
-        else:
-            out = self.matrix[e, leaf]
+        subtree, leaf = np.divmod(leaves.reshape(-1), block)
+        subtrees, which = np.unique(subtree, return_inverse=True)
+        codes = _digit_codes(self.branching, self._top)
+        e = codes[subtrees][:, None] - codes + zero
+        reads, slot = np.unique(np.where(e > zero, 2 * (2 * zero - e) + 1, 2 * e),
+                                return_inverse=True)
+        slot = slot.reshape(e.shape)
+        # the span of block rows per distinct subtree, then per read
+        first = np.full(subtrees.size, block)
+        last = np.zeros(subtrees.size, dtype=np.int64)
+        np.minimum.at(first, which, leaf)
+        np.maximum.at(last, which, leaf + 1)
+        lo = np.full(reads.size, block)
+        hi = np.zeros(reads.size, dtype=np.int64)
+        np.minimum.at(lo, slot, np.broadcast_to(first[:, None], slot.shape))
+        np.maximum.at(hi, slot, np.broadcast_to(last[:, None], slot.shape))
+        start = np.concatenate(([0], np.cumsum(hi - lo)))
+        spans = np.empty((start[-1], block))
+        for r, read in enumerate(reads):
+            values = self.matrix[read // 2]
+            np.take(values[::-1] if read % 2 else values, self._index[lo[r]:hi[r]],
+                    out=spans[start[r]:start[r + 1]], mode="clip")
+        out = spans[(start[:-1] - lo)[slot][which] + leaf[:, None]]
         out.setflags(write=False)
-        return out.reshape(leaves.shape + (self.space.n_leaves,))
+        return out.reshape(leaves.shape + (self.n_leaves,))
 
 
 def _digit_codes(b: int, digits: int) -> np.ndarray:

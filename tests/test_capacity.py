@@ -226,6 +226,27 @@ def test_p2_solve_forms_one_gram(kind, monkeypatch):
     assert sol.relative_gap <= capacity.GAP_ACCEPT
 
 
+@pytest.mark.parametrize("kind", ["unit-interval", "cantor-set"])
+def test_solve_evaluates_through_its_rows(kind, monkeypatch):
+    # from the first Newton round on, u = K*lam and K*g on the target come from
+    # the target's rows, so no operator apply runs once the rows are built
+    space = model_space(kind, 2, 7)
+    target = np.arange(space.n_leaves)
+    cls = type(kernel_operator(RIESZ, space))
+    calls = []
+    apply, row = cls._apply, cls.row
+    monkeypatch.setattr(cls, "_apply", lambda op, m: calls.append("apply") or apply(op, m))
+    monkeypatch.setattr(cls, "row", lambda op, leaves: calls.append("row") or row(op, leaves))
+    for p in (2.0, 3.0):
+        calls.clear()
+        sol = solve_capacity(space, RadialKernel("riesz", s=0.75, p=p), target, p=p)
+        assert sol.iterations > 1 and sol.relative_gap <= 1e-13
+        assert calls.count("row") == 1 and "apply" in calls
+        assert "apply" not in calls[calls.index("row"):]
+    sol = solve_capacity(space, RIESZ, target, p=2.0)
+    assert sol.value == pytest.approx(capacity_p2_exact(space, RIESZ, target), rel=1e-8)
+
+
 def test_nonconvergence_flag():
     # one Newton round leaves a spread-out target far from optimal (gap 0.196)
     space = model_space("unit-interval", 2, 7)

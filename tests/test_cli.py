@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -491,6 +492,51 @@ def test_runtime_failure_cleans_outputs(config, tmp_path, capsys, monkeypatch):
     assert code == 1
     assert capsys.readouterr().err.startswith("error kind=runtime")
     assert not list(out.glob("*.csv"))
+
+
+def test_manifest_is_strict_json(config, tmp_path):
+    # inf lies inside tol_tangential's range; JSON has no Infinity
+    out = tmp_path / "out"
+    assert main(["space-info", "--config", str(config), "--out", str(out),
+                 "--tol-override", "converge.tol_tangential=inf"]) == 0
+
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=reject)
+    assert manifest["config"]["converge.tol_tangential"] == "inf"
+    assert manifest["config"]["ball-profile.levels"] == [1, 2, 3, 4, 5]
+
+
+def error_message(err):
+    """The message field of one ``error kind=...`` line, unescaped."""
+    line, = err.splitlines()
+    head, field = line.split(" message=", 1)
+    assert field[0] == field[-1] == '"' and '"' not in field[1:-1].replace('\\"', "")
+    return re.sub(r"\\(.)", r"\1", field[1:-1])
+
+
+def test_error_message_field_is_escaped(config, tmp_path, capsys, monkeypatch):
+    # a quote or a backslash in the message stays inside the quoted field
+    override = 'space.depth="\\'
+    with pytest.raises(cli.ConfigError) as info:
+        cli.Runner(cli.load_config(config, [override]), tmp_path / "y", None, charts=False)
+    assert '"' in str(info.value) and "\\" in str(info.value)
+    assert main(["space-info", "--config", str(config), "--out", str(tmp_path / "x"),
+                 "--tol-override", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error kind=config ")
+    assert error_message(err) == str(info.value)
+    text = 'cannot write "out\\put"\nsecond line'
+
+    def fail(*args):
+        raise OSError(text)
+
+    monkeypatch.setattr(cli, "dump_space", fail)
+    assert main(["space-info", "--config", str(config), "--out", str(tmp_path / "z")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error kind=runtime ")
+    assert error_message(err) == " ".join(text.split())
 
 
 def test_partial_space_dump_cleaned(config, tmp_path, capsys, monkeypatch):
