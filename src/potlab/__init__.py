@@ -11,7 +11,7 @@ from .space import ModelSpace, model_space, ahlfors_constants, dump_space, load_
 from .kernel import RadialKernel, convolve_naive, lp_norm, kernel_operator
 from .capacity import (CapacitySolution, solve_capacity, capacity_value, capacity_p2_exact,
                        singleton_capacity, uniform_ball_capacity,
-                       tree_matching_radius, metric_matching_radius,
+                       metric_matching_radius,
                        ball_capacity_profile, theoretical_profile_slope,
                        EnlargementRadius)
 from .quasiadd import (SeparatedFamily, ExperimentReport, tree_quasi_additivity_bound,
@@ -20,7 +20,7 @@ from .quasiadd import (SeparatedFamily, ExperimentReport, tree_quasi_additivity_
 from .poisson import (PoissonExtension, dyadic_heights, poisson_extension,
                       harnack_constant, harnack_check,
                       exchange_ratio, exchange_band, lipschitz_profile)
-from .convergence import (ApproachRegion, region_radius, thinness_decay,
+from .convergence import (region_radius, thinness_decay,
                           approximation_split, convergence_experiment,
                           ThinSetReport, SplitResult, ConvergenceTable)
 

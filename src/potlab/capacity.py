@@ -27,7 +27,8 @@ optimum never gathers rows.  Each Newton system is one LU solve
 (``spd_solve``, LAPACK ``gesv`` through numpy); only an exactly singular
 Hessian falls back to a solve with a 1e-13 diagonal jitter.
 ``capacity_value`` memoizes the value of a leaf set on the space, the one
-solve memo for callers that read only the value.
+capacity memo for callers that read only the value; a large subtree of a
+uniform tree takes the exact symmetric reduction there, not the solver.
 
 Certificates are unconditional: any measure rescaled to the constraint
 boundary gives a lower bound, the recovered density rescaled to
@@ -107,12 +108,14 @@ class _DualState:
                 "objective": objective, "grad": grad}
 
     def certificates(self, lam, state):
+        """(dual, primal, u_norm, floor): the two bounds, and the conjugate
+        norm of u and the least K*g on the target that they rescale by."""
         u_norm = float(self.w @ state["u"] ** self.pp) ** (1.0 / self.pp)
         lam_sum = float(lam.sum())
         dual = (lam_sum / u_norm) ** self.p if u_norm > 0 else 0.0
         floor = float(state["kg"].min())
         primal = state["moment"] / floor**self.p if floor > 0 else math.inf
-        return dual, primal
+        return dual, primal, u_norm, floor
 
 
 def _gram(rows, free, weights):
@@ -216,11 +219,9 @@ def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
             break
         lam, state = cand, cand_state
 
-    dual, primal = ds.certificates(lam, state)
+    dual, primal, u_norm, floor = ds.certificates(lam, state)
     gap = max((primal - dual) / primal, 0.0) if primal > 0 else 0.0
-    floor = float(state["kg"].min())
     density = state["g"] / floor
-    u_norm = float(w @ state["u"] ** ds.pp) ** (1.0 / ds.pp)
     measure = _scatter(lam / u_norm, E, n)
     return CapacitySolution(
         value=primal, density=density, measure=measure, dual_value=dual, relative_gap=gap,
@@ -304,7 +305,6 @@ class EnlargementRadius:
     matching: float      # inf when the capacity exceeds the total mass
     star: float          # max(r, matching); diameter in the sentinel case
     exists: bool
-    matching_level: int | None = None   # tree mode: matching = delta**(level - 1/2)
 
 
 def uniform_ball_capacity(space: ModelSpace, kernel: RadialKernel, p: float,
@@ -338,49 +338,25 @@ _SYMMETRIC_CUTOVER = 2048   # the solver handles targets below this size comfort
 
 def capacity_value(space: ModelSpace, kernel: RadialKernel, target,
                    p: float) -> float:
-    """Solver capacity of a leaf set, memoized on the space under its
-    sorted unique leaves, so a permuted or repeated target is one entry."""
+    """Capacity of a leaf set, memoized on the space under its sorted unique
+    leaves, so a permuted or repeated target is one entry.
+
+    A whole subtree of at least ``_SYMMETRIC_CUTOVER`` leaves on a uniform
+    tree takes the exact ``uniform_ball_capacity`` reduction, every other
+    set the solver.  The two agree to solver accuracy wherever both apply
+    (asserted in the test suite), not to the last bit.
+    """
     E = np.unique(np.asarray(target, dtype=np.int64))
-    return space._cached(("set", kernel, p, E.tobytes()), lambda: solve_capacity(
-        space, kernel, E, p=p).value)
 
+    def value():
+        if E.size >= _SYMMETRIC_CUTOVER and _uniform_tree(space):
+            lo, hi = int(E[0]), int(E[-1]) + 1
+            levels = [n for n in range(space.depth + 1) if space.subtree_range(lo, n) == (lo, hi)]
+            if levels and hi - lo == E.size:
+                return uniform_ball_capacity(space, kernel, p, lo, levels[0])
+        return solve_capacity(space, kernel, E, p=p).value
 
-def grid_ball_capacity(space: ModelSpace, kernel: RadialKernel, p: float,
-                       x: int, level: int, method: str = "auto") -> float:
-    """Capacity of the closed grid ball of radius delta**level around x.
-
-    ``method`` picks the computation: "solver" runs the general program,
-    "symmetric" the exact reduction for uniform trees, "auto" switches to
-    the reduction, where it applies, once the target reaches the cutover
-    size.  The two paths agree to solver accuracy wherever both apply
-    (asserted in the test suite), but not to the last bit, so each is
-    memoized under its own key.
-    """
-    lo, hi = space.grid_ball_range(x, level)
-    if method == "symmetric" or (method == "auto" and hi - lo >= _SYMMETRIC_CUTOVER
-                                 and _uniform_tree(space)):
-        return space._cached(("symmetric", kernel, p, lo, hi),
-                             lambda: uniform_ball_capacity(space, kernel, p, x, level))
-    return capacity_value(space, kernel, np.arange(lo, hi), p)
-
-
-def tree_matching_radius(space: ModelSpace, kernel: RadialKernel, p: float,
-                         x: int, level: int) -> EnlargementRadius:
-    """Half-step grid radius whose subtree mass meets the ball capacity.
-
-    The scan runs from the finest subtree outward and returns the first
-    level whose mass qualifies, which realizes the infimum over the
-    half-step radius grid.
-    """
-    r = space.grid_radius(level)
-    cap = grid_ball_capacity(space, kernel, p, x, level)
-    if cap > space.total_mass:
-        return EnlargementRadius(math.inf, space.diameter, False)
-    for m in range(space.depth, -1, -1):
-        if space.range_mass(*space.subtree_range(x, m)) >= cap:
-            match = space.delta ** (m - 0.5)
-            return EnlargementRadius(match, max(r, match), True, m)
-    return EnlargementRadius(math.inf, space.diameter, False)
+    return space._cached(("set", kernel, p, E.tobytes()), value)
 
 
 def metric_matching_radius(space: ModelSpace, kernel: RadialKernel, p: float,
@@ -389,13 +365,22 @@ def metric_matching_radius(space: ModelSpace, kernel: RadialKernel, p: float,
 
     The mass of B(x, R) is a step function jumping at realized distances,
     so the infimum is the smallest realized distance whose closed ball
-    carries enough mass.  ``closed`` switches the capacity ball to the
-    closed convention used on the radius grid.
+    carries enough mass.  On the ultrametric those closed balls are the
+    subtrees around x: the finest level m whose subtree carries the mass
+    gives R = delta**m, or 0 at m = depth, the leaf alone.  Elsewhere the
+    distances from x are sorted.  ``closed`` switches the capacity ball to
+    the closed convention used on the radius grid.
     """
     lo, hi = space.ball_bounds(np.array([x]), r, closed=closed)
     cap = capacity_value(space, kernel, np.arange(lo[0], hi[0]), p)
     if cap > space.total_mass:
         return EnlargementRadius(math.inf, space.diameter, False)
+    if space.kind == "tree-boundary":
+        # the level-0 subtree is the whole space, so some level qualifies
+        m = next(m for m in range(space.depth, -1, -1)
+                 if space.range_mass(*space.subtree_range(x, m)) >= cap)
+        match = space.grid_radius(m) if m < space.depth else 0.0
+        return EnlargementRadius(match, max(r, match), True)
     dists = space.distances_from(x)
     order = np.argsort(dists, kind="stable")
     sorted_d = dists[order]
@@ -429,11 +414,12 @@ def theoretical_profile_slope(dimension: float, p: float, s: float) -> float:
 
 
 def ball_capacity_profile(space: ModelSpace, kernel: RadialKernel, p: float,
-                          x: int, levels, method: str = "auto") -> BallCapacityProfile:
+                          x: int, levels) -> BallCapacityProfile:
+    """Capacities of the closed grid balls of radius delta**level around x."""
     levels = np.asarray(sorted(levels), dtype=int)
     radii = np.array([space.grid_radius(int(n)) for n in levels])
-    caps = np.array([grid_ball_capacity(space, kernel, p, x, int(n), method=method)
-                     for n in levels])
+    caps = np.array([capacity_value(space, kernel, np.arange(*space.grid_ball_range(x, int(n))),
+                                    p) for n in levels])
     slope = None
     if levels.size >= 2 and np.all(caps > 0):
         slope = float(np.polyfit(np.log(radii), np.log(caps), 1)[0])

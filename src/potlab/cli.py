@@ -492,7 +492,7 @@ class Runner:
         for pot in pots[:, 1:].T:
             pot_field = ext.field(pot)
             eps = float(np.quantile(pot_field, quantile))
-            lowest, ok = harnack_check(ext, pot_field, eps, c_h)
+            lowest, ok = harnack_check(self.space, ext, pot_field, eps, c_h)
             if not ok:
                 raise RuntimeError("harnack check failed")
             if math.isfinite(lowest):
@@ -509,7 +509,7 @@ class Runner:
         band = exchange_band(self.space, self.kernel,
                              n_heights=ext.heights.size - 1)
         rng = np.random.default_rng(self.seed)
-        ratios = [exchange_ratio(ext, self.kernel, rng.random(self.space.n_leaves))
+        ratios = [exchange_ratio(self.space, ext, self.kernel, rng.random(self.space.n_leaves))
                   for _ in range(n_random)]
         self.emit.csv("exchange.csv", ("quantity", "min", "max", "depth"),
                       [("band_calibration", *band, CALIBRATION_DEPTH),
@@ -527,13 +527,13 @@ class Runner:
         rng = np.random.default_rng(self.seed)
         sample = np.sort(rng.choice(self.space.n_leaves,
                                     min(n_sample, self.space.n_leaves), replace=False))
-        split = approximation_split(ext, self.kernel, self.p, f, delta_target)
+        split = approximation_split(self.space, ext, self.kernel, self.p, f, delta_target)
         pot = kernel_operator(self.kernel, self.space).apply_function(f)
         field = ext.field(pot)
-        nt = convergence_experiment(ext, self.kernel, self.p, pot, field, sample, split,
-                                    "nontangential", tol_nt)
-        tan = convergence_experiment(ext, self.kernel, self.p, pot, field, sample, split,
-                                     region, tol_tan)
+        nt = convergence_experiment(self.space, ext, self.kernel, self.p, pot, field, sample,
+                                    split, "nontangential", tol_nt)
+        tan = convergence_experiment(self.space, ext, self.kernel, self.p, pot, field, sample,
+                                     split, region, tol_tan)
         thin = thinness_decay(self.space, self.kernel, self.p,
                               split.exceedance, ext.heights)
         tables = (("nontangential", nt), (f"tangential-{region}", tan))

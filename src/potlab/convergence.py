@@ -19,7 +19,7 @@ explicit, configurable numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,33 +32,22 @@ REGION_KINDS = ("nontangential", "capacity", "polynomial", "exponential")
 TANGENTIAL_KINDS = REGION_KINDS[1:]   # the regions wider than a cone
 
 
-@dataclass
-class ApproachRegion:
-    """Contact region at a boundary leaf: (x, y) belongs when d(x, center)
-    is below the kind's radius function at height y."""
-    center: int
-    kind: str
-    exponent: float = 1.0       # polynomial kind: radius = y**exponent
-
-    def __post_init__(self):
-        if self.kind not in REGION_KINDS:
-            raise ValueError(f"unknown region kind {self.kind!r}")
-        if self.kind == "polynomial" and self.exponent <= 0:
-            raise ValueError("polynomial region needs a positive exponent")
-
-
-def region_radius(space: ModelSpace, kernel: RadialKernel, p: float,
-                  region: ApproachRegion, y: float) -> float:
-    """Width of the region at height y."""
-    if region.kind == "nontangential":
+def region_radius(space: ModelSpace, kernel: RadialKernel, p: float, kind: str,
+                  exponent: float, center: int, y: float) -> float:
+    """Width at height y of the contact region of one kind at leaf
+    ``center``: (x, y) belongs when d(x, center) is below it.  The
+    polynomial kind's width is y**exponent, for a positive exponent."""
+    if kind == "nontangential":
         return y
-    if region.kind == "polynomial":
-        return y**region.exponent
-    if region.kind == "exponential":
-        if y >= 1.0:
-            return 0.0
-        return math.log(1.0 / y) ** (-space.dimension)
-    return metric_matching_radius(space, kernel, p, region.center, y).star
+    if kind == "polynomial":
+        if exponent <= 0:
+            raise ValueError("polynomial region needs a positive exponent")
+        return y**exponent
+    if kind == "exponential":
+        return 0.0 if y >= 1.0 else math.log(1.0 / y) ** (-space.dimension)
+    if kind == "capacity":
+        return metric_matching_radius(space, kernel, p, center, y).star
+    raise ValueError(f"unknown region kind {kind!r}")
 
 
 # -- thin sets ------------------------------------------------------------------
@@ -118,8 +107,8 @@ SPLIT_LEVELS = 6    # dyadic thresholds 2**-1 .. 2**-6 per part
 SPLIT_ROUNDS = 40   # cap on the closeness-budget quarterings
 
 
-def approximation_split(ext: PoissonExtension, kernel: RadialKernel, p: float,
-                        f: np.ndarray, delta_target: float) -> SplitResult:
+def approximation_split(space: ModelSpace, ext: PoissonExtension, kernel: RadialKernel,
+                        p: float, f: np.ndarray, delta_target: float) -> SplitResult:
     """Split off small-capacity exceptional sets outside which the extended
     potential is uniformly close to the boundary potential.
 
@@ -131,7 +120,6 @@ def approximation_split(ext: PoissonExtension, kernel: RadialKernel, p: float,
     the stand-ins equal f and the sets are empty).
     """
     f = np.asarray(f, dtype=float)
-    space = ext.space
     op = kernel_operator(kernel, space)
     w = space.weights
     parts = []
@@ -196,8 +184,8 @@ class ConvergenceTable:
     bad_set_mass: list            # (t, mass) rows
 
 
-def convergence_experiment(ext: PoissonExtension, kernel: RadialKernel, p: float,
-                           pot: np.ndarray, field: np.ndarray, x0_sample,
+def convergence_experiment(space: ModelSpace, ext: PoissonExtension, kernel: RadialKernel,
+                           p: float, pot: np.ndarray, field: np.ndarray, x0_sample,
                            split: SplitResult, kind: str, tol: float) -> ConvergenceTable:
     """Worst deviation of the extended potential ``field`` from the boundary
     potential ``pot`` (``field`` is ``ext.field(pot)``) inside the approach
@@ -221,16 +209,15 @@ def convergence_experiment(ext: PoissonExtension, kernel: RadialKernel, p: float
                              "use the capacity region")
         pp = p / (p - 1.0)
         exponent = p * (kernel.s - 1.0 / pp)
-    template = ApproachRegion(0, kind, exponent=exponent)
-    space, heights = ext.space, ext.heights
+    heights = ext.heights
     n, nh = space.n_leaves, heights.size
 
     def widths(centers, y: float):
         """Region widths at height y: one per center for the capacity kind,
         one for every center otherwise."""
         if kind != "capacity":
-            return region_radius(space, kernel, p, template, y)
-        return np.array([region_radius(space, kernel, p, replace(template, center=int(x)), y)
+            return region_radius(space, kernel, p, kind, exponent, 0, y)
+        return np.array([region_radius(space, kernel, p, kind, exponent, int(x), y)
                          for x in centers])
 
     excluded = split.exceedance

@@ -103,10 +103,8 @@ def convolve_naive(kernel: RadialKernel, space: ModelSpace, f: np.ndarray) -> np
 
 
 def lp_norm(values: np.ndarray, weights: np.ndarray, p: float) -> float:
-    """Weighted L^p norm; p = inf gives the sup norm."""
+    """Weighted L^p norm, for finite p."""
     values = np.asarray(values, dtype=float)
-    if np.isinf(p):
-        return float(np.abs(values).max()) if values.size else 0.0
     return float((weights @ np.abs(values) ** p) ** (1.0 / p))
 
 

@@ -33,7 +33,9 @@ class PoissonExtension:
     """Grid machinery for one model space; immutable and reusable."""
 
     def __init__(self, space: ModelSpace, n_heights: int = 20):
-        self.space = space
+        # what an evaluation reads of the space, not the space itself, so that
+        # the space's extension memo makes no reference cycle
+        self.weights, self.n_leaves = space.weights, space.n_leaves
         self.q = space.dimension
         self.heights = dyadic_heights(space.diameter, n_heights)
         self._decay = 2.0 ** (-(self.q + 1.0))
@@ -41,20 +43,20 @@ class PoissonExtension:
         # diam * 2**(k - h), exact in floating point, so the heights share
         # their radii: the all-leaf balls once per radius, and per height
         # the (coef, ball index) of its rings
-        self._balls = self._radius_balls()
+        self._balls = self._radius_balls(space)
         self._rings = [self._height_rings(n_heights - h) for h in range(self.heights.size)]
         self._mass = self._collect(np.concatenate(([0.0], np.cumsum(space.weights))))
 
-    def _radius_balls(self):
+    def _radius_balls(self, space: ModelSpace):
         """(lo, hi) leaf ranges of the balls B(x, r) around every leaf x, for
         the radii heights[-1] * 2**i, i = 0, 1, ..., up to the first radius
         whose balls are all the whole space.  Every ball of radius above the
         diameter is the whole space, so i never exceeds n_heights + 1."""
-        n = self.space.n_leaves
+        n = space.n_leaves
         centers = np.arange(n, dtype=np.int64)
         balls = []
-        for r in np.append(self.heights[::-1], 2.0 * self.space.diameter):
-            lo, hi = self.space.ball_bounds(centers, float(r), closed=False)
+        for r in np.append(self.heights[::-1], 2.0 * space.diameter):
+            lo, hi = space.ball_bounds(centers, float(r), closed=False)
             balls.append((lo, hi))
             if np.all(lo == 0) and np.all(hi == n):
                 break
@@ -83,7 +85,7 @@ class PoissonExtension:
         integrals = [prefix[hi] - prefix[lo] for lo, hi in self._balls]
         cols = []
         for rings in self._rings:
-            out = np.zeros(self.space.n_leaves)
+            out = np.zeros(self.n_leaves)
             for coef, i in rings:
                 out += coef * integrals[i]
             cols.append(out)
@@ -98,8 +100,7 @@ class PoissonExtension:
     def field(self, f: np.ndarray) -> np.ndarray:
         """The (n, H) extension of f at every grid point; exactly normalized,
         as one collector feeds numerator and denominator."""
-        prefix = np.concatenate(([0.0], np.cumsum(np.asarray(f, dtype=float)
-                                                  * self.space.weights)))
+        prefix = np.concatenate(([0.0], np.cumsum(np.asarray(f, dtype=float) * self.weights)))
         return self._collect(prefix) / self._mass
 
     def kernel_matrix(self, h: int) -> np.ndarray:
@@ -110,7 +111,7 @@ class PoissonExtension:
         Each center stops at its own first whole-space ring, which takes the
         geometric tail coef / (1 - decay); the shared last ring has it already.
         """
-        n = self.space.n_leaves
+        n = self.n_leaves
         leaves = np.arange(n)
         out = np.zeros((n, n))
         live = np.ones(n, dtype=bool)
@@ -187,7 +188,7 @@ def _harnack_worst(cal: ModelSpace, n_heights: int) -> float:
     return worst
 
 
-def harnack_check(ext: PoissonExtension, field: np.ndarray, eps: float,
+def harnack_check(space: ModelSpace, ext: PoissonExtension, field: np.ndarray, eps: float,
                   c_h: float) -> tuple[float, bool]:
     """(lowest, ok): the least value of the extended potential ``field`` over
     the per-height slabs of balls B(x, y) around its cells above eps, and
@@ -195,14 +196,15 @@ def harnack_check(ext: PoissonExtension, field: np.ndarray, eps: float,
     exceeds eps)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    slab = ball_slab(ext.space, field > eps, ext.heights)
+    slab = ball_slab(space, field > eps, ext.heights)
     if not slab.any():
         return math.inf, True
     lowest = float(field[slab].min())
     return lowest, lowest >= c_h * eps
 
 
-def exchange_ratio(ext: PoissonExtension, kernel: RadialKernel, f: np.ndarray):
+def exchange_ratio(space: ModelSpace, ext: PoissonExtension, kernel: RadialKernel,
+                   f: np.ndarray):
     """Pointwise ratio of potential-of-extension to extension-of-potential
     over the whole grid; returns (min, max)."""
     f = np.asarray(f, dtype=float)
@@ -210,7 +212,7 @@ def exchange_ratio(ext: PoissonExtension, kernel: RadialKernel, f: np.ndarray):
         raise ValueError("exchange ratio needs nonnegative, nonzero input")
     ext_f = ext.field(f)
     # K*f and K*ext_f in one block apply
-    pots = kernel_operator(kernel, ext.space).apply_function(np.column_stack((f, ext_f)))
+    pots = kernel_operator(kernel, space).apply_function(np.column_stack((f, ext_f)))
     ext_pot = ext.field(pots[:, 0])
     swapped = pots[:, 1:]
     ratios = swapped / ext_pot
@@ -222,7 +224,10 @@ def exchange_band(space: ModelSpace, kernel: RadialKernel, n_heights: int = 20):
 
     Both orders are linear in the input, so the extremal pointwise ratios
     over all nonnegative inputs are attained at point masses: the band is
-    the entrywise ratio range of the two composed kernels.
+    the entrywise ratio range of the two composed kernels.  At fine heights
+    the ring coefficients 2**(-(Q+1)k) underflow, and where both
+    compositions vanish (on the diagonal, as K has no self-interaction)
+    the ratio is 0/0; those entries are left out.
     """
     return space._cached(("exchange", kernel, n_heights),
                          lambda: _exchange_extremes(_calibration_space(space), kernel, n_heights))
@@ -237,9 +242,10 @@ def _exchange_extremes(cal: ModelSpace, kernel: RadialKernel, n_heights: int):
         pk = ext.kernel_matrix(h)
         swapped = (kmat * w[None, :]) @ pk          # potential after extension
         direct = pk @ (w[:, None] * kmat)           # extension after potential
-        ratios = swapped / direct
-        lo = min(lo, float(ratios.min()))
-        hi = max(hi, float(ratios.max()))
+        live = (swapped != 0.0) | (direct != 0.0)
+        ratios = swapped[live] / direct[live]
+        lo = min(lo, float(ratios.min(initial=math.inf)))
+        hi = max(hi, float(ratios.max(initial=-math.inf)))
     return lo, hi
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .capacity import capacity_value, metric_matching_radius, tree_matching_radius
+from .capacity import capacity_value, metric_matching_radius
 from .kernel import RadialKernel, kernel_operator
 from .space import ModelSpace
 
@@ -77,7 +77,8 @@ def generate_separated_family(space: ModelSpace, kernel: RadialKernel, p: float,
                               count: int, seed: int, mode: str = "tree") -> SeparatedFamily:
     """Greedy seeded sampler of balls with disjoint enlargements: at most
     80 draws per requested ball.  Radius levels are 2..depth-2, narrowed to
-    the single level min(2, depth) on shallow trees."""
+    the single level min(2, depth) on shallow trees.  ``mode`` leaves the
+    draws alone; it marks a tree family for the provable tree bound."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if mode not in FAMILY_MODES:
@@ -98,17 +99,13 @@ def generate_separated_family(space: ModelSpace, kernel: RadialKernel, p: float,
         glo, ghi = space.grid_ball_range(x, level)
         if any(glo < h and l < ghi for l, h in fam.enlarged_ranges):
             continue
-        er = (tree_matching_radius(space, kernel, p, x, level) if mode == "tree" else
-              metric_matching_radius(space, kernel, p, x, space.grid_radius(level), closed=True))
+        er = metric_matching_radius(space, kernel, p, x, space.grid_radius(level), closed=True)
         if not er.exists:
             fam.skipped += 1
             continue
-        if mode == "tree":
-            lo, hi = space.subtree_range(x, min(level, er.matching_level))
-        else:
-            blo, bhi = space.ball_bounds(np.array([x]), er.star, closed=True)
-            # the nominal ball must sit inside its enlargement
-            lo, hi = min(int(blo[0]), glo), max(int(bhi[0]), ghi)
+        blo, bhi = space.ball_bounds(np.array([x]), er.star, closed=True)
+        # the nominal ball must sit inside its enlargement
+        lo, hi = min(int(blo[0]), glo), max(int(bhi[0]), ghi)
         if any(lo < h and l < hi for l, h in fam.enlarged_ranges):
             continue
         fam.centers.append(x)

@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 
+from potlab import capacity
 from potlab.capacity import (ball_capacity_profile, singleton_capacity,
                              solve_capacity, theoretical_profile_slope,
                              uniform_ball_capacity)
@@ -131,7 +132,7 @@ def test_criterion_4_tree_quasi_additivity():
                   f"{failures} violations, {elapsed:.0f}s (limit 300s)")
 
 
-def test_criterion_5_ball_capacity_asymptotics():
+def test_criterion_5_ball_capacity_asymptotics(monkeypatch):
     # cross-check first: the symmetric reduction agrees with the solver
     ms7 = model_space("tree-boundary", 2, 7, 0.5)
     k75 = RadialKernel("riesz", s=0.75, p=2.0)
@@ -143,16 +144,17 @@ def test_criterion_5_ball_capacity_asymptotics():
                 for lvl in (2, 4))
     assert drift < 1e-9
 
+    # every profile ball takes the reduction, below the cutover size too
+    monkeypatch.setattr(capacity, "_SYMMETRIC_CUTOVER", 1)
     ms = model_space("tree-boundary", 2, 20, 0.5)
-    prof = ball_capacity_profile(ms, k75, 2.0, 0, range(2, 9), method="symmetric")
+    prof = ball_capacity_profile(ms, k75, 2.0, 0, range(2, 9))
     theory = theoretical_profile_slope(1.0, 2.0, 0.75)
     slope_ok = abs(prof.slope - theory) <= 0.1 * theory
 
     p = 3.0
     edge = RadialKernel("riesz", s=1.0 - 1.0 / p, p=p)   # s = 1/p'
     ms_edge = model_space("tree-boundary", 2, 18, 0.5)
-    prof_edge = ball_capacity_profile(ms_edge, edge, p, 0, range(2, 9),
-                                      method="symmetric")
+    prof_edge = ball_capacity_profile(ms_edge, edge, p, 0, range(2, 9))
     lo, hi = prof_edge.log_product_range
     spread_ok = hi <= 2.0 * lo
     report(5, slope_ok and spread_ok,
@@ -189,7 +191,7 @@ def test_criterion_7_exchange_band():
     rng = np.random.default_rng(707)
     lo_seen, hi_seen = np.inf, -np.inf
     for _ in range(20):
-        lo, hi = exchange_ratio(ext, kernel, rng.random(ms8.n_leaves))
+        lo, hi = exchange_ratio(ms8, ext, kernel, rng.random(ms8.n_leaves))
         lo_seen, hi_seen = min(lo_seen, lo), max(hi_seen, hi)
     ok = lo_seen >= band[0] * 0.9 and hi_seen <= band[1] * 1.1
     report(7, ok, f"calibrated band [{band[0]:.3f}, {band[1]:.3f}], depth-8 "
@@ -209,7 +211,7 @@ def test_criterion_8_harnack():
         f = rng.random(ms.n_leaves)
         field = ext.field(op.apply_function(f))
         eps = float(np.quantile(field, quantiles[i % 3]))
-        lowest, ok = harnack_check(ext, field, eps, c_h)
+        lowest, ok = harnack_check(ms, ext, field, eps, c_h)
         checked += 1
         if not ok:
             failures += 1
@@ -253,12 +255,12 @@ def test_criterion_10_convergence_experiments():
     f = lipschitz_profile(ms, "bump")
     rng = np.random.default_rng(1010)
     sample = np.sort(rng.choice(ms.n_leaves, 64, replace=False))
-    split = approximation_split(ext, kernel, 2.0, f, 0.05)
+    split = approximation_split(ms, ext, kernel, 2.0, f, 0.05)
     pot = kernel_operator(kernel, ms).apply_function(f)
     field = ext.field(pot)
-    nt = convergence_experiment(ext, kernel, 2.0, pot, field, sample, split,
+    nt = convergence_experiment(ms, ext, kernel, 2.0, pot, field, sample, split,
                                 "nontangential", tol=0.02)
-    tan = convergence_experiment(ext, kernel, 2.0, pot, field, sample, split,
+    tan = convergence_experiment(ms, ext, kernel, 2.0, pot, field, sample, split,
                                  "polynomial", tol=0.05)
     ok = (nt.fraction_converged >= 0.95 and tan.fraction_converged >= 0.90
           and split.shadow_capacity < 0.05 and split.bad_capacity < 0.05)

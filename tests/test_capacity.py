@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from potlab import capacity
-from potlab.capacity import (ball_capacity_profile, capacity_p2_exact,
-                             grid_ball_capacity, metric_matching_radius,
-                             singleton_capacity, solve_capacity, spd_solve,
-                             theoretical_profile_slope, tree_matching_radius,
-                             uniform_ball_capacity)
+from potlab.capacity import (ball_capacity_profile, capacity_p2_exact, capacity_value,
+                             metric_matching_radius, singleton_capacity, solve_capacity,
+                             spd_solve, theoretical_profile_slope, uniform_ball_capacity)
 from potlab.convergence import approximation_split, thinness_decay
 from potlab.kernel import RadialKernel, kernel_operator, lp_norm
 from potlab.poisson import PoissonExtension, lipschitz_profile
@@ -260,42 +258,78 @@ def test_nonconvergence_flag():
 # -- matching radii -------------------------------------------------------------
 
 
-def test_tree_matching_radius_floor(tree6):
-    # a kernel scaled up makes capacities tiny: the finest half step qualifies
+def grid_matching_radius(space, kernel, p, x, level):
+    """The matching radius of the closed grid ball of radius delta**level."""
+    return metric_matching_radius(space, kernel, p, x, space.grid_radius(level), closed=True)
+
+
+def test_matching_radius_floor_on_tree(tree6):
+    # a kernel scaled up makes capacities tiny: the leaf alone qualifies, so
+    # the matching radius is 0 and the star is the ball's own radius
     big = constant_kernel(6, value=50.0)
-    er = tree_matching_radius(tree6, big, 2.0, 9, level=3)
+    er = grid_matching_radius(tree6, big, 2.0, 9, 3)
     assert er.exists
-    assert er.matching == pytest.approx(0.5 ** (6 - 0.5))
-    assert er.star == pytest.approx(max(er.matching, 0.5**3))
+    assert er.matching == 0.0
+    assert er.star == 0.5**3
 
 
 def test_matching_radius_star_dominates_r(tree6, rng):
     for level in (1, 2, 3, 4):
         x = int(rng.integers(64))
-        er = tree_matching_radius(tree6, RIESZ, 2.0, x, level)
+        er = grid_matching_radius(tree6, RIESZ, 2.0, x, level)
         assert er.star >= tree6.grid_radius(level) - 1e-15
 
 
 def test_matching_radius_sentinel(tree6):
     # a tiny kernel makes even small balls carry capacity above the total mass
     tiny = constant_kernel(6, value=1e-3)
-    er = tree_matching_radius(tree6, tiny, 2.0, 0, level=3)
+    er = grid_matching_radius(tree6, tiny, 2.0, 0, 3)
     assert not er.exists
     assert math.isinf(er.matching)
     assert er.star == tree6.diameter
 
 
-def test_tree_matching_radius_table_oracle(tree6):
+def test_tree_level_scan_table_oracle(tree6):
     # independent scan: tabulate subtree masses and pick the finest level
     # whose mass reaches the solved ball capacity
     x, level, p = 13, 3, 2.0
-    cap = grid_ball_capacity(tree6, RIESZ, p, x, level)
+    cap = solve_capacity(tree6, RIESZ, np.arange(*tree6.subtree_range(x, level)), p=p).value
     masses = [tree6.range_mass(*tree6.subtree_range(x, m)) for m in range(7)]
     qualifying = [m for m in range(7) if masses[m] >= cap]
     expected_level = max(qualifying)
-    er = tree_matching_radius(tree6, RIESZ, p, x, level)
-    assert er.matching_level == expected_level
-    assert er.matching == pytest.approx(0.5 ** (expected_level - 0.5))
+    assert expected_level < 6
+    er = grid_matching_radius(tree6, RIESZ, p, x, level)
+    assert er.matching == 0.5**expected_level
+
+
+def realized_distance_radius(space, x, cap):
+    """The smallest realized distance from x whose closed ball carries mass
+    ``cap``, searched over the sorted distances; None when none does."""
+    dists = space.distances_from(x)
+    return next((float(t) for t in np.unique(dists)
+                 if space.weights[dists <= t].sum() >= cap), None)
+
+
+@pytest.mark.parametrize("weights", ["uniform", "custom"])
+def test_tree_level_scan_equals_realized_distance_search(weights, rng):
+    # on the ultrametric the closed balls around x are its subtrees, so the
+    # level scan returns the radius the realized-distance search finds
+    w = None if weights == "uniform" else rng.random(64) + 0.5
+    space = model_space("tree-boundary", 2, 6, 0.5,
+                        weights=None if w is None else w / w.sum())
+    radii = set()
+    for kernel in (RIESZ, RadialKernel("riesz", s=0.9, p=2.0)):
+        for level in range(space.depth + 1):
+            for x in range(space.n_leaves):
+                er = grid_matching_radius(space, kernel, 2.0, x, level)
+                cap = capacity_value(space, kernel, np.arange(*space.subtree_range(x, level)),
+                                     2.0)
+                expected = realized_distance_radius(space, x, cap)
+                assert expected is not None and cap <= space.total_mass
+                assert er.exists and er.matching == expected
+                assert er.star == max(space.grid_radius(level), expected)
+                radii.add(expected)
+    assert len(radii) >= 3
 
 
 # -- memo on the space --------------------------------------------------------
@@ -306,40 +340,59 @@ def fresh_tree6():
     return model_space("tree-boundary", 2, 6, 0.5)
 
 
+def profile_capacity(space, kernel, p, x, level):
+    """The capacity of the closed grid ball of radius delta**level, as the
+    ball profile reads it."""
+    return ball_capacity_profile(space, kernel, p, x, [level]).capacities[0]
+
+
 def test_ball_capacity_memo_keyed_on_kernel_and_p():
     shared = fresh_tree6()
     other = RadialKernel("riesz", s=0.9, p=3.0)
-    grid_ball_capacity(shared, RIESZ, 2.0, 5, 3)
+    profile_capacity(shared, RIESZ, 2.0, 5, 3)
     for kernel, p in ((RIESZ, 3.0), (other, 3.0), (RIESZ, 2.0)):
-        assert grid_ball_capacity(shared, kernel, p, 5, 3) == \
-            grid_ball_capacity(fresh_tree6(), kernel, p, 5, 3)
-    assert grid_ball_capacity(shared, other, 3.0, 5, 3) == pytest.approx(0.03447, rel=1e-3)
+        assert profile_capacity(shared, kernel, p, 5, 3) == \
+            profile_capacity(fresh_tree6(), kernel, p, 5, 3)
+    assert profile_capacity(shared, other, 3.0, 5, 3) == pytest.approx(0.03447, rel=1e-3)
 
 
-def test_ball_capacity_memo_keeps_paths_apart():
-    shared = fresh_tree6()
-    for method in ("solver", "symmetric", "solver"):
-        assert grid_ball_capacity(shared, RIESZ, 2.0, 13, 2, method=method) == \
-            grid_ball_capacity(fresh_tree6(), RIESZ, 2.0, 13, 2, method=method)
-
-
-def test_auto_takes_the_reduction_at_the_cutover_size():
+def test_auto_takes_the_reduction_at_the_cutover_size(monkeypatch):
     # the level-0 ball at depth 11 holds exactly _SYMMETRIC_CUTOVER = 2048 leaves
+    calls = spy_on_solves(monkeypatch)
     space = model_space("tree-boundary", 2, 11, 0.5)
-    grid_ball_capacity(space, RIESZ, 2.0, 0, 0)
-    kinds = {key[0] for key in space._memo}
-    assert "symmetric" in kinds and "set" not in kinds
+    value = profile_capacity(space, RIESZ, 2.0, 0, 0)
+    assert not calls and sum(key[0] == "set" for key in space._memo) == 1
+    assert value == uniform_ball_capacity(model_space("tree-boundary", 2, 11, 0.5),
+                                          RIESZ, 2.0, 0, 0)
 
 
 def test_auto_keeps_the_solver_where_the_reduction_does_not_apply(monkeypatch):
     monkeypatch.setattr(capacity, "_SYMMETRIC_CUTOVER", 16)
-    for kind in ("unit-interval", "cantor-set"):
-        space = model_space(kind, 2, 6)
-        value = grid_ball_capacity(space, RIESZ, 2.0, 0, 1)
-        kinds = {key[0] for key in space._memo}
-        assert "set" in kinds and "symmetric" not in kinds
-        assert value == grid_ball_capacity(model_space(kind, 2, 6), RIESZ, 2.0, 0, 1,
-                                           method="solver")
+    calls = spy_on_solves(monkeypatch)
+    weighted = ModelSpace("tree-boundary", 2, 6, 0.5, np.linspace(1.0, 2.0, 64))
+    for space in (model_space("unit-interval", 2, 6), model_space("cantor-set", 2, 6),
+                  weighted):
+        calls.clear()
+        value = profile_capacity(space, RIESZ, 2.0, 0, 1)
+        assert len(calls) == 1
+        ball = np.arange(*space.grid_ball_range(0, 1))
+        assert ball.size >= 16
+        assert value == solve_capacity(space, RIESZ, ball, p=2.0).value
+
+
+def test_capacity_value_takes_the_reduction_on_whole_subtrees(monkeypatch):
+    # on a uniform tree an aligned subtree of at least _SYMMETRIC_CUTOVER leaves
+    # is the exact reduction, bit for bit; a run of that size that is not a
+    # subtree, and a subtree below the cutover, go through the solver
+    calls = spy_on_solves(monkeypatch)
+    space = model_space("tree-boundary", 2, 12, 0.5)
+    value = capacity_value(space, RIESZ, np.arange(2048, 4096), 2.0)
+    assert not calls
+    assert value == uniform_ball_capacity(space, RIESZ, 2.0, 3000, 1)
+    assert capacity_value(space, RIESZ, np.arange(1024, 3072), 2.0) == \
+        solve_capacity(space, RIESZ, np.arange(1024, 3072), p=2.0).value
+    assert capacity_value(space, RIESZ, np.arange(1024, 2048), 2.0) > 0
+    assert len(calls) == 2
 
 
 def spy_on_solves(monkeypatch) -> list:
@@ -357,11 +410,11 @@ def spy_on_solves(monkeypatch) -> list:
 def test_ball_capacity_memo_solves_once(monkeypatch):
     calls = spy_on_solves(monkeypatch)
     shared = fresh_tree6()
-    first = grid_ball_capacity(shared, RIESZ, 2.0, 21, 3)
-    assert grid_ball_capacity(shared, RIESZ, 2.0, 21, 3) == first
+    first = profile_capacity(shared, RIESZ, 2.0, 21, 3)
+    assert profile_capacity(shared, RIESZ, 2.0, 21, 3) == first
     # the closed ball of radius delta**3 is the same leaf run as the grid ball
-    metric_matching_radius(shared, RIESZ, 2.0, 21, 0.5**3, closed=True)
-    metric_matching_radius(shared, RIESZ, 2.0, 21, 0.5**3, closed=True)
+    grid_matching_radius(shared, RIESZ, 2.0, 21, 3)
+    grid_matching_radius(shared, RIESZ, 2.0, 21, 3)
     assert len(calls) == 1
 
 
@@ -371,7 +424,7 @@ def test_capacity_memo_solves_each_target_once(monkeypatch):
     calls = spy_on_solves(monkeypatch)
     space = model_space("unit-interval", 2, 7)
     ext = PoissonExtension(space)
-    split = approximation_split(ext, RIESZ, 2.0, lipschitz_profile(space, "bump"), 0.05)
+    split = approximation_split(space, ext, RIESZ, 2.0, lipschitz_profile(space, "bump"), 0.05)
     thinness_decay(space, RIESZ, 2.0, split.exceedance, ext.heights)
     assert calls
     assert len(set(calls)) == len(calls)

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from potlab.convergence import (REGION_KINDS, ApproachRegion, SplitResult,
-                                approximation_split, convergence_experiment,
-                                region_radius, thinness_decay)
+from potlab.convergence import (REGION_KINDS, SplitResult, approximation_split,
+                                convergence_experiment, region_radius, thinness_decay)
 from potlab.kernel import RadialKernel, kernel_operator
 from potlab.poisson import PoissonExtension, ball_slab, lipschitz_profile
 from potlab.space import model_space
@@ -12,70 +11,73 @@ K8 = RadialKernel("riesz", s=0.8, p=2.0)
 
 
 @pytest.fixture(scope="module")
-def ext8():
-    return PoissonExtension(model_space("tree-boundary", 2, 8, 0.5), n_heights=8)
+def space8():
+    return model_space("tree-boundary", 2, 8, 0.5)
 
 
-def region_membership(space, kernel, p, region, x, y):
+@pytest.fixture(scope="module")
+def ext8(space8):
+    return PoissonExtension(space8, n_heights=8)
+
+
+def width(space, kind, center, y, exponent=1.0):
+    """The width at height y of the K8 region of one kind at leaf center."""
+    return region_radius(space, K8, 2.0, kind, exponent, center, y)
+
+
+def region_membership(space, kind, center, x, y, exponent=1.0):
     """(x, y) lies in the region: d(x, center) below the width at height y."""
-    return space.distance(x, region.center) < region_radius(space, kernel, p, region, y)
+    return space.distance(x, center) < width(space, kind, center, y, exponent)
 
 
-def test_region_validation():
-    with pytest.raises(ValueError):
-        ApproachRegion(0, "nosuch")
-    with pytest.raises(ValueError):
-        ApproachRegion(0, "polynomial", exponent=0.0)
+def test_region_validation(tree6):
+    with pytest.raises(ValueError, match="unknown region kind"):
+        width(tree6, "nosuch", 0, 0.5)
+    with pytest.raises(ValueError, match="positive exponent"):
+        width(tree6, "polynomial", 0, 0.5, exponent=0.0)
 
 
 @pytest.mark.parametrize("kind", ["nontangential", "capacity", "polynomial",
                                   "exponential"])
 def test_center_always_inside(tree6, kind):
-    region = ApproachRegion(9, kind, exponent=0.6)
     for y in (0.5, 0.25, 2.0**-6):
-        assert region_membership(tree6, K8, 2.0, region, 9, y)
+        assert region_membership(tree6, kind, 9, 9, y, exponent=0.6)
 
 
 def test_polynomial_threshold_arithmetic(tree6):
     c, e = 1.0, 0.6
-    region = ApproachRegion(0, "polynomial", exponent=e)
     x = 32                       # distance 1.0 from leaf 0? no: lca 0 -> 1.0
     d = tree6.distance(0, x)
     assert d == pytest.approx(1.0)
     y_threshold = (d / c) ** (1.0 / e)
-    assert not region_membership(tree6, K8, 2.0, region, x, 0.9999 * y_threshold)
+    assert not region_membership(tree6, "polynomial", 0, x, 0.9999 * y_threshold, e)
     x = 2                        # distance 0.25
     d = tree6.distance(0, x)
     y_thr = (d / c) ** (1.0 / e)
-    assert region_membership(tree6, K8, 2.0, region, x, min(1.01 * y_thr, 0.999))
-    assert not region_membership(tree6, K8, 2.0, region, x, 0.99 * y_thr)
+    assert region_membership(tree6, "polynomial", 0, x, min(1.01 * y_thr, 0.999), e)
+    assert not region_membership(tree6, "polynomial", 0, x, 0.99 * y_thr, e)
 
 
 def test_region_monotone_in_height(tree6):
-    for kind, kw in (("nontangential", {}), ("polynomial", dict(exponent=0.6)),
-                     ("exponential", {}), ("capacity", {})):
-        region = ApproachRegion(5, kind, **kw)
+    for kind in REGION_KINDS:
         heights = [2.0**-m for m in range(1, 7)]
-        radii = [region_radius(tree6, K8, 2.0, region, y) for y in heights]
+        radii = [width(tree6, kind, 5, y, exponent=0.6) for y in heights]
         assert radii == sorted(radii, reverse=True)
 
 
 def test_nontangential_nested_in_capacity_region(tree6):
     # the matched radius dominates the input radius, so cones sit inside
     for x0 in (0, 21, 63):
-        cone = ApproachRegion(x0, "nontangential")
-        wide = ApproachRegion(x0, "capacity")
         for y in (0.5, 0.125, 2.0**-5):
             for x in range(64):
-                if region_membership(tree6, K8, 2.0, cone, x, y):
-                    assert region_membership(tree6, K8, 2.0, wide, x, y)
+                if region_membership(tree6, "nontangential", x0, x, y):
+                    assert region_membership(tree6, "capacity", x0, x, y)
 
 
 def test_polynomial_region_strictly_wider_at_fine_heights(tree6):
     # contact wider than the cone: off-center points with d > y
-    region = ApproachRegion(0, "polynomial", exponent=0.6)
     y = 2.0**-5
-    rad = region_radius(tree6, K8, 2.0, region, y)
+    rad = width(tree6, "polynomial", 0, y, exponent=0.6)
     hits = [x for x in range(64)
             if y < tree6.distance(0, x) < rad]
     assert hits, "no point between cone and polynomial widths"
@@ -83,10 +85,9 @@ def test_polynomial_region_strictly_wider_at_fine_heights(tree6):
 
 def test_capacity_vs_polynomial_width_band(tree6):
     # matched widths track the power-law width within a bounded band
-    region = ApproachRegion(7, "capacity")
     heights = [2.0**-m for m in range(2, 7)]
     exponent = 2.0 * (0.8 - 0.5)
-    ratios = [region_radius(tree6, K8, 2.0, region, y) / y**exponent
+    ratios = [width(tree6, "capacity", 7, y) / y**exponent
               for y in heights]
     assert max(ratios) / min(ratios) < 4.0
 
@@ -107,8 +108,8 @@ def test_thinness_trivia(tree6):
             assert cap > 0.0
 
 
-def test_thinness_monotone_on_grid(ext8, rng):
-    space = ext8.space
+def test_thinness_monotone_on_grid(space8, ext8, rng):
+    space = space8
     over = rng.random((space.n_leaves, ext8.heights.size)) < 0.02
     rep = thinness_decay(space, K8, 2.0, over, ext8.heights)
     # shadows grow with t, so capacities are non-decreasing along growing t
@@ -121,75 +122,75 @@ def test_thinness_monotone_on_grid(ext8, rng):
         assert np.all(m2[m1])
 
 
-def test_split_continuous_profile(ext8):
-    f = lipschitz_profile(ext8.space, "bump")
-    split = approximation_split(ext8, K8, 2.0, f, 0.05)
+def test_split_continuous_profile(space8, ext8):
+    f = lipschitz_profile(space8, "bump")
+    split = approximation_split(space8, ext8, K8, 2.0, f, 0.05)
     assert split.ok
     assert split.shadow_capacity < 0.05 and split.bad_capacity < 0.05
 
 
-def test_split_random_function(ext8, rng):
+def test_split_random_function(space8, ext8, rng):
     f = rng.random(256)
-    split = approximation_split(ext8, K8, 2.0, f, 0.05)
+    split = approximation_split(space8, ext8, K8, 2.0, f, 0.05)
     assert split.ok
     assert split.shadow_capacity < 0.05 and split.bad_capacity < 0.05
 
 
-def test_split_spike_resolves_at_leaf_level(ext8):
+def test_split_spike_resolves_at_leaf_level(space8, ext8):
     # a one-leaf spike is exactly representable at the truncation scale, so
     # the stand-ins collapse onto f itself rather than faking smoothness:
     # no residual is left, and both exceptional sets are empty
     f = np.zeros(256)
     f[100] = 60.0
-    split = approximation_split(ext8, K8, 2.0, f, 0.2)
+    split = approximation_split(space8, ext8, K8, 2.0, f, 0.2)
     assert split.ok
     assert split.shadow_capacity < 0.2 and split.bad_capacity < 0.2
     assert not split.exceedance.any() and not split.bad_leaves.any()
 
 
-def test_split_thinness_pipeline(ext8, rng):
+def test_split_thinness_pipeline(space8, ext8, rng):
     f = np.zeros(256)
     f[40] = 30.0
     f += rng.random(256)
-    split = approximation_split(ext8, K8, 2.0, f, 0.1)
-    rep = thinness_decay(ext8.space, K8, 2.0, split.exceedance, ext8.heights)
+    split = approximation_split(space8, ext8, K8, 2.0, f, 0.1)
+    rep = thinness_decay(space8, K8, 2.0, split.exceedance, ext8.heights)
     ordered = rep.capacities[np.argsort(rep.t_values)]
     assert np.all(np.diff(ordered) >= -1e-12)
     assert rep.capacities[-1] < 0.1
 
 
-def test_split_tightening_target_reported(ext8, rng):
+def test_split_tightening_target_reported(space8, ext8, rng):
     f = rng.random(256)
-    wide = approximation_split(ext8, K8, 2.0, f, 0.05)
-    tight = approximation_split(ext8, K8, 2.0, f, 0.025)
+    wide = approximation_split(space8, ext8, K8, 2.0, f, 0.05)
+    tight = approximation_split(space8, ext8, K8, 2.0, f, 0.025)
     assert tight.ok
     assert tight.shadow_capacity < 0.025 and tight.bad_capacity < 0.025
     # reported, not asserted: the sets need not shrink monotonically
     assert wide.ok
 
 
-def experiment(ext, kernel, f, sample, split, kind, tol):
+def experiment(space, ext, kernel, f, sample, split, kind, tol):
     """convergence_experiment on the potential of f and its extension."""
-    pot = kernel_operator(kernel, ext.space).apply_function(f)
-    return convergence_experiment(ext, kernel, 2.0, pot, ext.field(pot), sample, split,
-                                  kind, tol=tol)
+    pot = kernel_operator(kernel, space).apply_function(f)
+    return convergence_experiment(space, ext, kernel, 2.0, pot, ext.field(pot), sample,
+                                  split, kind, tol=tol)
 
 
-def test_nontangential_constant_function(ext8):
+def test_nontangential_constant_function(space8, ext8):
     sample = [0, 100, 255]
     f = np.full(256, 2.0)
-    split = approximation_split(ext8, K8, 2.0, f, 0.05)
-    table = experiment(ext8, K8, f, sample, split, "nontangential", tol=1e-9)
+    split = approximation_split(space8, ext8, K8, 2.0, f, 0.05)
+    table = experiment(space8, ext8, K8, f, sample, split, "nontangential", tol=1e-9)
     assert table.fraction_converged == 1.0
     assert all(r.sup_error <= 1e-9 for r in table.rows)
 
 
-def test_nontangential_profile_errors_shrink(ext8):
-    f = lipschitz_profile(ext8.space, "hat")
+def test_nontangential_profile_errors_shrink(space8, ext8):
+    f = lipschitz_profile(space8, "hat")
     rng = np.random.default_rng(9)
     sample = np.sort(rng.choice(256, 24, replace=False))
-    split = approximation_split(ext8, K8, 2.0, f, 0.05)
-    table = experiment(ext8, K8, f, sample, split, "nontangential", tol=0.02)
+    split = approximation_split(space8, ext8, K8, 2.0, f, 0.05)
+    table = experiment(space8, ext8, K8, f, sample, split, "nontangential", tol=0.02)
     assert table.fraction_converged >= 0.95
     by_x0 = {}
     for row in table.rows:
@@ -203,41 +204,41 @@ def test_nontangential_profile_errors_shrink(ext8):
     assert split.shadow_capacity < 0.05
 
 
-def test_tangential_constant_and_bad_mass(ext8, rng):
+def test_tangential_constant_and_bad_mass(space8, ext8, rng):
     sample = [3, 77]
     f = np.full(256, 1.0)
-    split = approximation_split(ext8, K8, 2.0, f, 0.05)
-    table = experiment(ext8, K8, f, sample, split, "polynomial", tol=1e-9)
+    split = approximation_split(space8, ext8, K8, 2.0, f, 0.05)
+    table = experiment(space8, ext8, K8, f, sample, split, "polynomial", tol=1e-9)
     assert table.fraction_converged == 1.0
     f = rng.random(256) + np.where(np.arange(256) == 10, 40.0, 0.0)
-    split = approximation_split(ext8, K8, 2.0, f, 0.2)
-    table = experiment(ext8, K8, f, sample, split, "polynomial", tol=0.05)
+    split = approximation_split(space8, ext8, K8, 2.0, f, 0.2)
+    table = experiment(space8, ext8, K8, f, sample, split, "polynomial", tol=0.05)
     masses = [m for _, m in table.bad_set_mass]
     assert masses == sorted(masses, reverse=True)
 
 
-def test_polynomial_region_needs_a_riesz_kernel(ext8):
+def test_polynomial_region_needs_a_riesz_kernel(space8, ext8):
     # the polynomial width reads the riesz exponent s, which a radial table lacks
-    radial = RadialKernel("radial", level_values=tuple(K8.level_table(ext8.space)))
-    f = lipschitz_profile(ext8.space, "bump")
-    split = approximation_split(ext8, radial, 2.0, f, 0.05)
+    radial = RadialKernel("radial", level_values=tuple(K8.level_table(space8)))
+    f = lipschitz_profile(space8, "bump")
+    split = approximation_split(space8, ext8, radial, 2.0, f, 0.05)
     with pytest.raises(ValueError, match="riesz"):
-        experiment(ext8, radial, f, [0], split, "polynomial", tol=0.05)
-    table = experiment(ext8, radial, f, [0], split, "nontangential", tol=0.05)
+        experiment(space8, ext8, radial, f, [0], split, "polynomial", tol=0.05)
+    table = experiment(space8, ext8, radial, f, [0], split, "nontangential", tol=0.05)
     assert table.rows
 
 
-def brute_force_experiment(ext, f, excluded, kind):
+def brute_force_experiment(space, ext, f, excluded, kind):
     """Rows (x0, t, sup error, points, excluded cells) over every leaf, and
     (t, bad-set mass) rows, by a distance scan per cell."""
-    space, heights = ext.space, ext.heights
+    heights = ext.heights
     n = space.n_leaves
     pot = kernel_operator(K8, space).apply_function(f)
     vals = ext.field(pot)
     dist = space.distance_matrix()
     exponent = 2.0 * (K8.s - 0.5)
-    widths = np.array([[region_radius(space, K8, 2.0, ApproachRegion(x0, kind, exponent=exponent),
-                                      float(y)) for y in heights] for x0 in range(n)])
+    widths = np.array([[width(space, kind, x0, float(y), exponent) for y in heights]
+                       for x0 in range(n)])
     t_grid = sorted({*heights[::4], heights[-1]}, reverse=True)
     rows = []
     for x0 in range(n):
@@ -272,8 +273,8 @@ def test_experiment_matches_brute_force_scan(space_kind, kind):
     excluded = rng.random((space.n_leaves, ext.heights.size)) < 0.02
     excluded[17, -1] = True      # a cell at the finest height
     split = SplitResult(excluded, np.zeros(space.n_leaves, dtype=bool), 0.0, 0.0, True)
-    table = experiment(ext, K8, f, np.arange(space.n_leaves), split, kind, tol=0.05)
-    rows, masses = brute_force_experiment(ext, f, excluded, kind)
+    table = experiment(space, ext, K8, f, np.arange(space.n_leaves), split, kind, tol=0.05)
+    rows, masses = brute_force_experiment(space, ext, f, excluded, kind)
     assert [(r.x0, r.t, r.sup_error, r.n_points, r.n_excluded) for r in table.rows] == rows
     assert table.bad_set_mass == masses
     # a region meets the finest excluded cell at the finest t

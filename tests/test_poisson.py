@@ -1,12 +1,15 @@
+import gc
 import math
+import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from potlab.kernel import RadialKernel, kernel_operator, lp_norm
-from potlab.poisson import (PoissonExtension, _harnack_worst, ball_slab, dyadic_heights,
-                            exchange_band, exchange_ratio, harnack_check, harnack_constant,
-                            lipschitz_profile, poisson_extension)
+from potlab.poisson import (PoissonExtension, _exchange_extremes, _harnack_worst, ball_slab,
+                            dyadic_heights, exchange_band, exchange_ratio, harnack_check,
+                            harnack_constant, lipschitz_profile, poisson_extension)
 from potlab.space import model_space
 
 RIESZ = RadialKernel("riesz", s=0.75, p=2.0)
@@ -54,10 +57,9 @@ def test_matches_naive_double_loop(tree6, cantor6, rng):
                 assert values[x, h] == pytest.approx(direct, rel=1e-12)
 
 
-def per_center_profile(ext, x, h):
+def per_center_profile(space, ext, x, h):
     """The per-center ring loop that ``kernel_matrix`` vectorizes (reference):
     rings stop at the center's own first whole-space ball."""
-    space = ext.space
     decay = 2.0 ** (-(space.dimension + 1.0))
     out = np.zeros(space.n_leaves)
     coef, r = 1.0, float(ext.heights[h])
@@ -81,7 +83,7 @@ def test_kernel_matrix_matches_field_and_per_center_loop(kind, rng):
         kmat = ext.kernel_matrix(h)
         assert np.allclose(kmat @ (f * ms.weights), values[:, h], rtol=1e-12, atol=0.0)
         for x in (0, 21, 63):
-            assert np.array_equal(kmat[x], per_center_profile(ext, x, h))
+            assert np.array_equal(kmat[x], per_center_profile(ms, ext, x, h))
 
 
 @pytest.mark.parametrize("kind", ["tree-boundary", "unit-interval", "cantor-set"])
@@ -116,10 +118,9 @@ def per_height_rings(space, y):
         r *= 2.0
 
 
-def per_height_reference(ext, f):
+def per_height_reference(space, ext, f):
     """Field values, normalization grid and kernel matrices of ``ext`` from
     the per-height collector (reference)."""
-    space = ext.space
     n = space.n_leaves
     decay = 2.0 ** (-(space.dimension + 1.0))
     rings = [per_height_rings(space, float(y)) for y in ext.heights]
@@ -161,7 +162,7 @@ def test_extension_searches_each_radius_once(kind, n_heights, monkeypatch, rng):
     assert len(calls) <= n_heights + 3
     monkeypatch.undo()
     f = rng.random(ms.n_leaves)
-    values, grid, kmats = per_height_reference(ext, f)
+    values, grid, kmats = per_height_reference(ms, ext, f)
     assert ext.field(f).tobytes() == values.tobytes()
     assert ext.normalization_grid().tobytes() == grid.tobytes()
     for h, kmat in enumerate(kmats):
@@ -236,11 +237,11 @@ def test_maximal_ratio_recorded_across_depths(rng):
     assert abs(ratios[8] - ratios[6]) <= 0.25 * ratios[6]
 
 
-def exceedance(ext, f, eps):
+def exceedance(space, ext, f, eps):
     """Grid cells where the extended potential of f exceeds eps, and the
     per-height slab of the balls B(x, y) around them."""
-    over = ext.field(kernel_operator(RIESZ, ext.space).apply_function(f)) > eps
-    return over, ball_slab(ext.space, over, ext.heights)
+    over = ext.field(kernel_operator(RIESZ, space).apply_function(f)) > eps
+    return over, ball_slab(space, over, ext.heights)
 
 
 def test_exceedance_trivia(tree6, rng):
@@ -248,9 +249,9 @@ def test_exceedance_trivia(tree6, rng):
     f = rng.random(64) + 0.1
     pot = kernel_operator(RIESZ, tree6).apply_function(f)
     top = ext.field(pot).max()
-    over, slab = exceedance(ext, f, top * 1.01)
+    over, slab = exceedance(tree6, ext, f, top * 1.01)
     assert not over.any() and not slab.any()
-    _, slab = exceedance(ext, f, 1e-12)
+    _, slab = exceedance(tree6, ext, f, 1e-12)
     assert slab.any(axis=1).all()
 
 
@@ -258,7 +259,7 @@ def test_exceedance_star_two_ways(tree6):
     ext = PoissonExtension(tree6, n_heights=6)
     f = np.zeros(64)
     f[17] = 5.0
-    over, slab = exceedance(ext, f, 0.35)
+    over, slab = exceedance(tree6, ext, f, 0.35)
     # naive scan: a leaf is shadowed iff it sits inside some flagged ball
     expected = np.zeros(64, dtype=bool)
     for h, y in enumerate(ext.heights):
@@ -286,8 +287,8 @@ def test_ball_slab_matches_naive_scan(kind, rng):
 def test_exceedance_monotone_in_eps(tree6, rng):
     ext = PoissonExtension(tree6, n_heights=6)
     f = rng.random(64)
-    star1 = exceedance(ext, f, 0.4)[1].any(axis=1)
-    star2 = exceedance(ext, f, 0.8)[1].any(axis=1)
+    star1 = exceedance(tree6, ext, f, 0.4)[1].any(axis=1)
+    star2 = exceedance(tree6, ext, f, 0.8)[1].any(axis=1)
     assert np.all(star1[star2])     # larger eps gives a smaller shadow
 
 
@@ -326,14 +327,14 @@ def test_harnack_vacuous_and_constant_input(cantor6):
     op = kernel_operator(k, cantor6)
     c_h = harnack_constant(cantor6, n_heights=6)
     tiny = ext.field(op.apply_function(np.zeros(64) + 1e-9))
-    lowest, ok = harnack_check(ext, tiny, 1e6, c_h)
+    lowest, ok = harnack_check(cantor6, ext, tiny, 1e6, c_h)
     assert ok and math.isinf(lowest)
     field = ext.field(op.apply_function(np.ones(64)))
     eps = float(field.min()) * 0.99
-    lowest, ok = harnack_check(ext, field, eps, c_h)
+    lowest, ok = harnack_check(cantor6, ext, field, eps, c_h)
     assert ok
     with pytest.raises(ValueError, match="eps must be positive"):
-        harnack_check(ext, field, 0.0, c_h)
+        harnack_check(cantor6, ext, field, 0.0, c_h)
 
 
 def test_harnack_random_batch(cantor6, rng):
@@ -344,7 +345,7 @@ def test_harnack_random_batch(cantor6, rng):
     for _ in range(10):
         field = ext.field(op.apply_function(rng.random(64)))
         eps = float(np.quantile(field, 0.7))
-        lowest, ok = harnack_check(ext, field, eps, c_h)
+        lowest, ok = harnack_check(cantor6, ext, field, eps, c_h)
         assert ok, (lowest, c_h * eps)
 
 
@@ -352,8 +353,8 @@ def test_exchange_scale_invariance(cantor6, rng):
     ext = PoissonExtension(cantor6, n_heights=6)
     k = RadialKernel("riesz", s=0.8, p=2.0)
     f = rng.random(64)
-    r1 = exchange_ratio(ext, k, f)
-    r2 = exchange_ratio(ext, k, 7.0 * f)
+    r1 = exchange_ratio(cantor6, ext, k, f)
+    r2 = exchange_ratio(cantor6, ext, k, 7.0 * f)
     assert r1 == pytest.approx(r2)
 
 
@@ -361,7 +362,7 @@ def test_exchange_commutes_exactly_on_uniform_tree(tree6, rng):
     # both operators are functions of the shared-prefix structure, hence
     # simultaneously diagonalizable: the ratio collapses to 1
     ext = PoissonExtension(tree6, n_heights=6)
-    lo, hi = exchange_ratio(ext, RIESZ, rng.random(64))
+    lo, hi = exchange_ratio(tree6, ext, RIESZ, rng.random(64))
     assert lo == pytest.approx(1.0, abs=1e-10)
     assert hi == pytest.approx(1.0, abs=1e-10)
 
@@ -372,7 +373,7 @@ def test_exchange_constant_input_closed_form(cantor6):
     op = kernel_operator(k, cantor6)
     c = 2.5
     f = np.full(64, c)
-    lo, hi = exchange_ratio(ext, k, f)
+    lo, hi = exchange_ratio(cantor6, ext, k, f)
     kernel_mass = op.apply_function(np.ones(64))
     direct = np.column_stack([
         op.apply_function(np.full(64, c)) / ext.field(c * kernel_mass)[:, h]
@@ -381,9 +382,9 @@ def test_exchange_constant_input_closed_form(cantor6):
     assert hi == pytest.approx(float(direct.max()), rel=1e-10)
 
 
-def per_height_exchange_ratio(ext, kernel, f):
+def per_height_exchange_ratio(space, ext, kernel, f):
     # one potential per height, as exchange_ratio computed it before block applies
-    op = kernel_operator(kernel, ext.space)
+    op = kernel_operator(kernel, space)
     ext_f = ext.field(f)
     ext_pot = ext.field(op.apply_function(f))
     swapped = np.column_stack([op.apply_function(ext_f[:, h])
@@ -398,8 +399,8 @@ def test_exchange_ratio_matches_per_height_loop(kind, rng):
     ext = PoissonExtension(ms, n_heights=7)
     for _ in range(3):
         f = rng.random(ms.n_leaves)
-        lo, hi = exchange_ratio(ext, RIESZ, f)
-        ref_lo, ref_hi = per_height_exchange_ratio(ext, RIESZ, f)
+        lo, hi = exchange_ratio(ms, ext, RIESZ, f)
+        ref_lo, ref_hi = per_height_exchange_ratio(ms, ext, RIESZ, f)
         assert lo == pytest.approx(ref_lo, rel=1e-12, abs=0.0)
         assert hi == pytest.approx(ref_hi, rel=1e-12, abs=0.0)
 
@@ -425,7 +426,7 @@ def test_harnack_check_uses_the_given_field(rng, monkeypatch):
 
     monkeypatch.setattr(ext, "field", no_recompute)
     monkeypatch.setattr(op, "apply_function", no_recompute)
-    assert harnack_check(ext, field, eps, c_h) == (lowest, lowest >= c_h * eps)
+    assert harnack_check(ms, ext, field, eps, c_h) == (lowest, lowest >= c_h * eps)
 
 
 def test_exchange_band_contains_random_inputs(cantor6, rng):
@@ -433,7 +434,7 @@ def test_exchange_band_contains_random_inputs(cantor6, rng):
     band = exchange_band(cantor6, k, n_heights=6)
     ext = PoissonExtension(cantor6, n_heights=6)
     for _ in range(5):
-        lo, hi = exchange_ratio(ext, k, rng.random(64))
+        lo, hi = exchange_ratio(cantor6, ext, k, rng.random(64))
         assert band[0] - 1e-9 <= lo and hi <= band[1] + 1e-9
 
 
@@ -446,6 +447,39 @@ def test_exchange_band_keyed_on_kernel():
     band2 = exchange_band(shared, k2, n_heights=6)
     assert band1 != band2
     assert band2 == exchange_band(model_space("tree-boundary", 2, 6, 0.5), k2, n_heights=6)
+
+
+def test_exchange_band_leaves_out_vanishing_compositions():
+    # at fine heights the ring coefficients 2**(-(Q+1)k) underflow, so both
+    # compositions vanish on the diagonal (K has no self-interaction); those
+    # 0/0 entries are left out, not divided
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lo, hi = _exchange_extremes(model_space("tree-boundary", 2, 2), RIESZ, 540)
+    coarse = _exchange_extremes(model_space("tree-boundary", 2, 2), RIESZ, 20)
+    # the 540-height grid holds the 20-height one, so its band holds that band
+    assert math.isfinite(lo) and math.isfinite(hi)
+    assert lo <= coarse[0] and coarse[1] <= hi
+
+
+@pytest.mark.parametrize("kind", ["tree-boundary", "unit-interval", "cantor-set"])
+def test_extension_dies_with_its_space(kind):
+    # the space memoizes its extension and the extension keeps only what an
+    # evaluation reads, so no reference cycle waits for the collector
+    gc.disable()
+    try:
+        ms = model_space(kind, 2, 6)
+        ext = poisson_extension(ms, 6)
+        ext.field(np.ones(ms.n_leaves))
+        alive = weakref.ref(ext)
+        del ext, ms
+        assert alive() is None
+    finally:
+        gc.enable()
+    # an extension built on a space nothing else holds still works
+    ext = PoissonExtension(model_space(kind, 2, 6), n_heights=6)
+    assert np.abs(ext.field(np.ones(64)) - 1.0).max() <= 1e-12
+    assert ext.kernel_matrix(3).shape == (64, 64)
 
 
 def test_profile_names(tree6):

@@ -124,6 +124,24 @@ def test_family_generation_deterministic(tree8):
     assert f1.centers == f2.centers and f1.levels == f2.levels
 
 
+def test_tree_and_ahlfors_families_agree_on_trees(tree8):
+    # the ultrametric is itself Ahlfors-regular, so the two modes draw one
+    # family; each enlargement is the subtree at the coarser of the ball's
+    # level and the finest level whose subtree mass reaches its capacity
+    for seed in range(10):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # short families are still valid
+            tree, ahlfors = (generate_separated_family(tree8, RIESZ, 2.0, 4, seed, mode=mode)
+                             for mode in ("tree", "ahlfors"))
+        assert tree.enlarged_ranges == ahlfors.enlarged_ranges
+        assert (tree.centers, tree.levels) == (ahlfors.centers, ahlfors.levels)
+        for x, level, enlarged in zip(tree.centers, tree.levels, tree.enlarged_ranges):
+            cap = solve_capacity(tree8, RIESZ, np.arange(*tree8.subtree_range(x, level))).value
+            m = max(m for m in range(tree8.depth + 1)
+                    if tree8.range_mass(*tree8.subtree_range(x, m)) >= cap)
+            assert enlarged == tree8.subtree_range(x, min(level, m))
+
+
 def test_ahlfors_single_ball(cantor6):
     k = RadialKernel("riesz", s=0.8, p=2.0)
     fam = generate_separated_family(cantor6, k, 2.0, 1, seed=5, mode="ahlfors")
