@@ -15,17 +15,23 @@ a negative gradient are moved to 0, the others take a Newton step on the
 Hessian K_F diag(w g') K_F^T, and a projected Armijo search along the step
 lets many leaves enter or leave the support in one round.  At p = 2,
 g' = 1/2 wherever the potential is positive, so the weights of the Hessian
-rarely move: the first round's all-free Gram is kept, and a later round
-with the same weights takes its free block instead of forming its own.  It
+rarely move: the first round's all-free Gram G is kept, and a later round
+with the same weights solves its free block F on G.  Those rounds at first
+slice the block from G and solve it directly.  Once the direct solves spent
+on them pay for it, G is replaced by the inverse of its Cholesky factor
+(``np.linalg.cholesky``), and a round solves through a Schur complement on
+its binding leaves instead, each binding leaf's row of G^-1 formed once
+(``_KeptGram`` states the two flop-count rules that decide).  It
 stops when the projected-gradient residual reaches rounding level;
 ``iterations`` counts the rounds.  The first round takes the target's
 kernel rows for its Hessian.  On an embedded space every evaluation from
 then on reads u = K*lam and K*g on the target from those rows, two
 products in place of two dense applies, so only the evaluations before
 the first round apply the operator, and a target that starts at the
-optimum never gathers rows.  Each Newton system is one LU solve
+optimum never gathers rows.  Every other Newton system is one LU solve
 (``spd_solve``, LAPACK ``gesv`` through numpy); only an exactly singular
-Hessian falls back to a solve with a 1e-13 diagonal jitter.
+Hessian falls back to a solve with a 1e-13 diagonal jitter, and a G that
+the Cholesky factorization rejects is never factored.
 ``capacity_value`` memoizes the value of a leaf set on the space, the one
 capacity memo for callers that read only the value; a large subtree of a
 uniform tree takes the exact symmetric reduction there, not the solver.
@@ -50,16 +56,18 @@ from .space import ModelSpace
 
 
 def spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Positive-semidefinite solve with a jitter fallback.
+    """Positive-semidefinite solve with a jitter fallback: every Newton
+    system that is not a Schur step on a factored p = 2 Gram.
 
     ``np.linalg.solve`` factors the matrix by LU with partial pivoting
     (LAPACK ``gesv``), which raises only on an exactly singular matrix (a
     zero pivot); a Cholesky factorization would also raise on one that is
-    merely not positive definite in floating point.  On that error the
-    diagonal is raised by 1e-13 of its mean and the system solved again.
-    Near-singular systems only slow the outer iteration down; optimality
-    is certified through the duality gap, which still decides
-    ``converged``.
+    merely not positive definite in floating point, which is why a Gram
+    the solver keeps is factored by Cholesky only when that succeeds.  On
+    that error the diagonal is raised by 1e-13 of its mean and the system
+    solved again.  Near-singular systems only slow the outer iteration
+    down; optimality is certified through the duality gap, which still
+    decides ``converged``.
     """
     try:
         return np.linalg.solve(mat, rhs)
@@ -125,6 +133,99 @@ def _gram(rows, free, weights):
     return a @ a.T
 
 
+def _invert_lower(low):
+    """Overwrite a lower-triangular matrix with its inverse, blockwise in place:
+    [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]."""
+    m = low.shape[0]
+    if m <= 64:
+        low[...] = np.tril(np.linalg.inv(low))
+        return
+    h = m // 2
+    a, c, d = low[:h, :h], low[h:, :h], low[h:, h:]
+    _invert_lower(a)
+    _invert_lower(d)
+    c[...] = -(d @ (c @ a))
+
+
+class _KeptGram:
+    """The all-free p = 2 Hessian G of a solve, and the free-block systems of
+    the later rounds that share its weights.
+
+    Until factoring pays, a round slices its free block F from G and solves
+    it directly.  From then on G is held as R = L^-1 for its Cholesky factor
+    L, so G^-1 = R^T R, and a round solves G_FF y = g_F through the binding
+    leaves B: with z = G^-1 g for g zero on B,
+    y = z - G^-1[:, B] (G^-1[B, B])^-1 z_B, which vanishes on B.  The row of
+    G^-1 of a leaf is formed the first time the leaf binds, then kept.
+
+    Two flop counts decide, with m = |F| + |B|.  A round takes the Schur step
+    only when 2 m^2 (leaves binding for the first time) + 2 |B|^3 / 3, the
+    new rows and an LU solve of the binding block, is below 2 |F|^3 / 3, an
+    LU solve of the free block.  G is factored on the first round where its
+    Cholesky factor and triangular inverse, 2 m^3 / 3, plus that Schur step
+    cost less than the direct solve plus those of the earlier rounds on G;
+    on a tie, an all-free round before any of them, factoring buys nothing
+    yet and G is kept.  Any other round after factoring forms its block
+    from the target's kernel rows, as p != 2 rounds do.  A G that
+    ``np.linalg.cholesky`` rejects stays on the direct path.
+    """
+
+    def __init__(self, gram, weights):
+        self.gram = gram             # G until factored, then None
+        self.weights = weights
+        self.inverse = None          # R once factored
+        self.factorable = True
+        self.spent = 0.0             # flops of direct solves on G so far
+        self.inv_rows = np.empty((0, gram.shape[0]))   # rows of G^-1 kept so far
+        self.slot = np.full(gram.shape[0], -1)      # each leaf's row in ``inv_rows``
+
+    def solve(self, free, rhs, kernel_rows):
+        """G_FF^-1 rhs; ``kernel_rows`` form the block once G is factored."""
+        m = free.size
+        bound = np.flatnonzero(~free)
+        new = bound[self.slot[bound] < 0]
+        direct = 2.0 * (m - bound.size) ** 3 / 3.0
+        schur = 2.0 * m * m * new.size + 2.0 * bound.size ** 3 / 3.0
+        if schur < direct:
+            if self.inverse is None and self.factorable \
+                    and 2.0 * m**3 / 3.0 + schur < direct + self.spent:
+                self._factor()
+            if self.inverse is not None:
+                step = self._schur(free, bound, new, rhs)
+                if step is not None:
+                    return step
+        if self.inverse is not None:
+            return spd_solve(_gram(kernel_rows, free, self.weights), rhs)
+        self.spent += direct
+        return spd_solve(self.gram if free.all() else self.gram[np.ix_(free, free)], rhs)
+
+    def _factor(self):
+        try:
+            low = np.linalg.cholesky(self.gram)
+        except np.linalg.LinAlgError:
+            self.factorable = False
+            return
+        self.gram = None
+        _invert_lower(low)
+        self.inverse = low
+
+    def _schur(self, free, bound, new, rhs):
+        """The Schur step, or None when the binding block is exactly singular."""
+        r = self.inverse
+        z = r.T @ (r @ _scatter(rhs, free, free.size))
+        if bound.size:
+            if new.size:
+                self.slot[new] = np.arange(len(self.inv_rows), len(self.inv_rows) + new.size)
+                self.inv_rows = np.concatenate([self.inv_rows, r[:, new].T @ r])
+            at = self.slot[bound]
+            try:
+                v = np.linalg.solve(self.inv_rows[np.ix_(at, bound)], z[bound])
+            except np.linalg.LinAlgError:
+                return None
+            z -= _scatter(v, at, len(self.inv_rows)) @ self.inv_rows
+        return z[free]
+
+
 def _scatter(values, idx, n):
     out = np.zeros(n)
     out[idx] = values
@@ -169,7 +270,7 @@ def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
     state = ds.evaluate(lam)
 
     rows = None   # built on the first round: many targets start at the optimum
-    gram = gram_weights = None   # p = 2: the all-free Hessian and its weights
+    kept = None   # p = 2: the first round's all-free Hessian, a _KeptGram
     iterations = 0
     while True:
         grad = state["grad"]
@@ -196,14 +297,15 @@ def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
         pos = u > 0
         gprime[pos] = (ds.pp - 1.0) / p * (u[pos] / p) ** (ds.pp - 2.0)
         weights = np.sqrt(w * gprime)
-        if gram is not None and np.array_equal(weights, gram_weights):
-            hessian = gram if free.all() else gram[np.ix_(free, free)]
+        direction = -lam                       # binding leaves move to 0
+        if kept is not None and np.array_equal(weights, kept.weights):
+            direction[free] = kept.solve(free, grad[free], rows)
         else:
             hessian = _gram(rows, free, weights)
+            direction[free] = spd_solve(hessian, grad[free])
             if p == 2.0 and free.all():
-                gram, gram_weights = hessian, weights
-        direction = -lam                       # binding leaves move to 0
-        direction[free] = spd_solve(hessian, grad[free])
+                kept = _KeptGram(hessian, weights)
+            del hessian                        # so a factored G is freed
         # projected Armijo search; near the optimum the objective moves
         # less than its own rounding, hence the noise allowance
         slope = float(grad @ direction)
@@ -339,7 +441,8 @@ _SYMMETRIC_CUTOVER = 2048   # the solver handles targets below this size comfort
 def capacity_value(space: ModelSpace, kernel: RadialKernel, target,
                    p: float) -> float:
     """Capacity of a leaf set, memoized on the space under its sorted unique
-    leaves, so a permuted or repeated target is one entry.
+    leaves, so a permuted or repeated target is one entry: a set that is one
+    contiguous run lo..hi-1 is keyed by (lo, hi), any other by its leaf bytes.
 
     A whole subtree of at least ``_SYMMETRIC_CUTOVER`` leaves on a uniform
     tree takes the exact ``uniform_ball_capacity`` reduction, every other
@@ -347,16 +450,18 @@ def capacity_value(space: ModelSpace, kernel: RadialKernel, target,
     (asserted in the test suite), not to the last bit.
     """
     E = np.unique(np.asarray(target, dtype=np.int64))
+    run = E.size > 0 and int(E[-1]) - int(E[0]) + 1 == E.size
+    leaves = (int(E[0]), int(E[-1]) + 1) if run else (E.tobytes(),)
 
     def value():
-        if E.size >= _SYMMETRIC_CUTOVER and _uniform_tree(space):
-            lo, hi = int(E[0]), int(E[-1]) + 1
+        if run and E.size >= _SYMMETRIC_CUTOVER and _uniform_tree(space):
+            lo, hi = leaves
             levels = [n for n in range(space.depth + 1) if space.subtree_range(lo, n) == (lo, hi)]
-            if levels and hi - lo == E.size:
+            if levels:
                 return uniform_ball_capacity(space, kernel, p, lo, levels[0])
         return solve_capacity(space, kernel, E, p=p).value
 
-    return space._cached(("set", kernel, p, E.tobytes()), value)
+    return space._cached(("set", kernel, p, *leaves), value)
 
 
 def metric_matching_radius(space: ModelSpace, kernel: RadialKernel, p: float,

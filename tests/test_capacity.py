@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from potlab import capacity
 from potlab.capacity import (ball_capacity_profile, capacity_p2_exact, capacity_value,
                              metric_matching_radius, singleton_capacity, solve_capacity,
                              spd_solve, theoretical_profile_slope, uniform_ball_capacity)
+from potlab.cli import Runner, load_config
 from potlab.convergence import approximation_split, thinness_decay
 from potlab.kernel import RadialKernel, kernel_operator, lp_norm
 from potlab.poisson import PoissonExtension, lipschitz_profile
@@ -245,6 +247,102 @@ def test_solve_evaluates_through_its_rows(kind, monkeypatch):
     assert sol.value == pytest.approx(capacity_p2_exact(space, RIESZ, target), rel=1e-8)
 
 
+def whole_space_gram(kind, depth):
+    """The all-free p = 2 Gram of a whole-space target and its weights."""
+    space = model_space(kind, 2, depth)
+    rows = kernel_operator(RIESZ, space).row(np.arange(space.n_leaves))
+    weights = np.sqrt(space.weights / 2.0)   # sqrt(w g') with g' = 1/2
+    return capacity._gram(rows, np.ones(space.n_leaves, dtype=bool), weights), weights
+
+
+@pytest.mark.parametrize("kind", ["unit-interval", "cantor-set"])
+def test_schur_step_matches_the_direct_solve(kind, rng):
+    # with 0%, about 5%, 30% and over 50% of the leaves bound, the Schur step
+    # on the factored Gram solves the free block as spd_solve does; worst
+    # relative move measured: 1.7e-11 (unit-interval), 9e-14 (cantor-set)
+    gram, weights = whole_space_gram(kind, 9)
+    kept = capacity._KeptGram(gram.copy(), weights)
+    kept._factor()
+    assert kept.gram is None and kept.inverse is not None
+    m = gram.shape[0]
+    for share in (0.0, 0.05, 0.3, 0.55):
+        for contiguous in (False, True):
+            free = rng.random(m) >= share
+            if contiguous:
+                free[:] = True
+                start = int(rng.integers(0, m))
+                free[start:start + int(share * m)] = False
+            bound = np.flatnonzero(~free)
+            rhs = rng.standard_normal(int(free.sum()))
+            step = kept._schur(free, bound, bound[kept.slot[bound] < 0], rhs)
+            direct = spd_solve(gram[np.ix_(free, free)], rhs)
+            assert np.abs(step - direct).max() <= 1e-9 * np.abs(direct).max()
+    # each leaf's row of G^-1 is formed once, however often it binds
+    assert len(kept.inv_rows) == np.count_nonzero(kept.slot >= 0) <= m
+
+
+def test_a_gram_cholesky_rejects_keeps_the_direct_path():
+    m = 40
+    gram = np.ones((m, m))          # positive semidefinite, rank 1
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(gram)
+    kept = capacity._KeptGram(gram, np.ones(m))
+    free = np.ones(m, dtype=bool)
+    free[:3] = False
+    rhs = np.ones(m - 3)
+    # the first later round solves directly; the second would factor
+    for mask, b in ((np.ones(m, dtype=bool), np.ones(m)), (free, rhs)):
+        step = kept.solve(mask, b, None)
+        assert np.array_equal(step, spd_solve(gram[np.ix_(mask, mask)], b))
+    assert not kept.factorable and kept.inverse is None and kept.gram is gram
+
+
+def test_whole_space_interval_solve_factors_its_gram_once(monkeypatch):
+    # 13 rounds: the first two solve directly, the other 11 take the Schur step
+    calls = []
+    direct = capacity.spd_solve
+    monkeypatch.setattr(capacity, "spd_solve",
+                        lambda mat, rhs: calls.append(mat.shape[0]) or direct(mat, rhs))
+    space = model_space("unit-interval", 2, 9)
+    sol = solve_capacity(space, RIESZ, np.arange(space.n_leaves))
+    assert sol.iterations == 13 and len(calls) <= 2
+    assert abs(sol.value - 0.048026373002839226) <= 1e-13
+    assert sol.relative_gap <= 1e-14
+
+
+# Newton rounds a change to the linear algebra must keep: whole-space targets,
+# and every solve of the golden tree-boundary config's quasiadd families in
+# call order
+WHOLE_SPACE_ROUNDS = {("unit-interval", 8): 14, ("unit-interval", 9): 13,
+                      ("cantor-set", 9): 7}
+GOLDEN_TREE_QUASIADD_ROUNDS = [
+    0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 1, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0,
+    1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("kind, depth", sorted(WHOLE_SPACE_ROUNDS))
+def test_whole_space_round_counts_are_pinned(kind, depth):
+    space = model_space(kind, 2, depth)
+    sol = solve_capacity(space, RIESZ, np.arange(space.n_leaves))
+    assert sol.iterations == WHOLE_SPACE_ROUNDS[kind, depth]
+    assert sol.relative_gap <= 1e-14
+
+
+def test_golden_tree_quasiadd_round_counts_are_pinned(monkeypatch, tmp_path):
+    rounds = []
+    solve = capacity.solve_capacity
+
+    def spy(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        rounds.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(capacity, "solve_capacity", spy)
+    config = Path(__file__).parent / "golden" / "tree-boundary" / "config.ini"
+    Runner(load_config(config), tmp_path, None, charts=False).run("quasiadd")
+    assert rounds == GOLDEN_TREE_QUASIADD_ROUNDS
+
+
 def test_nonconvergence_flag():
     # one Newton round leaves a spread-out target far from optimal (gap 0.196)
     space = model_space("unit-interval", 2, 7)
@@ -393,6 +491,30 @@ def test_capacity_value_takes_the_reduction_on_whole_subtrees(monkeypatch):
         solve_capacity(space, RIESZ, np.arange(1024, 3072), p=2.0).value
     assert capacity_value(space, RIESZ, np.arange(1024, 2048), 2.0) > 0
     assert len(calls) == 2
+
+
+def test_capacity_value_keys_a_leaf_run_by_its_ends(monkeypatch):
+    # acceptance criterion 5's depth-20 profile: balls of up to 262,144
+    # leaves, each keyed by two integers rather than by its leaf bytes
+    monkeypatch.setattr(capacity, "_SYMMETRIC_CUTOVER", 1)
+    kernel = RadialKernel("riesz", s=0.75, p=2.0)
+    space = model_space("tree-boundary", 2, 20, 0.5)
+    prof = ball_capacity_profile(space, kernel, 2.0, 0, range(2, 9))
+    key_bytes = sum(len(part) for key in space._memo for part in key if isinstance(part, bytes))
+    assert key_bytes == 0 and sum(key[0] == "set" for key in space._memo) == 7
+    for level, value in zip(prof.levels, prof.capacities):
+        lo, hi = space.grid_ball_range(0, int(level))
+        assert (lo, hi) == space.subtree_range(0, int(level))
+        assert value == uniform_ball_capacity(space, kernel, 2.0, 0, int(level))
+    # a run asked for in any order is the same entry; a set with a gap keeps its bytes
+    shared = fresh_tree6()
+    calls = spy_on_solves(monkeypatch)
+    first = capacity_value(shared, RIESZ, np.arange(8, 13), 2.0)
+    assert capacity_value(shared, RIESZ, [12, 9, 8, 11, 10, 9], 2.0) == first
+    capacity_value(shared, RIESZ, [8, 9, 11, 12], 2.0)
+    assert len(calls) == 2
+    assert [key[3:] for key in shared._memo if key[0] == "set"] == \
+        [(8, 13), (np.array([8, 9, 11, 12]).tobytes(),)]
 
 
 def spy_on_solves(monkeypatch) -> list:
