@@ -279,19 +279,45 @@ def _field(text: str) -> str:
     return text
 
 
-def _column(values, n_rows: int) -> list:
-    """One CSV column of a block as fields.  A scalar is formatted once and
-    repeated; a numeric array is converted and formatted in one pass (floats
-    as repr, booleans true/false, integers through str); anything else is
-    formatted cell by cell through ``_fmt``."""
+def _numeric_fields(values: np.ndarray) -> list:
+    """A numeric array converted and formatted in one pass: floats as repr,
+    booleans true/false, integers through str."""
+    cells = values.tolist()
+    if values.dtype.kind == "b":
+        return ["true" if v else "false" for v in cells]
+    return list(map(repr if values.dtype.kind == "f" else str, cells))
+
+
+def _column(values, n_rows: int, last=None):
+    """One CSV column of a block as fields, and the memo that the column in
+    the same position of the next block may reuse (``last`` is the memo the
+    previous block left).
+
+    A scalar is formatted once and repeated; anything but a numeric array is
+    formatted cell by cell through ``_fmt``.  A numeric array takes the
+    fields of ``last`` when it equals that column in dtype and bits
+    (compared by content, since a caller may refill one buffer between
+    blocks); otherwise a float array calls repr once per distinct bit
+    pattern, so 0.0 and -0.0 stay apart, and scatters the text back to its
+    rows.  A float wider than 8 bytes has no integer view to key on and is
+    formatted directly."""
     if np.isscalar(values):
-        return [_field(_fmt(values))] * n_rows
-    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
-        cells = values.tolist()
-        if values.dtype.kind == "b":
-            return ["true" if v else "false" for v in cells]
-        return list(map(repr if values.dtype.kind == "f" else str, cells))
-    return [_field(_fmt(v)) for v in values]
+        return [_field(_fmt(values))] * n_rows, None
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "biuf"):
+        return [_field(_fmt(v)) for v in values], None
+    is_float = values.dtype.kind == "f"
+    if is_float and values.itemsize > 8:
+        return _numeric_fields(values), None
+    bits = values.view(f"i{values.itemsize}") if is_float else values
+    if last is not None and last[0] == values.dtype and np.array_equal(last[1], bits):
+        return last[2], last
+    if is_float:
+        keys, inverse = np.unique(bits, return_inverse=True)
+        text = np.array(_numeric_fields(keys.view(values.dtype)), dtype=object)
+        fields = text[inverse].tolist()
+    else:
+        fields = _numeric_fields(values)
+    return fields, (values.dtype, bits.copy(), fields)
 
 
 class Emitter:
@@ -315,17 +341,22 @@ class Emitter:
         per header name: 1-D arrays or sequences of one length, or scalars
         repeated down the block (so a block of scalars is one row).  Each
         block is formatted a column at a time and written at once, so a
-        large table written in blocks never holds all its text."""
+        large table written in blocks never holds all its text; a numeric
+        column equal to the previous block's reuses its text."""
         path = self.path(name)
         with open(path, "w", encoding="ascii", newline="") as fh:
             fh.write(",".join(map(_field, header)) + "\n")
+            memos = [None] * len(header)
             for block in blocks:
                 lengths = {len(col) for col in block if not np.isscalar(col)}
                 if len(block) != len(header) or len(lengths) > 1:
                     raise ValueError(f"{name}: a block's columns do not fit the header")
                 n_rows = lengths.pop() if lengths else 1
                 if n_rows:
-                    cols = [_column(col, n_rows) for col in block]
+                    cols = []
+                    for i, col in enumerate(block):
+                        fields, memos[i] = _column(col, n_rows, memos[i])
+                        cols.append(fields)
                     fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
         return path
 

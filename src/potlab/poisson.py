@@ -168,7 +168,9 @@ def harnack_constant(space: ModelSpace, n_heights: int = 20) -> float:
 
     Linearity reduces the minimization over all nonnegative inputs to point
     masses, i.e. to entrywise ratios of kernel profiles; those are
-    enumerated exhaustively at the calibration depth.
+    enumerated exhaustively at the calibration depth.  At fine heights the
+    ring coefficients underflow and a center's profile vanishes at far
+    leaves; those entries are left out, as in the exchange band.
     """
     return space._cached(("harnack", n_heights),
                          lambda: _harnack_worst(_calibration_space(space), n_heights))
@@ -182,9 +184,15 @@ def _harnack_worst(cal: ModelSpace, n_heights: int) -> float:
         # the open balls B(x, heights[h]) are the height's first ring; of
         # positive radius, they contain their center, so none is empty
         lo, hi = ext._balls[ext._rings[h][0][1]]
-        for xt in range(cal.n_leaves):
-            ratios = profiles[lo[xt]:hi[xt]] / profiles[xt][None, :]
-            worst = min(worst, float(ratios.min()))
+        # column minima of the profiles over each ball's rows (a row of inf
+        # closes a ball that ends at the last leaf)
+        rows = np.vstack((profiles, np.full(cal.n_leaves, np.inf)))
+        ball_min = np.minimum.reduceat(rows, np.column_stack((lo, hi)).ravel(), axis=0)[::2]
+        # a positive divisor keeps the order, so these are the least ratios
+        # over each ball; where the center's profile vanishes (its ring
+        # coefficients underflow) the ratio is 0/0 or infinite, left out
+        live = profiles > 0.0
+        worst = min(worst, float((ball_min[live] / profiles[live]).min(initial=math.inf)))
     return worst
 
 

@@ -639,6 +639,84 @@ def test_emitter_repeats_scalars_and_checks_widths(tmp_path):
         assert not (tmp_path / "bad.csv").exists()
 
 
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-05, 0.1 + 0.2]
+
+
+def test_emitter_formats_long_float_columns_with_repeats(tmp_path, rng):
+    # each distinct float of a long column is formatted once, keyed on its
+    # bits, so 0.0 and -0.0 keep their own text; the same values at 32 bits
+    # and a column that repeats the last block's are formatted alike
+    x = rng.choice(np.array(SPECIAL_FLOATS + [1 / 3, -2.5]), 500)
+    blocks = [(np.arange(500), x, x.astype(np.float32)),
+              (np.arange(500), x[::-1].copy(), x[::-1].astype(np.float32)),
+              (np.arange(500), x[::-1].copy(), x[::-1].astype(np.float32))]
+    header = ("i", "x", "x32")
+    path = cli.Emitter(tmp_path).csv("t.csv", header, blocks)
+    reference_csv(tmp_path / "ref.csv", header, [row for block in blocks for row in zip(*block)])
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    text = path.read_text()
+    assert ",0.0," in text and ",-0.0," in text and ",5e-324," in text
+
+
+def test_emitter_formats_a_refilled_buffer_afresh(tmp_path, monkeypatch):
+    # a generator that refills one buffer between blocks: a changed fill
+    # gets new text, and only a fill equal to the last block's reuses it;
+    # repr runs once per distinct value of each block it formats
+    calls = []
+    monkeypatch.setattr(cli, "repr", lambda v: calls.append(v) or float.__repr__(v),
+                        raising=False)
+    fills = [np.arange(200) % 7 * 0.5, np.arange(200) % 5 * -0.25, np.arange(200) % 5 * -0.25]
+    buffer = np.empty(200)
+
+    def blocks():
+        for fill in fills:
+            buffer[:] = fill
+            yield np.arange(200), buffer
+
+    path = cli.Emitter(tmp_path).csv("t.csv", ("i", "x"), blocks())
+    monkeypatch.undo()
+    reference_csv(tmp_path / "ref.csv", ("i", "x"),
+                  [(i, v) for fill in fills for i, v in enumerate(fill)])
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert len(calls) == 7 + 5
+
+
+def test_emitter_reuses_equal_columns_of_one_dtype(tmp_path):
+    # consecutive blocks with equal integer columns (one array, an equal
+    # copy, another integer width); a bool column equal to an integer one
+    # in value still prints true/false
+    leaves = np.arange(100)
+    flags = leaves % 3 == 0
+    blocks = [(leaves, flags, leaves * 0.5),
+              (leaves, flags.astype(np.int64), leaves * 0.25),
+              (leaves.copy(), flags.astype(np.int64), leaves * 0.25),
+              (leaves.astype(np.int32), flags, -leaves),
+              (leaves[::-1].copy(), flags, -leaves)]
+    header = ("leaf", "flag", "value")
+    path = cli.Emitter(tmp_path).csv("t.csv", header, blocks)
+    reference_csv(tmp_path / "ref.csv", header, [row for block in blocks for row in zip(*block)])
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_poisson_field_csv_matches_the_row_writer(config, tmp_path, monkeypatch):
+    # a cantor-set depth-8 run: the emitted field equals the stdlib row
+    # writer over the same rows of the extension's field
+    fields = []
+    field = poisson.PoissonExtension.field
+    monkeypatch.setattr(poisson.PoissonExtension, "field",
+                        lambda ext, f: fields.append(field(ext, f)) or fields[-1])
+    cfg = cli.load_config(config, ["space.kind=cantor-set", "space.depth=8",
+                                   "space.delta=0.3333333333333333"])
+    runner = cli.Runner(cfg, tmp_path / "out", 7, charts=False)
+    runner.run("poisson")
+    heights = runner._extension().heights
+    leaves = range(runner.space.n_leaves)
+    reference_csv(tmp_path / "ref.csv", ("leaf_index", "y", "value"),
+                  [(x, y, fields[0][x, h]) for h, y in enumerate(heights) for x in leaves])
+    assert ((tmp_path / "out" / "poisson_field.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
+
+
 def test_run_builds_one_extension_per_grid(config, tmp_path, monkeypatch):
     built = []
 

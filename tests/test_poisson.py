@@ -298,6 +298,23 @@ def test_harnack_constant_is_one_on_ultrametric(tree6):
     assert harnack_constant(tree6, n_heights=6) == pytest.approx(1.0)
 
 
+def per_center_harnack(space, n_heights, vanishing="divide"):
+    """The worst Harnack ratio from one ball search and one ratio block per
+    center and height (reference).  ``vanishing="leave_out"`` drops the
+    columns where the center's profile is 0; ``"divide"`` divides them."""
+    ext = poisson_extension(space, n_heights)
+    centers = np.arange(space.n_leaves)
+    expected = math.inf
+    for h, y in enumerate(ext.heights):
+        profiles = ext.kernel_matrix(h)
+        lo, hi = space.ball_bounds(centers, float(y), closed=False)
+        for xt in centers:
+            cols = (profiles[xt] > 0.0) if vanishing == "leave_out" else slice(None)
+            ratios = profiles[lo[xt]:hi[xt]][:, cols] / profiles[xt][cols]
+            expected = min(expected, float(ratios.min(initial=math.inf)))
+    return expected
+
+
 @pytest.mark.parametrize("n_heights", [3, 6, 20])
 @pytest.mark.parametrize("kind", ["tree-boundary", "unit-interval", "cantor-set"])
 def test_harnack_reads_balls_from_the_extension(kind, n_heights, monkeypatch):
@@ -305,20 +322,41 @@ def test_harnack_reads_balls_from_the_extension(kind, n_heights, monkeypatch):
     # searches no ball beyond the extension's own, and equals the per-height
     # search it replaces (reference)
     ms = model_space(kind, 2, 6)
-    ext = poisson_extension(ms, n_heights)
-    centers = np.arange(ms.n_leaves)
-    expected = math.inf
-    for h, y in enumerate(ext.heights):
-        profiles = ext.kernel_matrix(h)
-        lo, hi = ms.ball_bounds(centers, float(y), closed=False)
-        for xt in centers:
-            expected = min(expected, float((profiles[lo[xt]:hi[xt]] / profiles[xt]).min()))
+    expected = per_center_harnack(ms, n_heights)
     calls = []
     search = ms.ball_bounds
     monkeypatch.setattr(ms, "ball_bounds",
                         lambda *args, **kwargs: calls.append(1) or search(*args, **kwargs))
     assert _harnack_worst(ms, n_heights) == expected
     assert calls == []
+
+
+@pytest.mark.parametrize("n_heights", [6, 12, 20])
+@pytest.mark.parametrize("depth", [4, 5, 6])
+@pytest.mark.parametrize("kind", ["tree-boundary", "unit-interval", "cantor-set"])
+def test_harnack_worst_equals_the_per_center_loop(kind, depth, n_heights):
+    # column minima over each ball divided by the center's row: bit-equal to
+    # the per-center ratio blocks, as a positive divisor keeps the order
+    ms = model_space(kind, 2, depth)
+    assert _harnack_worst(ms, n_heights) == per_center_harnack(ms, n_heights)
+
+
+@pytest.mark.parametrize("kind", ["tree-boundary", "unit-interval", "cantor-set"])
+def test_harnack_leaves_out_vanishing_profiles(kind, monkeypatch):
+    # at 700 heights the ring coefficients 2**(-(Q+1)k) underflow, so a
+    # center's profile vanishes at far leaves and the ratio there is 0/0;
+    # those entries are left out, not divided, so no center drops out of
+    # the minimum.  The profiles are formed once, for the scan and the
+    # reference alike.
+    ms = model_space(kind, 2, 3)
+    ext = poisson_extension(ms, 700)
+    monkeypatch.setattr(ext, "kernel_matrix",
+                        [ext.kernel_matrix(h) for h in range(ext.heights.size)].__getitem__)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        worst = _harnack_worst(ms, 700)
+    assert worst == per_center_harnack(ms, 700, vanishing="leave_out")
+    assert 0.0 < worst <= 1.0
 
 
 def test_harnack_vacuous_and_constant_input(cantor6):
