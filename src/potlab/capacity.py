@@ -23,15 +23,26 @@ on them pay for it, G is replaced by the inverse of its Cholesky factor
 its binding leaves instead, each binding leaf's row of G^-1 formed once
 (``_KeptGram`` states the two flop-count rules that decide).  It
 stops when the projected-gradient residual reaches rounding level;
-``iterations`` counts the rounds.  The first round takes the target's
-kernel rows for its Hessian.  On an embedded space every evaluation from
-then on reads u = K*lam and K*g on the target from those rows, two
-products in place of two dense applies, so only the evaluations before
-the first round apply the operator, and a target that starts at the
-optimum never gathers rows.  Every other Newton system is one LU solve
-(``spd_solve``, LAPACK ``gesv`` through numpy); only an exactly singular
-Hessian falls back to a solve with a 1e-13 diagonal jitter, and a G that
-the Cholesky factorization rejects is never factored.
+``iterations`` counts the rounds.
+
+The Newton phase keeps one unknown per block of the target: the maximal
+subtrees inside it of equal leaf weight (``ModelSpace.aligned_blocks``).
+A radial kernel on the ultrametric, the weights and the target are
+invariant under every automorphism of such a subtree, so an optimal
+measure, and every Newton iterate from the uniform start, is constant on
+it.  The Hessian is S_F diag(w g') S_F^T for the block rows
+S_B = sum over B of K(x, .), the right side each block's summed gradient,
+and the residual and binding tests read per-leaf values, so every decision
+is the per-leaf solver's in exact arithmetic.  On the embedded metrics each
+block is one leaf.  The first round finds the blocks and takes their rows
+for its Hessian; a target that starts at the optimum needs neither.  On
+an embedded space every evaluation from then on reads u = K*lam and K*g on
+the target from those rows, two products in place of two dense applies, so
+only the evaluations before the first round apply the operator.  Every
+other Newton system is one LU solve (``spd_solve``, LAPACK ``gesv`` through
+numpy); only an exactly singular Hessian falls back to a solve with a 1e-13
+diagonal jitter, and a G that the Cholesky factorization rejects is never
+factored.
 ``capacity_value`` memoizes the value of a leaf set on the space, the one
 capacity memo for callers that read only the value; a large subtree of a
 uniform tree takes the exact symmetric reduction there, not the solver.
@@ -90,9 +101,13 @@ class CapacitySolution:
 class _DualState:
     """Caches the nonlinear quantities attached to a candidate measure.
 
-    Once ``rows`` holds K on the target (m, n), an evaluation reads
-    u = rows^T lam and (K*g)|_E = rows (w g) from them; until then it makes
-    one operator apply for each.  ``kg`` is K*g on the target only."""
+    lam holds one mass per target leaf until ``block`` is called, and one
+    per block of the target (``ModelSpace.aligned_blocks``) from then on;
+    the per-target arrays ``kg`` (K*g on the target) and ``grad`` then hold
+    each block's value at its first leaf.  Once ``rows`` holds the block
+    rows (``_block_rows``), an evaluation reads u = rows^T lam and K*g on
+    each block, rows (w g) over the block's size, from them; until then it
+    makes one operator apply for each."""
 
     def __init__(self, op: KernelOperator, weights, target, p):
         self.op = op
@@ -100,17 +115,32 @@ class _DualState:
         self.E = target
         self.p = p
         self.pp = p / (p - 1.0)
+        self.sizes = None    # block sizes once blocked
+        self.first = target  # the first leaf of each block
         self.rows = None
+
+    def block(self, sizes, lam, state):
+        """One unknown per block from here on: lam and its state, constant
+        on every block, are read at each block's first leaf."""
+        at = np.cumsum(sizes) - sizes
+        self.sizes, self.first = sizes, self.E[at]
+        return lam[at], dict(state, kg=state["kg"][at], grad=state["grad"][at])
+
+    def leaf_masses(self, lam):
+        """lam over the target's leaves."""
+        return lam if self.sizes is None else np.repeat(lam, self.sizes)
 
     def evaluate(self, lam):
         rows = self.rows
-        u = self.op.apply_measure(_scatter(lam, self.E, self.w.size)) if rows is None \
+        masses = self.leaf_masses(lam)
+        u = self.op.apply_measure(_scatter(masses, self.E, self.w.size)) if rows is None \
             else lam @ rows
         u = np.maximum(u, 0.0)
         g = (u / self.p) ** (self.pp - 1.0)
-        kg = self.op.apply_function(g)[self.E] if rows is None else rows @ (self.w * g)
+        kg = self.op.apply_function(g)[self.first] if rows is None \
+            else rows @ (self.w * g) / self.sizes
         moment = float(self.w @ (u / self.p) ** self.pp)   # = sum w g**p
-        objective = float(lam.sum()) - (self.p - 1.0) * moment
+        objective = float(masses.sum()) - (self.p - 1.0) * moment
         grad = 1.0 - kg
         return {"u": u, "g": g, "kg": kg, "moment": moment,
                 "objective": objective, "grad": grad}
@@ -119,11 +149,27 @@ class _DualState:
         """(dual, primal, u_norm, floor): the two bounds, and the conjugate
         norm of u and the least K*g on the target that they rescale by."""
         u_norm = float(self.w @ state["u"] ** self.pp) ** (1.0 / self.pp)
-        lam_sum = float(lam.sum())
+        lam_sum = float(self.leaf_masses(lam).sum())
         dual = (lam_sum / u_norm) ** self.p if u_norm > 0 else 0.0
         floor = float(state["kg"].min())
         primal = state["moment"] / floor**self.p if floor > 0 else math.inf
         return dual, primal, u_norm, floor
+
+
+def _block_rows(op: KernelOperator, target, sizes):
+    """S_B = sum over B of K(x, .) for each block B of the target: off B it
+    is |B| times the row of B's first leaf, on B that row's sum over B, as
+    the row of every leaf of B takes the same values on B in another order.
+    Only the tree's blocks, whose rows are fresh arrays, pass one leaf."""
+    rows = op.row(target[np.cumsum(sizes) - sizes])
+    big = np.flatnonzero(sizes > 1)
+    if big.size:
+        k = sizes[big]
+        on = np.repeat(big, k), target[np.repeat(sizes > 1, sizes)]
+        inside = np.add.reduceat(rows[on], np.cumsum(k) - k)
+        rows[big] *= k[:, None]
+        rows[on] = np.repeat(inside, k)
+    return rows
 
 
 def _gram(rows, free, weights):
@@ -233,7 +279,8 @@ def _scatter(values, idx, n):
 
 
 GAP_ACCEPT = 1e-3   # certified relative duality gap below which a solve is converged
-MAX_ROUNDS = 200    # default Newton round cap; the hardest measured solves take 45
+MAX_ROUNDS = 200    # default Newton round cap; the whole-space unit-interval solve,
+                    # the hardest measured, takes 59 rounds at depth 11 and 116 at 12
 
 
 def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
@@ -281,7 +328,10 @@ def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
             break
         iterations += 1
         if rows is None:
-            rows = op.row(E)
+            # lam is still uniform, so constant on every block
+            lam, state = ds.block(space.aligned_blocks(E), lam, state)
+            grad = state["grad"]
+            rows = _block_rows(op, E, ds.sizes)
             # from here on every evaluation reads the rows: a dense apply
             # gathers each block of the table, which costs more than the two
             # products with the rows; a tree apply gathers nothing and costs
@@ -290,25 +340,27 @@ def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
                 ds.rows = rows
         # binding: at or near 0 with the gradient pushing outward
         free = (lam > scale * min(residual, 1e-3)) | (grad > 0.0)
-        # Newton step on the free leaves: Hessian K_F diag(w g') K_F^T = A A^T,
-        # at p = 2 the free block of the kept all-free one while its weights hold
+        # Newton step on the free blocks: Hessian S_F diag(w g') S_F^T = A A^T
+        # against each block's summed gradient, at p = 2 the free block of
+        # the kept all-free one while its weights hold
         u = state["u"]
         gprime = np.zeros_like(u)
         pos = u > 0
         gprime[pos] = (ds.pp - 1.0) / p * (u[pos] / p) ** (ds.pp - 2.0)
         weights = np.sqrt(w * gprime)
-        direction = -lam                       # binding leaves move to 0
+        block_grad = ds.sizes * grad
+        direction = -lam                       # binding blocks move to 0
         if kept is not None and np.array_equal(weights, kept.weights):
-            direction[free] = kept.solve(free, grad[free], rows)
+            direction[free] = kept.solve(free, block_grad[free], rows)
         else:
             hessian = _gram(rows, free, weights)
-            direction[free] = spd_solve(hessian, grad[free])
+            direction[free] = spd_solve(hessian, block_grad[free])
             if p == 2.0 and free.all():
                 kept = _KeptGram(hessian, weights)
             del hessian                        # so a factored G is freed
         # projected Armijo search; near the optimum the objective moves
         # less than its own rounding, hence the noise allowance
-        slope = float(grad @ direction)
+        slope = float(block_grad @ direction)
         noise = 1e-14 * abs(state["objective"])
         t = 1.0
         for _ in range(40):
@@ -324,7 +376,7 @@ def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
     dual, primal, u_norm, floor = ds.certificates(lam, state)
     gap = max((primal - dual) / primal, 0.0) if primal > 0 else 0.0
     density = state["g"] / floor
-    measure = _scatter(lam / u_norm, E, n)
+    measure = _scatter(ds.leaf_masses(lam) / u_norm, E, n)
     return CapacitySolution(
         value=primal, density=density, measure=measure, dual_value=dual, relative_gap=gap,
         iterations=iterations, converged=gap <= GAP_ACCEPT)

@@ -123,6 +123,34 @@ class ModelSpace:
     def range_mass(self, lo: int, hi: int) -> float:
         return float(self._weight_prefix[hi] - self._weight_prefix[lo])
 
+    def aligned_blocks(self, leaves) -> np.ndarray:
+        """Sizes, in order, of the blocks that tile a sorted set of distinct
+        leaves: the maximal subtrees inside the set whose leaves all carry
+        the same weight.  An automorphism of such a subtree, the identity
+        elsewhere, keeps the ultrametric, the weights and the set.  The
+        embedded metrics have no such symmetry, so there each block is one
+        leaf."""
+        leaves = np.asarray(leaves, dtype=np.int64)
+        if self.kind != "tree-boundary" or leaves.size < 2:
+            return np.ones(leaves.size, dtype=np.int64)
+        # each leaf's run of consecutive leaves of one weight: the leaves of
+        # the run before it (back) and after it (ahead)
+        w = self.weights[leaves]
+        cut = np.flatnonzero((np.diff(leaves) != 1) | (w[1:] != w[:-1])) + 1
+        first, last = np.concatenate(([0], cut)), np.concatenate((cut, [leaves.size])) - 1
+        counts = last - first + 1
+        back = leaves - np.repeat(leaves[first], counts)
+        ahead = np.repeat(leaves[last], counts) - leaves
+        # the subtrees of a leaf that fit in its run are those below some level
+        size = np.ones(leaves.size, dtype=np.int64)
+        for block in self._block[-2::-1]:
+            r = leaves % block
+            fits = (r <= back) & (block - 1 - r <= ahead)
+            if not np.count_nonzero(fits):
+                break
+            size[fits] = block
+        return size[leaves % size == 0]
+
     # -- metric ----------------------------------------------------------------
 
     def distance(self, x: int, y: int) -> float:

@@ -343,6 +343,100 @@ def test_golden_tree_quasiadd_round_counts_are_pinned(monkeypatch, tmp_path):
     assert rounds == GOLDEN_TREE_QUASIADD_ROUNDS
 
 
+def newton_sides(monkeypatch):
+    """The side of every Newton system a solve forms from here on, each
+    round once: a Hessian formed for the round, or a free block that the kept
+    p = 2 Gram solves (which may form its block itself)."""
+    sides, inside = [], []
+    gram, kept_solve = capacity._gram, capacity._KeptGram.solve
+
+    def spy_gram(rows, free, weights):
+        if not inside:
+            sides.append(int(np.count_nonzero(free)))
+        return gram(rows, free, weights)
+
+    def spy_solve(kept, free, rhs, kernel_rows):
+        sides.append(int(np.count_nonzero(free)))
+        inside.append(kept)
+        try:
+            return kept_solve(kept, free, rhs, kernel_rows)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(capacity, "_gram", spy_gram)
+    monkeypatch.setattr(capacity._KeptGram, "solve", spy_solve)
+    return sides
+
+
+# the summed Newton-system side of the golden tree-boundary quasiadd run:
+# an upper bound that may only fall (320 with one unknown per leaf)
+GOLDEN_TREE_QUASIADD_NEWTON_SIDES = 118
+
+
+def test_golden_tree_quasiadd_solves_one_unknown_per_block(monkeypatch, tmp_path):
+    sides = newton_sides(monkeypatch)
+    config = Path(__file__).parent / "golden" / "tree-boundary" / "config.ini"
+    Runner(load_config(config), tmp_path, None, charts=False).run("quasiadd")
+    assert sides and sum(sides) <= GOLDEN_TREE_QUASIADD_NEWTON_SIDES
+
+
+def weighted_tree(rng):
+    """A depth-6 binary tree with random weights, equal on four subtrees,
+    and the union of those subtrees."""
+    w = rng.random(64) + 0.5
+    union = []
+    for lo, hi in ((0, 16), (24, 32), (40, 44), (56, 64)):
+        w[lo:hi] = w[lo]
+        union.extend(range(lo, hi))
+    return ModelSpace("tree-boundary", 2, 6, 0.5, w), np.array(union)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_blocked_solve_equals_the_leaf_solve(p, tree6, monkeypatch, rng):
+    # one unknown per aligned block against one per leaf: a radial kernel on
+    # the ultrametric makes every leaf of a block carry the same mass
+    kernel = RadialKernel("riesz", s=0.75, p=p)
+    # tree6 is the golden tree-boundary config's space; its 4-ball union
+    # forms Newton systems of side at most 4
+    balls = np.concatenate([np.arange(0, 16), np.arange(32, 40), np.arange(48, 52),
+                            np.arange(60, 62)])
+    ball = np.arange(16, 32)
+    half = ball[rng.random(16) < 0.5]
+    weighted, union = weighted_tree(rng)
+    cases = [(tree6, balls), (tree6, half), (tree6, ball), (tree6, np.array([37])),
+             (weighted, union)]
+    blocked = []
+    for space, target in cases:
+        with monkeypatch.context() as m:
+            sides = newton_sides(m)
+            blocked.append(solve_capacity(space, kernel, target, p=p))
+        assert max(sides, default=0) <= space.aligned_blocks(target).size
+    # the whole subtree and the singleton start at the optimum
+    assert [s.iterations > 0 for s in blocked] == [True, True, False, False, True]
+    with monkeypatch.context() as m:
+        m.setattr(ModelSpace, "aligned_blocks",
+                  lambda space, leaves: np.ones(len(leaves), dtype=np.int64))
+        by_leaf = [solve_capacity(space, kernel, target, p=p) for space, target in cases]
+    for (space, target), sol, leaf in zip(cases, blocked, by_leaf):
+        assert abs(sol.value - leaf.value) <= 1e-13 * leaf.value
+        assert sol.iterations == leaf.iterations
+        assert max(sol.relative_gap, leaf.relative_gap) <= 1e-12
+        sizes = space.aligned_blocks(target)
+        on_target = sol.measure[target]
+        starts = np.cumsum(sizes) - sizes
+        assert np.array_equal(on_target, np.repeat(on_target[starts], sizes))
+        if target.size == 1:
+            assert sol.value == pytest.approx(
+                singleton_capacity(space, kernel, int(target[0]), p), rel=1e-13)
+        if sizes.size == 1 and sizes[0] > 1:
+            level = space.depth - round(math.log(target.size, space.branching))
+            assert sol.value == pytest.approx(
+                uniform_ball_capacity(space, kernel, p, int(target[0]), level), rel=1e-13)
+        if p == 2.0:
+            assert sol.value == pytest.approx(capacity_p2_exact(space, kernel, target),
+                                              rel=1e-10)
+
+
 def test_nonconvergence_flag():
     # one Newton round leaves a spread-out target far from optimal (gap 0.196)
     space = model_space("unit-interval", 2, 7)

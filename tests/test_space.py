@@ -238,3 +238,67 @@ def test_serialization_roundtrip(tmp_path, rng):
     assert back.delta == ms.delta
     assert back.dimension == ms.dimension
     assert np.array_equal(back.weights, ms.weights)
+
+
+# -- aligned blocks --------------------------------------------------------------
+
+
+def aligned_blocks_oracle(space, leaves):
+    """Sizes of the maximal aligned subtrees inside ``leaves`` whose leaf
+    weights are all equal, in leaf order: every subtree is checked."""
+    inside = np.zeros(space.n_leaves, dtype=bool)
+    inside[leaves] = True
+    w, b = space.weights, space.branching
+    good = set()
+    for level in range(space.depth + 1):
+        size = b ** (space.depth - level)
+        for lo in range(0, space.n_leaves, size):
+            if inside[lo:lo + size].all() and np.all(w[lo:lo + size] == w[lo]):
+                good.add((lo, size))
+    maximal = [(lo, size) for lo, size in good
+               if size == space.n_leaves or (lo // (b * size) * b * size, b * size) not in good]
+    return [size for _, size in sorted(maximal)]
+
+
+def equal_on_some_subtrees(space, rng):
+    """Random weights, then made equal on a few random subtrees."""
+    w = rng.random(space.n_leaves) + 0.5
+    for _ in range(4):
+        level = int(rng.integers(1, space.depth))
+        lo, hi = space.subtree_range(int(rng.integers(space.n_leaves)), level)
+        w[lo:hi] = w[lo]
+    return w
+
+
+@pytest.mark.parametrize("b, depth", [(2, 6), (3, 4), (4, 3)])
+@pytest.mark.parametrize("weights", ["uniform", "random", "equal-on-subtrees"])
+def test_aligned_blocks_match_the_subtree_oracle(b, depth, weights, rng):
+    n = b**depth
+    space = model_space("tree-boundary", b, depth, 0.5)
+    if weights == "random":
+        space = model_space("tree-boundary", b, depth, 0.5, weights=rng.random(n) + 0.5)
+    elif weights == "equal-on-subtrees":
+        space = model_space("tree-boundary", b, depth, 0.5,
+                            weights=equal_on_some_subtrees(space, rng))
+    targets = [np.arange(n), np.array([n - 1]), np.arange(1, n - 1)]
+    for share in (0.2, 0.5, 0.8, 0.95):
+        targets.append(np.flatnonzero(rng.random(n) < share))
+    # unions of subtrees, some of them siblings, with stray leaves
+    for _ in range(4):
+        keep = np.zeros(n, dtype=bool)
+        for _ in range(int(rng.integers(1, 6))):
+            lo, hi = space.subtree_range(int(rng.integers(n)), int(rng.integers(0, depth + 1)))
+            keep[lo:hi] = True
+        keep[rng.integers(0, n, 3)] = True
+        targets.append(np.flatnonzero(keep))
+    for target in targets:
+        sizes = space.aligned_blocks(target)
+        assert sizes.tolist() == aligned_blocks_oracle(space, target)
+        assert sizes.sum() == target.size
+
+
+@pytest.mark.parametrize("kind", ["unit-interval", "cantor-set"])
+def test_aligned_blocks_are_single_leaves_off_the_ultrametric(kind):
+    space = model_space(kind, 2, 6)
+    for target in (np.arange(64), np.arange(16, 32), np.array([5])):
+        assert space.aligned_blocks(target).tolist() == [1] * target.size
