@@ -2,9 +2,8 @@
 Ahlfors-regular spaces: capacities, equilibrium measures, quasi-additivity
 experiments, dyadic Poisson extensions, and boundary-convergence runs."""
 
-# numpy loads these on first use (numpy.ma inside the first np.unique), about
-# 18 ms each; importing them here keeps that cost in start-up, not in a run
-import numpy.ma  # noqa: F401
+# numpy loads this on first use, about 18 ms; importing it here keeps that
+# cost in start-up, not in a run
 import numpy.random  # noqa: F401
 
 from .space import ModelSpace, model_space, ahlfors_constants, dump_space, load_space

@@ -25,27 +25,28 @@ its binding leaves instead, each binding leaf's row of G^-1 formed once
 stops when the projected-gradient residual reaches rounding level;
 ``iterations`` counts the rounds.
 
-The Newton phase keeps one unknown per block of the target: the maximal
-subtrees inside it of equal leaf weight (``ModelSpace.aligned_blocks``).
+The solve works on the exact quotient of the leaves (``ModelSpace.cells``):
+one unknown per block of the target, a maximal subtree inside it of equal
+leaf weight, and one cell per block or maximal subtree missing the target.
 A radial kernel on the ultrametric, the weights and the target are
-invariant under every automorphism of such a subtree, so an optimal
-measure, and every Newton iterate from the uniform start, is constant on
-it.  The Hessian is S_F diag(w g') S_F^T for the block rows
-S_B = sum over B of K(x, .), the right side each block's summed gradient,
-and the residual and binding tests read per-leaf values, so every decision
-is the per-leaf solver's in exact arithmetic.  On the embedded metrics each
-block is one leaf.  The first round finds the blocks and takes their rows
-for its Hessian; a target that starts at the optimum needs neither.  On
-an embedded space every evaluation from then on reads u = K*lam and K*g on
-the target from those rows, two products in place of two dense applies, so
-only the evaluations before the first round apply the operator.  Every
-other Newton system is one LU solve (``spd_solve``, LAPACK ``gesv`` through
-numpy); only an exactly singular Hessian falls back to a solve with a 1e-13
-diagonal jitter, and a G that the Cholesky factorization rejects is never
-factored.
-``capacity_value`` memoizes the value of a leaf set on the space, the one
-capacity memo for callers that read only the value; a large subtree of a
-uniform tree takes the exact symmetric reduction there, not the solver.
+invariant under every automorphism of a block, so an optimal measure, and
+every Newton iterate from the uniform start, is constant on it, and
+u = K*lam is constant on every cell.  With the cell rows
+R[B, c] = sum over x in B of K(x, y), y in c (``_cell_rows``) and the cell
+masses M, u = lam R, K*g on a block is R (M g) / |B|, the moment is
+sum M (u / p)**p' and the Hessian R_F diag(M g') R_F^T, so every decision
+is the per-leaf solver's in exact arithmetic, and only ``density`` and
+``measure`` are spread over the leaves, at the end.  A subtree is one
+block among at most (b - 1) N cells, and starts at the optimum.  On the
+embedded metrics each cell is one leaf: the first round takes the
+target's kernel rows for its Hessian, and every evaluation from then on
+reads u and K*g from them, two products in place of two dense applies.
+Every other Newton system is one LU solve (``spd_solve``, LAPACK ``gesv``
+through numpy); only an exactly singular Hessian falls back to a solve
+with a 1e-13 diagonal jitter, and a G that the Cholesky factorization
+rejects is never factored.  ``capacity_value`` memoizes the value of a
+leaf set on the space, the one capacity memo for callers that read only
+the value.
 
 Certificates are unconditional: any measure rescaled to the constraint
 boundary gives a lower bound, the recovered density rescaled to
@@ -61,9 +62,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import (DenseKernelOperator, KernelOperator, RadialKernel, kernel_operator,
-                     lp_norm)
-from .space import ModelSpace
+from .kernel import KernelOperator, RadialKernel, kernel_operator
+from .space import ModelSpace, sorted_unique
 
 
 def spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -101,46 +101,31 @@ class CapacitySolution:
 class _DualState:
     """Caches the nonlinear quantities attached to a candidate measure.
 
-    lam holds one mass per target leaf until ``block`` is called, and one
-    per block of the target (``ModelSpace.aligned_blocks``) from then on;
-    the per-target arrays ``kg`` (K*g on the target) and ``grad`` then hold
-    each block's value at its first leaf.  Once ``rows`` holds the block
-    rows (``_block_rows``), an evaluation reads u = rows^T lam and K*g on
-    each block, rows (w g) over the block's size, from them; until then it
-    makes one operator apply for each."""
+    lam holds the mass of each leaf of each block; u and g hold one value
+    per cell, K*g and the gradient one per block.  An evaluation reads them
+    from the cell rows, taken here on the ultrametric; on an embedded space,
+    until ``rows`` holds the target's kernel rows, it makes two applies."""
 
-    def __init__(self, op: KernelOperator, weights, target, p):
+    def __init__(self, space: ModelSpace, op: KernelOperator, target, p):
         self.op = op
-        self.w = weights
         self.E = target
         self.p = p
         self.pp = p / (p - 1.0)
-        self.sizes = None    # block sizes once blocked
-        self.first = target  # the first leaf of each block
-        self.rows = None
-
-    def block(self, sizes, lam, state):
-        """One unknown per block from here on: lam and its state, constant
-        on every block, are read at each block's first leaf."""
-        at = np.cumsum(sizes) - sizes
-        self.sizes, self.first = sizes, self.E[at]
-        return lam[at], dict(state, kg=state["kg"][at], grad=state["grad"][at])
-
-    def leaf_masses(self, lam):
-        """lam over the target's leaves."""
-        return lam if self.sizes is None else np.repeat(lam, self.sizes)
+        starts, self.cell_sizes, self.masses, inside = space.cells(target)
+        self.sizes = self.cell_sizes[inside]
+        self.rows = _cell_rows(space, op.table, starts, self.cell_sizes, inside) \
+            if space.kind == "tree-boundary" else None
 
     def evaluate(self, lam):
         rows = self.rows
-        masses = self.leaf_masses(lam)
-        u = self.op.apply_measure(_scatter(masses, self.E, self.w.size)) if rows is None \
+        u = self.op.apply_measure(_scatter(lam, self.E, self.masses.size)) if rows is None \
             else lam @ rows
         u = np.maximum(u, 0.0)
         g = (u / self.p) ** (self.pp - 1.0)
-        kg = self.op.apply_function(g)[self.first] if rows is None \
-            else rows @ (self.w * g) / self.sizes
-        moment = float(self.w @ (u / self.p) ** self.pp)   # = sum w g**p
-        objective = float(masses.sum()) - (self.p - 1.0) * moment
+        kg = self.op.apply_function(g)[self.E] if rows is None \
+            else rows @ (self.masses * g) / self.sizes
+        moment = float(self.masses @ (u / self.p) ** self.pp)   # = sum M g**p
+        objective = float((lam * self.sizes).sum()) - (self.p - 1.0) * moment
         grad = 1.0 - kg
         return {"u": u, "g": g, "kg": kg, "moment": moment,
                 "objective": objective, "grad": grad}
@@ -148,28 +133,37 @@ class _DualState:
     def certificates(self, lam, state):
         """(dual, primal, u_norm, floor): the two bounds, and the conjugate
         norm of u and the least K*g on the target that they rescale by."""
-        u_norm = float(self.w @ state["u"] ** self.pp) ** (1.0 / self.pp)
-        lam_sum = float(self.leaf_masses(lam).sum())
+        u_norm = float(self.masses @ state["u"] ** self.pp) ** (1.0 / self.pp)
+        lam_sum = float((lam * self.sizes).sum())
         dual = (lam_sum / u_norm) ** self.p if u_norm > 0 else 0.0
         floor = float(state["kg"].min())
         primal = state["moment"] / floor**self.p if floor > 0 else math.inf
         return dual, primal, u_norm, floor
 
 
-def _block_rows(op: KernelOperator, target, sizes):
-    """S_B = sum over B of K(x, .) for each block B of the target: off B it
-    is |B| times the row of B's first leaf, on B that row's sum over B, as
-    the row of every leaf of B takes the same values on B in another order.
-    Only the tree's blocks, whose rows are fresh arrays, pass one leaf."""
-    rows = op.row(target[np.cumsum(sizes) - sizes])
-    big = np.flatnonzero(sizes > 1)
-    if big.size:
-        k = sizes[big]
-        on = np.repeat(big, k), target[np.repeat(sizes > 1, sizes)]
-        inside = np.add.reduceat(rows[on], np.cumsum(k) - k)
-        rows[big] *= k[:, None]
-        rows[on] = np.repeat(inside, k)
-    return rows
+def _cell_rows(space: ModelSpace, table, starts, sizes, inside):
+    """R[B, c] = sum over x in B of K(x, y) for y in cell c, one row per block
+    B of the target: off B, |B| table[lca(B, c)], as two disjoint subtrees
+    meet at one level; on B, the sum of one leaf's row over B, the same for
+    every leaf of B: the leaf itself, then (b - 1) b**j leaves at lca level
+    N - 1 - j for each j below the block's height."""
+    b, depth = space.branching, space.depth
+    block = np.flatnonzero(inside)
+    steps = table[depth - 1::-1] * ((b - 1) * b ** np.arange(depth))
+    within = np.concatenate(([0.0], np.cumsum(steps))) + table[depth]
+    heights = np.searchsorted(b ** np.arange(depth + 1), sizes[block])
+    # the cells of B's level-l subtree are one run of cells, lo_l .. hi_l - 1,
+    # so a row runs through lca levels 0, 1, .., N - 1, then B, then back down:
+    # cells lo_l .. lo_(l+1) - 1 and hi_(l+1) .. hi_l - 1 meet B at level l
+    size = b ** np.arange(depth - 1, -1, -1)
+    subtree = starts[block, None] // size * size
+    edges = np.concatenate((np.zeros((block.size, 1), dtype=np.int64),
+                            np.searchsorted(starts, subtree),
+                            np.searchsorted(starts, subtree + size)[:, ::-1],
+                            np.full((block.size, 1), starts.size)), axis=1)
+    scaled = sizes[block, None] * table[:depth]
+    values = np.concatenate((scaled, within[heights, None], scaled[:, ::-1]), axis=1)
+    return np.repeat(values.ravel(), np.diff(edges).ravel()).reshape(block.size, starts.size)
 
 
 def _gram(rows, free, weights):
@@ -296,7 +290,7 @@ def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
     capacity 0.
     """
     n = space.n_leaves
-    E = np.unique(np.asarray(target, dtype=np.int64))
+    E = sorted_unique(np.asarray(target, dtype=np.int64))
     if E.size and (E[0] < 0 or E[-1] >= n):
         raise ValueError("target leaves out of range")
     p = float(kernel.p if p is None else p)
@@ -306,17 +300,16 @@ def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
         z = np.zeros(n)
         return CapacitySolution(0.0, z, z.copy(), 0.0, 0.0, 0, True)
     op = kernel_operator(kernel, space)
-    w = space.weights
-    ds = _DualState(op, w, E, p)
+    ds = _DualState(space, op, E, p)
 
-    if np.any(op.mass()[E] <= 0.0):
+    # K*1 on the target: per leaf, or per block times its size from the rows
+    if np.any((op.mass()[E] if ds.rows is None else ds.rows @ ds.masses) <= 0.0):
         raise ValueError("kernel carries no mass toward part of the target")
     # the best multiple c of the uniform measure: c**(p'-1) = sum(lam) / (p * moment)
-    state = ds.evaluate(np.ones(E.size))
-    lam = np.full(E.size, (E.size / (p * state["moment"])) ** (p - 1.0))
+    state = ds.evaluate(np.ones(ds.sizes.size))
+    lam = np.full(ds.sizes.size, (E.size / (p * state["moment"])) ** (p - 1.0))
     state = ds.evaluate(lam)
 
-    rows = None   # built on the first round: many targets start at the optimum
     kept = None   # p = 2: the first round's all-free Hessian, a _KeptGram
     iterations = 0
     while True:
@@ -327,33 +320,27 @@ def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
         if residual <= 1e-14 or iterations >= max_iters:
             break
         iterations += 1
-        if rows is None:
-            # lam is still uniform, so constant on every block
-            lam, state = ds.block(space.aligned_blocks(E), lam, state)
-            grad = state["grad"]
-            rows = _block_rows(op, E, ds.sizes)
-            # from here on every evaluation reads the rows: a dense apply
-            # gathers each block of the table, which costs more than the two
-            # products with the rows; a tree apply gathers nothing and costs
-            # less, so tree solves keep it
-            if isinstance(op, DenseKernelOperator):
-                ds.rows = rows
+        if ds.rows is None:
+            # embedded: the rows on the first round, as many targets start at
+            # the optimum; from here on every evaluation reads them, since a
+            # dense apply gathers each block of the table and costs more
+            ds.rows = op.row(E)
         # binding: at or near 0 with the gradient pushing outward
         free = (lam > scale * min(residual, 1e-3)) | (grad > 0.0)
-        # Newton step on the free blocks: Hessian S_F diag(w g') S_F^T = A A^T
+        # Newton step on the free blocks: Hessian R_F diag(M g') R_F^T = A A^T
         # against each block's summed gradient, at p = 2 the free block of
         # the kept all-free one while its weights hold
         u = state["u"]
         gprime = np.zeros_like(u)
         pos = u > 0
         gprime[pos] = (ds.pp - 1.0) / p * (u[pos] / p) ** (ds.pp - 2.0)
-        weights = np.sqrt(w * gprime)
+        weights = np.sqrt(ds.masses * gprime)
         block_grad = ds.sizes * grad
         direction = -lam                       # binding blocks move to 0
         if kept is not None and np.array_equal(weights, kept.weights):
-            direction[free] = kept.solve(free, block_grad[free], rows)
+            direction[free] = kept.solve(free, block_grad[free], ds.rows)
         else:
-            hessian = _gram(rows, free, weights)
+            hessian = _gram(ds.rows, free, weights)
             direction[free] = spd_solve(hessian, block_grad[free])
             if p == 2.0 and free.all():
                 kept = _KeptGram(hessian, weights)
@@ -375,8 +362,8 @@ def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
 
     dual, primal, u_norm, floor = ds.certificates(lam, state)
     gap = max((primal - dual) / primal, 0.0) if primal > 0 else 0.0
-    density = state["g"] / floor
-    measure = _scatter(ds.leaf_masses(lam) / u_norm, E, n)
+    density = np.repeat(state["g"] / floor, ds.cell_sizes)
+    measure = _scatter(np.repeat(lam, ds.sizes) / u_norm, E, n)
     return CapacitySolution(
         value=primal, density=density, measure=measure, dual_value=dual, relative_gap=gap,
         iterations=iterations, converged=gap <= GAP_ACCEPT)
@@ -395,7 +382,7 @@ def capacity_p2_exact(space: ModelSpace, kernel: RadialKernel, target) -> float:
     probability vector on the target; the active-set iteration adds the
     most violated point and prunes negative coefficients.
     """
-    E = np.unique(np.asarray(target, dtype=np.int64))
+    E = sorted_unique(np.asarray(target, dtype=np.int64))
     if E.size == 0:
         return 0.0
     rows = kernel_operator(kernel, space).row(E)
@@ -463,31 +450,24 @@ class EnlargementRadius:
 
 def uniform_ball_capacity(space: ModelSpace, kernel: RadialKernel, p: float,
                           x: int, level: int) -> float:
-    """Exact subtree capacity on uniform tree boundaries.
+    """Exact subtree capacity on uniform tree boundaries, an oracle.
 
     A radial kernel and equal leaf weights make the problem invariant under
     every automorphism fixing the subtree, and averaging an optimal measure
     over that group keeps it optimal, so the uniform probability on the
     subtree is an equilibrium measure.  Only its potential norm is needed,
-    one tree-operator apply at any depth.
+    one tree-operator apply at any depth, summed pairwise: a BLAS dot over
+    the 2**20 leaves of depth 20 errs by up to 2.5e-13.
     """
-    if not _uniform_tree(space):
-        raise ValueError("symmetric reduction needs the ultrametric and uniform leaf weights")
     w = space.weights
+    if space.kind != "tree-boundary" or not np.all(w == w[0]):
+        raise ValueError("symmetric reduction needs the ultrametric and uniform leaf weights")
     lo, hi = space.subtree_range(x, level)
     nu = np.zeros(space.n_leaves)
     nu[lo:hi] = 1.0 / (hi - lo)
     u = kernel_operator(kernel, space).apply_measure(nu)
     pp = p / (p - 1.0)
-    return lp_norm(u, w, pp) ** (-p)
-
-
-def _uniform_tree(space: ModelSpace) -> bool:
-    """Whether the symmetric reduction applies: the ultrametric, equal leaf weights."""
-    return space.kind == "tree-boundary" and bool(np.all(space.weights == space.weights[0]))
-
-
-_SYMMETRIC_CUTOVER = 2048   # the solver handles targets below this size comfortably
+    return float(np.sum(w * u**pp)) ** (-p / pp)
 
 
 def capacity_value(space: ModelSpace, kernel: RadialKernel, target,
@@ -495,25 +475,12 @@ def capacity_value(space: ModelSpace, kernel: RadialKernel, target,
     """Capacity of a leaf set, memoized on the space under its sorted unique
     leaves, so a permuted or repeated target is one entry: a set that is one
     contiguous run lo..hi-1 is keyed by (lo, hi), any other by its leaf bytes.
-
-    A whole subtree of at least ``_SYMMETRIC_CUTOVER`` leaves on a uniform
-    tree takes the exact ``uniform_ball_capacity`` reduction, every other
-    set the solver.  The two agree to solver accuracy wherever both apply
-    (asserted in the test suite), not to the last bit.
     """
-    E = np.unique(np.asarray(target, dtype=np.int64))
+    E = sorted_unique(np.asarray(target, dtype=np.int64))
     run = E.size > 0 and int(E[-1]) - int(E[0]) + 1 == E.size
     leaves = (int(E[0]), int(E[-1]) + 1) if run else (E.tobytes(),)
-
-    def value():
-        if run and E.size >= _SYMMETRIC_CUTOVER and _uniform_tree(space):
-            lo, hi = leaves
-            levels = [n for n in range(space.depth + 1) if space.subtree_range(lo, n) == (lo, hi)]
-            if levels:
-                return uniform_ball_capacity(space, kernel, p, lo, levels[0])
-        return solve_capacity(space, kernel, E, p=p).value
-
-    return space._cached(("set", kernel, p, *leaves), value)
+    return space._cached(("set", kernel, p, *leaves),
+                         lambda: solve_capacity(space, kernel, E, p=p).value)
 
 
 def metric_matching_radius(space: ModelSpace, kernel: RadialKernel, p: float,

@@ -14,7 +14,6 @@ outputs it created before exiting.
 
 from __future__ import annotations
 
-import argparse
 import configparser
 import hashlib
 import json
@@ -416,6 +415,18 @@ def write_line_chart(path: Path, series, x_label: str, y_label: str,
     path.write_text("\n".join(parts), encoding="ascii")
 
 
+def linear_quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` bit for bit, for finite values and a float
+    q in [0, 1], without the ``np.unique`` that loads ``numpy.ma``: numpy's
+    linear rule between the sorted neighbours of the index (n - 1) q."""
+    values = np.sort(values, axis=None)
+    at = (values.size - 1) * q
+    lo = min(math.floor(at), values.size - 1)
+    a, b = values[lo], values[min(lo + 1, values.size - 1)]
+    t = at - lo
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+
+
 # -- runners ----------------------------------------------------------------------
 
 
@@ -522,7 +533,7 @@ class Runner:
         worst_margin = math.inf
         for pot in pots[:, 1:].T:
             pot_field = ext.field(pot)
-            eps = float(np.quantile(pot_field, quantile))
+            eps = linear_quantile(pot_field, quantile)
             lowest, ok = harnack_check(self.space, ext, pot_field, eps, c_h)
             if not ok:
                 raise RuntimeError("harnack check failed")
@@ -655,6 +666,7 @@ def _error_line(kind: str, exc: Exception) -> str:
 
 
 def main(argv=None) -> int:
+    import argparse   # here, not at the top: a run through Runner never parses arguments
     parser = argparse.ArgumentParser(
         prog="potlab", description="potential-theory experiments on tree boundaries")
     parser.add_argument("subcommand", choices=SUBCOMMANDS)

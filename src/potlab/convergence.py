@@ -26,7 +26,7 @@ import numpy as np
 from .capacity import capacity_value, metric_matching_radius
 from .kernel import RadialKernel, kernel_operator, lp_norm
 from .poisson import PoissonExtension, ball_slab
-from .space import ModelSpace
+from .space import ModelSpace, sorted_unique
 
 REGION_KINDS = ("nontangential", "capacity", "polynomial", "exponential")
 TANGENTIAL_KINDS = REGION_KINDS[1:]   # the regions wider than a cone
@@ -223,7 +223,7 @@ def convergence_experiment(space: ModelSpace, ext: PoissonExtension, kernel: Rad
     excluded = split.exceedance
     excluded_prefix = _prefix_counts(excluded)
     columns = np.arange(nh)
-    t_grid = np.unique(np.concatenate((heights[::4], heights[-1:])))[::-1]
+    t_grid = sorted_unique(np.concatenate((heights[::4], heights[-1:])))[::-1]
     # row i of the t table covers the heights at most t_grid[i] below the cutoff
     live = heights < 1.0
     below = (heights <= t_grid[:, None]) & live

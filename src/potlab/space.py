@@ -123,33 +123,44 @@ class ModelSpace:
     def range_mass(self, lo: int, hi: int) -> float:
         return float(self._weight_prefix[hi] - self._weight_prefix[lo])
 
-    def aligned_blocks(self, leaves) -> np.ndarray:
-        """Sizes, in order, of the blocks that tile a sorted set of distinct
-        leaves: the maximal subtrees inside the set whose leaves all carry
-        the same weight.  An automorphism of such a subtree, the identity
-        elsewhere, keeps the ultrametric, the weights and the set.  The
-        embedded metrics have no such symmetry, so there each block is one
-        leaf."""
+    def cells(self, leaves) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The cells that tile all leaves around a sorted nonempty set of
+        distinct leaves, in leaf order: (first leaf, size, mass, inside the
+        set) per cell.  On the ultrametric the cells inside the set are its
+        aligned blocks, the maximal subtrees inside it whose leaves all carry
+        the same weight (an automorphism of one, the identity elsewhere,
+        keeps the ultrametric, the weights and the set), and the others are
+        the maximal subtrees that miss the set.  The embedded metrics have
+        no such symmetry, so there each cell is one leaf."""
         leaves = np.asarray(leaves, dtype=np.int64)
-        if self.kind != "tree-boundary" or leaves.size < 2:
-            return np.ones(leaves.size, dtype=np.int64)
-        # each leaf's run of consecutive leaves of one weight: the leaves of
-        # the run before it (back) and after it (ahead)
+        n = self.n_leaves
+        if self.kind != "tree-boundary":
+            inside = np.zeros(n, dtype=bool)
+            inside[leaves] = True
+            return np.arange(n), np.ones(n, dtype=np.int64), self.weights, inside
+        # edges 0, first run's ends, .., n: the runs of equal-weight set leaves
+        # and the gaps around them, each cut into its maximal subtrees
         w = self.weights[leaves]
-        cut = np.flatnonzero((np.diff(leaves) != 1) | (w[1:] != w[:-1])) + 1
-        first, last = np.concatenate(([0], cut)), np.concatenate((cut, [leaves.size])) - 1
-        counts = last - first + 1
-        back = leaves - np.repeat(leaves[first], counts)
-        ahead = np.repeat(leaves[last], counts) - leaves
-        # the subtrees of a leaf that fit in its run are those below some level
-        size = np.ones(leaves.size, dtype=np.int64)
-        for block in self._block[-2::-1]:
-            r = leaves % block
-            fits = (r <= back) & (block - 1 - r <= ahead)
-            if not np.count_nonzero(fits):
-                break
-            size[fits] = block
-        return size[leaves % size == 0]
+        cut = np.flatnonzero((leaves[1:] - leaves[:-1] != 1) | (w[1:] != w[:-1]))
+        edges = np.empty(2 * cut.size + 4, dtype=np.int64)
+        edges[0], edges[1], edges[-2], edges[-1] = 0, leaves[0], leaves[-1] + 1, n
+        edges[2:-2:2] = leaves[cut] + 1
+        edges[3:-2:2] = leaves[cut + 1]
+        # per interval and level k, the subtrees of b**k leaves inside it whose
+        # parent is not: blocks first .. stop - 1 of that size but those under
+        # parents inside, left .. right - 1.  In leaf order, an interval's cells
+        # left of those parents come finest first, those right coarsest first
+        b, size = self.branching, np.array(self._block[::-1])
+        first, stop = -(-edges[:-1, None] // size), edges[1:, None] // size
+        left = np.minimum(-(-first // b) * b, stop)
+        right = np.maximum(stop // b * b, left)
+        count = np.concatenate((np.maximum(left - first, 0), (stop - right)[:, ::-1]), axis=1)
+        both = np.concatenate((size, size[::-1]))
+        sizes = both[np.arange(count.size) % both.size].repeat(count.ravel())
+        ends = sizes.cumsum()
+        masses = self._weight_prefix[ends] - self._weight_prefix[ends - sizes]
+        inside = (np.arange(edges.size - 1) % 2 == 1).repeat(count.sum(axis=1))
+        return ends - sizes, sizes, masses, inside
 
     # -- metric ----------------------------------------------------------------
 
@@ -231,6 +242,15 @@ class ModelSpace:
             return self.subtree_range(x, level)
         lo, hi = self.ball_bounds(np.array([x]), self.grid_radius(level), closed=True)
         return int(lo[0]), int(hi[0])
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-d array without NaN, sorted: np.unique
+    without its index machinery, which loads ``numpy.ma`` on first use."""
+    values = np.sort(values)
+    keep = np.ones(values.shape, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
 
 def _embedding_coords(space: ModelSpace) -> np.ndarray:

@@ -9,7 +9,6 @@ import warnings
 
 import numpy as np
 
-from potlab import capacity
 from potlab.capacity import (ball_capacity_profile, singleton_capacity,
                              solve_capacity, theoretical_profile_slope,
                              uniform_ball_capacity)
@@ -132,7 +131,7 @@ def test_criterion_4_tree_quasi_additivity():
                   f"{failures} violations, {elapsed:.0f}s (limit 300s)")
 
 
-def test_criterion_5_ball_capacity_asymptotics(monkeypatch):
+def test_criterion_5_ball_capacity_asymptotics():
     # cross-check first: the symmetric reduction agrees with the solver
     ms7 = model_space("tree-boundary", 2, 7, 0.5)
     k75 = RadialKernel("riesz", s=0.75, p=2.0)
@@ -144,8 +143,6 @@ def test_criterion_5_ball_capacity_asymptotics(monkeypatch):
                 for lvl in (2, 4))
     assert drift < 1e-9
 
-    # every profile ball takes the reduction, below the cutover size too
-    monkeypatch.setattr(capacity, "_SYMMETRIC_CUTOVER", 1)
     ms = model_space("tree-boundary", 2, 20, 0.5)
     prof = ball_capacity_profile(ms, k75, 2.0, 0, range(2, 9))
     theory = theoretical_profile_slope(1.0, 2.0, 0.75)

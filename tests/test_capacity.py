@@ -380,6 +380,35 @@ def test_golden_tree_quasiadd_solves_one_unknown_per_block(monkeypatch, tmp_path
     assert sides and sum(sides) <= GOLDEN_TREE_QUASIADD_NEWTON_SIDES
 
 
+def leaf_cells(space, leaves):
+    """``ModelSpace.cells`` with one cell per leaf, as off the ultrametric."""
+    inside = np.zeros(space.n_leaves, dtype=bool)
+    inside[leaves] = True
+    return np.arange(space.n_leaves), np.ones(space.n_leaves, dtype=np.int64), space.weights, \
+        inside
+
+
+def leaf_solves(monkeypatch, kernels, p, cases):
+    """The solves of (space, target) cases, one kernel each, with one cell per
+    leaf and the operator's own applies and kernel rows, as off the
+    ultrametric: one unknown per target leaf, and u and g at every leaf."""
+    with monkeypatch.context() as m:
+        m.setattr(ModelSpace, "cells", leaf_cells)
+        m.setattr(capacity, "_cell_rows", lambda *args: None)
+        return [solve_capacity(space, kernel, target, p=p)
+                for (space, target), kernel in zip(cases, kernels)]
+
+
+def assert_constant_on_cells(space, target, sol):
+    """The measure is constant on each block of the target and the density on
+    each cell."""
+    starts, sizes, _, inside = space.cells(target)
+    ends = starts + sizes
+    for values, keep in ((sol.measure, inside), (sol.density, np.ones_like(inside))):
+        for lo, hi in zip(starts[keep], ends[keep]):
+            assert np.all(values[lo:hi] == values[lo])
+
+
 def weighted_tree(rng):
     """A depth-6 binary tree with random weights, equal on four subtrees,
     and the union of those subtrees."""
@@ -410,21 +439,17 @@ def test_blocked_solve_equals_the_leaf_solve(p, tree6, monkeypatch, rng):
         with monkeypatch.context() as m:
             sides = newton_sides(m)
             blocked.append(solve_capacity(space, kernel, target, p=p))
-        assert max(sides, default=0) <= space.aligned_blocks(target).size
+        assert max(sides, default=0) <= np.count_nonzero(space.cells(target)[3])
     # the whole subtree and the singleton start at the optimum
     assert [s.iterations > 0 for s in blocked] == [True, True, False, False, True]
-    with monkeypatch.context() as m:
-        m.setattr(ModelSpace, "aligned_blocks",
-                  lambda space, leaves: np.ones(len(leaves), dtype=np.int64))
-        by_leaf = [solve_capacity(space, kernel, target, p=p) for space, target in cases]
+    by_leaf = leaf_solves(monkeypatch, [kernel] * len(cases), p, cases)
     for (space, target), sol, leaf in zip(cases, blocked, by_leaf):
         assert abs(sol.value - leaf.value) <= 1e-13 * leaf.value
         assert sol.iterations == leaf.iterations
         assert max(sol.relative_gap, leaf.relative_gap) <= 1e-12
-        sizes = space.aligned_blocks(target)
-        on_target = sol.measure[target]
-        starts = np.cumsum(sizes) - sizes
-        assert np.array_equal(on_target, np.repeat(on_target[starts], sizes))
+        assert_constant_on_cells(space, target, sol)
+        _, cell_sizes, _, inside = space.cells(target)
+        sizes = cell_sizes[inside]
         if target.size == 1:
             assert sol.value == pytest.approx(
                 singleton_capacity(space, kernel, int(target[0]), p), rel=1e-13)
@@ -435,6 +460,53 @@ def test_blocked_solve_equals_the_leaf_solve(p, tree6, monkeypatch, rng):
         if p == 2.0:
             assert sol.value == pytest.approx(capacity_p2_exact(space, kernel, target),
                                               rel=1e-10)
+
+
+def generated_tree(b, depth, rng):
+    """A tree with random weights made equal on a few random subtrees, and
+    two targets: a union of random subtrees with a few stray leaves, and
+    scattered leaves."""
+    n = b**depth
+    w = rng.random(n) + 0.5
+    keep = np.zeros(n, dtype=bool)
+    for _ in range(int(rng.integers(1, 5))):
+        size = n // b ** int(rng.integers(1, depth + 1))
+        lo = size * int(rng.integers(n // size))
+        w[lo:lo + size] = w[lo]
+        keep[lo:lo + size] = True
+    keep[rng.integers(0, n, 2)] = True
+    space = ModelSpace("tree-boundary", b, depth, 1.0 / (b + 1), w / w.sum())
+    return space, [np.flatnonzero(keep), np.flatnonzero(rng.random(n) < 0.3)]
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_quotient_solve_equals_the_leaf_solve_on_generated_trees(p, monkeypatch):
+    # the quotient's one unknown per block and one u per cell against one
+    # cell per leaf, on Riesz and on random radial tables with a diagonal
+    rng = np.random.default_rng(2600 + int(10 * p))
+    cases, kernels = [], []
+    for b, depth in ((2, 4), (2, 6), (3, 3), (3, 4)):
+        for radial in (False, True):
+            space, targets = generated_tree(b, depth, rng)
+            kernel = RadialKernel("riesz", s=0.8, p=p) if not radial else RadialKernel(
+                "radial", p=p, level_values=tuple(np.sort(rng.random(depth + 1) + 0.1)))
+            for target in targets:
+                cases.append((space, target))
+                kernels.append(kernel)
+    quotient = [solve_capacity(space, kernel, target, p=p)
+                for (space, target), kernel in zip(cases, kernels)]
+    by_leaf = leaf_solves(monkeypatch, kernels, p, cases)
+    rounds = 0
+    for (space, target), sol, leaf in zip(cases, quotient, by_leaf):
+        assert abs(sol.value - leaf.value) <= 1e-13 * leaf.value
+        assert sol.iterations == leaf.iterations
+        assert max(sol.relative_gap, leaf.relative_gap) <= 1e-12
+        assert_constant_on_cells(space, target, sol)
+        # the primal optimum is unique; the measure is fixed only as far as
+        # the rows' conditioning allows at the stopping residual
+        assert np.abs(sol.density - leaf.density).max() <= 1e-12 * leaf.density.max()
+        rounds += sol.iterations
+    assert rounds >= len(cases)
 
 
 def test_nonconvergence_flag():
@@ -549,17 +621,43 @@ def test_ball_capacity_memo_keyed_on_kernel_and_p():
 
 
 def test_auto_takes_the_reduction_at_the_cutover_size(monkeypatch):
-    # the level-0 ball at depth 11 holds exactly _SYMMETRIC_CUTOVER = 2048 leaves
+    # the level-0 ball at depth 11 holds 2048 leaves: one block among no other
+    # cells, solved once through capacity_value from the uniform measure, its
+    # optimum, and within 1e-13 of the exact reduction
     calls = spy_on_solves(monkeypatch)
     space = model_space("tree-boundary", 2, 11, 0.5)
     value = profile_capacity(space, RIESZ, 2.0, 0, 0)
-    assert not calls and sum(key[0] == "set" for key in space._memo) == 1
-    assert value == uniform_ball_capacity(model_space("tree-boundary", 2, 11, 0.5),
-                                          RIESZ, 2.0, 0, 0)
+    assert len(calls) == 1 and sum(key[0] == "set" for key in space._memo) == 1
+    exact = uniform_ball_capacity(model_space("tree-boundary", 2, 11, 0.5), RIESZ, 2.0, 0, 0)
+    assert abs(value - exact) <= 1e-13 * exact
+    sol = solve_capacity(space, RIESZ, np.arange(2048), p=2.0)
+    assert sol.iterations == 0 and sol.value == value
+
+
+def test_capacity_value_takes_the_reduction_on_whole_subtrees(monkeypatch):
+    # a whole subtree is one block among at most (b - 1) N cells, and its solve
+    # starts at the optimum, the uniform measure on it: subtrees of 2048 and
+    # 4096 leaves at depth 12 (depth 20 in a test below) against the exact
+    # reduction, each solved once through capacity_value
+    calls = spy_on_solves(monkeypatch)
+    space = model_space("tree-boundary", 2, 12, 0.5)
+    for level in (0, 1):
+        lo, hi = space.subtree_range(3000, level)
+        assert hi - lo >= 2048
+        value = capacity_value(space, RIESZ, np.arange(lo, hi), 2.0)
+        exact = uniform_ball_capacity(space, RIESZ, 2.0, 3000, level)
+        assert abs(value - exact) <= 1e-13 * exact
+        sol = solve_capacity(space, RIESZ, np.arange(lo, hi), p=2.0)
+        assert sol.iterations == 0 and sol.value == value
+    assert len(calls) == 2
+    # a run of that size that is not a subtree, and a smaller subtree
+    assert capacity_value(space, RIESZ, np.arange(1024, 3072), 2.0) == \
+        solve_capacity(space, RIESZ, np.arange(1024, 3072), p=2.0).value
+    exact = uniform_ball_capacity(space, RIESZ, 2.0, 1024, 2)
+    assert abs(capacity_value(space, RIESZ, np.arange(1024, 2048), 2.0) - exact) <= 1e-13 * exact
 
 
 def test_auto_keeps_the_solver_where_the_reduction_does_not_apply(monkeypatch):
-    monkeypatch.setattr(capacity, "_SYMMETRIC_CUTOVER", 16)
     calls = spy_on_solves(monkeypatch)
     weighted = ModelSpace("tree-boundary", 2, 6, 0.5, np.linspace(1.0, 2.0, 64))
     for space in (model_space("unit-interval", 2, 6), model_space("cantor-set", 2, 6),
@@ -568,29 +666,13 @@ def test_auto_keeps_the_solver_where_the_reduction_does_not_apply(monkeypatch):
         value = profile_capacity(space, RIESZ, 2.0, 0, 1)
         assert len(calls) == 1
         ball = np.arange(*space.grid_ball_range(0, 1))
-        assert ball.size >= 16
         assert value == solve_capacity(space, RIESZ, ball, p=2.0).value
-
-
-def test_capacity_value_takes_the_reduction_on_whole_subtrees(monkeypatch):
-    # on a uniform tree an aligned subtree of at least _SYMMETRIC_CUTOVER leaves
-    # is the exact reduction, bit for bit; a run of that size that is not a
-    # subtree, and a subtree below the cutover, go through the solver
-    calls = spy_on_solves(monkeypatch)
-    space = model_space("tree-boundary", 2, 12, 0.5)
-    value = capacity_value(space, RIESZ, np.arange(2048, 4096), 2.0)
-    assert not calls
-    assert value == uniform_ball_capacity(space, RIESZ, 2.0, 3000, 1)
-    assert capacity_value(space, RIESZ, np.arange(1024, 3072), 2.0) == \
-        solve_capacity(space, RIESZ, np.arange(1024, 3072), p=2.0).value
-    assert capacity_value(space, RIESZ, np.arange(1024, 2048), 2.0) > 0
-    assert len(calls) == 2
 
 
 def test_capacity_value_keys_a_leaf_run_by_its_ends(monkeypatch):
     # acceptance criterion 5's depth-20 profile: balls of up to 262,144
-    # leaves, each keyed by two integers rather than by its leaf bytes
-    monkeypatch.setattr(capacity, "_SYMMETRIC_CUTOVER", 1)
+    # leaves, each keyed by two integers rather than by its leaf bytes, and
+    # each within 1e-13 of the exact reduction
     kernel = RadialKernel("riesz", s=0.75, p=2.0)
     space = model_space("tree-boundary", 2, 20, 0.5)
     prof = ball_capacity_profile(space, kernel, 2.0, 0, range(2, 9))
@@ -599,7 +681,8 @@ def test_capacity_value_keys_a_leaf_run_by_its_ends(monkeypatch):
     for level, value in zip(prof.levels, prof.capacities):
         lo, hi = space.grid_ball_range(0, int(level))
         assert (lo, hi) == space.subtree_range(0, int(level))
-        assert value == uniform_ball_capacity(space, kernel, 2.0, 0, int(level))
+        exact = uniform_ball_capacity(space, kernel, 2.0, 0, int(level))
+        assert abs(value - exact) <= 1e-13 * exact
     # a run asked for in any order is the same entry; a set with a gap keeps its bytes
     shared = fresh_tree6()
     calls = spy_on_solves(monkeypatch)

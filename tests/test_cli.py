@@ -476,6 +476,38 @@ def test_runs_import_nothing_after_set_up(tmp_path):
     assert (tmp_path / "out" / "converge_summary.csv").is_file()
 
 
+@pytest.mark.parametrize("kind", ["tree-boundary", "unit-interval"])
+def test_runs_load_neither_numpy_ma_nor_argparse(tmp_path, kind):
+    # numpy.ma costs about 20 ms of start-up and argparse a few more; a run
+    # through Runner needs neither, so neither is loaded from import to exit
+    text = BASE_CONFIG.replace("depth = 6", "depth = 5").replace(",40", ",20")
+    if kind != "tree-boundary":
+        text = text.replace("tree-boundary", kind).replace("mode = tree", "mode = ahlfors")
+    config = tmp_path / "depth5.ini"
+    config.write_text(text.replace("[run]", "[poisson]\nn_random = 2\n\n[run]"))
+    code = """if True:
+        import sys
+        from pathlib import Path
+        import potlab.cli as cli
+        runner = cli.Runner(cli.load_config(sys.argv[1]), Path(sys.argv[2]), 7)
+        for subcommand in ("quasiadd", "poisson", "converge"):
+            runner.run(subcommand)
+        print(*sorted(m for m in sys.modules if m in ("argparse", "numpy.ma")))
+    """
+    assert run_python(code, config, tmp_path / "out").split() == []
+    assert (tmp_path / "out" / "poisson_checks.csv").is_file()
+
+
+def test_linear_quantile_is_np_quantile_bit_for_bit(rng):
+    for _ in range(300):
+        values = rng.standard_normal(int(rng.integers(1, 50))) * 10.0 ** int(rng.integers(-3, 4))
+        if rng.random() < 0.3:
+            values = values.round(1).reshape(-1, 1)
+        for q in (0.0, 0.5, 0.7, 1.0, float(rng.random())):
+            ours = cli.linear_quantile(values, q)
+            assert type(ours) is float and ours == np.quantile(values, q)
+
+
 def test_runtime_failure_cleans_outputs(config, tmp_path, capsys, monkeypatch):
     # validation leaves no config key that fails inside a run, so the failure
     # is raised from inside: ball-profile has written its first CSV by then

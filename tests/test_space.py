@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from potlab.space import ModelSpace, ahlfors_constants, dump_space, load_space, model_space
+from potlab.space import (ModelSpace, ahlfors_constants, dump_space, load_space, model_space,
+                          sorted_unique)
 
 
 def open_ball(space, x, r):
@@ -240,24 +241,38 @@ def test_serialization_roundtrip(tmp_path, rng):
     assert np.array_equal(back.weights, ms.weights)
 
 
-# -- aligned blocks --------------------------------------------------------------
+# -- aligned blocks and the cells around them ------------------------------------
 
 
-def aligned_blocks_oracle(space, leaves):
-    """Sizes of the maximal aligned subtrees inside ``leaves`` whose leaf
-    weights are all equal, in leaf order: every subtree is checked."""
-    inside = np.zeros(space.n_leaves, dtype=bool)
-    inside[leaves] = True
-    w, b = space.weights, space.branching
+def maximal_subtrees(space, keep):
+    """(first leaf, size) of the maximal subtrees whose leaves all pass
+    ``keep(lo, hi)``, in leaf order: every subtree is checked."""
+    b = space.branching
     good = set()
     for level in range(space.depth + 1):
         size = b ** (space.depth - level)
         for lo in range(0, space.n_leaves, size):
-            if inside[lo:lo + size].all() and np.all(w[lo:lo + size] == w[lo]):
+            if keep(lo, lo + size):
                 good.add((lo, size))
-    maximal = [(lo, size) for lo, size in good
-               if size == space.n_leaves or (lo // (b * size) * b * size, b * size) not in good]
-    return [size for _, size in sorted(maximal)]
+    return sorted((lo, size) for lo, size in good
+                  if size == space.n_leaves or (lo // (b * size) * b * size, b * size) not in good)
+
+
+def aligned_blocks_oracle(space, leaves):
+    """Sizes of the maximal aligned subtrees inside ``leaves`` whose leaf
+    weights are all equal, in leaf order."""
+    inside = np.zeros(space.n_leaves, dtype=bool)
+    inside[leaves] = True
+    w = space.weights
+    return [size for _, size in maximal_subtrees(
+        space, lambda lo, hi: inside[lo:hi].all() and np.all(w[lo:hi] == w[lo]))]
+
+
+def free_cells_oracle(space, leaves):
+    """(first leaf, size) of the maximal subtrees that miss ``leaves``."""
+    inside = np.zeros(space.n_leaves, dtype=bool)
+    inside[leaves] = True
+    return maximal_subtrees(space, lambda lo, hi: not inside[lo:hi].any())
 
 
 def equal_on_some_subtrees(space, rng):
@@ -273,6 +288,8 @@ def equal_on_some_subtrees(space, rng):
 @pytest.mark.parametrize("b, depth", [(2, 6), (3, 4), (4, 3)])
 @pytest.mark.parametrize("weights", ["uniform", "random", "equal-on-subtrees"])
 def test_aligned_blocks_match_the_subtree_oracle(b, depth, weights, rng):
+    # the cells inside the set are its aligned blocks, the others the maximal
+    # subtrees that miss it, and together they tile the leaves in order
     n = b**depth
     space = model_space("tree-boundary", b, depth, 0.5)
     if weights == "random":
@@ -280,7 +297,7 @@ def test_aligned_blocks_match_the_subtree_oracle(b, depth, weights, rng):
     elif weights == "equal-on-subtrees":
         space = model_space("tree-boundary", b, depth, 0.5,
                             weights=equal_on_some_subtrees(space, rng))
-    targets = [np.arange(n), np.array([n - 1]), np.arange(1, n - 1)]
+    targets = [np.arange(n), np.array([0]), np.array([n - 1]), np.arange(1, n - 1)]
     for share in (0.2, 0.5, 0.8, 0.95):
         targets.append(np.flatnonzero(rng.random(n) < share))
     # unions of subtrees, some of them siblings, with stray leaves
@@ -292,13 +309,26 @@ def test_aligned_blocks_match_the_subtree_oracle(b, depth, weights, rng):
         keep[rng.integers(0, n, 3)] = True
         targets.append(np.flatnonzero(keep))
     for target in targets:
-        sizes = space.aligned_blocks(target)
-        assert sizes.tolist() == aligned_blocks_oracle(space, target)
-        assert sizes.sum() == target.size
+        starts, sizes, masses, inside = space.cells(target)
+        assert sizes[inside].tolist() == aligned_blocks_oracle(space, target)
+        assert sizes[inside].sum() == target.size
+        assert list(zip(starts[~inside].tolist(), sizes[~inside].tolist())) == \
+            free_cells_oracle(space, target)
+        assert starts[0] == 0 and np.array_equal(starts[1:], (starts + sizes)[:-1])
+        assert starts[-1] + sizes[-1] == n
+        assert masses.tolist() == [space.range_mass(lo, lo + k) for lo, k in zip(starts, sizes)]
 
 
 @pytest.mark.parametrize("kind", ["unit-interval", "cantor-set"])
 def test_aligned_blocks_are_single_leaves_off_the_ultrametric(kind):
     space = model_space(kind, 2, 6)
     for target in (np.arange(64), np.arange(16, 32), np.array([5])):
-        assert space.aligned_blocks(target).tolist() == [1] * target.size
+        starts, sizes, masses, inside = space.cells(target)
+        assert starts.tolist() == list(range(64)) and sizes.tolist() == [1] * 64
+        assert masses is space.weights and np.flatnonzero(inside).tolist() == target.tolist()
+
+
+def test_sorted_unique_matches_np_unique(rng):
+    for values in (rng.integers(0, 50, 200), rng.integers(-3, 3, 7), np.array([], dtype=np.int64),
+                   np.arange(1024), rng.random(30).round(1), np.array([4.0])):
+        assert np.array_equal(sorted_unique(values), np.unique(values))

@@ -17,8 +17,8 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "potlab"
 # exact quadratic or closed-form references of the fast paths, the reader of
 # the space.txt a run writes, and the metric itself, pairwise and all-pairs;
 # no run calls them
-ORACLES = ("convolve_naive", "capacity_p2_exact", "singleton_capacity", "load_space",
-           "distance", "distance_matrix")
+ORACLES = ("convolve_naive", "capacity_p2_exact", "singleton_capacity",
+           "uniform_ball_capacity", "load_space", "distance", "distance_matrix")
 
 # fields no run reads that the tests check: the two sides of each capacity
 # solve and of each matching radius, and what the converge verdicts rest on
