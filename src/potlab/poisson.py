@@ -6,7 +6,11 @@ constants exactly.  Once a ball saturates the whole space the remaining
 terms form a geometric series that is added in closed form, so there is no
 truncation error in k.  Heights live on the dyadic grid diam * 2**(-m),
 m >= 0, so none lies above the diameter (the normalizer is unbounded
-there and nothing at the boundary depends on large heights).
+there and nothing at the boundary depends on large heights).  Ring k of
+one height is ring k + 1 of the next finer one, so each height's ring sum
+is its first ball's integral plus decay times the coarser height's sum:
+one backward pass over the radii serves every height, and the work is
+linear in the number of heights.
 
 Calibration helpers exploit that the extension is linear in f: extremal
 ratios over all nonnegative inputs are attained at point masses, so
@@ -41,10 +45,8 @@ class PoissonExtension:
         self._decay = 2.0 ** (-(self.q + 1.0))
         # ring k of height h is the ball of radius heights[h] * 2**k =
         # diam * 2**(k - h), exact in floating point, so the heights share
-        # their radii: the all-leaf balls once per radius, and per height
-        # the (coef, ball index) of its rings
+        # their radii: the all-leaf balls are searched once per radius
         self._balls = self._radius_balls(space)
-        self._rings = [self._height_rings(n_heights - h) for h in range(self.heights.size)]
         self._mass = self._collect(np.concatenate(([0.0], np.cumsum(space.weights))))
 
     def _radius_balls(self, space: ModelSpace):
@@ -62,34 +64,27 @@ class PoissonExtension:
                 break
         return balls
 
-    def _height_rings(self, first: int):
-        """(coef, ball index) of the rings B(x, 2**k y), k = 0, 1, ..., of the
-        height y whose radius is ball ``first``.
+    def _sweep(self, ring):
+        """(ball index, S) for every height, coarsest first, where
+        S(i) = ring(i) + decay * S(i + 1) sums the rings of the height whose
+        first ball is ball i.
 
-        coef is 2**(-(Q+1)k).  The rings stop at the first k whose balls are
-        all the whole space; that last coef carries the closed-form
-        geometric tail from k on.
+        The recurrence starts from the closed-form tail ring(W) / (1 - decay)
+        at the first whole-space ball W, which every coarser height also
+        takes; their own first balls are whole as well.
         """
         whole = len(self._balls) - 1
-        rings = []
-        coef = 1.0
-        for i in range(first, max(first, whole)):
-            rings.append((coef, i))
-            coef *= self._decay
-        rings.append((coef / (1.0 - self._decay), whole))
-        return rings
+        acc = ring(whole) / (1.0 - self._decay)
+        for i in range(self.heights.size - 1, -1, -1):
+            if i < whole:
+                acc = ring(i) + self._decay * acc     # a new array: the last one was yielded
+            yield min(i, whole), acc
 
     def _collect(self, prefix: np.ndarray) -> np.ndarray:
         """Column h is sum_k 2**(-(Q+1)k) * integral over B(x, 2**k y_h), all
         leaves at once; each ball integral is formed once per radius."""
-        integrals = [prefix[hi] - prefix[lo] for lo, hi in self._balls]
-        cols = []
-        for rings in self._rings:
-            out = np.zeros(self.n_leaves)
-            for coef, i in rings:
-                out += coef * integrals[i]
-            cols.append(out)
-        return np.column_stack(cols)
+        return np.column_stack([acc for _, acc in self._sweep(
+            lambda i: prefix[self._balls[i][1]] - prefix[self._balls[i][0]])])
 
     # -- public surface ----------------------------------------------------
 
@@ -103,27 +98,23 @@ class PoissonExtension:
         prefix = np.concatenate(([0.0], np.cumsum(np.asarray(f, dtype=float) * self.weights)))
         return self._collect(prefix) / self._mass
 
-    def kernel_matrix(self, h: int) -> np.ndarray:
-        """All kernel profiles at one height, stacked by center leaf: row x
-        holds the per-leaf weights k(z) with extension(f)(x, y_h) =
-        sum k(z) f(z) w(z).
+    def kernel_matrices(self):
+        """((lo, hi), profiles) at every height, coarsest first: (lo, hi) are
+        the open balls B(x, y) around every leaf x, and row x of the (n, n)
+        profiles holds the per-leaf weights k(z) with
+        extension(f)(x, y) = sum k(z) f(z) w(z).
 
-        Each center stops at its own first whole-space ring, which takes the
-        geometric tail coef / (1 - decay); the shared last ring has it already.
+        A center whose ring is already the whole space gets the all-ones
+        ring, and 1 + decay / (1 - decay) = 1 / (1 - decay) is its tail.
         """
-        n = self.n_leaves
-        leaves = np.arange(n)
-        out = np.zeros((n, n))
-        live = np.ones(n, dtype=bool)
-        *head, (tail, _) = self._rings[h]
-        for coef, i in head:
+        leaves = np.arange(self.n_leaves)
+
+        def ring(i):
             lo, hi = self._balls[i]
-            whole = (lo == 0) & (hi == n)
-            c = np.where(live, np.where(whole, coef / (1.0 - self._decay), coef), 0.0)
-            out += c[:, None] * ((leaves >= lo[:, None]) & (leaves < hi[:, None]))
-            live &= ~whole
-        out += np.where(live, tail, 0.0)[:, None]
-        return out / self._mass[:, h][:, None]
+            return ((leaves >= lo[:, None]) & (leaves < hi[:, None])).astype(float)
+
+        for h, (i, acc) in enumerate(self._sweep(ring)):
+            yield self._balls[i], acc / self._mass[:, h][:, None]
 
 
 def poisson_extension(space: ModelSpace, n_heights: int) -> PoissonExtension:
@@ -177,13 +168,10 @@ def harnack_constant(space: ModelSpace, n_heights: int = 20) -> float:
 
 
 def _harnack_worst(cal: ModelSpace, n_heights: int) -> float:
-    ext = poisson_extension(cal, n_heights)
     worst = math.inf
-    for h in range(ext.heights.size):
-        profiles = ext.kernel_matrix(h)
-        # the open balls B(x, heights[h]) are the height's first ring; of
-        # positive radius, they contain their center, so none is empty
-        lo, hi = ext._balls[ext._rings[h][0][1]]
+    # the open balls B(x, y) of positive radius contain their center, so
+    # none is empty
+    for (lo, hi), profiles in poisson_extension(cal, n_heights).kernel_matrices():
         # column minima of the profiles over each ball's rows (a row of inf
         # closes a ball that ends at the last leaf)
         rows = np.vstack((profiles, np.full(cal.n_leaves, np.inf)))
@@ -242,12 +230,10 @@ def exchange_band(space: ModelSpace, kernel: RadialKernel, n_heights: int = 20):
 
 
 def _exchange_extremes(cal: ModelSpace, kernel: RadialKernel, n_heights: int):
-    ext = poisson_extension(cal, n_heights)
     kmat = kernel_operator(kernel, cal).row(np.arange(cal.n_leaves))
     w = cal.weights
     lo, hi = math.inf, -math.inf
-    for h in range(ext.heights.size):
-        pk = ext.kernel_matrix(h)
+    for _, pk in poisson_extension(cal, n_heights).kernel_matrices():
         swapped = (kmat * w[None, :]) @ pk          # potential after extension
         direct = pk @ (w[:, None] * kmat)           # extension after potential
         live = (swapped != 0.0) | (direct != 0.0)

@@ -3,7 +3,9 @@
 Each drawn config starts from ``BASE_CONFIG`` and sets some schema keys to
 their default (the line removed), a range end or one past it, a choice or
 junk; some ``--tol-override`` strings are drawn too.  ``space-info`` on it
-must exit 0, or exit 2 with exactly one ``error kind=config`` line.
+must exit 0, or exit 2 with exactly one ``error kind=config`` line.  The
+run subcommands that build an extension take the ends of the height grid
+on every space kind, and finish.
 """
 
 import configparser
@@ -75,11 +77,34 @@ OVERRIDES = st.lists(st.one_of(schema_overrides(), st.text("ab.=% -[]:;#1\n", ma
 @example(text=BASE_CONFIG.replace("seed = 7", "seed = %(x)s"), overrides=["space.depth=%"])
 @example(text=BASE_CONFIG, overrides=["1\n1.1="])
 def test_drawn_config_runs_or_is_rejected_in_one_line(text, overrides):
+    runs_or_is_rejected_in_one_line("space-info", text, overrides)
+
+
+@pytest.mark.parametrize("n_heights", ["0", "1", str(cli._SCHEMA["poisson", "n_heights"][2][1])])
+@pytest.mark.parametrize("kind", ["tree-boundary", "unit-interval", "cantor-set"])
+@pytest.mark.parametrize("subcommand", ["poisson", "exchange", "converge"])
+def test_height_grid_ends_run(subcommand, kind, n_heights):
+    # every kind at its default delta, and n_heights inside its range, so
+    # the config is valid and the run must finish
+    cfg = configparser.ConfigParser(interpolation=None)
+    cfg.read_string(BASE_CONFIG)
+    cfg.set("space", "kind", kind)
+    cfg.remove_option("space", "delta")
+    cfg.add_section("poisson")
+    cfg.set("poisson", "n_heights", n_heights)
+    out = io.StringIO()
+    cfg.write(out)
+    assert runs_or_is_rejected_in_one_line(subcommand, out.getvalue(), []) == 0
+
+
+def runs_or_is_rejected_in_one_line(subcommand: str, text: str, overrides) -> int:
+    """The exit code of ``subcommand`` on the config ``text``, after checking
+    that it is 0, or 2 with one ``error kind=config`` line."""
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "cfg.ini"
         config.write_text(text)
-        args = ["space-info", "--config", str(config), "--out", str(Path(tmp) / "out"),
-                *(f"--tol-override={item}" for item in overrides)]
+        args = [subcommand, "--config", str(config), "--out", str(Path(tmp) / "out"),
+                "--no-charts", *(f"--tol-override={item}" for item in overrides)]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.main(args)
@@ -87,3 +112,4 @@ def test_drawn_config_runs_or_is_rejected_in_one_line(text, overrides):
     if code == 2:
         assert err.getvalue().startswith("error kind=config")
         assert err.getvalue().count("\n") == 1
+    return code

@@ -2,14 +2,17 @@ import gc
 import math
 import warnings
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from potlab import cli
 from potlab.kernel import RadialKernel, kernel_operator, lp_norm
-from potlab.poisson import (PoissonExtension, _exchange_extremes, _harnack_worst, ball_slab,
-                            dyadic_heights, exchange_band, exchange_ratio, harnack_check,
-                            harnack_constant, lipschitz_profile, poisson_extension)
+from potlab.poisson import (CALIBRATION_DEPTH, PoissonExtension, _exchange_extremes,
+                            _harnack_worst, ball_slab, dyadic_heights, exchange_band,
+                            exchange_ratio, harnack_check, harnack_constant, lipschitz_profile,
+                            poisson_extension)
 from potlab.space import model_space
 
 RIESZ = RadialKernel("riesz", s=0.75, p=2.0)
@@ -58,7 +61,7 @@ def test_matches_naive_double_loop(tree6, cantor6, rng):
 
 
 def per_center_profile(space, ext, x, h):
-    """The per-center ring loop that ``kernel_matrix`` vectorizes (reference):
+    """The per-center ring loop that ``kernel_matrices`` replaces (reference):
     rings stop at the center's own first whole-space ball."""
     decay = 2.0 ** (-(space.dimension + 1.0))
     out = np.zeros(space.n_leaves)
@@ -73,17 +76,71 @@ def per_center_profile(space, ext, x, h):
         r *= 2.0
 
 
+def exact_extension(space, n_heights, f):
+    """Field values and normalization grid of f, and a map (h, x) -> kernel
+    profile row, in exact rational arithmetic with the float decay and the
+    float heights ** Q taken exactly (oracle).  Each height sums its own
+    rings, those of ``per_height_rings``; a leaf that enters the balls
+    around x at ring m has the weight decay**m / (1 - decay), the geometric
+    sum of the rings that hold it."""
+    n = space.n_leaves
+    decay = Fraction(2.0 ** (-(space.dimension + 1.0)))
+    heights = dyadic_heights(space.diameter, n_heights)
+    rings = [[(lo, hi) for _, lo, hi in per_height_rings(space, float(y))] for y in heights]
+
+    def collect(g):
+        prefix = np.array([Fraction(0)] + [Fraction(v) * Fraction(w)
+                                           for v, w in zip(g, space.weights)]).cumsum()
+        cols = []
+        for height in rings:
+            (lo, hi), *inner = height[::-1]
+            col = (prefix[hi] - prefix[lo]) / (1 - decay)
+            for lo, hi in inner:
+                col = (prefix[hi] - prefix[lo]) + decay * col
+            cols.append(col)
+        return np.column_stack(cols)
+
+    mass = collect(np.ones(n))
+    grid = np.array([Fraction(float(v)) for v in heights ** space.dimension])[None, :] / mass
+
+    def profile(h, x):
+        enter = np.full(n, len(rings[h]) - 1)
+        for m in range(len(rings[h]) - 2, -1, -1):
+            lo, hi = rings[h][m]
+            enter[lo[x]:hi[x]] = m
+        weights = [decay**m / ((1 - decay) * mass[x, h]) for m in range(len(rings[h]))]
+        return np.array(weights)[enter]
+
+    return collect(np.asarray(f, dtype=float)) / mass, grid, profile
+
+
+def rel_error(values, exact) -> float:
+    """Worst relative error of float ``values`` against positive ``exact``
+    Fractions, itself rounded once."""
+    worst = 0.0
+    for v, e in zip(np.ravel(values).tolist(), np.ravel(exact)):
+        a, b = v.as_integer_ratio()
+        worst = max(worst, abs(a * e.denominator - e.numerator * b) / (e.numerator * b))
+    return worst
+
+
 @pytest.mark.parametrize("kind", ["tree-boundary", "unit-interval", "cantor-set"])
 def test_kernel_matrix_matches_field_and_per_center_loop(kind, rng):
     ms = model_space(kind, 2, 6)
     ext = PoissonExtension(ms)
     f = rng.random(ms.n_leaves)
     values = ext.field(f)
-    for h in range(ext.heights.size):
-        kmat = ext.kernel_matrix(h)
+    profile = exact_extension(ms, 20, f)[2]
+    rows, reference, exact = [], [], []
+    for h, ((lo, hi), kmat) in enumerate(ext.kernel_matrices()):
+        balls = ms.ball_bounds(np.arange(ms.n_leaves), float(ext.heights[h]), closed=False)
+        assert np.array_equal(lo, balls[0]) and np.array_equal(hi, balls[1])
         assert np.allclose(kmat @ (f * ms.weights), values[:, h], rtol=1e-12, atol=0.0)
         for x in (0, 21, 63):
-            assert np.array_equal(kmat[x], per_center_profile(ms, ext, x, h))
+            rows.append(kmat[x])
+            reference.append(per_center_profile(ms, ext, x, h))
+            exact.append(profile(h, x))
+    assert rel_error(np.array(rows), exact) <= rel_error(np.array(reference), exact) + 2.2e-16
 
 
 @pytest.mark.parametrize("kind", ["tree-boundary", "unit-interval", "cantor-set"])
@@ -96,8 +153,7 @@ def test_built_extension_searches_no_balls(kind, monkeypatch, rng):
                         lambda *args, **kwargs: calls.append(1) or search(*args, **kwargs))
     ext.field(rng.random(ms.n_leaves))
     ext.normalization_grid()
-    for h in range(ext.heights.size):
-        ext.kernel_matrix(h)
+    list(ext.kernel_matrices())
     assert calls == []
 
 
@@ -161,12 +217,17 @@ def test_extension_searches_each_radius_once(kind, n_heights, monkeypatch, rng):
     ext = PoissonExtension(ms, n_heights=n_heights)
     assert len(calls) <= n_heights + 3
     monkeypatch.undo()
+    # the recurrence sums in another order than the per-height collector, so
+    # both are held to an exact oracle: no worse than the reference there
     f = rng.random(ms.n_leaves)
     values, grid, kmats = per_height_reference(ms, ext, f)
-    assert ext.field(f).tobytes() == values.tobytes()
-    assert ext.normalization_grid().tobytes() == grid.tobytes()
-    for h, kmat in enumerate(kmats):
-        assert ext.kernel_matrix(h).tobytes() == kmat.tobytes()
+    exact_values, exact_grid, profile = exact_extension(ms, n_heights, f)
+    assert rel_error(ext.field(f), exact_values) <= rel_error(values, exact_values) + 2.2e-16
+    assert rel_error(ext.normalization_grid(), exact_grid) <= rel_error(grid, exact_grid) + 2.2e-16
+    exact_kmats = [np.array([profile(h, x) for x in range(ms.n_leaves)])
+                   for h in range(ext.heights.size)]
+    assert rel_error(np.array([k for _, k in ext.kernel_matrices()]), exact_kmats) \
+        <= rel_error(np.array(kmats), exact_kmats) + 2.2e-16
 
 
 def test_ball_indicator_deep_inside(tree6, cantor6):
@@ -214,7 +275,7 @@ def test_locality_outside_saturating_ball(tree6, rng):
     ext = PoissonExtension(tree6, n_heights=6)
     f = rng.random(64)
     x, h = 9, 4
-    profile = ext.kernel_matrix(h)[x]
+    profile = list(ext.kernel_matrices())[h][1][x]
     direct = float(profile @ (f * tree6.weights))
     assert ext.field(f)[x, h] == pytest.approx(direct, rel=1e-12)
     assert np.all(profile > 0)
@@ -305,8 +366,7 @@ def per_center_harnack(space, n_heights, vanishing="divide"):
     ext = poisson_extension(space, n_heights)
     centers = np.arange(space.n_leaves)
     expected = math.inf
-    for h, y in enumerate(ext.heights):
-        profiles = ext.kernel_matrix(h)
+    for y, (_, profiles) in zip(ext.heights, ext.kernel_matrices()):
         lo, hi = space.ball_bounds(centers, float(y), closed=False)
         for xt in centers:
             cols = (profiles[xt] > 0.0) if vanishing == "leave_out" else slice(None)
@@ -342,16 +402,12 @@ def test_harnack_worst_equals_the_per_center_loop(kind, depth, n_heights):
 
 
 @pytest.mark.parametrize("kind", ["tree-boundary", "unit-interval", "cantor-set"])
-def test_harnack_leaves_out_vanishing_profiles(kind, monkeypatch):
+def test_harnack_leaves_out_vanishing_profiles(kind):
     # at 700 heights the ring coefficients 2**(-(Q+1)k) underflow, so a
     # center's profile vanishes at far leaves and the ratio there is 0/0;
     # those entries are left out, not divided, so no center drops out of
-    # the minimum.  The profiles are formed once, for the scan and the
-    # reference alike.
+    # the minimum
     ms = model_space(kind, 2, 3)
-    ext = poisson_extension(ms, 700)
-    monkeypatch.setattr(ext, "kernel_matrix",
-                        [ext.kernel_matrix(h) for h in range(ext.heights.size)].__getitem__)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         worst = _harnack_worst(ms, 700)
@@ -501,6 +557,23 @@ def test_exchange_band_leaves_out_vanishing_compositions():
 
 
 @pytest.mark.parametrize("kind", ["tree-boundary", "unit-interval", "cantor-set"])
+def test_calibrations_at_the_largest_height_grid(kind):
+    # the schema's bound on [poisson] n_heights, on the calibration space:
+    # the ring coefficients underflow far above the finest height, and both
+    # scans leave the vanishing entries out
+    ms = model_space(kind, 2, CALIBRATION_DEPTH)
+    n_heights = cli._SCHEMA["poisson", "n_heights"][2][1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        worst = _harnack_worst(ms, n_heights)
+        lo, hi = _exchange_extremes(ms, RIESZ, n_heights)
+    coarse = _exchange_extremes(ms, RIESZ, 20)
+    assert 0.0 < worst <= 1.0
+    assert math.isfinite(lo) and math.isfinite(hi)
+    assert lo <= coarse[0] and coarse[1] <= hi
+
+
+@pytest.mark.parametrize("kind", ["tree-boundary", "unit-interval", "cantor-set"])
 def test_extension_dies_with_its_space(kind):
     # the space memoizes its extension and the extension keeps only what an
     # evaluation reads, so no reference cycle waits for the collector
@@ -517,7 +590,7 @@ def test_extension_dies_with_its_space(kind):
     # an extension built on a space nothing else holds still works
     ext = PoissonExtension(model_space(kind, 2, 6), n_heights=6)
     assert np.abs(ext.field(np.ones(64)) - 1.0).max() <= 1e-12
-    assert ext.kernel_matrix(3).shape == (64, 64)
+    assert all(k.shape == (64, 64) for _, k in ext.kernel_matrices())
 
 
 def test_profile_names(tree6):
