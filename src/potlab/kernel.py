@@ -18,8 +18,9 @@ their own diagonal value (the level-N entry of the table).
 Both operators are exact and apply through dense blocks of b**k leaves: the
 tree operator holds one block within a subtree and sums subtree masses
 above it; the embedded one holds each kernel value once, one per digit
-difference vector, and gathers the block of each top digit difference from
-them when it applies.
+difference vector, and when it applies gathers the block of each kept top
+digit difference once, using it as is and, for the mirror difference,
+transposed.
 """
 
 from __future__ import annotations
@@ -242,8 +243,10 @@ class DenseKernelOperator(KernelOperator):
     last, ``zero = matrix.shape[0] - 1``, is the zero difference, and a
     difference e past it is the transposed block of ``2 * zero - e``.  The
     build never holds the distances of all (2b - 1)**N difference vectors.
-    An apply gathers each block into one scratch block and makes one matrix
-    product per top difference; a row block gathers the block rows it reads.
+    An apply gathers each kept block once into one scratch block; one
+    matrix product takes every subtree pair of its difference, and, before
+    zero, a second one with the transposed block every pair of its mirror.
+    A row block gathers the block rows it reads.
     """
 
     def __init__(self, kernel: RadialKernel, space: ModelSpace):
@@ -255,8 +258,7 @@ class DenseKernelOperator(KernelOperator):
         self._top = top = depth - bottom
         # the distance of a digit-difference vector is the sum of its per-level
         # terms from the finest level up, never the difference of two nearly
-        # equal coordinates: the sums over the bottom levels once, then each
-        # kept top difference's terms onto them in the same order
+        # equal coordinates: the sums over the bottom levels once, in every row
         step = (1.0 - delta) / (b - 1)
         terms = [np.arange(1 - b, b, dtype=float) * step * delta**level
                  for level in range(depth)]
@@ -265,55 +267,50 @@ class DenseKernelOperator(KernelOperator):
             fine = np.add.outer(terms[level], fine).reshape(-1)
         middle = fine.size // 2
         # row e holds K over the bottom differences at the e-th top difference,
-        # for the top differences up to zero; the last is the zero vector, whose
-        # middle is a leaf and itself
+        # for those up to zero; the last is the zero vector, whose middle is a
+        # leaf and itself.  Each top level's term goes onto every row, finest
+        # first, in place (IEEE addition commutes, so no value moves)
         kept = (2 * b - 1) ** top // 2 + 1
         matrix = np.empty((kept, fine.size))
-        diffs = itertools.product(range(2 * b - 1), repeat=top)
-        for e, diff in enumerate(itertools.islice(diffs, kept)):
-            values = fine
-            for level in range(top - 1, -1, -1):
-                values = terms[level][diff[level]] + values
-            values = np.abs(values, out=matrix[e])
-            centre = e == kept - 1
-            if centre:
-                values[middle] = 1.0
-            np.power(values, -space.dimension * kernel.s, out=values)
-            if centre:
-                values[middle] = 0.0
+        matrix[:] = fine
+        for level in range(top - 1, -1, -1):
+            digit = np.arange(kept) // (2 * b - 1) ** (top - 1 - level) % (2 * b - 1)
+            matrix += terms[level][digit][:, None]
+        np.abs(matrix, out=matrix)
+        matrix[-1, middle] = 1.0
+        np.power(matrix, -space.dimension * kernel.s, out=matrix)
+        matrix[-1, middle] = 0.0
         # read-only, like the index, because every caller shares them
         matrix.setflags(write=False)
         self.matrix = matrix
         codes = _digit_codes(b, bottom)
         self._index = (codes[:, None] + middle) - codes
         self._index.setflags(write=False)
-        # per top difference, the top digits of the output and input subtree
-        # pairs it links, as slices of the (block, b, ..., b) leaf layout
-        self._pairs = [
-            ((slice(None),) + tuple(slice(max(0, d), b + min(0, d)) for d in diff),
-             (slice(None),) + tuple(slice(max(0, -d), b + min(0, -d)) for d in diff))
-            for diff in itertools.product(range(1 - b, b), repeat=self._top)]
+        # per kept top difference, the top digits of the output and input
+        # subtree pairs it links, as slices of the (b, ..., b, block, columns)
+        # leaf layout; its mirror links the same pairs swapped
+        diffs = itertools.product(range(1 - b, b), repeat=top)
+        self._pairs = [(tuple(slice(max(0, d), b + min(0, d)) for d in diff),
+                        tuple(slice(max(0, -d), b + min(0, -d)) for d in diff))
+                       for diff in itertools.islice(diffs, kept)]
 
     def _apply(self, masses):
-        top, block = self._top, self._index.shape[0]
-        zero = self.matrix.shape[0] - 1
-        shape = masses.shape
-        # leaves as (bottom digits, top digits..., columns): the matrix product
-        # of a block takes every subtree pair of its top difference at once
-        x = masses.reshape((self.branching,) * top + (block,) + shape[1:])
-        x = x.transpose(top, *range(top), *range(top + 1, x.ndim))
+        block, zero = self._index.shape[0], self.matrix.shape[0] - 1
+        # leaves in their own order, (top digits..., bottom leaf, column): each
+        # subtree's panel is contiguous, and one matrix product takes every
+        # subtree pair of a difference
+        x = masses.reshape((self.branching,) * self._top
+                           + (block, masses.size // masses.shape[0]))
         out = np.zeros(x.shape)
         kmat = np.empty((block, block))
         for e, (dst, src) in enumerate(self._pairs):
-            # past zero, the mirror's block as a transposed view: BLAS reads it
-            # through its transpose flag
-            np.take(self.matrix[min(e, 2 * zero - e)], self._index, out=kmat, mode="clip")
-            part = out[dst]
-            rhs = x[src]
-            if rhs.ndim > 2:
-                rhs = rhs.reshape(block, part.size // block)
-            part += ((kmat if e <= zero else kmat.T) @ rhs).reshape(part.shape)
-        return out.transpose(*range(1, top + 1), 0, *range(top + 1, x.ndim)).reshape(shape)
+            np.take(self.matrix[e], self._index, out=kmat, mode="clip")
+            out[dst] += kmat @ x[src]
+            if e < zero:
+                # the mirror 2 * zero - e: the block transposed (BLAS reads it
+                # through its transpose flag), the pairs swapped
+                out[src] += kmat.T @ x[dst]
+        return out.reshape(masses.shape)
 
     def row(self, leaves):
         # x's row segment against each depth-T subtree is row x of the block of

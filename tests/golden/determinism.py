@@ -1,16 +1,21 @@
-"""Compare the determinism outputs of this checkout with another source tree.
+"""Compare the determinism outputs of this checkout with another source tree,
+or with itself at another BLAS thread count.
 
 Usage, from the repository root::
 
     python tests/golden/determinism.py OTHER_SRC
+    python tests/golden/determinism.py --threads
 
 ``OTHER_SRC`` is the ``src`` directory of another potlab checkout, say the
-parent commit unpacked with ``git archive``.  The determinism set is
+parent commit unpacked with ``git archive``.  ``--threads`` runs this
+checkout twice instead, under one and under two BLAS threads.  The
+determinism set is
 ``full-suite`` (charts on) on every golden config next to this script, at
 its ``[run] seed``, and every workload of ``potbench/run.py``: the config
 ``render_config`` writes for it, its subcommands, runner seed 0.  Each run
-goes through ``load_config`` and ``Runner`` in a fresh single-threaded
-interpreter on each source tree, as the benchmark's children do.  Every
+goes through ``load_config`` and ``Runner`` in a fresh interpreter on
+each side, single-threaded as the benchmark's children are unless the side
+is the two-thread one.  Every
 CSV, SVG and ``space.txt`` output is compared byte for byte; manifests
 record times and are left out.  Each output that differs, or that only one
 side wrote, is listed, and the script exits 1 when there is any.  A CSV
@@ -72,10 +77,11 @@ def determinism_set(workdir: Path) -> list:
     return runs
 
 
-def run(src: Path, config: Path, seed: int, subcommands, out: Path) -> dict:
-    """name -> bytes of the compared outputs of one run on source tree ``src``."""
+def run(src: Path, threads: int, config: Path, seed: int, subcommands, out: Path) -> dict:
+    """name -> bytes of the compared outputs of one run on source tree ``src``
+    with ``threads`` BLAS threads."""
     env = {**os.environ, "PYTHONPATH": str(src),
-           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+           "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
     subprocess.run([sys.executable, "-c", RUN, str(config), str(out), str(seed),
                     *subcommands], env=env, check=True)
     return {p.name: p.read_bytes() for pattern in COMPARED for p in sorted(out.glob(pattern))}
@@ -113,23 +119,28 @@ def csv_moves(ours: bytes, theirs: bytes) -> str:
 
 
 def main(argv) -> int:
-    if len(argv) != 1 or not (Path(argv[0]) / "potlab" / "__init__.py").is_file():
-        print("usage: python tests/golden/determinism.py OTHER_SRC, the src "
-              "directory of another potlab checkout", file=sys.stderr)
+    # each side: source tree, BLAS threads, and its name when it alone wrote an output
+    if argv == ["--threads"]:
+        sides = ((ROOT / "src", 1, "1 thread"), (ROOT / "src", 2, "2 threads"))
+    elif len(argv) == 1 and (Path(argv[0]) / "potlab" / "__init__.py").is_file():
+        other = Path(argv[0]).resolve()
+        sides = ((ROOT / "src", 1, "this checkout"), (other, 1, str(other)))
+    else:
+        print("usage: python tests/golden/determinism.py OTHER_SRC | --threads, "
+              "OTHER_SRC the src directory of another potlab checkout", file=sys.stderr)
         return 2
-    other = Path(argv[0]).resolve()
     differ, total = [], 0
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for name, config, seed, subcommands in determinism_set(tmp):
-            ours = run(ROOT / "src", config, seed, subcommands, tmp / "ours" / name)
-            theirs = run(other, config, seed, subcommands, tmp / "theirs" / name)
+            ours, theirs = (run(src, threads, config, seed, subcommands, tmp / side / name)
+                            for side, (src, threads, _) in zip(("ours", "theirs"), sides))
             for output in sorted(ours.keys() | theirs.keys()):
                 total += 1
                 if ours.get(output) != theirs.get(output):
                     side = ("" if output in ours and output in theirs
-                            else " (this checkout only)" if output in ours
-                            else f" ({other} only)")
+                            else f" ({sides[0][2]} only)" if output in ours
+                            else f" ({sides[1][2]} only)")
                     if not side and output.endswith(".csv"):
                         side = f": {csv_moves(ours[output], theirs[output])}"
                     differ.append(f"{name}/{output}{side}")

@@ -1,6 +1,9 @@
 import gc
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -15,6 +18,7 @@ from potlab.kernel import (DenseKernelOperator, RadialKernel, convolve_naive,
 from potlab.space import ModelSpace, model_space
 
 SPANS = Path(__file__).resolve().parents[1] / "potbench" / "spans.py"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def fast(kernel, space, f):
@@ -416,8 +420,9 @@ def test_leaf_block_rule(b, depth, block):
 
 @pytest.mark.parametrize("kind", ["unit-interval", "cantor-set"])
 def test_dense_operator_build_holds_one_matrix(kind):
-    # the value table is filled one kept top difference at a time from the sums
-    # over the bottom digit differences, with no vector over every difference
+    # the value table is filled in place from the sums over the bottom digit
+    # differences, with no second table-sized buffer and no vector over every
+    # difference
     k = RadialKernel("riesz", s=0.75, p=2.0)
     for depth in (9, 10, 12):
         ms = model_space(kind, 2, depth)
@@ -477,22 +482,17 @@ def gathered_blocks(op):
 
 
 def blocks_apply(op, blocks, masses):
-    """The apply over the gathered blocks, a block past zero read as the
-    transposed view of its mirror (reference)."""
-    top, block = op._top, blocks.shape[1]
-    zero = blocks.shape[0] - 1
-    shape = masses.shape
-    x = masses.reshape((op.branching,) * top + (block,) + shape[1:])
-    x = x.transpose(top, *range(top), *range(top + 1, x.ndim))
+    """The apply over the gathered blocks in the apply's order, on the leaves'
+    own layout: each kept block onto its subtree pairs, then, before zero,
+    transposed onto the swapped pairs of its mirror (reference)."""
+    block, zero = blocks.shape[1], blocks.shape[0] - 1
+    x = masses.reshape((op.branching,) * op._top + (block, masses.size // masses.shape[0]))
     out = np.zeros(x.shape)
     for e, (dst, src) in enumerate(op._pairs):
-        kmat = blocks[e] if e <= zero else blocks[2 * zero - e].T
-        part = out[dst]
-        rhs = x[src]
-        if rhs.ndim > 2:
-            rhs = rhs.reshape(block, part.size // block)
-        part += (kmat @ rhs).reshape(part.shape)
-    return out.transpose(*range(1, top + 1), 0, *range(top + 1, x.ndim)).reshape(shape)
+        out[dst] += np.matmul(blocks[e], x[src])
+        if e < zero:
+            out[src] += np.matmul(blocks[e].T, x[dst])
+    return out.reshape(masses.shape)
 
 
 def blocks_row(op, blocks, leaves):
@@ -538,6 +538,58 @@ def test_value_table_applies_and_rows_equal_gathered_blocks(kind, b, depths, rng
             rows = op.row(leaves)
             assert rows.shape == np.shape(leaves) + (n,)
             assert rows.tobytes() == blocks_row(op, blocks, leaves).tobytes()
+
+
+@pytest.mark.parametrize("b,depth,kept", [(2, 12, 122), (3, 7, 13)])
+def test_dense_apply_gathers_each_kept_block_once(b, depth, kept, monkeypatch, rng):
+    # one gather per kept top difference serves it and, transposed, its mirror
+    op = DenseKernelOperator(RadialKernel("riesz", s=0.75, p=2.0),
+                             model_space("cantor-set", b, depth))
+    assert op.matrix.shape[0] == kept
+    take, calls = np.take, []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return take(*args, **kwargs)
+
+    monkeypatch.setattr(np, "take", spy)
+    for f in (rng.random(op.n_leaves), rng.random((op.n_leaves, 14))):
+        for apply in (op.apply_function, op.apply_measure):
+            calls.clear()
+            apply(f)
+            assert len(calls) == op.matrix.shape[0]
+    assert len(op._pairs) == kept
+
+
+THREAD_HASHES = """if True:
+    import hashlib
+    import numpy as np
+    from potlab.kernel import RadialKernel, kernel_operator
+    from potlab.space import model_space
+    digest = hashlib.sha256()
+    for kind in ("cantor-set", "unit-interval"):
+        op = kernel_operator(RadialKernel("riesz", s=0.75, p=2.0), model_space(kind, 2, 11))
+        rng = np.random.default_rng(7)
+        for cols in (1, 3, 14):
+            f = rng.random((op.n_leaves, cols))
+            digest.update(op.apply_measure(f).tobytes())
+            digest.update(op.apply_function(f).tobytes())
+        digest.update(op.apply_measure(rng.random(op.n_leaves)).tobytes())
+        digest.update(op.row(rng.integers(0, op.n_leaves, size=40)).tobytes())
+    print(digest.hexdigest())
+"""
+
+
+def test_dense_operator_bytes_do_not_depend_on_blas_threads():
+    # applies and rows at T = 4 top digits, under one and two BLAS threads
+    hashes = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(SRC),
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", THREAD_HASHES], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        hashes.append(done.stdout)
+    assert hashes[0] == hashes[1] != ""
 
 
 def young_sides(kernel, space, f, p):
