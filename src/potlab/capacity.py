@@ -18,9 +18,10 @@ g' = 1/2 wherever the potential is positive, so the weights of the Hessian
 rarely move: the first round's all-free Gram G is kept, and a later round
 with the same weights solves its free block F on G.  Those rounds at first
 slice the block from G and solve it directly.  Once the direct solves spent
-on them pay for it, G is replaced by the inverse of its Cholesky factor
-(``np.linalg.cholesky``), and a round solves through a Schur complement on
-its binding leaves instead, each binding leaf's row of G^-1 formed once
+on them pay for it, at once on an all-free repeat, the inverse of G's
+Cholesky factor (``np.linalg.cholesky``) is kept beside G, and a round
+solves through a Schur complement on its binding leaves where that costs
+less than slicing G, each binding leaf's row of G^-1 formed once
 (``_KeptGram`` states the two flop-count rules that decide).  It
 stops when the projected-gradient residual reaches rounding level;
 ``iterations`` counts the rounds.
@@ -39,8 +40,9 @@ is the per-leaf solver's in exact arithmetic, and only ``density`` and
 ``measure`` are spread over the leaves, at the end.  A subtree is one
 block among at most (b - 1) N cells, and starts at the optimum.  On the
 embedded metrics each cell is one leaf: the first round takes the
-target's kernel rows for its Hessian, and every evaluation from then on
-reads u and K*g from them, two products in place of two dense applies.
+target's kernel rows for its Hessian, and from then on u and K*g are read
+from them, products in place of dense applies; K*g and the gradient are
+formed only for the states the solve keeps, not for every candidate.
 Every other Newton system is one LU solve (``spd_solve``, LAPACK ``gesv``
 through numpy); only an exactly singular Hessian falls back to a solve
 with a 1e-13 diagonal jitter, and a G that the Cholesky factorization
@@ -102,9 +104,10 @@ class _DualState:
     """Caches the nonlinear quantities attached to a candidate measure.
 
     lam holds the mass of each leaf of each block; u and g hold one value
-    per cell, K*g and the gradient one per block.  An evaluation reads them
-    from the cell rows, taken here on the ultrametric; on an embedded space,
-    until ``rows`` holds the target's kernel rows, it makes two applies."""
+    per cell, K*g and the gradient one per block, formed only for the states
+    the solve keeps.  Each is read from the cell rows, taken here on the
+    ultrametric; on an embedded space, until ``rows`` holds the target's
+    kernel rows, u and K*g take one apply each."""
 
     def __init__(self, space: ModelSpace, op: KernelOperator, target, p):
         self.op = op
@@ -117,18 +120,21 @@ class _DualState:
             if space.kind == "tree-boundary" else None
 
     def evaluate(self, lam):
-        rows = self.rows
-        u = self.op.apply_measure(_scatter(lam, self.E, self.masses.size)) if rows is None \
-            else lam @ rows
+        """u, the moment and the objective: all a line-search candidate reads."""
+        u = self.op.apply_measure(_scatter(lam, self.E, self.masses.size)) \
+            if self.rows is None else lam @ self.rows
         u = np.maximum(u, 0.0)
-        g = (u / self.p) ** (self.pp - 1.0)
-        kg = self.op.apply_function(g)[self.E] if rows is None \
-            else rows @ (self.masses * g) / self.sizes
         moment = float(self.masses @ (u / self.p) ** self.pp)   # = sum M g**p
         objective = float((lam * self.sizes).sum()) - (self.p - 1.0) * moment
-        grad = 1.0 - kg
-        return {"u": u, "g": g, "kg": kg, "moment": moment,
-                "objective": objective, "grad": grad}
+        return {"u": u, "moment": moment, "objective": objective}
+
+    def keep(self, state):
+        """Add g, K*g and the gradient to a state the solve moves to."""
+        g = (state["u"] / self.p) ** (self.pp - 1.0)
+        kg = self.op.apply_function(g)[self.E] if self.rows is None \
+            else self.rows @ (self.masses * g) / self.sizes
+        state.update(g=g, kg=kg, grad=1.0 - kg)
+        return state
 
     def certificates(self, lam, state):
         """(dual, primal, u_norm, floor): the two bounds, and the conjugate
@@ -192,9 +198,9 @@ class _KeptGram:
     the later rounds that share its weights.
 
     Until factoring pays, a round slices its free block F from G and solves
-    it directly.  From then on G is held as R = L^-1 for its Cholesky factor
-    L, so G^-1 = R^T R, and a round solves G_FF y = g_F through the binding
-    leaves B: with z = G^-1 g for g zero on B,
+    it directly.  From then on R = L^-1 for the Cholesky factor L of G is
+    kept beside G, so G^-1 = R^T R, and a round solves G_FF y = g_F through
+    the binding leaves B: with z = G^-1 g for g zero on B,
     y = z - G^-1[:, B] (G^-1[B, B])^-1 z_B, which vanishes on B.  The row of
     G^-1 of a leaf is formed the first time the leaf binds, then kept.
 
@@ -203,15 +209,15 @@ class _KeptGram:
     new rows and an LU solve of the binding block, is below 2 |F|^3 / 3, an
     LU solve of the free block.  G is factored on the first round where its
     Cholesky factor and triangular inverse, 2 m^3 / 3, plus that Schur step
-    cost less than the direct solve plus those of the earlier rounds on G;
-    on a tie, an all-free round before any of them, factoring buys nothing
-    yet and G is kept.  Any other round after factoring forms its block
-    from the target's kernel rows, as p != 2 rounds do.  A G that
-    ``np.linalg.cholesky`` rejects stays on the direct path.
+    cost no more than the direct solve plus those of the earlier rounds on
+    G, so an all-free repeat, whose Schur step costs nothing, factors at
+    once.  Any other round, before or after factoring, slices its block
+    from G.  A G that ``np.linalg.cholesky`` rejects stays on the direct
+    path.
     """
 
     def __init__(self, gram, weights):
-        self.gram = gram             # G until factored, then None
+        self.gram = gram             # G, kept beside R
         self.weights = weights
         self.inverse = None          # R once factored
         self.factorable = True
@@ -219,8 +225,8 @@ class _KeptGram:
         self.inv_rows = np.empty((0, gram.shape[0]))   # rows of G^-1 kept so far
         self.slot = np.full(gram.shape[0], -1)      # each leaf's row in ``inv_rows``
 
-    def solve(self, free, rhs, kernel_rows):
-        """G_FF^-1 rhs; ``kernel_rows`` form the block once G is factored."""
+    def solve(self, free, rhs):
+        """G_FF^-1 rhs."""
         m = free.size
         bound = np.flatnonzero(~free)
         new = bound[self.slot[bound] < 0]
@@ -228,14 +234,12 @@ class _KeptGram:
         schur = 2.0 * m * m * new.size + 2.0 * bound.size ** 3 / 3.0
         if schur < direct:
             if self.inverse is None and self.factorable \
-                    and 2.0 * m**3 / 3.0 + schur < direct + self.spent:
+                    and 2.0 * m**3 / 3.0 + schur <= direct + self.spent:
                 self._factor()
             if self.inverse is not None:
                 step = self._schur(free, bound, new, rhs)
                 if step is not None:
                     return step
-        if self.inverse is not None:
-            return spd_solve(_gram(kernel_rows, free, self.weights), rhs)
         self.spent += direct
         return spd_solve(self.gram if free.all() else self.gram[np.ix_(free, free)], rhs)
 
@@ -245,7 +249,6 @@ class _KeptGram:
         except np.linalg.LinAlgError:
             self.factorable = False
             return
-        self.gram = None
         _invert_lower(low)
         self.inverse = low
 
@@ -274,7 +277,8 @@ def _scatter(values, idx, n):
 
 GAP_ACCEPT = 1e-3   # certified relative duality gap below which a solve is converged
 MAX_ROUNDS = 200    # default Newton round cap; the whole-space unit-interval solve,
-                    # the hardest measured, takes 59 rounds at depth 11 and 116 at 12
+                    # the hardest measured, takes 56 rounds at depth 11 (59 on two
+                    # BLAS threads) and 116 at 12
 
 
 def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
@@ -308,7 +312,7 @@ def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
     # the best multiple c of the uniform measure: c**(p'-1) = sum(lam) / (p * moment)
     state = ds.evaluate(np.ones(ds.sizes.size))
     lam = np.full(ds.sizes.size, (E.size / (p * state["moment"])) ** (p - 1.0))
-    state = ds.evaluate(lam)
+    state = ds.keep(ds.evaluate(lam))
 
     kept = None   # p = 2: the first round's all-free Hessian, a _KeptGram
     iterations = 0
@@ -338,13 +342,13 @@ def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
         block_grad = ds.sizes * grad
         direction = -lam                       # binding blocks move to 0
         if kept is not None and np.array_equal(weights, kept.weights):
-            direction[free] = kept.solve(free, block_grad[free], ds.rows)
+            direction[free] = kept.solve(free, block_grad[free])
         else:
             hessian = _gram(ds.rows, free, weights)
             direction[free] = spd_solve(hessian, block_grad[free])
             if p == 2.0 and free.all():
                 kept = _KeptGram(hessian, weights)
-            del hessian                        # so a factored G is freed
+            del hessian                        # so no two rounds' Hessians coexist
         # projected Armijo search; near the optimum the objective moves
         # less than its own rounding, hence the noise allowance
         slope = float(block_grad @ direction)
@@ -358,7 +362,7 @@ def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
             t *= 0.5
         else:
             break
-        lam, state = cand, cand_state
+        lam, state = cand, ds.keep(cand_state)
 
     dual, primal, u_norm, floor = ds.certificates(lam, state)
     gap = max((primal - dual) / primal, 0.0) if primal > 0 else 0.0

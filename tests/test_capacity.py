@@ -229,7 +229,9 @@ def test_p2_solve_forms_one_gram(kind, monkeypatch):
 @pytest.mark.parametrize("kind", ["unit-interval", "cantor-set"])
 def test_solve_evaluates_through_its_rows(kind, monkeypatch):
     # from the first Newton round on, u = K*lam and K*g on the target come from
-    # the target's rows, so no operator apply runs once the rows are built
+    # the target's rows, so no operator apply runs once the rows are built;
+    # before them, the uniform start applies once, for u, and the best
+    # multiple twice, for u and K*g
     space = model_space(kind, 2, 7)
     target = np.arange(space.n_leaves)
     cls = type(kernel_operator(RIESZ, space))
@@ -238,11 +240,12 @@ def test_solve_evaluates_through_its_rows(kind, monkeypatch):
     monkeypatch.setattr(cls, "_apply", lambda op, m: calls.append("apply") or apply(op, m))
     monkeypatch.setattr(cls, "row", lambda op, leaves: calls.append("row") or row(op, leaves))
     for p in (2.0, 3.0):
+        kernel = RadialKernel("riesz", s=0.75, p=p)
+        kernel_operator(kernel, space).mass()     # the memoized K*1 is not the solve's
         calls.clear()
-        sol = solve_capacity(space, RadialKernel("riesz", s=0.75, p=p), target, p=p)
+        sol = solve_capacity(space, kernel, target, p=p)
         assert sol.iterations > 1 and sol.relative_gap <= 1e-13
-        assert calls.count("row") == 1 and "apply" in calls
-        assert "apply" not in calls[calls.index("row"):]
+        assert calls.count("row") == 1 and calls.index("row") == calls.count("apply") == 3
     sol = solve_capacity(space, RIESZ, target, p=2.0)
     assert sol.value == pytest.approx(capacity_p2_exact(space, RIESZ, target), rel=1e-8)
 
@@ -263,7 +266,7 @@ def test_schur_step_matches_the_direct_solve(kind, rng):
     gram, weights = whole_space_gram(kind, 9)
     kept = capacity._KeptGram(gram.copy(), weights)
     kept._factor()
-    assert kept.gram is None and kept.inverse is not None
+    assert np.array_equal(kept.gram, gram) and kept.inverse is not None
     m = gram.shape[0]
     for share in (0.0, 0.05, 0.3, 0.55):
         for contiguous in (False, True):
@@ -290,24 +293,77 @@ def test_a_gram_cholesky_rejects_keeps_the_direct_path():
     free = np.ones(m, dtype=bool)
     free[:3] = False
     rhs = np.ones(m - 3)
-    # the first later round solves directly; the second would factor
+    # the all-free round tries to factor first; Cholesky rejects G, and
+    # both rounds solve directly
     for mask, b in ((np.ones(m, dtype=bool), np.ones(m)), (free, rhs)):
-        step = kept.solve(mask, b, None)
+        step = kept.solve(mask, b)
         assert np.array_equal(step, spd_solve(gram[np.ix_(mask, mask)], b))
     assert not kept.factorable and kept.inverse is None and kept.gram is gram
 
 
+def test_a_factored_gram_slices_a_block_whose_schur_step_costs_more(monkeypatch, rng):
+    # with 55% of the leaves binding, the Schur step costs more than an LU
+    # solve of the free block, which is sliced from the G kept beside R
+    gram, weights = whole_space_gram("unit-interval", 8)
+    kept = capacity._KeptGram(gram.copy(), weights)
+    kept._factor()
+    monkeypatch.setattr(capacity, "_gram", lambda *args: pytest.fail("Gram formed"))
+    free = rng.random(gram.shape[0]) >= 0.55
+    rhs = rng.standard_normal(int(free.sum()))
+    step = kept.solve(free, rhs)
+    assert np.array_equal(step, spd_solve(gram[np.ix_(free, free)], rhs))
+    assert kept.inverse is not None and not np.any(kept.slot >= 0)
+
+
 def test_whole_space_interval_solve_factors_its_gram_once(monkeypatch):
-    # 13 rounds: the first two solve directly, the other 11 take the Schur step
+    # 13 rounds: the first solves directly; the second, all-free again,
+    # factors G and, like the 11 rounds after it, takes the Schur step
     calls = []
     direct = capacity.spd_solve
     monkeypatch.setattr(capacity, "spd_solve",
                         lambda mat, rhs: calls.append(mat.shape[0]) or direct(mat, rhs))
     space = model_space("unit-interval", 2, 9)
     sol = solve_capacity(space, RIESZ, np.arange(space.n_leaves))
-    assert sol.iterations == 13 and len(calls) <= 2
+    assert sol.iterations == 13 and len(calls) == 1
     assert abs(sol.value - 0.048026373002839226) <= 1e-13
     assert sol.relative_gap <= 1e-14
+
+
+def test_whole_space_interval_solve_forms_kg_for_kept_states_only(monkeypatch):
+    # K*g is formed for the best-multiple start and each accepted Armijo
+    # candidate, 14 of the solve's 62 evaluations: once by an apply, before
+    # the rows, and then as a product with the target's rows
+    space = model_space("unit-interval", 2, 9)
+    op = kernel_operator(RIESZ, space)
+    op.mass()                                 # the memoized K*1 is not the solve's
+    products = []
+
+    class Rows:
+        """The target's kernel rows, counting their products with a vector."""
+        __array_ufunc__ = None                # so lam @ rows reaches __rmatmul__
+
+        def __init__(self, rows):
+            self.rows = rows
+
+        def __getitem__(self, key):
+            return self.rows[key]
+
+        def __rmatmul__(self, lam):           # u = lam R
+            return lam @ self.rows
+
+        def __matmul__(self, x):              # K*g = R (M g) / |B|
+            products.append("rows")
+            return self.rows @ x
+
+    cls = type(op)
+    apply_function, row = cls.apply_function, cls.row
+    monkeypatch.setattr(cls, "apply_function",
+                        lambda op, f: products.append("apply") or apply_function(op, f))
+    monkeypatch.setattr(cls, "row", lambda op, leaves: Rows(row(op, leaves)))
+    sol = solve_capacity(space, RIESZ, np.arange(space.n_leaves))
+    assert sol.iterations == 13 and len(products) == sol.iterations + 1
+    assert products.count("apply") == 1
+    assert abs(sol.value - 0.048026373002839226) <= 1e-13
 
 
 # Newton rounds a change to the linear algebra must keep: whole-space targets,
@@ -346,22 +402,17 @@ def test_golden_tree_quasiadd_round_counts_are_pinned(monkeypatch, tmp_path):
 def newton_sides(monkeypatch):
     """The side of every Newton system a solve forms from here on, each
     round once: a Hessian formed for the round, or a free block that the kept
-    p = 2 Gram solves (which may form its block itself)."""
-    sides, inside = [], []
+    p = 2 Gram solves."""
+    sides = []
     gram, kept_solve = capacity._gram, capacity._KeptGram.solve
 
     def spy_gram(rows, free, weights):
-        if not inside:
-            sides.append(int(np.count_nonzero(free)))
+        sides.append(int(np.count_nonzero(free)))
         return gram(rows, free, weights)
 
-    def spy_solve(kept, free, rhs, kernel_rows):
+    def spy_solve(kept, free, rhs):
         sides.append(int(np.count_nonzero(free)))
-        inside.append(kept)
-        try:
-            return kept_solve(kept, free, rhs, kernel_rows)
-        finally:
-            inside.pop()
+        return kept_solve(kept, free, rhs)
 
     monkeypatch.setattr(capacity, "_gram", spy_gram)
     monkeypatch.setattr(capacity._KeptGram, "solve", spy_solve)
