@@ -5,7 +5,9 @@ lines); the exact grammar is documented in the README.  Every run writes
 locale-independent CSV tables plus a JSON manifest recording the config
 hash, seed, package versions, and wall time.  Charts are optional SVG
 polylines regenerated from the CSV content; the CSV is the source of
-truth.  Identical config and seed produce byte-identical CSVs.
+truth.  Identical config and seed produce byte-identical CSVs at a fixed
+BLAS thread count; across thread counts the LAPACK solves can move the
+last bits (ROADMAP item 10).
 
 On an invalid config the process prints one machine-readable line to
 stderr and exits nonzero; on a runtime failure it removes the partial

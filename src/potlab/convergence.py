@@ -130,17 +130,17 @@ def approximation_split(space: ModelSpace, ext: PoissonExtension, kernel: Radial
     if neg.any():
         parts.append(neg)
     closeness = max(lp_norm(f, w, p), 1e-300)
+    # per part, the residual norm of its stand-in at each level: a budget takes
+    # the first level within it, or the finest, the part itself, at norm 0
+    norms = [np.array([lp_norm(h - _coarse_mean(space, h, lvl), w, p)
+                       for lvl in range(space.depth)] + [0.0]) for h in parts]
     for _ in range(SPLIT_ROUNDS):
         grid = np.zeros((space.n_leaves, ext.heights.size), dtype=bool)
         bad = np.zeros(space.n_leaves, dtype=bool)
-        for h in parts:
+        for h, norm in zip(parts, norms):
             for j in range(1, SPLIT_LEVELS + 1):
                 budget = closeness * 2.0 ** (-j)
-                level = space.depth
-                for lvl in range(space.depth + 1):
-                    if lp_norm(h - _coarse_mean(space, h, lvl), w, p) <= budget:
-                        level = lvl
-                        break
+                level = int(np.argmax(norm <= budget))
                 resid = np.abs(h - _coarse_mean(space, h, level))
                 if not resid.any():
                     continue

@@ -121,7 +121,8 @@ class KernelOperator:
     same shape.  A block makes one pass over the operator for all k
     columns, so its columns can differ from one-at-a-time applies in the
     last bits.  ``row`` takes one leaf for its (n,) row K(x, .) or m leaves
-    for an (m, n) block of rows.
+    for an (m, n) block of rows, read-only; both operators split the leaves
+    into depth-T subtrees and copy a row from their tables per subtree pair.
     """
 
     _mass = None
@@ -132,6 +133,8 @@ class KernelOperator:
         self.kernel = kernel
         self.weights, self.n_leaves = space.weights, space.n_leaves
         self.branching = space.branching
+        # T, the top digits of the shared leaf layout
+        self._top = space.depth - _bottom_digits(space.branching, space.depth)
 
     def mass(self) -> np.ndarray:
         """K*1, the kernel's mass integral at every leaf: computed once per
@@ -156,6 +159,21 @@ class KernelOperator:
         """max over leaves of the kernel's mass integral (the kernels are
         symmetric, so the two sup-integrals coincide)."""
         return float(self.mass().max())
+
+    def row(self, leaves):
+        # each run of consecutive leaves in one depth-T subtree s (one run per
+        # subtree when the leaves are sorted) has its rows against every
+        # subtree t filled by the subclass, as copies of its table values
+        leaves = np.asarray(leaves)
+        size = self.n_leaves // self.branching**self._top
+        subtree, leaf = np.divmod(leaves.reshape(-1), size)
+        out = np.empty((subtree.size, self.n_leaves // size, size))
+        starts = np.flatnonzero(np.diff(subtree, prepend=-1, append=-1))
+        for lo, hi in zip(starts[:-1], starts[1:]):
+            self._fill(out[lo:hi], subtree[lo], leaf[lo:hi])
+        # read-only, like the tables it copies
+        out.setflags(write=False)
+        return out.reshape(leaves.shape + (self.n_leaves,))
 
 
 # leaves on a side of the dense block of either operator: the smallest power of b
@@ -184,7 +202,6 @@ class TreeKernelOperator(KernelOperator):
     def __init__(self, kernel: RadialKernel, space: ModelSpace):
         super().__init__(kernel, space)
         self.table = kernel.level_table(space)
-        self._top = space.depth - _bottom_digits(space.branching, space.depth)
         # the first subtree's leaves share its top T digits, so their lca is T
         # plus that of their bottom digits; read-only, as every caller shares it
         leaves = np.arange(space.n_leaves // space.branching**self._top)
@@ -207,20 +224,13 @@ class TreeKernelOperator(KernelOperator):
         out += far[:, :, None]
         return out.transpose(0, 2, 1).reshape(masses.shape)
 
-    def row(self, leaves):
-        # table[lca of the top digits] per other subtree, written level by level
-        # and repeated over its leaves; over x's own subtree, row x of the block
-        flat = np.asarray(leaves).reshape(-1)
-        rows, size = np.arange(flat.size), self.block.shape[0]
-        subtree, leaf = np.divmod(flat, size)
-        far = np.full((flat.size, self.n_leaves // size), self.table[0])
-        for level in range(1, self._top):
-            span = self.branching ** (self._top - level)
-            far.reshape(flat.size, far.shape[1] // span, span)[rows, subtree // span] = \
-                self.table[level]
-        out = far.repeat(size, axis=1)
-        out.reshape(far.shape + (size,))[rows, subtree] = self.block[leaf]
-        return out.reshape(np.shape(leaves) + (self.n_leaves,))
+    def _fill(self, rows, s, leaves):
+        # table[lca of the top digits of s and t] over every subtree t, the
+        # number of leading top digits they share; over s itself, block rows
+        spans = self.branching ** np.arange(self._top)[:, None]
+        shared = (s // spans == np.arange(rows.shape[1]) // spans).sum(axis=0)
+        rows[:] = self.table[shared][:, None]
+        rows[:, s] = self.block[leaves]
 
 
 class DenseKernelOperator(KernelOperator):
@@ -246,7 +256,9 @@ class DenseKernelOperator(KernelOperator):
     An apply gathers each kept block once into one scratch block; one
     matrix product takes every subtree pair of its difference, and, before
     zero, a second one with the transposed block every pair of its mirror.
-    A row block gathers the block rows it reads.
+    A row segment against a subtree is the leaf's row of their block, gathered
+    from the values through ``index``; past zero, from the mirror's values
+    read backwards.
     """
 
     def __init__(self, kernel: RadialKernel, space: ModelSpace):
@@ -254,8 +266,8 @@ class DenseKernelOperator(KernelOperator):
             raise ValueError("embedded metrics support only the riesz kernel")
         super().__init__(kernel, space)
         b, depth, delta = space.branching, space.depth, space.delta
-        bottom = _bottom_digits(b, depth)
-        self._top = top = depth - bottom
+        top = self._top
+        bottom = depth - top
         # the distance of a digit-difference vector is the sum of its per-level
         # terms from the finest level up, never the difference of two nearly
         # equal coordinates: the sums over the bottom levels once, in every row
@@ -286,6 +298,7 @@ class DenseKernelOperator(KernelOperator):
         codes = _digit_codes(b, bottom)
         self._index = (codes[:, None] + middle) - codes
         self._index.setflags(write=False)
+        self._codes = _digit_codes(b, top)
         # per kept top difference, the top digits of the output and input
         # subtree pairs it links, as slices of the (b, ..., b, block, columns)
         # leaf layout; its mirror links the same pairs swapped
@@ -312,40 +325,14 @@ class DenseKernelOperator(KernelOperator):
                 out[src] += kmat.T @ x[dst]
         return out.reshape(masses.shape)
 
-    def row(self, leaves):
-        # x's row segment against each depth-T subtree is row x of the block of
-        # their top difference; past zero, column x of the mirror's block, that
-        # is row x of the block gathered from the mirror's values read backwards.
-        # Each (kept difference, direction) a call reads gets the span of block
-        # rows its leaves need gathered once; then the segments are copied
-        leaves = np.asarray(leaves)
-        block = self._index.shape[0]
+    def _fill(self, rows, s, leaves):
+        # against subtree t, rows of the block of e = code(s) - code(t) + zero;
+        # past zero, of the mirror's values read backwards
         zero = self.matrix.shape[0] - 1
-        subtree, leaf = np.divmod(leaves.reshape(-1), block)
-        subtrees, which = np.unique(subtree, return_inverse=True)
-        codes = _digit_codes(self.branching, self._top)
-        e = codes[subtrees][:, None] - codes + zero
-        reads, slot = np.unique(np.where(e > zero, 2 * (2 * zero - e) + 1, 2 * e),
-                                return_inverse=True)
-        slot = slot.reshape(e.shape)
-        # the span of block rows per distinct subtree, then per read
-        first = np.full(subtrees.size, block)
-        last = np.zeros(subtrees.size, dtype=np.int64)
-        np.minimum.at(first, which, leaf)
-        np.maximum.at(last, which, leaf + 1)
-        lo = np.full(reads.size, block)
-        hi = np.zeros(reads.size, dtype=np.int64)
-        np.minimum.at(lo, slot, np.broadcast_to(first[:, None], slot.shape))
-        np.maximum.at(hi, slot, np.broadcast_to(last[:, None], slot.shape))
-        start = np.concatenate(([0], np.cumsum(hi - lo)))
-        spans = np.empty((start[-1], block))
-        for r, read in enumerate(reads):
-            values = self.matrix[read // 2]
-            np.take(values[::-1] if read % 2 else values, self._index[lo[r]:hi[r]],
-                    out=spans[start[r]:start[r + 1]], mode="clip")
-        out = spans[(start[:-1] - lo)[slot][which] + leaf[:, None]]
-        out.setflags(write=False)
-        return out.reshape(leaves.shape + (self.n_leaves,))
+        e = self._codes[s] - self._codes + zero
+        values = self.matrix[np.minimum(e, 2 * zero - e)]
+        values[e > zero] = values[e > zero, ::-1]
+        rows[:] = np.take(values, self._index[leaves], axis=1).transpose(1, 0, 2)
 
 
 def _digit_codes(b: int, digits: int) -> np.ndarray:

@@ -60,16 +60,14 @@ class SeparationCertificate:
 
 
 def verify_separation(space: ModelSpace, family: SeparatedFamily) -> SeparationCertificate:
-    """Exhaustive pairwise check that no leaf lies in two enlarged balls."""
-    masks = []
-    for lo, hi in family.enlarged_ranges:
-        m = np.zeros(space.n_leaves, dtype=bool)
-        m[lo:hi] = True
-        masks.append(m)
+    """Exhaustive pairwise check that no leaf lies in two enlarged balls: two
+    half-open leaf ranges share one when the later start is before the
+    earlier end."""
+    ranges = family.enlarged_ranges
     violations = [(i, j)
-                  for i in range(len(masks))
-                  for j in range(i + 1, len(masks))
-                  if np.any(masks[i] & masks[j])]
+                  for i in range(len(ranges))
+                  for j in range(i + 1, len(ranges))
+                  if max(ranges[i][0], ranges[j][0]) < min(ranges[i][1], ranges[j][1])]
     return SeparationCertificate(not violations, violations)
 
 

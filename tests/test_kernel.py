@@ -1,3 +1,4 @@
+import fnmatch
 import gc
 import importlib.util
 import math
@@ -205,7 +206,7 @@ def test_row_block_equals_stacked_rows(kind):
         assert block.tobytes() == stacked.tobytes()
 
 
-@pytest.mark.parametrize("b,depth", [(2, 1), (2, 8), (3, 4)])
+@pytest.mark.parametrize("b,depth", [(2, 1), (2, 8), (3, 4), (3, 7), (4, 6)])
 def test_tree_row_block_matches_level_lookup(b, depth, rng):
     # the row block against the shared-prefix lookup it replaces
     ms = model_space("tree-boundary", b, depth, 0.3)
@@ -296,6 +297,22 @@ def test_traced_build_reads_the_operator_bytes():
                              model_space("cantor-set", 2, 9))
     attrs = spans.ATTRS["kernel.DenseKernelOperator.__init__"]
     assert attrs((op, None, None), {}, None) == {"bytes": op.matrix.nbytes}
+
+
+def test_traced_classes_name_the_row_span():
+    # the tracer wraps the methods each listed class defines itself: the class
+    # that defines ``row`` must be listed and name the span the row metrics
+    # match, and the dense build's span needs ``__init__`` on the dense class
+    spec = importlib.util.spec_from_file_location("potbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    listed = spans.CLASSES["kernel"]
+    assert all(hasattr(kernel_module, name) for name in listed)
+    assert "__init__" in vars(DenseKernelOperator)
+    for cls in (kernel_module.TreeKernelOperator, DenseKernelOperator):
+        owner = next(c for c in cls.__mro__ if "row" in vars(c)).__name__
+        assert owner in listed
+        assert fnmatch.fnmatchcase(f"kernel.{owner}.row", "kernel.*Operator.row")
 
 
 def riesz_of(d, kernel, space):

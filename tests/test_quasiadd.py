@@ -48,6 +48,12 @@ def test_overlapping_family_detected(tree8):
     with pytest.raises(ValueError):
         quasi_additivity_report(tree8, RIESZ, 2.0, fam,
                                 family_target_sets(tree8, fam, "ball"))
+    # half-open: adjacent ranges share no leaf, a partial overlap does
+    adjacent = SeparatedFamily("tree", [10, 18], [3, 3], [(8, 16), (16, 24)])
+    assert verify_separation(tree8, adjacent).ok
+    partial = SeparatedFamily("tree", [10, 14, 30], [3, 3, 3], [(8, 16), (12, 20), (24, 32)])
+    cert = verify_separation(tree8, partial)
+    assert not cert.ok and cert.violations == [(0, 1)]
 
 
 def test_exhaustion_warns(tree6):
