@@ -39,10 +39,11 @@ sum M (u / p)**p' and the Hessian R_F diag(M g') R_F^T, so every decision
 is the per-leaf solver's in exact arithmetic, and only ``density`` and
 ``measure`` are spread over the leaves, at the end.  A subtree is one
 block among at most (b - 1) N cells, and starts at the optimum.  On the
-embedded metrics each cell is one leaf: the first round takes the
-target's kernel rows for its Hessian, and from then on u and K*g are read
-from them, products in place of dense applies; K*g and the gradient are
-formed only for the states the solve keeps, not for every candidate.
+embedded metrics each cell is one leaf and the rows are the target's
+kernel rows (``KernelOperator.row``), so on every kind the rows are built
+once, when the solve starts, and every u, K*g and Hessian of it is read
+from them; K*g and the gradient are formed only for the states the solve
+keeps, not for every candidate.
 Every other Newton system is one LU solve (``spd_solve``, LAPACK ``gesv``
 through numpy); only an exactly singular Hessian falls back to a solve
 with a 1e-13 diagonal jitter, and a G that the Cholesky factorization
@@ -105,25 +106,20 @@ class _DualState:
 
     lam holds the mass of each leaf of each block; u and g hold one value
     per cell, K*g and the gradient one per block, formed only for the states
-    the solve keeps.  Each is read from the cell rows, taken here on the
-    ultrametric; on an embedded space, until ``rows`` holds the target's
-    kernel rows, u and K*g take one apply each."""
+    the solve keeps.  Each is read from the rows built here: the cell rows
+    on the ultrametric, the target's kernel rows on an embedded space."""
 
     def __init__(self, space: ModelSpace, op: KernelOperator, target, p):
-        self.op = op
-        self.E = target
         self.p = p
         self.pp = p / (p - 1.0)
         starts, self.cell_sizes, self.masses, inside = space.cells(target)
         self.sizes = self.cell_sizes[inside]
         self.rows = _cell_rows(space, op.table, starts, self.cell_sizes, inside) \
-            if space.kind == "tree-boundary" else None
+            if space.kind == "tree-boundary" else op.row(target)
 
     def evaluate(self, lam):
         """u, the moment and the objective: all a line-search candidate reads."""
-        u = self.op.apply_measure(_scatter(lam, self.E, self.masses.size)) \
-            if self.rows is None else lam @ self.rows
-        u = np.maximum(u, 0.0)
+        u = np.maximum(lam @ self.rows, 0.0)
         moment = float(self.masses @ (u / self.p) ** self.pp)   # = sum M g**p
         objective = float((lam * self.sizes).sum()) - (self.p - 1.0) * moment
         return {"u": u, "moment": moment, "objective": objective}
@@ -131,8 +127,7 @@ class _DualState:
     def keep(self, state):
         """Add g, K*g and the gradient to a state the solve moves to."""
         g = (state["u"] / self.p) ** (self.pp - 1.0)
-        kg = self.op.apply_function(g)[self.E] if self.rows is None \
-            else self.rows @ (self.masses * g) / self.sizes
+        kg = self.rows @ (self.masses * g) / self.sizes
         state.update(g=g, kg=kg, grad=1.0 - kg)
         return state
 
@@ -277,8 +272,8 @@ def _scatter(values, idx, n):
 
 GAP_ACCEPT = 1e-3   # certified relative duality gap below which a solve is converged
 MAX_ROUNDS = 200    # default Newton round cap; the whole-space unit-interval solve,
-                    # the hardest measured, takes 56 rounds at depth 11 (59 on two
-                    # BLAS threads) and 116 at 12
+                    # the hardest measured, takes 59 rounds at depth 11 and 116 at 12,
+                    # on one BLAS thread and on two
 
 
 def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
@@ -303,11 +298,10 @@ def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
     if E.size == 0:
         z = np.zeros(n)
         return CapacitySolution(0.0, z, z.copy(), 0.0, 0.0, 0, True)
-    op = kernel_operator(kernel, space)
-    ds = _DualState(space, op, E, p)
+    ds = _DualState(space, kernel_operator(kernel, space), E, p)
 
-    # K*1 on the target: per leaf, or per block times its size from the rows
-    if np.any((op.mass()[E] if ds.rows is None else ds.rows @ ds.masses) <= 0.0):
+    # K*1 on the target, per block times its size
+    if np.any(ds.rows @ ds.masses <= 0.0):
         raise ValueError("kernel carries no mass toward part of the target")
     # the best multiple c of the uniform measure: c**(p'-1) = sum(lam) / (p * moment)
     state = ds.evaluate(np.ones(ds.sizes.size))
@@ -324,11 +318,6 @@ def solve_capacity(space: ModelSpace, kernel: RadialKernel, target,
         if residual <= 1e-14 or iterations >= max_iters:
             break
         iterations += 1
-        if ds.rows is None:
-            # embedded: the rows on the first round, as many targets start at
-            # the optimum; from here on every evaluation reads them, since a
-            # dense apply gathers each block of the table and costs more
-            ds.rows = op.row(E)
         # binding: at or near 0 with the gradient pushing outward
         free = (lam > scale * min(residual, 1e-3)) | (grad > 0.0)
         # Newton step on the free blocks: Hessian R_F diag(M g') R_F^T = A A^T

@@ -20,8 +20,8 @@ CSV, SVG and ``space.txt`` output is compared byte for byte; manifests
 record times and are left out.  Each output that differs, or that only one
 side wrote, is listed, and the script exits 1 when there is any.  A CSV
 that differs is also compared field by field: the line gives the number of
-numeric fields that moved and the worst relative move among them,
-|ours - theirs| / max(|ours|, |theirs|).
+numeric fields that moved and, for each column that moved, the worst
+relative move in it, |ours - theirs| / max(|ours|, |theirs|).
 """
 
 from __future__ import annotations
@@ -89,12 +89,12 @@ def run(src: Path, threads: int, config: Path, seed: int, subcommands, out: Path
 
 def csv_moves(ours: bytes, theirs: bytes) -> str:
     """How two CSVs differ field by field: the numeric fields that moved, the
-    worst relative move and its column, and the count of other fields that
-    changed."""
+    worst relative move of each column that moved, and the count of other
+    fields that changed."""
     a, b = (list(csv.reader(io.StringIO(side.decode()))) for side in (ours, theirs))
     if [len(row) for row in a] != [len(row) for row in b]:
         return "rows or fields differ"
-    moved, other, worst, column = 0, 0, 0.0, ""
+    moved, other, worst = 0, 0, {}
     for row_a, row_b in zip(a[1:], b[1:]):
         for name, x, y in zip(a[0], row_a, row_b):
             if x == y:
@@ -108,11 +108,11 @@ def csv_moves(ours: bytes, theirs: bytes) -> str:
                 continue
             moved += 1
             move = abs(fx - fy) / max(abs(fx), abs(fy))
-            if move > worst:
-                worst, column = move, name
+            worst[name] = max(worst.get(name, 0.0), move)
     text = f"{moved} numeric fields moved"
     if moved:
-        text += f", worst relative {worst:.2g} ({column})"
+        text += ", worst relative " + ", ".join(f"{worst[name]:.2g} ({name})"
+                                                for name in a[0] if name in worst)
     if a[0] != b[0]:
         other += 1
     return text + (f", {other} other fields differ" if other else "")

@@ -228,10 +228,8 @@ def test_p2_solve_forms_one_gram(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["unit-interval", "cantor-set"])
 def test_solve_evaluates_through_its_rows(kind, monkeypatch):
-    # from the first Newton round on, u = K*lam and K*g on the target come from
-    # the target's rows, so no operator apply runs once the rows are built;
-    # before them, the uniform start applies once, for u, and the best
-    # multiple twice, for u and K*g
+    # the solve builds the target's rows once, when it starts, and reads
+    # u = K*lam, K*g and K*1 on the target from them: no operator apply runs
     space = model_space(kind, 2, 7)
     target = np.arange(space.n_leaves)
     cls = type(kernel_operator(RIESZ, space))
@@ -241,11 +239,10 @@ def test_solve_evaluates_through_its_rows(kind, monkeypatch):
     monkeypatch.setattr(cls, "row", lambda op, leaves: calls.append("row") or row(op, leaves))
     for p in (2.0, 3.0):
         kernel = RadialKernel("riesz", s=0.75, p=p)
-        kernel_operator(kernel, space).mass()     # the memoized K*1 is not the solve's
         calls.clear()
         sol = solve_capacity(space, kernel, target, p=p)
         assert sol.iterations > 1 and sol.relative_gap <= 1e-13
-        assert calls.count("row") == 1 and calls.index("row") == calls.count("apply") == 3
+        assert calls == ["row"]
     sol = solve_capacity(space, RIESZ, target, p=2.0)
     assert sol.value == pytest.approx(capacity_p2_exact(space, RIESZ, target), rel=1e-8)
 
@@ -331,11 +328,10 @@ def test_whole_space_interval_solve_factors_its_gram_once(monkeypatch):
 
 def test_whole_space_interval_solve_forms_kg_for_kept_states_only(monkeypatch):
     # K*g is formed for the best-multiple start and each accepted Armijo
-    # candidate, 14 of the solve's 62 evaluations: once by an apply, before
-    # the rows, and then as a product with the target's rows
+    # candidate, 14 of the solve's 62 evaluations, each as a product with the
+    # target's rows, and never by an apply
     space = model_space("unit-interval", 2, 9)
     op = kernel_operator(RIESZ, space)
-    op.mass()                                 # the memoized K*1 is not the solve's
     products = []
 
     class Rows:
@@ -351,18 +347,17 @@ def test_whole_space_interval_solve_forms_kg_for_kept_states_only(monkeypatch):
         def __rmatmul__(self, lam):           # u = lam R
             return lam @ self.rows
 
-        def __matmul__(self, x):              # K*g = R (M g) / |B|
-            products.append("rows")
+        def __matmul__(self, x):              # K*1 = R M, then K*g = R (M g) / |B|
+            products.append("mass" if x is space.weights else "rows")
             return self.rows @ x
 
     cls = type(op)
-    apply_function, row = cls.apply_function, cls.row
-    monkeypatch.setattr(cls, "apply_function",
-                        lambda op, f: products.append("apply") or apply_function(op, f))
+    apply, row = cls._apply, cls.row
+    monkeypatch.setattr(cls, "_apply", lambda op, m: products.append("apply") or apply(op, m))
     monkeypatch.setattr(cls, "row", lambda op, leaves: Rows(row(op, leaves)))
     sol = solve_capacity(space, RIESZ, np.arange(space.n_leaves))
-    assert sol.iterations == 13 and len(products) == sol.iterations + 1
-    assert products.count("apply") == 1
+    assert sol.iterations == 13 and products.count("apply") == 0
+    assert products == ["mass"] + ["rows"] * (sol.iterations + 1)
     assert abs(sol.value - 0.048026373002839226) <= 1e-13
 
 
@@ -441,13 +436,28 @@ def leaf_cells(space, leaves):
 
 def leaf_solves(monkeypatch, kernels, p, cases):
     """The solves of (space, target) cases, one kernel each, with one cell per
-    leaf and the operator's own applies and kernel rows, as off the
-    ultrametric: one unknown per target leaf, and u and g at every leaf."""
+    leaf, as off the ultrametric: one unknown per target leaf, and u and g at
+    every leaf, read from the cell rows of one-leaf cells, which are the
+    operator's kernel rows (``test_cell_rows_of_one_leaf_cells_are_kernel_rows``)."""
     with monkeypatch.context() as m:
         m.setattr(ModelSpace, "cells", leaf_cells)
-        m.setattr(capacity, "_cell_rows", lambda *args: None)
         return [solve_capacity(space, kernel, target, p=p)
                 for (space, target), kernel in zip(cases, kernels)]
+
+
+@pytest.mark.parametrize("b, depth", [(2, 9), (3, 6), (4, 5)])
+def test_cell_rows_of_one_leaf_cells_are_kernel_rows(b, depth, rng):
+    # on one cell per leaf the cell rows of the target are, byte for byte,
+    # the tree operator's kernel rows, on uniform and on random weights
+    n = b**depth
+    for w in (np.full(n, 1.0 / n), (rng.random(n) + 0.5) / n):
+        space = ModelSpace("tree-boundary", b, depth, 1.0 / (b + 1), w)
+        op = kernel_operator(RIESZ, space)
+        for target in (np.arange(n), np.flatnonzero(rng.random(n) < 1.0 / 3.0),
+                       np.array([int(rng.integers(n))])):
+            starts, sizes, _, inside = leaf_cells(space, target)
+            rows = capacity._cell_rows(space, op.table, starts, sizes, inside)
+            assert rows.tobytes() == op.row(target).tobytes()
 
 
 def assert_constant_on_cells(space, target, sol):

@@ -104,3 +104,12 @@ def test_rule_rejects_a_capacity_moved_beyond_its_gap(tmp_path):
     assert edited(value, repr(float(first[value]) * (1.0 + 0.5 * allowed))) == []
     assert edited(value, repr(float(first[value]) * (1.0 + 3.0 * allowed)))
     assert edited(verdict, "false")
+
+
+def test_csv_moves_gives_the_worst_move_of_each_column():
+    from golden.determinism import csv_moves
+
+    ours = b"id,value,gap\na,1.0,0.0\nb,2.0,1e-16\nc,x,3\n"
+    theirs = b"id,value,gap\na,1.0000000000000002,1.7e-16\nb,2.5,1e-16\nc,y,3\n"
+    assert csv_moves(ours, theirs) == \
+        "3 numeric fields moved, worst relative 0.2 (value), 1 (gap), 1 other fields differ"
